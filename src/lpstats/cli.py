@@ -34,7 +34,7 @@ from .empirical import (informative_quantile, make_sample, mid_quantile,
                         quartile_summary)
 from .errors import (EmptyAfterFilter, FileNotFound, InputError,
                      LPStatsError, MissingColumn)
-from .lp import lhermite_normality, lp_moments
+from .lp import correlations, lhermite_normality, lp_moments
 from .scores import build_score_basis
 
 __all__ = ["Dataset", "ingest_csv", "main"]
@@ -222,7 +222,6 @@ def cmd_depend(args):
     ds, warnings = _load(args, [args.x, args.y])
     x, y = ds.columns[args.x], ds.columns[args.y]
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
-    from .lp import correlations
     cor = correlations(x, y)
     grid = _grid_u(args.grid)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
@@ -328,8 +327,7 @@ def cmd_twosample(args):
     y, grp = ds.columns[args.y], ds.columns[args.group]
     rep = tsmod.analyze(grp, y, m=args.order, rule=args.select,
                         small_sample=args.small_sample)
-    dens = tsmod.two_sample_comp_density(grp, y, m=args.order,
-                                         rule=args.select)
+    dens = rep.density
     payload = {
         "n": y.size,
         "labels": list(rep.labels),
@@ -518,10 +516,7 @@ def _echo_args(args) -> dict:
     for key in sorted(vars(args)):
         if key in _ECHO_SKIP:
             continue
-        value = getattr(args, key)
-        if isinstance(value, Path):
-            value = str(value)
-        echo[key] = value
+        echo[key] = getattr(args, key)
     return echo
 
 
@@ -545,16 +540,19 @@ def main(argv=None) -> int:
             text = render_csv(header, rows)
         else:
             text = render_json(envelope)
-    except InputError as exc:
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LPStatsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:  # e.g. LinAlgError: still a computation failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

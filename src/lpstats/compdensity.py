@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from .empirical import Sample
+from .empirical import Sample, _scalar_or_array
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
                      IllConditioned, NonConvergence, OrderTooHigh,
                      UnboundedDensity)
@@ -92,22 +92,19 @@ class ReferenceDistribution:
         self._pdf = pdf
         self.has_density = pdf is not None
 
+    @_scalar_or_array(1)
     def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = self._cdf(np.atleast_1d(xa))
-        return float(out[0]) if xa.ndim == 0 else out
+        return self._cdf(x)
 
+    @_scalar_or_array(1)
     def quantile(self, u):
-        ua = np.asarray(u, dtype=float)
-        out = self._quantile(np.atleast_1d(ua))
-        return float(out[0]) if ua.ndim == 0 else out
+        return self._quantile(u)
 
+    @_scalar_or_array(1)
     def pdf(self, x):
         if not self.has_density:
             raise DomainError(f"reference kind {self.kind!r} has no density")
-        xa = np.asarray(x, dtype=float)
-        out = self._pdf(np.atleast_1d(xa))
-        return float(out[0]) if xa.ndim == 0 else out
+        return self._pdf(x)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -166,22 +163,17 @@ def uniform_reference(a: float, b: float) -> ReferenceDistribution:
     )
 
 
-def _step_cdf(s: Sample, x):
-    idx = np.searchsorted(s.values, x, side="right") - 1
-    return np.where(idx >= 0, s.cdf[np.clip(idx, 0, None)], 0.0)
-
-
 def empirical_reference(s: Sample) -> ReferenceDistribution:
     """The sample's own step CDF and left-continuous quantile as G."""
 
     def qf(u):
         if np.any((u <= 0.0) | (u > 1.0)):
             raise DomainError("empirical quantile needs u in (0, 1]")
-        return s.values[np.searchsorted(s.cdf, u, side="left")]
+        return s.values[s.atom_at_level(u)]
 
     return ReferenceDistribution(
         "empirical", {"n": s.n},
-        cdf=lambda x: _step_cdf(s, x),
+        cdf=s.step_cdf,
         quantile=qf,
     )
 
@@ -228,15 +220,12 @@ class CompDensityModel:
     maxent_iterations: int | None = None
 
 
+@_scalar_or_array(2)
 def comparison_distribution(s: Sample, g: ReferenceDistribution, u):
     """D(u) = F(Q_G(u)), the sample CDF looked at through G's quantile."""
-    ua = np.asarray(u, dtype=float)
-    scalar = ua.ndim == 0
-    uv = np.atleast_1d(ua)
-    if np.any((uv <= 0.0) | (uv >= 1.0)):
+    if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("comparison level must lie in (0, 1)")
-    out = _step_cdf(s, g.quantile(uv))
-    return float(out[0]) if scalar else out
+    return s.step_cdf(g.quantile(u))
 
 
 def pp_grid(s: Sample, g: ReferenceDistribution):
@@ -337,6 +326,7 @@ def _l2_series(mod: CompDensityModel, u: np.ndarray) -> np.ndarray:
     return 1.0 + mod.c[ks] @ _leg_table((ks + 1).tolist(), u)
 
 
+@_scalar_or_array(1)
 def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
     """Evaluate the fitted comparison density at u in [0, 1].
 
@@ -344,45 +334,37 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
     floors it at 1e-6 and renormalizes by quadrature, "maxent" is the
     exponential model and needs `maxent_fit` to have run.
     """
-    ua = np.asarray(u, dtype=float)
-    scalar = ua.ndim == 0
-    uv = np.atleast_1d(ua).astype(float)
-    if np.any((uv < 0.0) | (uv > 1.0)):
+    if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("comparison density is defined on [0, 1]")
     if flavor == "l2":
-        out = _l2_series(mod, uv)
-    elif flavor == "l2_clipped":
+        return _l2_series(mod, u)
+    if flavor == "l2_clipped":
         nodes, wts = _gauss01(QUAD_NODES)
         norm = float(wts @ np.maximum(_l2_series(mod, nodes), CLIP_FLOOR))
-        out = np.maximum(_l2_series(mod, uv), CLIP_FLOOR) / norm
-    elif flavor == "maxent":
+        return np.maximum(_l2_series(mod, u), CLIP_FLOOR) / norm
+    if flavor == "maxent":
         if mod.theta is None:
             raise FlavorNotFitted("run maxent_fit first")
         ks = np.flatnonzero(mod.theta)
-        series = mod.theta[ks] @ _leg_table((ks + 1).tolist(), uv) \
-            if ks.size else np.zeros_like(uv)
-        out = np.exp(mod.theta0 + series)
-    else:
-        raise DomainError(f"unknown flavor {flavor!r}")
-    return float(out[0]) if scalar else out
+        series = mod.theta[ks] @ _leg_table((ks + 1).tolist(), u) \
+            if ks.size else np.zeros_like(u)
+        return np.exp(mod.theta0 + series)
+    raise DomainError(f"unknown flavor {flavor!r}")
 
 
 def _best_flavor(mod: CompDensityModel) -> str:
     return "maxent" if mod.theta is not None else "l2_clipped"
 
 
+@_scalar_or_array(1)
 def skew_g_density(mod: CompDensityModel, x):
     """Skew-G density estimate f(x) = g(x) d(G(x)).
 
     Uses the maxent flavor when fitted, the clipped series otherwise; the
     reference must have a density.
     """
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xv = np.atleast_1d(xa)
-    gx = np.clip(np.asarray(mod.g.cdf(xv), dtype=float), 0.0, 1.0)
-    out = mod.g.pdf(xv) * eval_density(mod, gx, flavor=_best_flavor(mod))
-    return float(out[0]) if scalar else out
+    gx = np.clip(np.asarray(mod.g.cdf(x), dtype=float), 0.0, 1.0)
+    return mod.g.pdf(x) * eval_density(mod, gx, flavor=_best_flavor(mod))
 
 
 def gof_distance(mod: CompDensityModel) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, make_sample, mid_quantile
+from .empirical import Sample, _scalar_or_array, make_sample, mid_quantile
 from .errors import DegenerateSlice, DomainError, LengthMismatch
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
@@ -91,12 +91,6 @@ def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
     return CopulaModel(sx=sx, sy=sy, bx=bx, by=by, lpm=lpm, order=int(order))
 
 
-def _scores_at_u(b: ScoreBasis, u: np.ndarray) -> np.ndarray:
-    """All score rows S_j(u), orders down the first axis."""
-    idx = np.searchsorted(b.source.cdf, u, side="left")
-    return b.table[:, idx]
-
-
 def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     """Copula density series at (u, v), elementwise over broadcast inputs.
 
@@ -109,8 +103,8 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     uv, vv = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     if np.any((uv <= 0.0) | (uv >= 1.0)) or np.any((vv <= 0.0) | (vv >= 1.0)):
         raise DomainError("copula arguments must lie in (0, 1)")
-    su = _scores_at_u(mod.bx, uv.ravel())
-    sv = _scores_at_u(mod.by, vv.ravel())
+    su = mod.bx.table[:, mod.bx.source.atom_at_level(uv.ravel())]
+    sv = mod.by.table[:, mod.by.source.atom_at_level(vv.ravel())]
     out = 1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
     if clipped:
         out = np.maximum(out, _CLIP)
@@ -123,7 +117,7 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     u = float(u)
     if not 0.0 < u < 1.0:
         raise DomainError("conditioning level must lie in (0, 1)")
-    su = _scores_at_u(mod.bx, np.array([u]))[:, 0]
+    su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
     weights = mod.coefficients.T @ su
     raw = 1.0 + weights @ mod.by.table
     clipped = np.maximum(raw, _CLIP)
@@ -134,16 +128,13 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
                             density=clipped / mass, mass=mass)
 
 
+@_scalar_or_array(2)
 def conditional_density(mod: CopulaModel, u: float, v):
     """Value of the normalized slice at probability level(s) v."""
     sl = conditional_slice(mod, u)
-    va = np.asarray(v, dtype=float)
-    scalar = va.ndim == 0
-    vv = np.atleast_1d(va)
-    if np.any((vv <= 0.0) | (vv >= 1.0)):
+    if np.any((v <= 0.0) | (v >= 1.0)):
         raise DomainError("v must lie in (0, 1)")
-    out = sl.density[np.searchsorted(mod.sy.cdf, vv, side="left")]
-    return float(out[0]) if scalar else out
+    return sl.density[mod.sy.atom_at_level(v)]
 
 
 def conditional_mean(mod: CopulaModel, u: float) -> float:
@@ -244,7 +235,7 @@ def simulate_conditional(mod: CopulaModel, u: float, count: int,
     while kept < count:
         v = rng.random(4096)
         w = rng.random(4096)
-        dens = sl.density[np.searchsorted(mod.sy.cdf, v, side="left")]
+        dens = sl.density[mod.sy.atom_at_level(v)]
         ok = (v > 0.0) & (dens > envelope * w)
         draw = mid_quantile(mod.sy, v[ok]) if np.any(ok) else np.empty(0)
         out.append(np.atleast_1d(draw))
@@ -267,14 +258,11 @@ class RegressionFit:
     coefficients: np.ndarray
     selected: np.ndarray
 
+    @_scalar_or_array(1)
     def predict(self, x):
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xv = np.atleast_1d(xa)
-        idx = np.searchsorted(self.basis.source.values, xv, side="right") - 1
         active = self.coefficients * self.selected
-        out = self.ybar + active @ self.basis.table[:, np.clip(idx, 0, None)]
-        return float(out[0]) if scalar else out
+        idx = self.basis.source.atom_at(x)
+        return self.ybar + active @ self.basis.table[:, idx]
 
 
 def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
@@ -290,8 +278,7 @@ def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
     if x.size != y.size:
         raise LengthMismatch(x.size, y.size)
     m = bx.max_order if m is None else min(int(m), bx.max_order)
-    idx = np.searchsorted(bx.source.values, x, side="right") - 1
-    table = bx.table[:m, np.clip(idx, 0, None)]
+    table = bx.table[:m, bx.source.atom_at(x)]
     coefficients = table @ y / y.size
     y_sd = float(y.std())
     if y_sd > 0.0:

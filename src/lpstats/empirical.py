@@ -14,6 +14,7 @@ left-continuous step inverse `quantile` and the piecewise-linear
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,20 @@ class Sample:
                     self.cdf, self.fmid, self.atom_index):
             arr.setflags(write=False)
 
+    def atom_at(self, x):
+        """Index of the largest atom not exceeding x; 0 below the support."""
+        return np.clip(np.searchsorted(self.values, x, side="right") - 1,
+                       0, None)
+
+    def atom_at_level(self, u):
+        """Index of the atom the left-continuous quantile picks at level u."""
+        return np.searchsorted(self.cdf, u, side="left")
+
+    def step_cdf(self, x):
+        """Right-continuous CDF F(x): 0 below the support, 1 from the top."""
+        return np.where(np.asarray(x) < self.values[0], 0.0,
+                        self.cdf[self.atom_at(x)])
+
     @property
     def mid_rank_variance(self):
         """Var[Fmid(X)] = (1 - sum p^3) / 12, exact under ties."""
@@ -127,25 +142,36 @@ def make_sample(data) -> Sample:
     return Sample(obs, values, counts, atom_index.astype(np.intp))
 
 
-def _prepare(x):
-    xa = np.asarray(x, dtype=float)
-    return xa.ndim == 0, np.atleast_1d(xa)
+def _scalar_or_array(pos):
+    """Decorate a function that maps its argument `pos` elementwise.
+
+    The function receives that argument as a flat float array. Its result
+    takes the argument's shape, and is a Python float for a 0-d argument.
+    """
+    def decorate(fn):
+        name = fn.__code__.co_varnames[pos]
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            args = list(args)
+            where, key = (args, pos) if pos < len(args) else (kwargs, name)
+            a = np.asarray(where[key], dtype=float)
+            where[key] = a.ravel()
+            out = fn(*args, **kwargs)
+            return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+        return wrapper
+    return decorate
 
 
+@_scalar_or_array(1)
 def mid_distribution(s: Sample, x):
     """Evaluate Fmid(x) = F(x) - 0.5 p(x) at scalar or array x.
 
     Off the support p(x) is zero, so the value is the step CDF at the
     largest atom not exceeding x (0 below the minimum).
     """
-    scalar, xa = _prepare(x)
-    idx = np.searchsorted(s.values, xa, side="right") - 1
-    inside = idx >= 0
-    idxc = np.where(inside, idx, 0)
-    out = np.where(inside, s.cdf[idxc], 0.0)
-    at_atom = inside & (s.values[idxc] == xa)
-    out = np.where(at_atom, s.fmid[idxc], out)
-    return float(out[0]) if scalar else out
+    idx = s.atom_at(x)
+    return np.where(s.values[idx] == x, s.fmid[idx], s.step_cdf(x))
 
 
 def mid_ranks(s: Sample) -> np.ndarray:
@@ -158,31 +184,28 @@ def mid_ranks(s: Sample) -> np.ndarray:
     return s.fmid[s.atom_index]
 
 
+@_scalar_or_array(1)
 def quantile(s: Sample, u):
     """Left-continuous quantile: the smallest x with F(x) >= u.
 
     Defined for u in (0, 1]; u = 1 returns the sample maximum, which keeps
     the identity quantile(s, F(x_j)) == x_j valid at every atom.
     """
-    scalar, ua = _prepare(u)
-    if np.any((ua <= 0.0) | (ua > 1.0)):
+    if np.any((u <= 0.0) | (u > 1.0)):
         raise DomainError("quantile level must lie in (0, 1]")
-    idx = np.searchsorted(s.cdf, ua, side="left")
-    out = s.values[idx]
-    return float(out[0]) if scalar else out
+    return s.values[s.atom_at_level(u)]
 
 
+@_scalar_or_array(1)
 def mid_quantile(s: Sample, u):
     """Piecewise-linear quantile through the knots (Fmid(x_j), x_j).
 
     Below the first knot and above the last the curve extends flat, so the
     output always stays inside the observed data range. Domain (0, 1).
     """
-    scalar, ua = _prepare(u)
-    if np.any((ua <= 0.0) | (ua >= 1.0)):
+    if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("mid-quantile level must lie in (0, 1)")
-    out = np.interp(ua, s.fmid, s.values)
-    return float(out[0]) if scalar else out
+    return np.interp(u, s.fmid, s.values)
 
 
 def quartile_summary(s: Sample) -> QuartileSummary:
@@ -205,15 +228,15 @@ def informative_quantile(s: Sample, u):
     return (mid_quantile(s, u) - summ.mq) / summ.dq
 
 
+@_scalar_or_array(1)
 def standardize(s: Sample, x):
     """Map x to (x - mean) / sd using the sample's own moments."""
     if s.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
-    scalar, xa = _prepare(x)
-    out = (xa - s.mean) / s.sd
-    return float(out[0]) if scalar else out
+    return (x - s.mean) / s.sd
 
 
+@_scalar_or_array(2)
 def mid_clt_approx(mean: float, sd: float, x):
     """Normal approximation Phi((x - mean) / sd) to a mid-distribution.
 
@@ -225,6 +248,4 @@ def mid_clt_approx(mean: float, sd: float, x):
     """
     if sd <= 0.0:
         raise DegenerateScale("sd must be positive")
-    scalar, xa = _prepare(x)
-    out = ndtr((xa - mean) / sd)
-    return float(out[0]) if scalar else out
+    return ndtr((x - mean) / sd)

@@ -107,12 +107,6 @@ def lp_moments(s: Sample, b: ScoreBasis, m: int | None = None,
                           threshold=float(threshold))
 
 
-def _table_at(b: ScoreBasis, obs: np.ndarray) -> np.ndarray:
-    """Rows of the score table looked up at arbitrary observations."""
-    idx = np.searchsorted(b.source.values, obs, side="right") - 1
-    return b.table[:, np.clip(idx, 0, None)]
-
-
 def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
                  m: int = 4, rule: str = "aic") -> LPComomentMatrix:
     """LP(j, k; X, Y) = E[T_j(X) T_k(Y)] over the paired observations.
@@ -128,8 +122,8 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
     m = int(m)
     if m < 1:
         raise OrderOutOfRange("order must be at least 1")
-    tx = _table_at(bx, x)[: min(m, bx.max_order)]
-    ty = _table_at(by, y)[: min(m, by.max_order)]
+    tx = bx.table[: min(m, bx.max_order), bx.source.atom_at(x)]
+    ty = by.table[: min(m, by.max_order), by.source.atom_at(y)]
     entries = tx @ ty.T / x.size
     selected = select_significant(entries, x.size, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
@@ -166,8 +160,8 @@ def select_significant(coefficients, n: int, rule: str = "aic") -> np.ndarray:
 
 
 def lpinfor(matrix: LPComomentMatrix) -> float:
-    """Squared sum of the selected comoments."""
-    return float(np.sum(matrix.entries[matrix.selected] ** 2))
+    """Squared sum of the selected comoments, as stored by `lp_comoments`."""
+    return matrix.lpinfor
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

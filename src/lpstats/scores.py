@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import Sample
+from .empirical import Sample, _scalar_or_array
 from .errors import DegenerateSample, DomainError, OrderOutOfRange, OrderTooHigh
 
 __all__ = ["ScoreBasis", "legendre_eval", "build_score_basis",
@@ -32,6 +32,7 @@ LEGENDRE_CAP = 12
 _RANK_TOL = 1e-8
 
 
+@_scalar_or_array(1)
 def legendre_eval(j: int, u):
     """Orthonormal shifted Legendre polynomial Leg_j on [0, 1].
 
@@ -46,9 +47,7 @@ def legendre_eval(j: int, u):
         raise DomainError("order must be nonnegative")
     if j > LEGENDRE_CAP:
         raise OrderTooHigh(f"Legendre order {j} above cap {LEGENDRE_CAP}")
-    ua = np.asarray(u, dtype=float)
-    scalar = ua.ndim == 0
-    t = 2.0 * np.atleast_1d(ua) - 1.0
+    t = 2.0 * u - 1.0
     pk_minus, pk = np.ones_like(t), t.copy()
     if j == 0:
         out = pk_minus
@@ -58,8 +57,7 @@ def legendre_eval(j: int, u):
         for k in range(1, j):
             pk_minus, pk = pk, ((2 * k + 1) * t * pk - k * pk_minus) / (k + 1)
         out = pk
-    out = np.sqrt(2.0 * j + 1.0) * out
-    return float(out[0]) if scalar else out
+    return np.sqrt(2.0 * j + 1.0) * out
 
 
 class ScoreBasis:
@@ -138,6 +136,7 @@ def _check_order(b: ScoreBasis, j: int) -> int:
     return j
 
 
+@_scalar_or_array(2)
 def eval_score(b: ScoreBasis, j: int, x):
     """T_j at arbitrary real x by step extension.
 
@@ -146,13 +145,10 @@ def eval_score(b: ScoreBasis, j: int, x):
     interpolation); below the support the first atom's value applies.
     """
     j = _check_order(b, j)
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    idx = np.searchsorted(b.source.values, np.atleast_1d(xa), side="right") - 1
-    out = b.table[j - 1][np.clip(idx, 0, None)]
-    return float(out[0]) if scalar else out
+    return b.table[j - 1][b.source.atom_at(x)]
 
 
+@_scalar_or_array(2)
 def score_quantile(b: ScoreBasis, j: int, u):
     """S_j(u) = T_j(Q(u)), piecewise constant on the atom intervals.
 
@@ -161,10 +157,6 @@ def score_quantile(b: ScoreBasis, j: int, u):
     `quantile`, u = 1 maps to the top atom.
     """
     j = _check_order(b, j)
-    ua = np.asarray(u, dtype=float)
-    scalar = ua.ndim == 0
-    if np.any((ua <= 0.0) | (ua > 1.0)):
+    if np.any((u <= 0.0) | (u > 1.0)):
         raise DomainError("quantile level must lie in (0, 1]")
-    idx = np.searchsorted(b.source.cdf, np.atleast_1d(ua), side="left")
-    out = b.table[j - 1][idx]
-    return float(out[0]) if scalar else out
+    return b.table[j - 1][b.source.atom_at_level(u)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, make_sample, mid_ranks
+from .empirical import Sample, _scalar_or_array, make_sample, mid_ranks
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, NonFiniteValue, SingleGroup)
 from .lp import select_significant
@@ -272,8 +272,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
         raise SingleGroup("one of the groups is empty")
     sy = make_sample(y)
     by = build_score_basis(sy, m)
-    idx = np.searchsorted(sy.values, y, side="right") - 1
-    table = by.table[:, np.clip(idx, 0, None)]
+    table = by.table[:, sy.atom_at(y)]
     in1 = x01 == 1.0
     c = table[:, in1].mean(axis=1)
     tau = float(x01.mean())
@@ -288,12 +287,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
                             atom_density=clipped / mass, mass=mass)
 
 
-def _density_at(model: TwoSampleDensity, y) -> np.ndarray:
-    idx = np.searchsorted(model.sy.values, np.atleast_1d(
-        np.asarray(y, dtype=float)), side="right") - 1
-    return model.atom_density[np.clip(idx, 0, None)]
-
-
+@_scalar_or_array(1)
 def classify(model: TwoSampleDensity, y, prior: float | None = None):
     """Posterior probability of group 1 at response value(s) y.
 
@@ -307,10 +301,7 @@ def classify(model: TwoSampleDensity, y, prior: float | None = None):
     prior = float(prior)
     if not 0.0 < prior < 1.0:
         raise DomainError("prior must lie in (0, 1)")
-    ya = np.asarray(y, dtype=float)
-    scalar = ya.ndim == 0
-    out = np.clip(prior * _density_at(model, ya), 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return np.clip(prior * model.atom_density[model.sy.atom_at(y)], 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -332,8 +323,7 @@ def logistic_score_features(x_obs, y_obs, m: int = 4,
     model = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
     y = np.asarray(y_obs, dtype=float).ravel()
     ks = np.flatnonzero(model.selected)
-    idx = np.searchsorted(model.sy.values, y, side="right") - 1
-    columns = model.by.table[ks][:, np.clip(idx, 0, None)].T \
+    columns = model.by.table[ks][:, model.sy.atom_at(y)].T \
         if ks.size else np.empty((y.size, 0))
     return ScoreFeatures(orders=(ks + 1).tolist(), columns=columns)
 
@@ -371,6 +361,7 @@ class TwoSampleReport:
     z_stat: float
     high_order_w: np.ndarray
     identities_ok: bool
+    density: TwoSampleDensity
 
 
 def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
@@ -396,4 +387,5 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
                            combined=comb, r=cs.r, r2=cs.r2, t=st.t_core,
                            t_scaled=st.t_scaled, w=wr.w, z_stat=wr.z_stat,
                            high_order_w=dens.lp1k,
-                           identities_ok=bool(ok and cs.vpool_identity_ok))
+                           identities_ok=bool(ok and cs.vpool_identity_ok),
+                           density=dens)

@@ -8,8 +8,11 @@ golden/describe.json`.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lpstats import cli
+from lpstats import twosample as tsmod
 from lpstats.cli import ingest_csv, main
 from lpstats.errors import (
     EmptyAfterFilter,
@@ -54,6 +57,19 @@ class TestGolden:
         first = run_cli(GOLDEN_CASES[name])
         second = run_cli(GOLDEN_CASES[name])
         assert first == second
+
+    def test_twosample_fits_the_density_once(self, monkeypatch):
+        calls = []
+        fit = tsmod.two_sample_comp_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(tsmod, "two_sample_comp_density", counted)
+        code, _ = run_cli(GOLDEN_CASES["twosample.json"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_csv_view_available_everywhere(self):
         for name, argv in GOLDEN_CASES.items():
@@ -114,6 +130,35 @@ class TestExitCodes:
         code, _ = run_cli(["describe", "--col", "a", "--data", str(f)])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\n",
+                                         b"x,y\n1,\xff\xfe\n"])
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys,
+                                             content):
+        f = tmp_path / "binary.csv"
+        f.write_bytes(content)
+        code, _ = run_cli(["describe", "--col", "x", "--data", str(f)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_in_missing_directory_is_input_error(self, tmp_path,
+                                                     capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, text = run_cli(["describe", "--col", "GAG", "--out",
+                              str(target)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unexpected_failure_is_compute_error(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "lhermite_normality", singular)
+        code, _ = run_cli(["describe", "--col", "GAG"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: LinAlgError: Singular matrix\n"
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
 from scipy.stats import binom
 
@@ -27,6 +29,61 @@ from lpstats.errors import (
 )
 
 from conftest import random_sample_values
+
+
+@st.composite
+def tied_samples(draw):
+    """Samples on a small grid, so most draws carry ties."""
+    ints = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=40))
+    step = draw(st.sampled_from([1.0, 0.25, 0.1]))
+    return make_sample(np.array(ints) * step)
+
+
+def probe_values(s):
+    """Atoms, midpoints between atoms, and points below and above."""
+    mids = 0.5 * (s.values[:-1] + s.values[1:])
+    return np.concatenate(([s.values[0] - 1.0], s.values, mids,
+                           [s.values[-1] + 1.0]))
+
+
+def probe_levels(s):
+    """The cdf knots exactly, midpoints between them, and levels near 0."""
+    knots = np.concatenate(([0.0], s.cdf))
+    return np.concatenate(([1e-12], s.cdf, 0.5 * (knots[:-1] + knots[1:])))
+
+
+class TestAtomLookups:
+    """The Sample lookups against the inline searchsorted formulas."""
+
+    @settings(deadline=None)
+    @given(tied_samples())
+    def test_atom_at(self, s):
+        x = probe_values(s)
+        ref = np.clip(np.searchsorted(s.values, x, side="right") - 1, 0, None)
+        assert_array_equal(s.atom_at(x), ref)
+        assert_array_equal(s.atom_at(s.values), np.arange(s.r))
+
+    @settings(deadline=None)
+    @given(tied_samples())
+    def test_atom_at_level(self, s):
+        u = probe_levels(s)
+        assert_array_equal(s.atom_at_level(u),
+                           np.searchsorted(s.cdf, u, side="left"))
+        assert_array_equal(s.atom_at_level(s.cdf), np.arange(s.r))
+
+    @settings(deadline=None)
+    @given(tied_samples())
+    def test_step_cdf(self, s):
+        x = probe_values(s)
+        idx = np.searchsorted(s.values, x, side="right") - 1
+        ref = np.where(idx >= 0, s.cdf[np.clip(idx, 0, None)], 0.0)
+        assert_array_equal(s.step_cdf(x), ref)
+        assert_array_equal(s.step_cdf(s.values), s.cdf)
+
+    @settings(deadline=None)
+    @given(tied_samples())
+    def test_mid_distribution_at_atoms_is_fmid(self, s):
+        assert_array_equal(mid_distribution(s, s.values), s.fmid)
 
 
 class TestMakeSample:

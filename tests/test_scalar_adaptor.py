@@ -1,0 +1,96 @@
+"""The scalar-or-array convention shared by the elementwise functions.
+
+A 0-d argument gives a Python float, an n-d argument an ndarray of the
+same shape, and out-of-domain input raises the same error whatever the
+shape it arrives in.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from lpstats import (
+    build_score_basis,
+    classify,
+    comparison_distribution,
+    conditional_density,
+    eval_density,
+    eval_score,
+    fit_copula,
+    l2_fit,
+    legendre_eval,
+    make_sample,
+    maxent_fit,
+    mid_clt_approx,
+    mid_distribution,
+    mid_quantile,
+    normal_reference,
+    quantile,
+    score_quantile,
+    series_regression,
+    skew_g_density,
+    standardize,
+    two_sample_comp_density,
+)
+from lpstats.errors import DomainError
+
+_rng = np.random.default_rng(7)
+_x = np.round(_rng.standard_normal(80), 1)
+_y = _x + np.round(_rng.standard_normal(80), 1)
+_s = make_sample(_x)
+_b = build_score_basis(_s, 3)
+_g = normal_reference(0.0, 1.0)
+_comp = maxent_fit(l2_fit(make_sample(_y), normal_reference(0.0, 1.5), 3))
+_cop = fit_copula(_x, _y, order=3)
+_reg = series_regression(_x, _y, _b)
+_two = two_sample_comp_density((_y > 0).astype(float), _x)
+
+# name -> (function of the array argument, an out-of-domain value or None)
+ADAPTED = {
+    "mid_distribution": (lambda a: mid_distribution(_s, a), None),
+    "quantile": (lambda a: quantile(_s, a), 0.0),
+    "mid_quantile": (lambda a: mid_quantile(_s, a), 1.0),
+    "standardize": (lambda a: standardize(_s, a), None),
+    "mid_clt_approx": (lambda a: mid_clt_approx(0.0, 1.0, a), None),
+    "legendre_eval": (lambda a: legendre_eval(3, a), None),
+    "eval_score": (lambda a: eval_score(_b, 2, a), None),
+    "score_quantile": (lambda a: score_quantile(_b, 2, a), 0.0),
+    "ReferenceDistribution.cdf": (_g.cdf, None),
+    "ReferenceDistribution.quantile": (_g.quantile, 1.0),
+    "ReferenceDistribution.pdf": (_g.pdf, None),
+    "comparison_distribution": (
+        lambda a: comparison_distribution(_s, _g, a), 0.0),
+    "eval_density": (lambda a: eval_density(_comp, a), 1.5),
+    "skew_g_density": (lambda a: skew_g_density(_comp, a), None),
+    "conditional_density": (lambda a: conditional_density(_cop, 0.3, a), 1.0),
+    "RegressionFit.predict": (_reg.predict, None),
+    "classify": (lambda a: classify(_two, a), None),
+}
+
+GRID = np.linspace(0.1, 0.9, 6)
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTED))
+def test_zero_d_input_gives_float(name):
+    fn, _ = ADAPTED[name]
+    assert type(fn(0.4)) is float
+    assert type(fn(np.array(0.4))) is float
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+@pytest.mark.parametrize("name", sorted(ADAPTED))
+def test_array_input_keeps_its_shape(name, shape):
+    fn, _ = ADAPTED[name]
+    out = fn(GRID.reshape(shape))
+    assert isinstance(out, np.ndarray)
+    assert out.shape == shape
+    assert_allclose(out.ravel(), [fn(u) for u in GRID], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, bad) in ADAPTED.items()
+                                        if bad is not None))
+def test_out_of_domain_raises_for_every_shape(name):
+    fn, bad = ADAPTED[name]
+    for arg in (bad, np.array([0.5, bad]), np.array([[0.5], [bad]])):
+        with pytest.raises(DomainError):
+            fn(arg)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import ttest_ind
 
 from lpstats import (
@@ -346,3 +346,16 @@ class TestAnalyze:
         b = analyze(1.0 - x, y)
         assert_allclose(a.t, -b.t, rtol=1e-12)
         assert_allclose(a.w, -b.w, rtol=1e-12)
+
+    def test_density_is_the_direct_fit(self):
+        rng = np.random.default_rng(96)
+        y = rng.integers(0, 9, size=150).astype(float)
+        x = (rng.random(150) < 1.0 / (1.0 + np.exp(4.0 - y))).astype(float)
+        got = analyze(x, y, m=3, rule="bic").density
+        want = two_sample_comp_density(x, y, m=3, rule="bic")
+        assert_array_equal(got.sy.obs, want.sy.obs)
+        assert_array_equal(got.by.table, want.by.table)
+        assert (got.tau, got.labels, got.mass) == (want.tau, want.labels,
+                                                   want.mass)
+        for name in ("c", "lp1k", "selected", "atom_density"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
