@@ -40,6 +40,7 @@ from .scores import build_score_basis
 __all__ = ["Dataset", "ingest_csv", "main"]
 
 SCHEMA_VERSION = "1"
+MAX_GRID = 1000  # bound on --grid: depend evaluates grid**2 copula cells
 
 # Default --data: names the bundled table without its install path, so the
 # echoed arguments are the same on every machine.
@@ -426,6 +427,13 @@ def _positive_int(text):
     return v
 
 
+def _grid_size(text):
+    v = _positive_int(text)
+    if v > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}")
+    return v
+
+
 def _prob_list(text):
     try:
         ps = [float(t) for t in text.split(",") if t.strip()]
@@ -444,8 +452,8 @@ def _add_common(sub, grid_default=101, order_default=4):
                           "example table)")
     sub.add_argument("--order", type=_positive_int, default=order_default,
                      help=f"series order (default {order_default})")
-    sub.add_argument("--grid", type=_positive_int, default=grid_default,
-                     help=f"grid size for emitted curves (default {grid_default})")
+    sub.add_argument("--grid", type=_grid_size, default=grid_default,
+                     help=f"grid size, 1..{MAX_GRID} (default {grid_default})")
     sub.add_argument("--seed", type=int, default=42,
                      help="seed echoed into the output envelope (default 42)")
     sub.add_argument("--select", choices=["aic", "bic", "none"],

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
 
 from .empirical import Sample, _scalar_or_array
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
@@ -112,6 +111,7 @@ class ReferenceDistribution:
 
 
 def normal_reference(mu: float, sigma: float) -> ReferenceDistribution:
+    from scipy.special import ndtr, ndtri  # deferred: slow to import
     if sigma <= 0.0:
         raise DegenerateScale("sigma must be positive")
 

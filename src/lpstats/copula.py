@@ -41,7 +41,6 @@ __all__ = [
 
 _CLIP = 1e-6
 _MIN_MASS = 1e-3
-_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,17 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     return float(out.ravel()[0]) if scalar else out
 
 
+def _unit_open(a, what):
+    """`a` as a float array, every element checked to lie in (0, 1)."""
+    a = np.asarray(a, dtype=float)
+    if not np.all((a > 0.0) & (a < 1.0)):
+        raise DomainError(f"{what} must lie in (0, 1)")
+    return a
+
+
 def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     """Normalized conditional density of Y at conditioning level u."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise DomainError("conditioning level must lie in (0, 1)")
+    u = float(_unit_open(u, "conditioning level"))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
     weights = mod.coefficients.T @ su
     raw = 1.0 + weights @ mod.by.table
@@ -143,56 +148,50 @@ def conditional_mean(mod: CopulaModel, u: float) -> float:
     return float((mod.sy.masses * sl.density) @ mod.sy.values)
 
 
-def _slice_cdf(mod: CopulaModel, sl: ConditionalSlice, v: float) -> float:
-    """Integral of the normalized slice over (0, v]."""
-    cdf = mod.sy.cdf
-    pieces = np.minimum(np.maximum(v - np.concatenate(([0.0], cdf[:-1])), 0.0),
-                        mod.sy.masses)
-    return float(pieces @ sl.density)
+def _slice_levels(sy: Sample, sl: ConditionalSlice, ps):
+    """Levels v at which the slice CDF reaches each p, exactly.
+
+    The density is constant on each atom interval, so the CDF is linear
+    there: find the interval where the cumulative mass reaches p and
+    interpolate. The clip keeps a p within round-off of 0 or 1 in (0, 1).
+    """
+    mass = sy.masses * sl.density
+    cum = np.cumsum(mass)
+    k = np.minimum(np.searchsorted(cum, ps, side="left"), sy.r - 1)
+    start = cum[k] - mass[k]
+    level = sy.cdf[k] - sy.masses[k] + (ps - start) / sl.density[k]
+    return np.clip(level, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def conditional_quantile(mod: CopulaModel, u: float, p: float) -> float:
     """Conditional quantile of Y given X = Q(u; X) at probability p.
 
-    The slice CDF is strictly increasing in v (the clipped density is
-    positive), so bisection to 1e-10 pins the level, which the
-    mid-quantile of Y then maps back to the data scale. Fully
+    The slice CDF is piecewise linear and strictly increasing in v (the
+    clipped density is positive), so it inverts exactly to a level, which
+    the mid-quantile of Y then maps back to the data scale. Fully
     deterministic; no simulation involved.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile probability must lie in (0, 1)")
+    p = _unit_open(p, "quantile probability")
     sl = conditional_slice(mod, u)
-    return _invert_slice(mod, sl, p)
-
-
-def _invert_slice(mod: CopulaModel, sl: ConditionalSlice, p: float) -> float:
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _slice_cdf(mod, sl, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return mid_quantile(mod.sy, 0.5 * (lo + hi))
+    return mid_quantile(mod.sy, _slice_levels(mod.sy, sl, p))
 
 
 def quantile_curves(mod: CopulaModel, us, ps):
     """Conditional mean and quantiles over a grid of conditioning levels.
 
     Returns (means, table) where table[i][j] is the p_j conditional
-    quantile at u_i; one slice per u is shared across all p.
+    quantile at u_i; one slice per u serves all p, and one mid-quantile
+    call maps every level. All u and p are checked before any work.
     """
-    us = np.asarray(us, dtype=float)
-    ps = [float(p) for p in ps]
+    us = _unit_open(us, "conditioning level")
+    ps = _unit_open(ps, "quantile probability")
     means = np.empty(us.size)
-    table = np.empty((us.size, len(ps)))
+    levels = np.empty((us.size, ps.size))
     for i, u in enumerate(us):
-        sl = conditional_slice(mod, float(u))
+        sl = conditional_slice(mod, u)
         means[i] = float((mod.sy.masses * sl.density) @ mod.sy.values)
-        for j, p in enumerate(ps):
-            table[i, j] = _invert_slice(mod, sl, p)
-    return means, table
+        levels[i] = _slice_levels(mod.sy, sl, ps)
+    return means, mid_quantile(mod.sy, levels)
 
 
 def slice_modes(mod: CopulaModel, u: float):
@@ -202,21 +201,12 @@ def slice_modes(mod: CopulaModel, u: float):
     merged before counting; a boundary run higher than its single
     neighbor counts as a mode. Returns (count, y locations of the modes).
     """
-    sl = conditional_slice(mod, u)
-    vals, locs = [], []
-    for value, y in zip(sl.density, mod.sy.values):
-        if not vals or value != vals[-1]:
-            vals.append(float(value))
-            locs.append(float(y))
-    count = 0
-    where = []
-    for i, value in enumerate(vals):
-        left_ok = i == 0 or value > vals[i - 1]
-        right_ok = i == len(vals) - 1 or value > vals[i + 1]
-        if left_ok and right_ok:
-            count += 1
-            where.append(locs[i])
-    return count, where
+    dens = conditional_slice(mod, u).density
+    first = np.concatenate(([True], dens[1:] != dens[:-1]))
+    vals, locs = dens[first], mod.sy.values[first]
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peak = (vals > padded[:-2]) & (vals > padded[2:])
+    return int(peak.sum()), locs[peak].tolist()
 
 
 def simulate_conditional(mod: CopulaModel, u: float, count: int,

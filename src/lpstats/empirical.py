@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateScale, DomainError, EmptyInput, NonFiniteValue
 
@@ -246,6 +245,7 @@ def mid_clt_approx(mean: float, sd: float, x):
     Phi is evaluated with scipy's ndtr (erf based, absolute error below
     1e-15 on the real line).
     """
+    from scipy.special import ndtr  # deferred: slow to import
     if sd <= 0.0:
         raise DegenerateScale("sd must be positive")
     return ndtr((x - mean) / sd)

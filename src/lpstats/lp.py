@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .empirical import Sample, make_sample, mid_ranks
 from .errors import (DegenerateScale, DomainError, LengthMismatch,
@@ -207,6 +206,7 @@ def lhermite_normality(s: Sample) -> LHermiteResult:
     -log(statistic) exceeds 1/n (a .05-level calibration; meaningful from
     roughly n = 8 up).
     """
+    from scipy.special import ndtri  # deferred: slow to import
     if s.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
     p = s.masses

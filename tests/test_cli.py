@@ -221,6 +221,23 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestGridBound:
+    """--grid is bounded at parse time; depend allocates grid**2 cells."""
+
+    @pytest.mark.parametrize("grid", [cli.MAX_GRID + 1, 0])
+    def test_out_of_range_grid_is_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["depend", "--x", "Age", "--y", "GAG", "--grid", str(grid)])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
+    def test_the_bound_itself_parses(self):
+        args = cli.build_parser().parse_args(
+            ["depend", "--x", "Age", "--y", "GAG", "--grid",
+             str(cli.MAX_GRID)])
+        assert args.grid == cli.MAX_GRID
+
+
 class TestIngest:
     def test_drop_reasons_counted(self, tmp_path):
         f = tmp_path / "messy.csv"

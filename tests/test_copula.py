@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lpstats import (
@@ -18,6 +20,8 @@ from lpstats import (
     simulate_conditional,
     slice_modes,
 )
+from lpstats import copula as cpmod
+from lpstats.copula import _slice_levels
 from lpstats.errors import DomainError
 
 from conftest import random_sample_values
@@ -236,7 +240,144 @@ class TestConditionalQuantile:
             conditional_quantile(mod, 0.5, 0.0)
 
 
+@st.composite
+def tied_models(draw):
+    """Copula fits of pairs on small integer grids (heavy ties).
+
+    y = slope * x + noise with slope -1, 0 or 1, so slices come steep,
+    clipped to the floor over runs of atoms, or flat.
+    """
+    n = draw(st.integers(6, 60))
+    x = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                 dtype=float)
+    noise = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    y = draw(st.sampled_from([-1.0, 0.0, 1.0])) * x + np.array(noise)
+    assume(np.unique(x).size > 1 and np.unique(y).size > 1)
+    return fit_copula(x, y, order=draw(st.integers(1, 4)),
+                      rule=draw(st.sampled_from(["aic", "none"])))
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def slice_cdf(sy, density, v):
+    """Integral of a normalized slice over (0, v], piece by piece."""
+    left = np.concatenate(([0.0], sy.cdf[:-1]))
+    pieces = np.minimum(np.maximum(v - left, 0.0), sy.masses)
+    return float(pieces @ density)
+
+
+def bisect_level(sy, density, p, tol=1e-13):
+    """The smallest v with slice_cdf(v) >= p, by bisection."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if slice_cdf(sy, density, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestExactSliceInversion:
+    """The piecewise-linear slice CDF inverse over random tied data."""
+
+    @settings(deadline=None)
+    @given(tied_models(), st.lists(open_unit, min_size=1, max_size=8))
+    def test_slice_cdf_at_level_is_p(self, mod, ps):
+        ps = np.array(ps)
+        for u in mod.sx.fmid:
+            sl = conditional_slice(mod, u)
+            levels = _slice_levels(mod.sy, sl, ps)
+            assert np.all((levels > 0.0) & (levels < 1.0))
+            got = [slice_cdf(mod.sy, sl.density, v) for v in levels]
+            assert_allclose(got, ps, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(tied_models(), open_unit, st.lists(open_unit, min_size=1,
+                                              max_size=4))
+    def test_level_matches_bisection(self, mod, u, ps):
+        # Within 1e-10 in v, except on cells clipped to the 1e-6 floor: there
+        # the CDF is so flat that a round-off of ~1e-16 in it moves v by
+        # ~1e-10, for the bisection as much as for the exact inverse, so
+        # agreement is checked on the CDF scale instead.
+        sl = conditional_slice(mod, u)
+        levels = _slice_levels(mod.sy, sl, np.array(ps))
+        ref = np.array([bisect_level(mod.sy, sl.density, p) for p in ps])
+        gap = np.abs(levels - ref)
+        dens = sl.density[mod.sy.atom_at_level(levels)]
+        assert np.all((gap <= 1e-10) | (gap * dens <= 1e-14))
+
+    @settings(deadline=None)
+    @given(tied_models(), st.lists(open_unit, min_size=2, max_size=8))
+    def test_quantiles_nondecreasing_in_p(self, mod, ps):
+        _, table = quantile_curves(mod, mod.sx.fmid, sorted(ps))
+        assert np.all(np.diff(table, axis=1) >= 0.0)
+
+    @settings(deadline=None)
+    @given(tied_models())
+    def test_slices_integrate_to_one(self, mod):
+        for u in mod.sx.fmid:
+            sl = conditional_slice(mod, u)
+            assert abs(mod.sy.masses @ sl.density - 1.0) <= 1e-12
+
+    def test_levels_near_the_ends_stay_inside_the_support(self):
+        x = np.arange(1.0, 41.0)
+        mod = fit_copula(x, x ** 2)
+        ps = [5e-324, np.nextafter(1.0, 0.0)]
+        _, table = quantile_curves(mod, mod.sx.fmid, ps)
+        assert np.all(table[:, 0] == mod.sy.values[0])
+        assert np.all(table[:, 1] == mod.sy.values[-1])
+
+    def test_curves_map_all_levels_in_one_call(self, monkeypatch):
+        calls = []
+        real = cpmod.mid_quantile
+
+        def counting(s, u):
+            calls.append(u)
+            return real(s, u)
+
+        monkeypatch.setattr(cpmod, "mid_quantile", counting)
+        mod = fit_copula(np.arange(30.0), np.arange(30.0) % 7)
+        quantile_curves(mod, mod.sx.fmid, [0.1, 0.5, 0.9])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_curves_reject_probabilities_outside_open_unit(self, p):
+        mod = fit_copula(np.arange(15.0), np.arange(15.0))
+        with pytest.raises(DomainError, match="quantile probability"):
+            quantile_curves(mod, [0.5], [0.25, p])
+
+    def test_curves_reject_a_bad_level_before_any_slice(self, monkeypatch):
+        mod = fit_copula(np.arange(15.0), np.arange(15.0))
+        monkeypatch.setattr(cpmod, "conditional_slice", None)
+        with pytest.raises(DomainError, match="conditioning level"):
+            quantile_curves(mod, [0.5, 1.0], [0.5])
+
+
+def loop_modes(density, values):
+    """Plateau-merged local maxima, one step value at a time."""
+    vals, locs = [], []
+    for value, y in zip(density, values):
+        if not vals or value != vals[-1]:
+            vals.append(float(value))
+            locs.append(float(y))
+    where = []
+    for i, value in enumerate(vals):
+        left_ok = i == 0 or value > vals[i - 1]
+        right_ok = i == len(vals) - 1 or value > vals[i + 1]
+        if left_ok and right_ok:
+            where.append(locs[i])
+    return len(where), where
+
+
 class TestSliceModes:
+    @settings(deadline=None)
+    @given(tied_models(), open_unit)
+    def test_matches_the_loop_reference(self, mod, u):
+        density = conditional_slice(mod, u).density
+        assert slice_modes(mod, u) == loop_modes(density, mod.sy.values)
+
     def test_flat_slice_is_unimodal(self):
         rng = np.random.default_rng(72)
         x = rng.standard_normal(500)
