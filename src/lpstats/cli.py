@@ -22,6 +22,8 @@ import csv
 import json
 import math
 import sys
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,8 @@ __all__ = ["Dataset", "ingest_csv", "main"]
 
 SCHEMA_VERSION = "1"
 MAX_GRID = 1000  # bound on --grid: depend evaluates grid**2 copula cells
+MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
+INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
 
 # Default --data: names the bundled table without its install path, so the
 # echoed arguments are the same on every machine.
@@ -60,13 +64,45 @@ class Dataset:
         self.reasons = reasons
 
 
+def _row_problem(row, idx):
+    """Why a nonblank row is dropped, or None if it is kept.
+
+    The checks run in a fixed order: a requested column missing from the
+    row (short_row), then an empty field (empty_field), then a field that
+    does not parse as a finite float (non_numeric).
+    """
+    if any(i >= len(row) for i in idx):
+        return "short_row"
+    fields = [row[i].strip() for i in idx]
+    if any(not f for f in fields):
+        return "empty_field"
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        return "non_numeric"
+    if not all(math.isfinite(v) for v in values):
+        return "non_numeric"
+    return None
+
+
+def _parse_columns(rows, idx) -> np.ndarray:
+    """Requested fields of `rows` as a (len(idx), len(rows)) float table."""
+    out = np.empty((len(idx), len(rows)))
+    for j, i in enumerate(idx):
+        out[j] = np.fromiter(map(float, map(itemgetter(i), rows)), float,
+                             len(rows))
+    return out
+
+
 def ingest_csv(path, columns) -> Dataset:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
     The file needs a header row; unknown column names report the
     available ones. Rows with short length, empty fields, or non-numeric
     entries (NaN and infinities included) in the requested columns are
-    dropped and counted by reason.
+    dropped and counted by reason; blank lines are skipped uncounted.
+    Rows are parsed column by column in chunks of INGEST_CHUNK_ROWS; only
+    a chunk holding a dropped or blank row is walked row by row.
     """
     p = Path(path)
     if not p.is_file():
@@ -81,41 +117,35 @@ def ingest_csv(path, columns) -> Dataset:
             if name not in header:
                 raise MissingColumn(name, header)
         idx = [header.index(name) for name in columns]
-        out = [[] for _ in columns]
-        dropped = 0
+        chunks = []
         reasons = {}
-
-        def drop(reason):
-            nonlocal dropped
-            dropped += 1
-            reasons[reason] = reasons.get(reason, 0) + 1
-
-        for row in reader:
-            if not row:
-                continue
-            if any(i >= len(row) for i in idx):
-                drop("short_row")
-                continue
-            fields = [row[i].strip() for i in idx]
-            if any(not f for f in fields):
-                drop("empty_field")
-                continue
+        while rows := list(islice(reader, INGEST_CHUNK_ROWS)):
             try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                drop("non_numeric")
-                continue
-            if not all(math.isfinite(v) for v in values):
-                drop("non_numeric")
-                continue
-            for slot, v in zip(out, values):
-                slot.append(v)
-    kept = len(out[0]) if out else 0
+                table = _parse_columns(rows, idx)
+                clean = bool(np.isfinite(table).all())
+            except (IndexError, ValueError):  # short, blank or unparsable
+                clean = False
+            if not clean:
+                kept_rows = []
+                for row in rows:
+                    if not row:
+                        continue
+                    reason = _row_problem(row, idx)
+                    if reason is None:
+                        kept_rows.append(row)
+                    else:
+                        reasons[reason] = reasons.get(reason, 0) + 1
+                table = _parse_columns(kept_rows, idx)
+            chunks.append(table)
+    # with no requested columns there is nothing to keep
+    kept = sum(t.shape[1] for t in chunks) if columns else 0
     if kept == 0:
         raise EmptyAfterFilter(f"no usable rows in {path} for {columns}")
     return Dataset(
-        columns={name: np.array(vals) for name, vals in zip(columns, out)},
-        source=str(path), kept=kept, dropped=dropped, reasons=reasons,
+        columns={name: np.concatenate([t[j] for t in chunks])
+                 for j, name in enumerate(columns)},
+        source=str(path), kept=kept, dropped=sum(reasons.values()),
+        reasons=reasons,
     )
 
 
@@ -149,6 +179,13 @@ def _jsonify(obj, parts):
             parts.append(":")
             _jsonify(val, parts)
         parts.append("}")
+    elif (isinstance(obj, np.ndarray) and obj.ndim == 1
+          and obj.dtype.kind == "f"):
+        a = obj.astype(float, copy=False)
+        if not np.isfinite(a).all():
+            raise LPStatsError("non-finite value reached the serializer")
+        # one %-format over the whole array: the bytes of _num per element
+        parts.append("[" + ("%.10g," * a.size % tuple(a.tolist()))[:-1] + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, val in enumerate(obj):
@@ -420,18 +457,16 @@ def _csv_view(name, payload):
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
-
-
-def _grid_size(text):
-    v = _positive_int(text)
-    if v > MAX_GRID:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}")
-    return v
+def _positive_int_to(limit):
+    """argparse type: an integer in 1..limit."""
+    def positive_int(text):
+        v = int(text)
+        if v < 1:
+            raise argparse.ArgumentTypeError("must be a positive integer")
+        if v > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return v
+    return positive_int
 
 
 def _prob_list(text):
@@ -450,9 +485,12 @@ def _add_common(sub, grid_default=101, order_default=4):
     sub.add_argument("--data", default=BUNDLED_DATA,
                      help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
                           "example table)")
-    sub.add_argument("--order", type=_positive_int, default=order_default,
-                     help=f"series order (default {order_default})")
-    sub.add_argument("--grid", type=_grid_size, default=grid_default,
+    sub.add_argument("--order", type=_positive_int_to(MAX_ORDER),
+                     default=order_default,
+                     help=f"series order, 1..{MAX_ORDER} (default "
+                          f"{order_default})")
+    sub.add_argument("--grid", type=_positive_int_to(MAX_GRID),
+                     default=grid_default,
                      help=f"grid size, 1..{MAX_GRID} (default {grid_default})")
     sub.add_argument("--seed", type=int, default=42,
                      help="seed echoed into the output envelope (default 42)")

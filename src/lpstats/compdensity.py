@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .empirical import Sample, _scalar_or_array
+from .empirical import Sample, _scalar_or_array, _unit_open
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
                      IllConditioned, NonConvergence, OrderTooHigh,
                      UnboundedDensity)
@@ -116,8 +116,7 @@ def normal_reference(mu: float, sigma: float) -> ReferenceDistribution:
         raise DegenerateScale("sigma must be positive")
 
     def qf(u):
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise DomainError("normal quantile needs u in (0, 1)")
+        _unit_open(u, "normal quantile level")
         return mu + sigma * ndtri(u)
 
     return ReferenceDistribution(
@@ -167,8 +166,7 @@ def empirical_reference(s: Sample) -> ReferenceDistribution:
     """The sample's own step CDF and left-continuous quantile as G."""
 
     def qf(u):
-        if np.any((u <= 0.0) | (u > 1.0)):
-            raise DomainError("empirical quantile needs u in (0, 1]")
+        _unit_open(u, "empirical quantile level", closed_right=True)
         return s.values[s.atom_at_level(u)]
 
     return ReferenceDistribution(
@@ -223,8 +221,7 @@ class CompDensityModel:
 @_scalar_or_array(2)
 def comparison_distribution(s: Sample, g: ReferenceDistribution, u):
     """D(u) = F(Q_G(u)), the sample CDF looked at through G's quantile."""
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise DomainError("comparison level must lie in (0, 1)")
+    _unit_open(u, "comparison level")
     return s.step_cdf(g.quantile(u))
 
 

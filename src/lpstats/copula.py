@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, _scalar_or_array, make_sample, mid_quantile
-from .errors import DegenerateSlice, DomainError, LengthMismatch
+from .empirical import (Sample, _scalar_or_array, _unit_open, make_sample,
+                        mid_quantile)
+from .errors import DegenerateSlice, LengthMismatch
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -96,12 +97,10 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     The raw series may be negative; `clipped` floors it at 1e-6 (no
     renormalization, the full series already integrates to 1).
     """
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
+    ua = _unit_open(u, "copula arguments")
+    va = _unit_open(v, "copula arguments")
     scalar = ua.ndim == 0 and va.ndim == 0
     uv, vv = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
-    if np.any((uv <= 0.0) | (uv >= 1.0)) or np.any((vv <= 0.0) | (vv >= 1.0)):
-        raise DomainError("copula arguments must lie in (0, 1)")
     su = mod.bx.table[:, mod.bx.source.atom_at_level(uv.ravel())]
     sv = mod.by.table[:, mod.by.source.atom_at_level(vv.ravel())]
     out = 1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
@@ -109,14 +108,6 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
         out = np.maximum(out, _CLIP)
     out = out.reshape(uv.shape)
     return float(out.ravel()[0]) if scalar else out
-
-
-def _unit_open(a, what):
-    """`a` as a float array, every element checked to lie in (0, 1)."""
-    a = np.asarray(a, dtype=float)
-    if not np.all((a > 0.0) & (a < 1.0)):
-        raise DomainError(f"{what} must lie in (0, 1)")
-    return a
 
 
 def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
@@ -137,8 +128,7 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
 def conditional_density(mod: CopulaModel, u: float, v):
     """Value of the normalized slice at probability level(s) v."""
     sl = conditional_slice(mod, u)
-    if np.any((v <= 0.0) | (v >= 1.0)):
-        raise DomainError("v must lie in (0, 1)")
+    _unit_open(v, "v")
     return sl.density[mod.sy.atom_at_level(v)]
 
 

@@ -162,6 +162,20 @@ def _scalar_or_array(pos):
     return decorate
 
 
+def _unit_open(a, what, closed_right=False):
+    """`a` as a float array, every element checked to lie in (0, 1).
+
+    With `closed_right` the interval is (0, 1]. NaN lies in neither and
+    raises DomainError like any other out-of-range level.
+    """
+    a = np.asarray(a, dtype=float)
+    below_top = a <= 1.0 if closed_right else a < 1.0
+    if not np.all((a > 0.0) & below_top):
+        raise DomainError(
+            f"{what} must lie in (0, 1{']' if closed_right else ')'}")
+    return a
+
+
 @_scalar_or_array(1)
 def mid_distribution(s: Sample, x):
     """Evaluate Fmid(x) = F(x) - 0.5 p(x) at scalar or array x.
@@ -190,8 +204,7 @@ def quantile(s: Sample, u):
     Defined for u in (0, 1]; u = 1 returns the sample maximum, which keeps
     the identity quantile(s, F(x_j)) == x_j valid at every atom.
     """
-    if np.any((u <= 0.0) | (u > 1.0)):
-        raise DomainError("quantile level must lie in (0, 1]")
+    _unit_open(u, "quantile level", closed_right=True)
     return s.values[s.atom_at_level(u)]
 
 
@@ -202,8 +215,7 @@ def mid_quantile(s: Sample, u):
     Below the first knot and above the last the curve extends flat, so the
     output always stays inside the observed data range. Domain (0, 1).
     """
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise DomainError("mid-quantile level must lie in (0, 1)")
+    _unit_open(u, "mid-quantile level")
     return np.interp(u, s.fmid, s.values)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import Sample, _scalar_or_array
+from .empirical import Sample, _scalar_or_array, _unit_open
 from .errors import DegenerateSample, DomainError, OrderOutOfRange, OrderTooHigh
 
 __all__ = ["ScoreBasis", "legendre_eval", "build_score_basis",
@@ -157,6 +157,5 @@ def score_quantile(b: ScoreBasis, j: int, u):
     `quantile`, u = 1 maps to the top atom.
     """
     j = _check_order(b, j)
-    if np.any((u <= 0.0) | (u > 1.0)):
-        raise DomainError("quantile level must lie in (0, 1]")
+    _unit_open(u, "quantile level", closed_right=True)
     return b.table[j - 1][b.source.atom_at_level(u)]

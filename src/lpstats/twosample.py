@@ -196,21 +196,25 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     reports whether both held. r = +-1 leaves t undefined and raises.
     """
     _, x01, y = _split_binary(x_obs, y_obs)
+    return _correlation_stats(x01, y, group_summary(y[x01 == 0.0]),
+                              group_summary(y[x01 == 1.0]))
+
+
+def _correlation_stats(x01, y, g0: GroupSummary,
+                       g1: GroupSummary) -> CorrelationStats:
+    """`correlation_stats` on a split sample and its two group summaries."""
     sy = float(y.std())
     sx = float(x01.std())
     if sy <= 0.0 or sx <= 0.0:
         raise DegenerateScale("constant response or single group")
     r = float(np.mean((x01 - x01.mean()) * (y - y.mean())) / (sx * sy))
     tau = float(x01.mean())
-    m0 = float(y[x01 == 0.0].mean())
-    m1 = float(y[x01 == 1.0].mean())
+    m0, m1 = g0.m, g1.m
     v = float(y.var())
     r_groups = (m1 - m0) * math.sqrt(tau * (1.0 - tau) / v)
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")
     t = r / math.sqrt(1.0 - r ** 2)
-    g0 = group_summary(y[x01 == 0.0])
-    g1 = group_summary(y[x01 == 1.0])
     comb = combine(g0, g1)
     t_pool = (m1 - m0) * math.sqrt(comb.tau1 * comb.tau2 / comb.vpool) \
         if comb.vpool > 0.0 else t
@@ -226,15 +230,20 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     absorbs them. z_stat scales by sqrt(n), or sqrt(n - 1) when
     small_sample is set.
     """
-    labels, x01, y = _split_binary(x_obs, y_obs)
-    n = y.size
+    _, x01, y = _split_binary(x_obs, y_obs)
+    return _wilcoxon(x01, make_sample(y), small_sample)
+
+
+def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
+    """`wilcoxon` on a split sample, given the response's Sample."""
+    n = sy.n
     sx = make_sample(x01)
-    sy = make_sample(y)
     t1x = (mid_ranks(sx) - 0.5) / math.sqrt(sx.mid_rank_variance)
-    t1y = (mid_ranks(sy) - 0.5) / math.sqrt(sy.mid_rank_variance)
+    ry = mid_ranks(sy)
+    t1y = (ry - 0.5) / math.sqrt(sy.mid_rank_variance)
     w = float(np.mean(t1x * t1y))
     tau = float(x01.mean())
-    m1 = float(mid_ranks(sy)[x01 == 1.0].mean())
+    m1 = float(ry[x01 == 1.0].mean())
     v_mid = sy.mid_rank_variance
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
     scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
@@ -272,12 +281,12 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
         raise SingleGroup("one of the groups is empty")
     sy = make_sample(y)
     by = build_score_basis(sy, m)
-    table = by.table[:, sy.atom_at(y)]
+    table = by.table[:, sy.atom_index]
     in1 = x01 == 1.0
     c = table[:, in1].mean(axis=1)
     tau = float(x01.mean())
     lp1k = math.sqrt(tau / (1.0 - tau)) * c
-    selected = select_significant(lp1k, y.size, rule=rule)
+    selected = select_significant(lp1k, sy.n, rule=rule)
     raw = 1.0 + (c * selected) @ by.table
     clipped = np.maximum(raw, 1e-6)
     mass = float(sy.masses @ clipped)
@@ -377,9 +386,9 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     g2 = group_summary(y[x01 == 1.0])
     comb = combine(g1, g2)
     st = student_t(g1, g2)
-    cs = correlation_stats(x_obs, y_obs)
-    wr = wilcoxon(x_obs, y_obs, small_sample=small_sample)
+    cs = _correlation_stats(x01, y, g1, g2)
     dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
+    wr = _wilcoxon(x01, dens.sy, small_sample)
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))

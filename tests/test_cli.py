@@ -10,12 +10,17 @@ committing a regenerated golden, diff it field by field against the old
 one and account for every field that moved.
 """
 
+import csv
 import inspect
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpstats import (cli, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
@@ -24,6 +29,7 @@ from lpstats.cli import ingest_csv, main
 from lpstats.errors import (
     EmptyAfterFilter,
     FileNotFound,
+    LPStatsError,
     MissingColumn,
 )
 
@@ -238,7 +244,212 @@ class TestGridBound:
         assert args.grid == cli.MAX_GRID
 
 
+class TestOrderBound:
+    """--order is bounded at parse time; a basis of order m is m x r."""
+
+    @pytest.mark.parametrize("order", [cli.MAX_ORDER + 1, 0])
+    def test_out_of_range_order_is_usage_error(self, order, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["describe", "--col", "GAG", "--order", str(order)])
+        assert exc.value.code == 2
+        assert "--order" in capsys.readouterr().err
+
+    def test_the_bound_itself_parses(self):
+        args = cli.build_parser().parse_args(
+            ["describe", "--col", "GAG", "--order", str(cli.MAX_ORDER)])
+        assert args.order == cli.MAX_ORDER
+
+
+def render_elementwise(obj):
+    """The per-element serializer that whole-array rendering replaced."""
+    def num(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        v = float(x)
+        if math.isnan(v) or math.isinf(v):
+            raise LPStatsError("non-finite value reached the serializer")
+        return f"{v:.10g}"
+
+    def walk(obj, parts):
+        if obj is None:
+            parts.append("null")
+        elif isinstance(obj, str):
+            parts.append(json.dumps(obj))
+        elif isinstance(obj, (bool, np.bool_, int, np.integer, float,
+                              np.floating)):
+            parts.append(num(obj))
+        elif isinstance(obj, dict):
+            parts.append("{")
+            for i, (key, val) in enumerate(obj.items()):
+                if i:
+                    parts.append(",")
+                parts.append(json.dumps(str(key)))
+                parts.append(":")
+                walk(val, parts)
+            parts.append("}")
+        elif isinstance(obj, (list, tuple, np.ndarray)):
+            parts.append("[")
+            for i, val in enumerate(obj):
+                if i:
+                    parts.append(",")
+                walk(val, parts)
+            parts.append("]")
+        else:
+            raise LPStatsError(f"cannot serialize {type(obj).__name__}")
+
+    parts = []
+    walk(obj, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                        1e-300, -1e300, 1e300, 1.7976931348623157e308,
+                        0.1, 1 / 3, -123456789.123456789, 1e10, 1e-5])
+
+
+class TestRenderJson:
+    def test_matches_the_elementwise_serializer(self):
+        envelope = {
+            "edges": EDGE_FLOATS,
+            "empty": np.array([]),
+            "empty_2d": np.empty((0, 3)),
+            "matrix": EDGE_FLOATS.reshape(2, 7),
+            "float32": EDGE_FLOATS[9:].astype(np.float32),
+            "ints": np.arange(-3, 4),
+            "bools": np.array([True, False, True]),
+            "nested": [[1.5, np.float64(-0.0)], (2, "s", None),
+                       {"k": [EDGE_FLOATS[:3], np.arange(2)]}, []],
+            "scalars": {"f": -0.0, "i": np.int64(7), "b": np.bool_(False)},
+        }
+        assert cli.render_json(envelope) == render_elementwise(envelope)
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=40), st.integers(1, 4))
+    def test_random_arrays_match(self, values, rows):
+        a = np.array(values[:len(values) - len(values) % rows])
+        doc = {"flat": a, "table": a.reshape(rows, -1)}
+        assert cli.render_json(doc) == render_elementwise(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 6, 13])
+    def test_non_finite_anywhere_raises(self, bad, where):
+        a = EDGE_FLOATS.copy()
+        a[where] = bad
+        for doc in ({"x": a}, {"x": a.reshape(7, 2)}, [[1, "s", a]]):
+            with pytest.raises(LPStatsError, match="non-finite"):
+                cli.render_json(doc)
+            with pytest.raises(LPStatsError, match="non-finite"):
+                render_elementwise(doc)
+
+
+def ingest_rowwise(path, columns):
+    """The row-by-row ingest loop that the columnar one replaced.
+
+    Returns (columns, kept, dropped, reasons), or None where ingest_csv
+    raises EmptyAfterFilter.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        idx = [header.index(name) for name in columns]
+        out = [[] for _ in columns]
+        dropped = 0
+        reasons = {}
+
+        def drop(reason):
+            nonlocal dropped
+            dropped += 1
+            reasons[reason] = reasons.get(reason, 0) + 1
+
+        for row in reader:
+            if not row:
+                continue
+            if any(i >= len(row) for i in idx):
+                drop("short_row")
+                continue
+            fields = [row[i].strip() for i in idx]
+            if any(not f for f in fields):
+                drop("empty_field")
+                continue
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                drop("non_numeric")
+                continue
+            if not all(math.isfinite(v) for v in values):
+                drop("non_numeric")
+                continue
+            for slot, v in zip(out, values):
+                slot.append(v)
+    kept = len(out[0]) if out else 0
+    if kept == 0:
+        return None
+    return ({name: np.array(vals) for name, vals in zip(columns, out)},
+            kept, dropped, reasons)
+
+
+FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
+          "", " ", "abc", "nan", "NaN", "inf", "-Infinity", "1e400", "1_0",
+          "0x1", '"7"', '" 8 "', '"9,5"', '""', '"a""b"']
+
+
+@st.composite
+def messy_csvs(draw):
+    """CSV text under an a,b,c header, with every kind of row ingest drops."""
+    row = st.lists(st.sampled_from(FIELDS), min_size=0, max_size=4)
+    rows = draw(st.lists(row, max_size=14))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    lines = ["a,b,c"] + [",".join(r) for r in rows]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestIngest:
+    @settings(deadline=None, max_examples=300)
+    @given(text=messy_csvs(), chunk=st.integers(1, 3),
+           columns=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                            max_size=3, unique=True))
+    def test_columnar_ingest_matches_the_rowwise_loop(self, text, chunk,
+                                                      columns):
+        # Chunks of 1-3 rows put bad rows on both sides of chunk boundaries.
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
+            f = Path(tmp) / "messy.csv"
+            f.write_bytes(text.encode("utf-8"))
+            want = ingest_rowwise(f, columns)
+            if want is None:
+                with pytest.raises(EmptyAfterFilter):
+                    ingest_csv(f, columns)
+                return
+            ds = ingest_csv(f, columns)
+        cols, kept, dropped, reasons = want
+        assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
+        assert list(ds.columns) == list(cols)
+        for name in columns:
+            assert ds.columns[name].dtype == cols[name].dtype
+            assert ds.columns[name].tobytes() == cols[name].tobytes()
+
+    def test_clean_chunks_skip_the_row_walk(self, tmp_path, monkeypatch):
+        f = tmp_path / "clean.csv"
+        f.write_text("a,b\n" + "1,2\n" * 7 + "x,2\n", encoding="utf-8")
+        walked = []
+        problem = cli._row_problem
+
+        def counted(row, idx):
+            walked.append(row)
+            return problem(row, idx)
+
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        monkeypatch.setattr(cli, "_row_problem", counted)
+        ds = ingest_csv(f, ["a", "b"])
+        assert (ds.kept, ds.reasons) == (7, {"non_numeric": 1})
+        assert len(walked) == 2  # only the last chunk: ["1", "2"], ["x", "2"]
+
     def test_drop_reasons_counted(self, tmp_path):
         f = tmp_path / "messy.csv"
         f.write_text(

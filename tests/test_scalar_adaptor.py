@@ -2,7 +2,7 @@
 
 A 0-d argument gives a Python float, an n-d argument an ndarray of the
 same shape, and out-of-domain input raises the same error whatever the
-shape it arrives in.
+shape it arrives in. A NaN probability level is out of every domain.
 """
 
 import numpy as np
@@ -14,6 +14,11 @@ from lpstats import (
     classify,
     comparison_distribution,
     conditional_density,
+    conditional_mean,
+    conditional_quantile,
+    conditional_slice,
+    empirical_reference,
+    eval_copula,
     eval_density,
     eval_score,
     fit_copula,
@@ -26,9 +31,12 @@ from lpstats import (
     mid_quantile,
     normal_reference,
     quantile,
+    quantile_curves,
     score_quantile,
     series_regression,
+    simulate_conditional,
     skew_g_density,
+    slice_modes,
     standardize,
     two_sample_comp_density,
 )
@@ -94,3 +102,45 @@ def test_out_of_domain_raises_for_every_shape(name):
     for arg in (bad, np.array([0.5, bad]), np.array([[0.5], [bad]])):
         with pytest.raises(DomainError):
             fn(arg)
+
+
+# name -> function of one probability level, passed on as a scalar or array
+LEVEL_TAKING = {
+    "quantile": lambda a: quantile(_s, a),
+    "mid_quantile": lambda a: mid_quantile(_s, a),
+    "score_quantile": lambda a: score_quantile(_b, 2, a),
+    "normal_reference.quantile": _g.quantile,
+    "empirical_reference.quantile": empirical_reference(_s).quantile,
+    "comparison_distribution": lambda a: comparison_distribution(_s, _g, a),
+    "eval_copula(u)": lambda a: eval_copula(_cop, a, 0.5),
+    "eval_copula(v)": lambda a: eval_copula(_cop, 0.5, a),
+    "conditional_density(v)": lambda a: conditional_density(_cop, 0.5, a),
+    "conditional_quantile(p)": lambda a: conditional_quantile(_cop, 0.5, a),
+    "quantile_curves(us)": lambda a: quantile_curves(_cop, a, [0.5]),
+    "quantile_curves(ps)": lambda a: quantile_curves(_cop, [0.5], a),
+}
+# the same for functions that take one conditioning level u as a scalar
+U_TAKING = {
+    "conditional_slice": lambda u: conditional_slice(_cop, u),
+    "conditional_density(u)": lambda u: conditional_density(_cop, u, 0.5),
+    "conditional_mean": lambda u: conditional_mean(_cop, u),
+    "conditional_quantile(u)": lambda u: conditional_quantile(_cop, u, 0.5),
+    "slice_modes": lambda u: slice_modes(_cop, u),
+    "simulate_conditional": lambda u: simulate_conditional(_cop, u, 5, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TAKING))
+def test_nan_level_raises_domain_error(name):
+    fn = LEVEL_TAKING[name]
+    fn(np.array([0.5]))  # a valid level passes
+    for arg in (np.nan, np.array([0.5, np.nan]), np.array([[np.nan], [0.5]])):
+        with pytest.raises(DomainError):
+            fn(arg)
+
+
+@pytest.mark.parametrize("name", sorted(U_TAKING))
+def test_nan_conditioning_level_raises_domain_error(name):
+    U_TAKING[name](0.5)
+    with pytest.raises(DomainError):
+        U_TAKING[name](np.nan)

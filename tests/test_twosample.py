@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import ttest_ind
 
@@ -22,7 +24,9 @@ from lpstats import (
     two_sample_comp_density,
     wilcoxon,
 )
+from lpstats import twosample as tsmod
 from lpstats.errors import (
+    DegenerateScale,
     DomainError,
     EmptyInput,
     LengthMismatch,
@@ -359,3 +363,99 @@ class TestAnalyze:
                                                    want.mass)
         for name in ("c", "lp1k", "selected", "atom_density"):
             assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_sorts_the_response_once(self, monkeypatch):
+        counts = {"_split_binary": 0, "make_sample": 0}
+        for name in counts:
+            original = getattr(tsmod, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(tsmod, name, counted)
+        rng = np.random.default_rng(97)
+        analyze(rng.integers(0, 2, 40), rng.integers(0, 5, 40))
+        # analyze's own split and the one in two_sample_comp_density, which
+        # builds the only Sample of the response; the other Sample is of
+        # the 0/1 indicator
+        assert counts == {"_split_binary": 2, "make_sample": 2}
+
+
+tied_values = st.lists(st.integers(-5, 5), min_size=1, max_size=30)
+
+
+@st.composite
+def tied_two_samples(draw):
+    """A response on a small integer grid and a two-valued label."""
+    y = np.array(draw(tied_values), dtype=float)
+    labels = draw(st.sampled_from([(0, 1), (-2.0, 3.5), ("a", "b")]))
+    pick = draw(st.lists(st.booleans(), min_size=y.size, max_size=y.size))
+    x = np.array([labels[int(b)] for b in pick])
+    assume(np.unique(x).size == 2 and np.unique(y).size > 1)
+    return x, y
+
+
+class TestTwoSampleIdentities:
+    """The paper's two-sample identities over random tied samples."""
+
+    @settings(deadline=None)
+    @given(tied_two_samples(), st.booleans())
+    def test_analyze_matches_the_public_functions(self, xy, small):
+        x, y = xy
+        try:
+            rep = analyze(x, y, small_sample=small)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        x01 = (x == np.unique(x)[1])
+        assert (rep.g1, rep.g2) == (group_summary(y[~x01]),
+                                    group_summary(y[x01]))
+        assert rep.combined == combine(rep.g1, rep.g2)
+        tt = student_t(rep.g1, rep.g2)
+        assert (rep.t, rep.t_scaled) == (tt.t_core, tt.t_scaled)
+        cs = correlation_stats(x, y)
+        assert (rep.r, rep.r2) == (cs.r, cs.r2)
+        wr = wilcoxon(x, y, small_sample=small)
+        assert (rep.w, rep.z_stat) == (wr.w, wr.z_stat)
+
+    @settings(deadline=None)
+    @given(tied_two_samples())
+    def test_w_equals_w_direct(self, xy):
+        res = wilcoxon(*xy)
+        assert math.isclose(res.w, res.w_direct, rel_tol=1e-12,
+                            abs_tol=1e-12)
+
+    @settings(deadline=None)
+    @given(tied_two_samples())
+    def test_r2_is_t2_over_one_plus_t2(self, xy):
+        try:
+            rep = analyze(*xy)
+        except DegenerateScale:
+            assume(False)
+        assert math.isclose(rep.r2, rep.t ** 2 / (1.0 + rep.t ** 2),
+                            rel_tol=1e-12, abs_tol=1e-12)
+        assert rep.identities_ok
+
+    @given(tied_values)
+    def test_recursive_fold_equals_batch(self, values):
+        state = group_summary(values[:1])
+        for v in values[1:]:
+            state = recursive_update(state, v)
+        batch = group_summary(values)
+        assert state.n == batch.n
+        # |y| <= 5: each of < 30 steps adds a few ulps of at most 25
+        assert math.isclose(state.m, batch.m, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(state.v, batch.v, rel_tol=1e-12, abs_tol=1e-12)
+
+    @given(tied_values, tied_values, tied_values)
+    def test_combine_is_associative(self, a, b, c):
+        def pooled(g, h):
+            out = combine(g, h)
+            return GroupSummary(n=out.n, m=out.m, v=out.v)
+
+        ga, gb, gc = (group_summary(v) for v in (a, b, c))
+        left = pooled(pooled(ga, gb), gc)
+        right = pooled(ga, pooled(gb, gc))
+        assert left.n == right.n
+        assert math.isclose(left.m, right.m, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(left.v, right.v, rel_tol=1e-12, abs_tol=1e-12)
