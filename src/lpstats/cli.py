@@ -163,6 +163,18 @@ def _num(x) -> str:
     return f"{v:.10g}"
 
 
+def _float_text(a, sep) -> str:
+    """`_num`'s text of every value of a float array, joined by `sep`.
+
+    One %-format over the whole array; a non-finite value raises as it
+    does in `_num`.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if not np.isfinite(a).all():
+        raise LPStatsError("non-finite value reached the serializer")
+    return (f"%.10g{sep}" * a.size % tuple(a.tolist()))[:-len(sep)]
+
+
 def _jsonify(obj, parts):
     if obj is None:
         parts.append("null")
@@ -181,11 +193,7 @@ def _jsonify(obj, parts):
         parts.append("}")
     elif (isinstance(obj, np.ndarray) and obj.ndim == 1
           and obj.dtype.kind == "f"):
-        a = obj.astype(float, copy=False)
-        if not np.isfinite(a).all():
-            raise LPStatsError("non-finite value reached the serializer")
-        # one %-format over the whole array: the bytes of _num per element
-        parts.append("[" + ("%.10g," * a.size % tuple(a.tolist()))[:-1] + "]")
+        parts.append("[" + _float_text(obj, ",") + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, val in enumerate(obj):
@@ -204,12 +212,16 @@ def render_json(envelope) -> str:
     return "".join(parts)
 
 
-def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_num(v) if not isinstance(v, str) else v
-                              for v in row))
-    return "\n".join(lines) + "\n"
+def render_csv(header, columns) -> str:
+    """A header line, then one line per row of equal-length columns.
+
+    Float columns are formatted whole by `_float_text`; int and bool
+    columns go through `_num` value by value.
+    """
+    text = [_float_text(c, "\n").splitlines()
+            if np.asarray(c).dtype.kind == "f" else list(map(_num, c))
+            for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -421,36 +433,35 @@ def cmd_bayes_update(args):
 # tidy CSV projections of the grid payloads
 
 def _csv_view(name, payload):
+    """Header and columns of the tidy CSV projection of a payload."""
     if name == "describe":
         g = payload["qiq_grid"]
-        return ["u", "qmid", "qiq"], list(zip(g["u"], g["qmid"], g["qiq"]))
+        return ["u", "qmid", "qiq"], [g["u"], g["qmid"], g["qiq"]]
     if name == "depend":
         cm = payload["comoments"]
-        rows = []
-        for j in range(cm["order_x"]):
-            for k in range(cm["order_y"]):
-                rows.append((j + 1, k + 1, cm["entries"][j][k],
-                             bool(cm["selected"][j][k])))
-        return ["j", "k", "lp", "selected"], rows
+        ox, oy = cm["order_x"], cm["order_y"]
+        return ["j", "k", "lp", "selected"], [
+            np.repeat(np.arange(1, ox + 1), oy),
+            np.tile(np.arange(1, oy + 1), ox),
+            np.ravel(cm["entries"]), np.ravel(cm["selected"])]
     if name == "regress":
         c = payload["curve"]
-        return ["x", "fitted"], list(zip(c["x"], c["fitted"]))
+        return ["x", "fitted"], [c["x"], c["fitted"]]
     if name == "cquantile":
         c = payload["curve"]
         header = ["x", "u", "mean"] + [f"p{k}" for k in c["quantiles"]]
-        cols = [c["x"], c["u"], c["mean"]] + list(c["quantiles"].values())
-        return header, list(zip(*cols))
+        return header, [c["x"], c["u"], c["mean"], *c["quantiles"].values()]
     if name == "fit":
         d = payload["density_grid"]
-        return ["x", "g_pdf", "skew_g"], list(zip(d["x"], d["g_pdf"],
-                                                  d["skew_g"]))
+        return ["x", "g_pdf", "skew_g"], [d["x"], d["g_pdf"], d["skew_g"]]
     if name == "twosample":
         c = payload["classification"]
-        return ["y", "density", "posterior"], list(zip(c["y"], c["density"],
-                                                       c["posterior"]))
+        return ["y", "density", "posterior"], [c["y"], c["density"],
+                                               c["posterior"]]
     if name == "bayes-update":
         p = payload["posterior"]
-        return ["n_eff", "mean", "var"], [(p["n_eff"], p["mean"], p["var"])]
+        return ["n_eff", "mean", "var"], [[p["n_eff"]], [p["mean"]],
+                                          [p["var"]]]
     raise LPStatsError(f"no csv view for {name}")
 
 
@@ -590,8 +601,7 @@ def main(argv=None) -> int:
             "warnings": warnings,
         }
         if args.format == "csv":
-            header, rows = _csv_view(args.command, payload)
-            text = render_csv(header, rows)
+            text = render_csv(*_csv_view(args.command, payload))
         else:
             text = render_json(envelope)
         if args.out:

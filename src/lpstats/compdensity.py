@@ -133,8 +133,7 @@ def exponential_reference(rate: float) -> ReferenceDistribution:
         raise DegenerateScale("rate must be positive")
 
     def qf(u):
-        if np.any((u < 0.0) | (u >= 1.0)):
-            raise DomainError("exponential quantile needs u in [0, 1)")
+        _unit_open(u, "exponential quantile level", closed_left=True)
         return -np.log1p(-u) / rate
 
     return ReferenceDistribution(
@@ -150,8 +149,8 @@ def uniform_reference(a: float, b: float) -> ReferenceDistribution:
         raise DegenerateScale("need a < b")
 
     def qf(u):
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise DomainError("uniform quantile needs u in [0, 1]")
+        _unit_open(u, "uniform quantile level", closed_left=True,
+                   closed_right=True)
         return a + u * (b - a)
 
     return ReferenceDistribution(
@@ -331,8 +330,8 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
     floors it at 1e-6 and renormalizes by quadrature, "maxent" is the
     exponential model and needs `maxent_fit` to have run.
     """
-    if np.any((u < 0.0) | (u > 1.0)):
-        raise DomainError("comparison density is defined on [0, 1]")
+    _unit_open(u, "comparison density level", closed_left=True,
+               closed_right=True)
     if flavor == "l2":
         return _l2_series(mod, u)
     if flavor == "l2_clipped":

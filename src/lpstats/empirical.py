@@ -162,17 +162,18 @@ def _scalar_or_array(pos):
     return decorate
 
 
-def _unit_open(a, what, closed_right=False):
+def _unit_open(a, what, closed_left=False, closed_right=False):
     """`a` as a float array, every element checked to lie in (0, 1).
 
-    With `closed_right` the interval is (0, 1]. NaN lies in neither and
-    raises DomainError like any other out-of-range level.
+    `closed_left` admits 0 and `closed_right` admits 1. NaN lies in no
+    such interval and raises DomainError like any other out-of-range level.
     """
     a = np.asarray(a, dtype=float)
+    above_bottom = a >= 0.0 if closed_left else a > 0.0
     below_top = a <= 1.0 if closed_right else a < 1.0
-    if not np.all((a > 0.0) & below_top):
-        raise DomainError(
-            f"{what} must lie in (0, 1{']' if closed_right else ')'}")
+    if not np.all(above_bottom & below_top):
+        raise DomainError(f"{what} must lie in {'[' if closed_left else '('}"
+                          f"0, 1{']' if closed_right else ')'}")
     return a
 
 

@@ -17,6 +17,7 @@ whatever the data can carry (at most r - 1 functions on r atoms).
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .empirical import Sample, _scalar_or_array, _unit_open
 from .errors import DegenerateSample, DomainError, OrderOutOfRange, OrderTooHigh
@@ -38,26 +39,16 @@ def legendre_eval(j: int, u):
 
     Leg_0 = 1, Leg_1(u) = sqrt(12) (u - 0.5), and generally
     Leg_j = sqrt(2j + 1) P_j(2u - 1) with P_j the classical Legendre
-    polynomial, evaluated by the stable three-term recurrence. Orders are
-    capped at 12; the recurrence is accurate there and nothing in the
-    package needs more.
+    polynomial, evaluated by numpy's `legvander` (the stable three-term
+    recurrence). Orders are capped at 12; the recurrence is accurate there
+    and nothing in the package needs more.
     """
     j = int(j)
     if j < 0:
         raise DomainError("order must be nonnegative")
     if j > LEGENDRE_CAP:
         raise OrderTooHigh(f"Legendre order {j} above cap {LEGENDRE_CAP}")
-    t = 2.0 * u - 1.0
-    pk_minus, pk = np.ones_like(t), t.copy()
-    if j == 0:
-        out = pk_minus
-    elif j == 1:
-        out = pk
-    else:
-        for k in range(1, j):
-            pk_minus, pk = pk, ((2 * k + 1) * t * pk - k * pk_minus) / (k + 1)
-        out = pk
-    return np.sqrt(2.0 * j + 1.0) * out
+    return legvander(2.0 * u - 1.0, j)[:, j] * np.sqrt(2.0 * j + 1.0)
 
 
 class ScoreBasis:

@@ -346,6 +346,78 @@ class TestRenderJson:
                 render_elementwise(doc)
 
 
+def render_csv_rowwise(name, payload):
+    """The row-by-row CSV view and renderer that the columnar ones replaced."""
+    num = cli._num
+    if name == "describe":
+        g = payload["qiq_grid"]
+        header, rows = ["u", "qmid", "qiq"], list(zip(g["u"], g["qmid"],
+                                                      g["qiq"]))
+    elif name == "depend":
+        cm = payload["comoments"]
+        rows = []
+        for j in range(cm["order_x"]):
+            for k in range(cm["order_y"]):
+                rows.append((j + 1, k + 1, cm["entries"][j][k],
+                             bool(cm["selected"][j][k])))
+        header = ["j", "k", "lp", "selected"]
+    elif name == "regress":
+        c = payload["curve"]
+        header, rows = ["x", "fitted"], list(zip(c["x"], c["fitted"]))
+    elif name == "cquantile":
+        c = payload["curve"]
+        header = ["x", "u", "mean"] + [f"p{k}" for k in c["quantiles"]]
+        cols = [c["x"], c["u"], c["mean"]] + list(c["quantiles"].values())
+        rows = list(zip(*cols))
+    elif name == "fit":
+        d = payload["density_grid"]
+        header, rows = ["x", "g_pdf", "skew_g"], list(zip(d["x"], d["g_pdf"],
+                                                          d["skew_g"]))
+    elif name == "twosample":
+        c = payload["classification"]
+        header, rows = ["y", "density", "posterior"], list(zip(
+            c["y"], c["density"], c["posterior"]))
+    else:
+        p = payload["posterior"]
+        header, rows = ["n_eff", "mean", "var"], [(p["n_eff"], p["mean"],
+                                                   p["var"])]
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(num(v) if not isinstance(v, str) else v
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_CASES = {argv[0]: [a for a in argv if a not in ("--format", "csv")]
+             for argv in GOLDEN_CASES.values()}
+
+
+class TestRenderCsv:
+    @pytest.mark.parametrize("name", sorted(CSV_CASES))
+    def test_matches_the_rowwise_renderer(self, name):
+        argv = CSV_CASES[name]
+        args = cli.build_parser().parse_args(argv)
+        payload, _ = args.handler(args)
+        code, text = run_cli(argv + ["--format", "csv"])
+        assert code == 0
+        assert text == render_csv_rowwise(name, payload)
+
+    def test_edge_values_and_column_kinds(self):
+        n = EDGE_FLOATS.size
+        single = np.resize(EDGE_FLOATS[9:], n).astype(np.float32)
+        text = cli.render_csv(
+            ["f", "i", "b", "g"],
+            [EDGE_FLOATS, np.arange(n), np.arange(n) % 2 == 0, single])
+        rows = zip(EDGE_FLOATS, range(n), np.arange(n) % 2 == 0, single)
+        assert text == "f,i,b,g\n" + "".join(
+            ",".join(map(cli._num, row)) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(LPStatsError, match="non-finite"):
+            cli.render_csv(["a", "b"], [np.arange(2), np.array([1.0, bad])])
+
+
 def ingest_rowwise(path, columns):
     """The row-by-row ingest loop that the columnar one replaced.
 

@@ -1,5 +1,8 @@
 """Copula density series, conditional slices, curves and regression."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +26,7 @@ from lpstats import (
 from lpstats import copula as cpmod
 from lpstats.copula import _slice_levels
 from lpstats.errors import DomainError
+from lpstats.scores import ScoreBasis
 
 from conftest import random_sample_values
 
@@ -219,6 +223,8 @@ class TestConditionalQuantile:
         assert abs(q - mid_quantile(mod.sy, 0.5)) < 20.0
 
     def test_quantile_curves_agree_with_pointwise(self):
+        # the curves come from prefix sums of the score table, the pointwise
+        # values from one dense slice each: they agree to round-off
         rng = np.random.default_rng(71)
         x = rng.standard_normal(120)
         y = 0.5 * x + rng.standard_normal(120)
@@ -228,11 +234,11 @@ class TestConditionalQuantile:
         means, table = quantile_curves(mod, us, ps)
         for i, u in enumerate(us):
             assert_allclose(means[i], conditional_mean(mod, float(u)),
-                            rtol=0)
+                            rtol=0, atol=1e-12)
             for j, p in enumerate(ps):
                 assert_allclose(table[i, j],
                                 conditional_quantile(mod, float(u), p),
-                                rtol=0)
+                                rtol=0, atol=1e-12)
 
     def test_domain(self):
         mod = fit_copula(np.arange(15.0), np.arange(15.0))
@@ -241,7 +247,7 @@ class TestConditionalQuantile:
 
 
 @st.composite
-def tied_models(draw):
+def tied_models(draw, max_order=4):
     """Copula fits of pairs on small integer grids (heavy ties).
 
     y = slope * x + noise with slope -1, 0 or 1, so slices come steep,
@@ -253,11 +259,23 @@ def tied_models(draw):
     noise = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     y = draw(st.sampled_from([-1.0, 0.0, 1.0])) * x + np.array(noise)
     assume(np.unique(x).size > 1 and np.unique(y).size > 1)
-    return fit_copula(x, y, order=draw(st.integers(1, 4)),
+    return fit_copula(x, y, order=draw(st.integers(1, max_order)),
                       rule=draw(st.sampled_from(["aic", "none"])))
 
 
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestCopulaIdentities:
+    """The raw series integrates to one along each margin, slice by slice."""
+
+    @settings(deadline=None)
+    @given(tied_models(max_order=8))
+    def test_every_slice_sums_to_one_over_the_other_margin(self, mod):
+        grid = eval_copula(mod, atom_levels(mod.sx)[:, None],
+                           atom_levels(mod.sy)[None, :])
+        assert_allclose(grid @ mod.sy.masses, 1.0, rtol=0, atol=1e-12)
+        assert_allclose(mod.sx.masses @ grid, 1.0, rtol=0, atol=1e-12)
 
 
 def slice_cdf(sy, density, v):
@@ -353,6 +371,123 @@ class TestExactSliceInversion:
         monkeypatch.setattr(cpmod, "conditional_slice", None)
         with pytest.raises(DomainError, match="conditioning level"):
             quantile_curves(mod, [0.5, 1.0], [0.5])
+
+
+def loop_curves(mod, us, ps):
+    """quantile_curves as one dense slice per u, the way it used to run.
+
+    Returns the clip masks, means, levels and densities of every slice.
+    """
+    sy = mod.sy
+    clipped, means, levels, densities = [], [], [], []
+    for u in us:
+        su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
+        raw = 1.0 + (mod.coefficients.T @ su) @ mod.by.table
+        density = np.maximum(raw, 1e-6)
+        density = density / float(sy.masses @ density)
+        step = sy.masses * density
+        cum = np.cumsum(step)
+        k = np.minimum(np.searchsorted(cum, ps, side="left"), sy.r - 1)
+        level = (sy.cdf[k] - sy.masses[k]
+                 + (ps - (cum[k] - step[k])) / density[k])
+        clipped.append(raw < 1e-6)
+        means.append(float(step @ sy.values))
+        levels.append(np.clip(level, np.finfo(float).tiny,
+                              np.nextafter(1.0, 0.0)))
+        densities.append(density)
+    return (np.array(clipped), np.array(means), np.array(levels),
+            np.array(densities))
+
+
+@st.composite
+def curve_models(draw):
+    """Tied fits up to one order past the polynomial cap, some reshaped.
+
+    "tangent" rescales the comoments so that one slice's lowest raw value
+    sits just above or below the 1e-6 floor; "zero" gives one slice all-zero
+    weights by zeroing its column of X's score table.
+    """
+    mod = draw(tied_models(max_order=cpmod._POLY_CAP + 1))
+    i = draw(st.integers(0, mod.sx.r - 1))
+    shape = draw(st.sampled_from(["fit", "tangent", "zero"]))
+    if shape == "tangent":
+        low = float(np.min((mod.coefficients.T @ mod.bx.table[:, i])
+                           @ mod.by.table))
+        assume(low < -1e-3)
+        scale = (1e-6 * draw(st.sampled_from([0.999, 1.001])) - 1.0) / low
+        lpm = replace(mod.lpm, entries=mod.coefficients * scale,
+                      selected=np.ones_like(mod.lpm.selected))
+        mod = replace(mod, lpm=lpm)
+    elif shape == "zero":
+        table = mod.bx.table.copy()
+        table[:, i] = 0.0
+        mod = replace(mod, bx=ScoreBasis(mod.sx, mod.bx.requested_order,
+                                         table, mod.bx.truncated))
+    return mod
+
+
+class TestPolynomialCurves:
+    """quantile_curves against the dense per-slice loop it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(curve_models(), st.lists(open_unit, min_size=1, max_size=6))
+    def test_matches_the_per_slice_loop(self, mod, ps):
+        ps = np.array(ps)
+        us = mod.sx.fmid
+        ref_clip, ref_means, ref_levels, ref_dens = loop_curves(mod, us, ps)
+        with mock.patch.object(cpmod, "mid_quantile",
+                               wraps=cpmod.mid_quantile) as spy:
+            means, _ = quantile_curves(mod, us, ps)
+        levels = spy.call_args.args[1]
+        assert_allclose(means, ref_means, rtol=0, atol=1e-12)
+        gap = np.abs(levels - ref_levels)
+        dens = np.take_along_axis(ref_dens, mod.sy.atom_at_level(levels),
+                                  axis=1)
+        assert np.all((gap <= 1e-10) | (gap * dens <= 1e-14))
+
+        weights = mod.bx.table[:, mod.bx.source.atom_at_level(us)].T \
+            @ mod.coefficients
+        start, stop, served = cpmod._clip_runs(
+            mod.sy, np.ascontiguousarray(mod.by.table.T), weights)
+        atoms = np.arange(mod.sy.r)
+        runs = ((atoms >= start[..., None]) & (atoms < stop[..., None]))
+        assert np.array_equal(runs.any(axis=1)[served], ref_clip[served])
+
+    def test_dense_slices_only_where_the_polynomial_cannot_serve(
+            self, monkeypatch):
+        calls = []
+        real = cpmod.conditional_slice
+
+        def counting(mod, u):
+            calls.append(u)
+            return real(mod, u)
+
+        monkeypatch.setattr(cpmod, "conditional_slice", counting)
+        x = np.arange(60.0) % 13
+        mod = fit_copula(x, (x - 6.0) ** 2 + np.arange(60.0) % 3, order=4,
+                         rule="none")
+        table = mod.bx.table.copy()
+        table[:, 2] = 0.0  # slice 2: all-zero weights, a flat series
+        quantile_curves(replace(mod, bx=ScoreBasis(mod.sx, 4, table, False)),
+                        mod.sx.fmid, [0.5])
+        assert calls == []
+        # only T_1(x) reaches Y's top score, and T_1 vanishes at slice 4:
+        # that slice's P_u' loses its leading term, the others keep it
+        entries = np.full((4, 4), 0.4)
+        entries[1:, 3] = 0.0
+        table = mod.bx.table.copy()
+        table[0, 4] = 0.0
+        lpm = replace(mod.lpm, entries=entries,
+                      selected=np.ones((4, 4), dtype=bool))
+        quantile_curves(replace(mod, lpm=lpm,
+                                bx=ScoreBasis(mod.sx, 4, table, False)),
+                        mod.sx.fmid, [0.5])
+        assert calls == [mod.sx.fmid[4]]
+        wide = fit_copula(x, np.arange(60.0), order=cpmod._POLY_CAP + 1,
+                          rule="none")
+        calls.clear()
+        quantile_curves(wide, wide.sx.fmid, [0.5])
+        assert len(calls) == wide.sx.r
 
 
 def loop_modes(density, values):

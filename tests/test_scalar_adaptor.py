@@ -21,6 +21,7 @@ from lpstats import (
     eval_copula,
     eval_density,
     eval_score,
+    exponential_reference,
     fit_copula,
     l2_fit,
     legendre_eval,
@@ -39,6 +40,7 @@ from lpstats import (
     slice_modes,
     standardize,
     two_sample_comp_density,
+    uniform_reference,
 )
 from lpstats.errors import DomainError
 
@@ -111,6 +113,9 @@ LEVEL_TAKING = {
     "score_quantile": lambda a: score_quantile(_b, 2, a),
     "normal_reference.quantile": _g.quantile,
     "empirical_reference.quantile": empirical_reference(_s).quantile,
+    "exponential_reference.quantile": exponential_reference(1.0).quantile,
+    "uniform_reference.quantile": uniform_reference(0.0, 1.0).quantile,
+    "eval_density": lambda a: eval_density(_comp, a),
     "comparison_distribution": lambda a: comparison_distribution(_s, _g, a),
     "eval_copula(u)": lambda a: eval_copula(_cop, a, 0.5),
     "eval_copula(v)": lambda a: eval_copula(_cop, 0.5, a),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lpstats import (
@@ -177,3 +179,17 @@ class TestDiagnostics:
             b = build_score_basis(s, min(4, s.r - 1))
             assert b.mean_error < 1e-12
             assert b.gram_error < 1e-12
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=16),
+           st.integers(0, 15), st.integers(1, 200_000), st.integers(1, 12))
+    def test_tied_bases_are_orthonormal_and_flag_dropped_orders(
+            self, counts, heavy, weight, order):
+        # one atom may carry most of the mass, which makes high powers of
+        # T_1 numerically dependent on the lower ones
+        counts[heavy % len(counts)] = weight
+        s = make_sample(np.repeat(np.arange(len(counts), dtype=float), counts))
+        b = build_score_basis(s, order)
+        assert b.gram_error < 1e-10
+        assert b.mean_error < 1e-10
+        assert b.truncated == (b.max_order < min(order, s.r - 1))
