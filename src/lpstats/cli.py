@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -94,6 +95,44 @@ def _parse_columns(rows, idx) -> np.ndarray:
     return out
 
 
+def _walk(rows, idx, reasons) -> np.ndarray:
+    """The exact path: keep the nonblank rows that `_row_problem` passes.
+
+    Dropped rows are counted by reason into `reasons`; the kept ones are
+    parsed by `_parse_columns`.
+    """
+    kept = []
+    for row in rows:
+        if not row:
+            continue
+        reason = _row_problem(row, idx)
+        if reason is None:
+            kept.append(row)
+        else:
+            reasons[reason] = reasons.get(reason, 0) + 1
+    return _parse_columns(kept, idx)
+
+
+def _loadtxt_chunk(lines, idx):
+    """Requested fields of unquoted `lines` by np.loadtxt, or None.
+
+    None wherever csv.reader and float() could read the lines otherwise:
+    loadtxt rejects a field, returns a non-finite value, or returns fewer
+    rows than lines (it skips blank lines). A chunk of blank lines never
+    reaches loadtxt, which would warn that it holds no data.
+    """
+    if not any(map(str.strip, lines)):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", usecols=idx, comments=None,
+                           ndmin=2)
+    except ValueError:
+        return None
+    if len(table) != len(lines) or not np.isfinite(table).all():
+        return None
+    return table.T
+
+
 def ingest_csv(path, columns) -> Dataset:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
@@ -101,15 +140,21 @@ def ingest_csv(path, columns) -> Dataset:
     available ones. Rows with short length, empty fields, or non-numeric
     entries (NaN and infinities included) in the requested columns are
     dropped and counted by reason; blank lines are skipped uncounted.
-    Rows are parsed column by column in chunks of INGEST_CHUNK_ROWS; only
-    a chunk holding a dropped or blank row is walked row by row.
+
+    The header goes through csv.reader. The rows after it are read in
+    chunks of INGEST_CHUNK_ROWS raw lines, and each chunk is parsed in C by
+    np.loadtxt. A chunk loadtxt cannot vouch for (see `_loadtxt_chunk`) is
+    walked on its own by csv.reader, `_row_problem` and float(). Once a
+    chunk holds a `"`, the rest of the file is walked that way, since a
+    quoted field may span lines. Both paths give the same columns, bit for
+    bit, and the same drop counts; only the csv module refuses a field
+    longer than `csv.field_size_limit()`.
     """
     p = Path(path)
     if not p.is_file():
         raise FileNotFound(f"no such file: {path}")
     with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise EmptyAfterFilter(f"{path} is empty")
         header = [h.strip() for h in header]
@@ -119,23 +164,15 @@ def ingest_csv(path, columns) -> Dataset:
         idx = [header.index(name) for name in columns]
         chunks = []
         reasons = {}
-        while rows := list(islice(reader, INGEST_CHUNK_ROWS)):
-            try:
-                table = _parse_columns(rows, idx)
-                clean = bool(np.isfinite(table).all())
-            except (IndexError, ValueError):  # short, blank or unparsable
-                clean = False
-            if not clean:
-                kept_rows = []
-                for row in rows:
-                    if not row:
-                        continue
-                    reason = _row_problem(row, idx)
-                    if reason is None:
-                        kept_rows.append(row)
-                    else:
-                        reasons[reason] = reasons.get(reason, 0) + 1
-                table = _parse_columns(kept_rows, idx)
+        while lines := list(islice(fh, INGEST_CHUNK_ROWS)):
+            if '"' in "".join(lines):
+                rows = csv.reader(chain(lines, fh))
+                while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
+                    chunks.append(_walk(batch, idx, reasons))
+                break
+            table = _loadtxt_chunk(lines, idx)
+            if table is None:
+                table = _walk(csv.reader(lines), idx, reasons)
             chunks.append(table)
     # with no requested columns there is nothing to keep
     kept = sum(t.shape[1] for t in chunks) if columns else 0
@@ -511,7 +548,9 @@ def _add_common(sub, grid_default=101, order_default=4):
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="lpstats",
         description="Rank-based nonparametric statistics on CSV columns.",
@@ -538,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cquantile", help="conditional mean/quantile curves")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--p", type=_prob_list, default=[.05, .25, .5, .75, .95],
+    p.add_argument("--p", type=_prob_list, default=(.05, .25, .5, .75, .95),
                    help="comma-separated probabilities")
     _add_common(p)
     p.set_defaults(handler=cmd_cquantile)
@@ -586,8 +625,7 @@ def _echo_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, warnings = args.handler(args)
         envelope = {

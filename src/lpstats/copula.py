@@ -391,26 +391,15 @@ def slice_modes(mod: CopulaModel, u: float):
 
 def simulate_conditional(mod: CopulaModel, u: float, count: int,
                          seed) -> np.ndarray:
-    """Seeded accept-reject draws of Y given X = Q(u; X).
+    """Seeded draws of Y given X = Q(u; X), by inverse-CDF sampling.
 
-    Uniform proposals on the v scale against the slice density, mapped
-    through the mid-quantile of Y; deterministic for a fixed seed.
+    Uniform probabilities go through the exact inverse of the slice CDF
+    (`_slice_levels`) and then the mid-quantile of Y; deterministic for a
+    fixed seed.
     """
     sl = conditional_slice(mod, u)
-    envelope = float(sl.density.max()) * 1.001
-    rng = np.random.default_rng(seed)
-    out = []
-    kept = 0
-    count = int(count)
-    while kept < count:
-        v = rng.random(4096)
-        w = rng.random(4096)
-        dens = sl.density[mod.sy.atom_at_level(v)]
-        ok = (v > 0.0) & (dens > envelope * w)
-        draw = mid_quantile(mod.sy, v[ok]) if np.any(ok) else np.empty(0)
-        out.append(np.atleast_1d(draw))
-        kept += out[-1].size
-    return np.concatenate(out)[:count]
+    ps = np.random.default_rng(seed).random(int(count))
+    return mid_quantile(mod.sy, _slice_levels(mod.sy, sl, ps))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ import inspect
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpstats import (cli, fit_reference, fixture_path, l2_fit,
@@ -260,6 +261,20 @@ class TestOrderBound:
         assert args.order == cli.MAX_ORDER
 
 
+class TestParser:
+    def test_built_once_with_an_immutable_default(self):
+        assert cli.build_parser() is cli.build_parser()
+        args = cli.build_parser().parse_args(["cquantile", "--x", "Age",
+                                              "--y", "GAG"])
+        assert args.p == (.05, .25, .5, .75, .95)
+        # a list given on the command line echoes as the default does
+        code, text = run_cli(["cquantile", "--x", "Age", "--y", "GAG",
+                              "--p", ".05,.25,.5,.75,.95"])
+        assert code == 0
+        assert text == (HERE / "golden" / "cquantile.json").read_text(
+            encoding="utf-8")
+
+
 def render_elementwise(obj):
     """The per-element serializer that whole-array rendering replaced."""
     def num(x):
@@ -466,28 +481,39 @@ def ingest_rowwise(path, columns):
 
 FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
           "", " ", "abc", "nan", "NaN", "inf", "-Infinity", "1e400", "1_0",
-          "0x1", '"7"', '" 8 "', '"9,5"', '""', '"a""b"']
+          "0x1", '"7"', '" 8 "', '"9,5"', '""', '"a""b"',
+          # where np.loadtxt's reading could part from csv.reader + float()
+          "#", "1#2", "+3", ".5", "5.", "\uff11", "1 2", "4.9e-324",
+          "1.7976931348623159e308", '"1\n2"', '"3\r\n"']
 
 
 @st.composite
 def messy_csvs(draw):
-    """CSV text under an a,b,c header, with every kind of row ingest drops."""
-    row = st.lists(st.sampled_from(FIELDS), min_size=0, max_size=4)
+    """CSV text under an a,b,c header, with every kind of row ingest drops.
+
+    Lines end in LF, CRLF or a bare CR; some hold only whitespace.
+    """
+    row = st.one_of(
+        st.lists(st.sampled_from(FIELDS), min_size=0, max_size=4)
+        .map(",".join),
+        st.sampled_from([" ", "\t", " \t "]))
     rows = draw(st.lists(row, max_size=14))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(rows) + 1, max_size=len(rows) + 1))
-    lines = ["a,b,c"] + [",".join(r) for r in rows]
-    return "".join(line + end for line, end in zip(lines, ends))
+    return "".join(line + end for line, end in zip(["a,b,c"] + rows, ends))
 
 
 class TestIngest:
     @settings(deadline=None, max_examples=300)
-    @given(text=messy_csvs(), chunk=st.integers(1, 3),
+    # loadtxt's default comments="#" would read the last field "4#5" as 4
+    @example(text="a,b,c\n1,2\n3,4#5\n", chunk=4, columns=["a", "b"])
+    @given(text=messy_csvs(), chunk=st.integers(1, 4),
            columns=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
                             max_size=3, unique=True))
     def test_columnar_ingest_matches_the_rowwise_loop(self, text, chunk,
                                                       columns):
-        # Chunks of 1-3 rows put bad rows on both sides of chunk boundaries.
+        # Chunks of 1-4 lines put bad rows on both sides of chunk boundaries
+        # and split multi-line quoted fields across them.
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
@@ -506,9 +532,9 @@ class TestIngest:
             assert ds.columns[name].dtype == cols[name].dtype
             assert ds.columns[name].tobytes() == cols[name].tobytes()
 
-    def test_clean_chunks_skip_the_row_walk(self, tmp_path, monkeypatch):
-        f = tmp_path / "clean.csv"
-        f.write_text("a,b\n" + "1,2\n" * 7 + "x,2\n", encoding="utf-8")
+    @staticmethod
+    def walked_rows(monkeypatch, chunk):
+        """Rows that reach `_row_problem`, with chunks of `chunk` lines."""
         walked = []
         problem = cli._row_problem
 
@@ -516,11 +542,47 @@ class TestIngest:
             walked.append(row)
             return problem(row, idx)
 
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
         monkeypatch.setattr(cli, "_row_problem", counted)
+        return walked
+
+    def test_clean_chunks_skip_the_row_walk(self, tmp_path, monkeypatch):
+        f = tmp_path / "clean.csv"
+        f.write_text("a,b\n" + "1,2\n" * 7 + "x,2\n", encoding="utf-8")
+        walked = self.walked_rows(monkeypatch, 3)
         ds = ingest_csv(f, ["a", "b"])
         assert (ds.kept, ds.reasons) == (7, {"non_numeric": 1})
         assert len(walked) == 2  # only the last chunk: ["1", "2"], ["x", "2"]
+
+    def test_a_dirty_first_chunk_leaves_later_chunks_unwalked(
+            self, tmp_path, monkeypatch):
+        f = tmp_path / "dirty.csv"
+        f.write_text("a,b\nx,2\n" + "1,2\n" * 8, encoding="utf-8")
+        walked = self.walked_rows(monkeypatch, 3)
+        ds = ingest_csv(f, ["a", "b"])
+        assert (ds.kept, ds.reasons) == (8, {"non_numeric": 1})
+        assert walked == [["x", "2"], ["1", "2"], ["1", "2"]]
+
+    def test_a_quote_sends_the_rest_of_the_file_to_csv_reader(
+            self, tmp_path, monkeypatch):
+        # The quoted field "4\n" spans lines 3 and 4, across a chunk edge.
+        f = tmp_path / "quoted.csv"
+        f.write_text('a,b\n1,2\n1,2\n3,"4\n"\n5,6\n7,8\n',
+                     encoding="utf-8")
+        walked = self.walked_rows(monkeypatch, 2)
+        ds = ingest_csv(f, ["a", "b"])
+        assert ds.columns["b"].tolist() == [2.0, 2.0, 4.0, 6.0, 8.0]
+        assert walked == [["3", "4\n"], ["5", "6"], ["7", "8"]]
+
+    def test_blank_chunks_raise_no_warning(self, tmp_path, monkeypatch):
+        f = tmp_path / "blank.csv"
+        f.write_text("a,b\n1,2\n" + "\n" * 4 + "\r\n\r" + "3,4\n",
+                     encoding="utf-8")
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = ingest_csv(f, ["a", "b"])
+        assert (ds.kept, ds.dropped) == (2, 0)
 
     def test_drop_reasons_counted(self, tmp_path):
         f = tmp_path / "messy.csv"

@@ -557,6 +557,26 @@ class TestSimulateConditional:
         b = simulate_conditional(mod, 0.6, 200, seed=1)
         assert_allclose(a, b, rtol=0)
 
+    def test_atom_frequencies_match_the_slice_masses(self):
+        # Draws are seeded. The mid-quantile maps each atom's level interval
+        # (cdf_j - mass_j, cdf_j] onto the values up to its upper edge
+        # Qmid(cdf_j), so counting draws between edges counts the levels
+        # drawn per atom. Each atom's frequency lies within 5 binomial
+        # standard errors of its slice mass.
+        rng = np.random.default_rng(75)
+        x = rng.integers(0, 8, 400).astype(float)
+        y = x + rng.integers(0, 4, 400)
+        mod = fit_copula(x, y)
+        count = 40_000
+        for u in (0.1, 0.5, 0.9):
+            mass = mod.sy.masses * conditional_slice(mod, u).density
+            draws = simulate_conditional(mod, u, count, seed=8)
+            edges = cpmod.mid_quantile(mod.sy, mod.sy.cdf[:-1])
+            freq = np.bincount(np.searchsorted(edges, draws, side="left"),
+                               minlength=mod.sy.r) / count
+            se = np.sqrt(mass * (1.0 - mass) / count)
+            assert np.all(np.abs(freq - mass) <= 5.0 * se), (u, freq, mass)
+
 
 class TestSeriesRegression:
     def test_recovers_function_in_score_span(self):
