@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,7 @@ class Dataset:
 
 
 def _row_problem(row, idx):
-    """Why a nonblank row is dropped, or None if it is kept.
+    """The requested fields of a nonblank row as floats, or why it is dropped.
 
     The checks run in a fixed order: a requested column missing from the
     row (short_row), then an empty field (empty_field), then a field that
@@ -83,34 +82,23 @@ def _row_problem(row, idx):
         return "non_numeric"
     if not all(math.isfinite(v) for v in values):
         return "non_numeric"
-    return None
-
-
-def _parse_columns(rows, idx) -> np.ndarray:
-    """Requested fields of `rows` as a (len(idx), len(rows)) float table."""
-    out = np.empty((len(idx), len(rows)))
-    for j, i in enumerate(idx):
-        out[j] = np.fromiter(map(float, map(itemgetter(i), rows)), float,
-                             len(rows))
-    return out
+    return values
 
 
 def _walk(rows, idx, reasons) -> np.ndarray:
-    """The exact path: keep the nonblank rows that `_row_problem` passes.
+    """The exact path: the nonblank rows that `_row_problem` passes.
 
-    Dropped rows are counted by reason into `reasons`; the kept ones are
-    parsed by `_parse_columns`.
+    Returns their requested fields as a (len(idx), kept) float table;
+    dropped rows are counted by reason into `reasons`.
     """
     kept = []
-    for row in rows:
-        if not row:
-            continue
-        reason = _row_problem(row, idx)
-        if reason is None:
-            kept.append(row)
+    for row in filter(None, rows):
+        got = _row_problem(row, idx)
+        if isinstance(got, str):
+            reasons[got] = reasons.get(got, 0) + 1
         else:
-            reasons[reason] = reasons.get(reason, 0) + 1
-    return _parse_columns(kept, idx)
+            kept.append(got)
+    return np.array(kept, dtype=float).reshape(len(kept), len(idx)).T
 
 
 def _loadtxt_chunk(lines, idx):
@@ -262,7 +250,8 @@ def render_csv(header, columns) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand payloads
+# subcommands: each returns (payload, warnings, csv_view), where csv_view is
+# the (header, columns) of its tidy CSV, taken from arrays in the payload
 
 def _grid_u(n: int) -> np.ndarray:
     return (np.arange(int(n)) + 0.5) / int(n)
@@ -286,6 +275,8 @@ def cmd_describe(args):
     q = quartile_summary(s)
     grid = _grid_u(args.grid)
     lh = lhermite_normality(s)
+    qiq = {"u": grid, "qmid": mid_quantile(s, grid),
+           "qiq": informative_quantile(s, grid)}
     payload = {
         "column": args.col,
         "n": s.n,
@@ -299,15 +290,11 @@ def cmd_describe(args):
         "lp_square_sum": float(np.sum(mom.moments ** 2)),
         "lhermite": {"statistic": lh.statistic,
                      "significant": lh.significant},
-        "qiq_grid": {
-            "u": grid,
-            "qmid": mid_quantile(s, grid),
-            "qiq": informative_quantile(s, grid),
-        },
+        "qiq_grid": qiq,
     }
     if b.max_order < args.order:
         warnings.append(f"score basis truncated at order {b.max_order}")
-    return payload, warnings
+    return payload, warnings, (list(qiq), list(qiq.values()))
 
 
 def cmd_depend(args):
@@ -318,6 +305,7 @@ def cmd_depend(args):
     grid = _grid_u(args.grid)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     cop = cpmod.eval_copula(mod, uu.ravel(), vv.ravel()).reshape(uu.shape)
+    j, k = np.indices(mod.lpm.entries.shape) + 1
     payload = {
         "n": x.size,
         "correlations": {
@@ -336,7 +324,9 @@ def cmd_depend(args):
         },
         "copula_grid": {"u": grid, "v": grid, "density": cop},
     }
-    return payload, warnings
+    return payload, warnings, (["j", "k", "lp", "selected"], [
+        j.ravel(), k.ravel(), mod.lpm.entries.ravel(),
+        np.ravel(mod.lpm.selected)])
 
 
 def cmd_regress(args):
@@ -345,15 +335,16 @@ def cmd_regress(args):
     sx = make_sample(x)
     bx = build_score_basis(sx, args.order)
     fit = cpmod.series_regression(x, y, bx, rule=args.select)
+    curve = {"x": sx.values, "fitted": fit.predict(sx.values)}
     payload = {
         "n": x.size,
         "ybar": fit.ybar,
         "y_sd": fit.y_sd,
         "coefficients": fit.coefficients,
         "selected": fit.selected,
-        "curve": {"x": sx.values, "fitted": fit.predict(sx.values)},
+        "curve": curve,
     }
-    return payload, warnings
+    return payload, warnings, (list(curve), list(curve.values()))
 
 
 def cmd_cquantile(args):
@@ -374,7 +365,9 @@ def cmd_cquantile(args):
                   "quantiles": quantiles},
         "extreme_slices": extreme,
     }
-    return payload, warnings
+    header = ["x", "u", "mean"] + [f"p{k}" for k in quantiles]
+    return payload, warnings, (header, [mod.sx.values, us, means,
+                                        *quantiles.values()])
 
 
 def cmd_fit(args):
@@ -385,6 +378,8 @@ def cmd_fit(args):
     grid = _grid_u(args.grid)
     xs = np.linspace(float(s.values[0]), float(s.values[-1]), int(args.grid))
     gu, fu = cdmod.pp_grid(s, g)
+    dens = {"x": xs, "g_pdf": g.pdf(xs),
+            "skew_g": cdmod.skew_g_density(mod, xs)}
     payload = {
         "column": args.col,
         "n": s.n,
@@ -407,13 +402,9 @@ def cmd_fit(args):
             "clipped": cdmod.eval_density(mod, grid, "l2_clipped"),
             "maxent": cdmod.eval_density(mod, grid, "maxent"),
         },
-        "density_grid": {
-            "x": xs,
-            "g_pdf": g.pdf(xs),
-            "skew_g": cdmod.skew_g_density(mod, xs),
-        },
+        "density_grid": dens,
     }
-    return payload, warnings
+    return payload, warnings, (list(dens), list(dens.values()))
 
 
 def cmd_twosample(args):
@@ -422,6 +413,8 @@ def cmd_twosample(args):
     rep = tsmod.analyze(grp, y, m=args.order, rule=args.select,
                         small_sample=args.small_sample)
     dens = rep.density
+    curve = {"y": dens.sy.values, "density": dens.atom_density,
+             "posterior": tsmod.classify(dens, dens.sy.values)}
     payload = {
         "n": y.size,
         "labels": list(rep.labels),
@@ -443,14 +436,9 @@ def cmd_twosample(args):
         "wilcoxon": {"w": rep.w, "z": rep.z_stat},
         "high_order": {"c": dens.c, "lp1k": dens.lp1k,
                        "selected": dens.selected},
-        "classification": {
-            "prior": dens.tau,
-            "y": dens.sy.values,
-            "density": dens.atom_density,
-            "posterior": tsmod.classify(dens, dens.sy.values),
-        },
+        "classification": {"prior": dens.tau, **curve},
     }
-    return payload, warnings
+    return payload, warnings, (list(curve), list(curve.values()))
 
 
 def cmd_bayes_update(args):
@@ -458,48 +446,13 @@ def cmd_bayes_update(args):
                                    v=args.prior_var)
     data = tsmod.GroupSummary(n=args.n, m=args.mean, v=args.var)
     post = tsmod.bayes_normal_update(prior, data)
+    posterior = {"n_eff": post.n_eff, "mean": post.m, "var": post.v}
     payload = {
         "prior": {"n_eff": prior.n_eff, "mean": prior.m, "var": prior.v},
         "data": {"n": data.n, "mean": data.m, "var": data.v},
-        "posterior": {"n_eff": post.n_eff, "mean": post.m, "var": post.v},
+        "posterior": posterior,
     }
-    return payload, []
-
-
-# ---------------------------------------------------------------------------
-# tidy CSV projections of the grid payloads
-
-def _csv_view(name, payload):
-    """Header and columns of the tidy CSV projection of a payload."""
-    if name == "describe":
-        g = payload["qiq_grid"]
-        return ["u", "qmid", "qiq"], [g["u"], g["qmid"], g["qiq"]]
-    if name == "depend":
-        cm = payload["comoments"]
-        ox, oy = cm["order_x"], cm["order_y"]
-        return ["j", "k", "lp", "selected"], [
-            np.repeat(np.arange(1, ox + 1), oy),
-            np.tile(np.arange(1, oy + 1), ox),
-            np.ravel(cm["entries"]), np.ravel(cm["selected"])]
-    if name == "regress":
-        c = payload["curve"]
-        return ["x", "fitted"], [c["x"], c["fitted"]]
-    if name == "cquantile":
-        c = payload["curve"]
-        header = ["x", "u", "mean"] + [f"p{k}" for k in c["quantiles"]]
-        return header, [c["x"], c["u"], c["mean"], *c["quantiles"].values()]
-    if name == "fit":
-        d = payload["density_grid"]
-        return ["x", "g_pdf", "skew_g"], [d["x"], d["g_pdf"], d["skew_g"]]
-    if name == "twosample":
-        c = payload["classification"]
-        return ["y", "density", "posterior"], [c["y"], c["density"],
-                                               c["posterior"]]
-    if name == "bayes-update":
-        p = payload["posterior"]
-        return ["n_eff", "mean", "var"], [[p["n_eff"]], [p["mean"]],
-                                          [p["var"]]]
-    raise LPStatsError(f"no csv view for {name}")
+    return payload, [], (list(posterior), [[v] for v in posterior.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +580,7 @@ def _echo_args(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, warnings = args.handler(args)
+        payload, warnings, csv_view = args.handler(args)
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": {
@@ -639,14 +592,14 @@ def main(argv=None) -> int:
             "warnings": warnings,
         }
         if args.format == "csv":
-            text = render_csv(*_csv_view(args.command, payload))
+            text = render_csv(*csv_view)
         else:
             text = render_json(envelope)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LPStatsError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from .empirical import Sample, _scalar_or_array, make_sample, mid_ranks
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, NonFiniteValue, SingleGroup)
-from .lp import select_significant
+from .lp import _pearson, select_significant
 from .scores import ScoreBasis, build_score_basis
 
 __all__ = [
@@ -203,11 +203,7 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
 def _correlation_stats(x01, y, g0: GroupSummary,
                        g1: GroupSummary) -> CorrelationStats:
     """`correlation_stats` on a split sample and its two group summaries."""
-    sy = float(y.std())
-    sx = float(x01.std())
-    if sy <= 0.0 or sx <= 0.0:
-        raise DegenerateScale("constant response or single group")
-    r = float(np.mean((x01 - x01.mean()) * (y - y.mean())) / (sx * sy))
+    r = _pearson(x01, y)
     tau = float(x01.mean())
     m0, m1 = g0.m, g1.m
     v = float(y.var())
@@ -277,8 +273,6 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
                             rule: str = "aic") -> TwoSampleDensity:
     """Fit d(v) = 1 + sum_k C_k S_k(v; Y) for the group-1 responses."""
     labels, x01, y = _split_binary(x_obs, y_obs)
-    if not 0.0 < float(x01.mean()) < 1.0:
-        raise SingleGroup("one of the groups is empty")
     sy = make_sample(y)
     by = build_score_basis(sy, m)
     table = by.table[:, sy.atom_index]

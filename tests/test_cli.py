@@ -120,6 +120,15 @@ class TestEnvelope:
         doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["command"]["name"] == "describe"
 
+    def test_truncated_score_basis_is_warned(self, tmp_path):
+        f = tmp_path / "three.csv"
+        f.write_text("a\n" + "1\n2\n3\n" * 3, encoding="utf-8")
+        code, text = run_cli(["describe", "--col", "a", "--data", str(f),
+                              "--order", "5"])
+        assert code == 0
+        assert json.loads(text)["warnings"] == [
+            "score basis truncated at order 2"]
+
 
 class TestBundledData:
     def test_default_is_echoed_as_a_token_from_any_cwd(self, monkeypatch,
@@ -195,6 +204,22 @@ class TestExitCodes:
         code, _ = run_cli(["describe", "--col", "x", "--data", str(f)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_byte_file_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "empty.csv"
+        f.write_bytes(b"")
+        code, _ = run_cli(["describe", "--col", "a", "--data", str(f)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {f} is empty\n"
+
+    def test_oversized_quoted_field_is_input_error(self, tmp_path, capsys):
+        # longer than csv.field_size_limit(), which the csv module refuses
+        f = tmp_path / "wide.csv"
+        f.write_text('a\n1\n"' + "9" * 140001 + '"\n', encoding="utf-8")
+        code, _ = run_cli(["describe", "--col", "a", "--data", str(f)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "field limit" in err
 
     def test_out_in_missing_directory_is_input_error(self, tmp_path,
                                                      capsys):
@@ -412,7 +437,7 @@ class TestRenderCsv:
     def test_matches_the_rowwise_renderer(self, name):
         argv = CSV_CASES[name]
         args = cli.build_parser().parse_args(argv)
-        payload, _ = args.handler(args)
+        payload, _, _ = args.handler(args)
         code, text = run_cli(argv + ["--format", "csv"])
         assert code == 0
         assert text == render_csv_rowwise(name, payload)
