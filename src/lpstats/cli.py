@@ -301,7 +301,7 @@ def cmd_depend(args):
     ds, warnings = _load(args, [args.x, args.y])
     x, y = ds.columns[args.x], ds.columns[args.y]
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
-    cor = correlations(x, y)
+    cor = correlations(mod.sx, mod.sy)
     grid = _grid_u(args.grid)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     cop = cpmod.eval_copula(mod, uu.ravel(), vv.ravel()).reshape(uu.shape)

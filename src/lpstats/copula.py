@@ -201,8 +201,8 @@ def _clip_runs(sy: Sample, scores, weights):
     """Atom runs where each slice's raw series falls below the clip floor.
 
     Slice i's raw series 1 + weights[i] @ table is a polynomial P_i of
-    degree m in the standardized mid-rank t of Y, because the scores are
-    Gram-Schmidt on powers of t. Between the real roots of P_i' it is
+    degree m in the standardized mid-rank t of Y, because the three-term
+    recurrence builds each T_j as a polynomial of degree j in t. Between the real roots of P_i' it is
     monotone, so each such piece clips at most one run of atoms, at one end
     of it, found by bisection on the table values themselves. Returns
     (start, stop, served): runs [start, stop) of shape (k, max(m, 1)) in

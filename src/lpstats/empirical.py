@@ -86,7 +86,14 @@ class Sample:
             arr.setflags(write=False)
 
     def atom_at(self, x):
-        """Index of the largest atom not exceeding x; 0 below the support."""
+        """Index of the largest atom not exceeding x; 0 below the support.
+
+        The sample's own `obs` and `values` map to their indices unsearched.
+        """
+        if np.shape(x) == self.obs.shape and np.array_equal(x, self.obs):
+            return self.atom_index
+        if np.shape(x) == self.values.shape and np.array_equal(x, self.values):
+            return np.arange(self.r, dtype=np.intp)
         return np.clip(np.searchsorted(self.values, x, side="right") - 1,
                        0, None)
 

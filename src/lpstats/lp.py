@@ -177,16 +177,17 @@ def correlations(x_obs, y_obs) -> CorrelationReport:
     spearman_mid is E[T_1(X) T_1(Y)], the Pearson correlation of the
     mid-rank transforms; unlike the classical Spearman it needs no tie
     correction terms. The Gini pair correlates each raw variable with the
-    other's mid-ranks.
+    other's mid-ranks. Either argument may be a Sample, whose observations
+    and atoms are then used as they are.
     """
-    x = np.asarray(x_obs, dtype=float).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
+    x, y = (a.obs if isinstance(a, Sample) else
+            np.asarray(a, dtype=float).ravel() for a in (x_obs, y_obs))
     if x.size != y.size:
         raise LengthMismatch(x.size, y.size)
     if x.size < 2:
         raise DegenerateScale("need at least two paired observations")
-    ux = mid_ranks(make_sample(x))
-    uy = mid_ranks(make_sample(y))
+    ux, uy = (mid_ranks(a if isinstance(a, Sample) else make_sample(v))
+              for a, v in ((x_obs, x), (y_obs, y)))
     return CorrelationReport(
         pearson=_pearson(x, y),
         spearman_mid=_pearson(ux, uy),

@@ -8,10 +8,11 @@ mid-rank
 
     T_1(x) = (Fmid(x) - 0.5) / sd(Fmid)
 
-the powers T_1, T_1^2, ..., T_1^m are orthonormalized under the empirical
-measure. For tie-free samples of growing size these custom scores converge
-to the Legendre family; on small or heavily tied supports they adapt to
-whatever the data can carry (at most r - 1 functions on r atoms).
+polynomials of degree 1..m in T_1 are orthonormalized under the empirical
+measure by the three-term recurrence. For tie-free samples of growing size
+these custom scores converge to the Legendre family; on small or heavily
+tied supports they adapt to whatever the data can carry (at most r - 1
+functions on r atoms).
 """
 
 from __future__ import annotations
@@ -86,12 +87,14 @@ class ScoreBasis:
 
 
 def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
-    """Gram-Schmidt the powers of the standardized mid-rank.
+    """Orthonormal polynomials in the standardized mid-rank t1.
 
-    Modified Gram-Schmidt with a single re-orthogonalization pass, masses
-    as weights. The order is clipped to r - 1; a power whose residual norm
-    falls below 1e-8 of its pre-projection norm stops the construction
-    early (the returned basis is then shorter and flagged `truncated`).
+    T_k is t1 T_{k-1} less its projections on T_{k-1}, T_{k-2} and 1 (the
+    three-term recurrence), re-orthogonalized once against all earlier
+    rows, masses as weights; the order is clipped to r - 1. The residual
+    of t1^k on lower orders is beta_1 ... beta_k T_k, so when that product
+    of the recurrence's norms falls below 1e-8 ||t1^k|| the construction
+    stops early (the basis is then shorter and flagged `truncated`).
     """
     if int(max_order) < 1:
         raise DomainError("max_order must be at least 1")
@@ -100,21 +103,29 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
     m = min(int(max_order), s.r - 1)
     p = s.masses
     t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
-    rows = []
-    truncated = False
-    for k in range(1, m + 1):
-        v = t1 ** k
-        pre = np.sqrt(np.sum(p * v * v))
-        for _ in range(2):
-            v = v - np.sum(p * v)
-            for w in rows:
-                v = v - np.sum(p * v * w) * w
-        nrm = np.sqrt(np.sum(p * v * v))
-        if nrm < _RANK_TOL * pre:
-            truncated = True
+    top = np.max(np.abs(t1))
+    # top^k >= ||t1^k|| >= top^k / sqrt(n), and the monic residual is at
+    # most 2 (top / 2)^k (Chebyshev), so the rule stops by order `cap`
+    cap = 2 + int(np.log2(np.sqrt(s.n) / _RANK_TOL))
+    table = np.empty((min(m, cap), s.r))
+    pv = np.empty(s.r)
+    monic = 1.0
+    truncated = m > cap
+    for k in range(len(table)):
+        v = table[k]
+        np.multiply(t1, table[k - 1] if k else 1.0, out=v)
+        for lower in (table[max(k - 2, 0):k], table[:k]):
+            np.multiply(p, v, out=pv)
+            v -= pv.sum()
+            v -= (lower @ pv) @ lower
+        np.multiply(p, v, out=pv)
+        beta = np.sqrt(pv @ v)
+        monic *= beta
+        if (monic < _RANK_TOL * top ** (k + 1)
+                and monic < _RANK_TOL * np.sqrt(p @ t1 ** (2 * k + 2))):
+            table, truncated = table[:k], True
             break
-        rows.append(v / nrm)
-    table = np.array(rows) if rows else np.empty((0, s.r))
+        v /= beta
     return ScoreBasis(s, max_order, table, truncated)
 
 

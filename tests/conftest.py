@@ -2,12 +2,14 @@
 
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lpstats import fixture_path
 from lpstats.cli import ingest_csv, main
+from lpstats.empirical import Sample
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +48,10 @@ def random_sample_values(rng, n, tied=True):
         support = rng.integers(2, 12)
         return rng.integers(0, support, size=n).astype(float)
     return rng.standard_normal(n)
+
+
+def search_only():
+    """Patch `Sample.atom_at` to search even a sample's own observations."""
+    return mock.patch.object(
+        Sample, "atom_at", lambda self, x: np.clip(
+            np.searchsorted(self.values, x, side="right") - 1, 0, None))

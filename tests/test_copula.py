@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lpstats import (
     build_score_basis,
@@ -28,7 +28,7 @@ from lpstats.copula import _slice_levels
 from lpstats.errors import DomainError
 from lpstats.scores import ScoreBasis
 
-from conftest import random_sample_values
+from conftest import random_sample_values, search_only
 
 
 def atom_levels(s):
@@ -612,6 +612,19 @@ class TestSeriesRegression:
         assert_allclose(fit1.coefficients, fit2.coefficients, atol=1e-11)
         assert_allclose(fit1.predict(s1.values), fit2.predict(s2.values),
                         atol=1e-10)
+
+    def test_stored_atom_index_gives_the_searched_fit(self):
+        rng = np.random.default_rng(76)
+        x = random_sample_values(rng, 300)
+        y = x + rng.standard_normal(300)
+        s = make_sample(x)
+        b = build_score_basis(s, 4)
+        with search_only():
+            ref = series_regression(x, y, b, rule="none")
+            ref_curve = ref.predict(s.values)
+        fit = series_regression(x, y, b, rule="none")
+        assert_array_equal(fit.coefficients, ref.coefficients)
+        assert_array_equal(fit.predict(s.values), ref_curve)
 
     def test_prediction_between_atoms_is_a_step(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])

@@ -1,6 +1,7 @@
 """Mid-distribution, mid-quantile and quartile machinery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +63,37 @@ class TestAtomLookups:
         ref = np.clip(np.searchsorted(s.values, x, side="right") - 1, 0, None)
         assert_array_equal(s.atom_at(x), ref)
         assert_array_equal(s.atom_at(s.values), np.arange(s.r))
+
+    @settings(deadline=None)
+    @given(tied_samples(), st.randoms(use_true_random=False))
+    def test_own_observations_and_atoms_skip_the_search(self, s, rnd):
+        def searched(x):
+            with mock.patch.object(np, "searchsorted",
+                                   wraps=np.searchsorted) as search:
+                idx = s.atom_at(x)
+            return idx, search.called
+
+        def reference(x):
+            return np.clip(np.searchsorted(s.values, x, side="right") - 1,
+                           0, None)
+
+        for own in (s.obs, s.obs.tolist(), s.values):
+            idx, called = searched(own)
+            assert not called
+            assert idx.dtype == reference(own).dtype
+            assert_array_equal(idx, reference(own))
+        assert searched(s.obs)[0] is s.atom_index
+        # anything else is searched: a reordering, points between atoms
+        # in the observations' shape, a scalar
+        order = list(range(s.n))
+        rnd.shuffle(order)
+        between = s.obs + 0.5 * np.diff(s.values).min(initial=1.0)
+        for x in (s.obs[order], between, s.obs[0]):
+            idx, called = searched(x)
+            own = any(np.shape(x) == a.shape and np.array_equal(x, a)
+                      for a in (s.obs, s.values))
+            assert called or own
+            assert_array_equal(idx, reference(x))
 
     @settings(deadline=None)
     @given(tied_samples())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import spearmanr
 
 from lpstats import (
@@ -17,7 +17,7 @@ from lpstats import (
 )
 from lpstats.errors import DegenerateScale, LengthMismatch
 
-from conftest import random_sample_values
+from conftest import random_sample_values, search_only
 
 
 def basis_for(x, m=4):
@@ -194,6 +194,18 @@ class TestLPComoments:
         with pytest.raises(LengthMismatch):
             lp_comoments(x, np.arange(4.0), bx, bx)
 
+    def test_stored_atom_index_gives_the_searched_entries(self):
+        rng = np.random.default_rng(33)
+        for tied in (True, False):
+            x = random_sample_values(rng, 300, tied)
+            y = random_sample_values(rng, 300, tied) + x
+            _, bx = basis_for(x)
+            _, by = basis_for(y)
+            with search_only():
+                ref = lp_comoments(x, y, bx, by)
+            assert_array_equal(lp_comoments(x, y, bx, by).entries,
+                               ref.entries)
+
     def test_lpinfor_is_squared_sum_of_selected(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal(120)
@@ -229,6 +241,17 @@ class TestCorrelations:
         assert_allclose(rep.spearman_mid, 1.0, rtol=1e-13)
         rep = correlations(x, -x)
         assert_allclose(rep.spearman_mid, -1.0, rtol=1e-13)
+
+    def test_samples_in_either_position_give_the_same_report(self):
+        rng = np.random.default_rng(34)
+        x = random_sample_values(rng, 200)
+        y = random_sample_values(rng, 200, tied=False) + x
+        ref = correlations(x, y)
+        sx, sy = make_sample(x), make_sample(y)
+        for a, b in ((sx, sy), (sx, y), (x, sy)):
+            assert correlations(a, b) == ref
+        with pytest.raises(LengthMismatch):
+            correlations(sx, y[:-1])
 
     def test_gini_pair_is_asymmetric_in_general(self):
         rng = np.random.default_rng(32)

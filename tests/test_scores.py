@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,6 +27,30 @@ from conftest import random_sample_values
 def weighted_gram(basis, masses):
     t = basis.table
     return (t * masses) @ t.T
+
+
+def gram_schmidt_reference(s, max_order):
+    """Modified Gram-Schmidt on the powers of T_1: (table, truncated).
+
+    Two passes per power, masses as weights; a power whose residual norm
+    falls below 1e-8 of its own norm ends the basis. `build_score_basis`
+    reaches the same spaces by the three-term recurrence.
+    """
+    p = s.masses
+    t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
+    rows = []
+    for k in range(1, min(max_order, s.r - 1) + 1):
+        v = t1 ** k
+        pre = np.sqrt(np.sum(p * v * v))
+        for _ in range(2):
+            v = v - np.sum(p * v)
+            for w in rows:
+                v = v - np.sum(p * v * w) * w
+        nrm = np.sqrt(np.sum(p * v * v))
+        if nrm < 1e-8 * pre:
+            return np.array(rows).reshape(-1, s.r), True
+        rows.append(v / nrm)
+    return np.array(rows).reshape(-1, s.r), False
 
 
 class TestLegendreEval:
@@ -105,6 +129,17 @@ class TestBasisConstruction:
         # what survives is still orthonormal
         assert b.gram_error < 1e-10
 
+    def test_order_far_above_what_the_data_carries(self):
+        # ||t1^k|| >= max|t1|^k / sqrt(n) and the monic residual is at most
+        # 2 (max|t1| / 2)^k, so no basis passes order 2 + log2(1e8 sqrt(n));
+        # a request far beyond it reserves no rows past that order
+        s = make_sample(np.random.default_rng(17).standard_normal(100_000))
+        b = build_score_basis(s, 10**6)
+        table, truncated = gram_schmidt_reference(s, 40)
+        assert b.truncated and truncated
+        assert b.max_order == table.shape[0] < 2 + np.log2(1e8 * np.sqrt(s.n))
+        assert b.gram_error < 1e-10
+
     def test_single_atom_rejected(self):
         with pytest.raises(DegenerateSample):
             build_score_basis(make_sample([7.0, 7.0]), 1)
@@ -116,6 +151,19 @@ class TestBasisConstruction:
         b1 = build_score_basis(make_sample(x), 4)
         b2 = build_score_basis(make_sample(np.exp(0.3 * x)), 4)
         assert_allclose(b1.table, b2.table, atol=1e-11)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(6, 400),
+           st.integers(1, 8))
+    def test_recurrence_matches_gram_schmidt_on_powers(self, seed, tied, n,
+                                                       order):
+        s = make_sample(random_sample_values(np.random.default_rng(seed), n,
+                                             tied))
+        assume(s.r >= 2)
+        b = build_score_basis(s, order)
+        table, truncated = gram_schmidt_reference(s, order)
+        assert (b.max_order, b.truncated) == (table.shape[0], truncated)
+        assert_allclose(b.table, table, rtol=0, atol=1e-10)
 
     def test_legendre_limit_for_continuous_data(self):
         rng = np.random.default_rng(13)
@@ -180,7 +228,7 @@ class TestDiagnostics:
             assert b.mean_error < 1e-12
             assert b.gram_error < 1e-12
 
-    @settings(deadline=None)
+    @settings(deadline=None, max_examples=300)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=16),
            st.integers(0, 15), st.integers(1, 200_000), st.integers(1, 12))
     def test_tied_bases_are_orthonormal_and_flag_dropped_orders(
@@ -193,3 +241,8 @@ class TestDiagnostics:
         assert b.gram_error < 1e-10
         assert b.mean_error < 1e-10
         assert b.truncated == (b.max_order < min(order, s.r - 1))
+        # near the rank limit the two constructions differ in the last
+        # digits (up to about 5e-6 here, both orthonormal), but they keep
+        # and drop the same orders
+        table, truncated = gram_schmidt_reference(s, order)
+        assert (b.max_order, b.truncated) == (table.shape[0], truncated)
