@@ -10,8 +10,8 @@ reference family, MaxEnt parameters, skew-G density grid), `twosample`
 `bayes-update` (conjugate-normal posterior from summary flags).
 
 Output is reproducible byte for byte: floats are rendered with %.10g,
-key order is fixed, and the only randomness (none in the default
-payloads) is governed by --seed. Exit codes: 0 success, 2 input problems
+key order is fixed, and no subcommand draws random numbers; --seed is
+only echoed into command.seed. Exit codes: 0 success, 2 input problems
 (files, columns, flag values), 3 computation failures.
 """
 
@@ -482,23 +482,26 @@ def _prob_list(text):
     return ps
 
 
-def _add_common(sub, grid_default=101, order_default=4):
-    sub.add_argument("--data", default=BUNDLED_DATA,
-                     help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
-                          "example table)")
-    sub.add_argument("--order", type=_positive_int_to(MAX_ORDER),
-                     default=order_default,
-                     help=f"series order, 1..{MAX_ORDER} (default "
-                          f"{order_default})")
-    sub.add_argument("--grid", type=_positive_int_to(MAX_GRID),
-                     default=grid_default,
-                     help=f"grid size, 1..{MAX_GRID} (default {grid_default})")
-    sub.add_argument("--seed", type=int, default=42,
-                     help="seed echoed into the output envelope (default 42)")
-    sub.add_argument("--select", choices=["aic", "bic", "none"],
-                     default="aic", help="coefficient selection rule")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--out", default=None, help="write output to a file")
+def _add_options(sub, *flags):
+    """Add the named shared options to `sub`, each from its one definition."""
+    options = {
+        "--data": dict(default=BUNDLED_DATA,
+                       help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
+                            "example table)"),
+        "--order": dict(type=_positive_int_to(MAX_ORDER), default=4,
+                        help=f"series order, 1..{MAX_ORDER} (default "
+                             "%(default)s)"),
+        "--grid": dict(type=_positive_int_to(MAX_GRID), default=101,
+                       help=f"grid size, 1..{MAX_GRID} (default %(default)s)"),
+        "--select": dict(choices=["aic", "bic", "none"], default="aic",
+                         help="coefficient selection rule"),
+        "--seed": dict(type=int, default=42,
+                       help="only echoed, as command.seed (default 42)"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+        "--out": dict(default=None, help="write output to a file"),
+    }
+    for flag in flags:
+        sub.add_argument(flag, **options[flag])
 
 
 @functools.cache
@@ -512,19 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("describe", help="one-variable diagnostics")
     p.add_argument("--col", required=True)
-    _add_common(p, order_default=5)
-    p.set_defaults(handler=cmd_describe)
+    _add_options(p, "--data", "--order", "--grid")
+    p.set_defaults(handler=cmd_describe, order=5)
 
     p = subs.add_parser("depend", help="dependence diagnostics of a pair")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p, grid_default=51)
-    p.set_defaults(handler=cmd_depend)
+    _add_options(p, "--data", "--order", "--grid", "--select")
+    p.set_defaults(handler=cmd_depend, grid=51)
 
     p = subs.add_parser("regress", help="orthogonal series regression")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
+    _add_options(p, "--data", "--order", "--select")
     p.set_defaults(handler=cmd_regress)
 
     p = subs.add_parser("cquantile", help="conditional mean/quantile curves")
@@ -532,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--p", type=_prob_list, default=(.05, .25, .5, .75, .95),
                    help="comma-separated probabilities")
-    _add_common(p)
+    _add_options(p, "--data", "--order", "--select")
     p.set_defaults(handler=cmd_cquantile)
 
     p = subs.add_parser("fit", help="comparison density against a reference")
     p.add_argument("--col", required=True)
     p.add_argument("--g", choices=["normal", "exponential", "uniform"],
                    required=True)
-    _add_common(p)
+    _add_options(p, "--data", "--order", "--grid", "--select")
     p.set_defaults(handler=cmd_fit)
 
     p = subs.add_parser("twosample", help="two-group analysis of a response")
@@ -547,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--small-sample", action="store_true",
                    help="scale the Wilcoxon z by sqrt(n-1) instead of sqrt(n)")
-    _add_common(p)
+    _add_options(p, "--data", "--order", "--select")
     p.set_defaults(handler=cmd_twosample)
 
     p = subs.add_parser("bayes-update", help="conjugate-normal belief update")
@@ -557,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--mean", type=float, required=True)
     p.add_argument("--var", type=float, required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_bayes_update)
+
+    for p in subs.choices.values():  # the envelope's options
+        _add_options(p, "--seed", "--format", "--out")
 
     return parser
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,14 +54,14 @@ QUAD_NODES = 128
 CLIP_FLOOR = 1e-6
 
 
-@lru_cache(maxsize=8)
-def _gauss01(nodes: int = QUAD_NODES):
-    """Gauss-Legendre nodes and weights mapped to [0, 1].
+@cache
+def _gauss01():
+    """QUAD_NODES Gauss-Legendre nodes and weights mapped to [0, 1].
 
     Nodes come from numpy's leggauss (companion-matrix roots polished by
     one Newton step), then the affine map from [-1, 1].
     """
-    x, w = leggauss(nodes)
+    x, w = leggauss(QUAD_NODES)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -271,7 +271,7 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
         return replace(mod, theta=theta_full, theta0=0.0,
                        maxent_residual=0.0, maxent_iterations=0)
     targets = mod.c[ks]
-    nodes, wts = _gauss01(QUAD_NODES)
+    nodes, wts = _gauss01()
     leg = _leg_table((ks + 1).tolist(), nodes)
 
     def dual(theta):
@@ -335,7 +335,7 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
     if flavor == "l2":
         return _l2_series(mod, u)
     if flavor == "l2_clipped":
-        nodes, wts = _gauss01(QUAD_NODES)
+        nodes, wts = _gauss01()
         norm = float(wts @ np.maximum(_l2_series(mod, nodes), CLIP_FLOOR))
         return np.maximum(_l2_series(mod, u), CLIP_FLOOR) / norm
     if flavor == "maxent":

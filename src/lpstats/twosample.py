@@ -233,12 +233,12 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
 def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
     """`wilcoxon` on a split sample, given the response's Sample."""
     n = sy.n
-    sx = make_sample(x01)
-    t1x = (mid_ranks(sx) - 0.5) / math.sqrt(sx.mid_rank_variance)
+    tau = float(x01.mean())
+    # the indicator's standardized mid-rank, in closed form from its masses
+    t1x = (x01 - tau) / math.sqrt(tau * (1.0 - tau))
     ry = mid_ranks(sy)
     t1y = (ry - 0.5) / math.sqrt(sy.mid_rank_variance)
     w = float(np.mean(t1x * t1y))
-    tau = float(x01.mean())
     m1 = float(ry[x01 == 1.0].mean())
     v_mid = sy.mid_rank_variance
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))

@@ -10,6 +10,7 @@ committing a regenerated golden, diff it field by field against the old
 one and account for every field that moved.
 """
 
+import argparse
 import csv
 import inspect
 import json
@@ -284,6 +285,49 @@ class TestOrderBound:
         args = cli.build_parser().parse_args(
             ["describe", "--col", "GAG", "--order", str(cli.MAX_ORDER)])
         assert args.order == cli.MAX_ORDER
+
+
+class TestOptionSurface:
+    """Each subcommand declares only the options its handler reads."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_every_declared_option_is_read(self, name):
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, key):
+                read.add(key)
+                return super().__getattribute__(key)
+
+        args = cli.build_parser().parse_args(GOLDEN_CASES[name],
+                                             namespace=Recording())
+        read.clear()  # drop the parser's own reads
+        args.handler(args)
+        # the envelope reads these; the handler has no use for them
+        declared = set(vars(args)) - {"handler", "command", "seed",
+                                      "format", "out"}
+        assert declared - read == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["regress", "--x", "Age", "--y", "GAG", "--grid", "5"],
+        ["cquantile", "--x", "Age", "--y", "GAG", "--grid", "5"],
+        ["twosample", "--y", "response", "--group", "group", "--grid", "5"],
+        ["describe", "--col", "GAG", "--select", "bic"],
+    ])
+    def test_an_option_the_command_does_not_read_is_usage_error(self, argv,
+                                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             sorted({a[0] for a in GOLDEN_CASES.values()}))
+    def test_help_formats(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestParser:

@@ -377,9 +377,9 @@ class TestAnalyze:
         rng = np.random.default_rng(97)
         analyze(rng.integers(0, 2, 40), rng.integers(0, 5, 40))
         # analyze's own split and the one in two_sample_comp_density, which
-        # builds the only Sample of the response; the other Sample is of
-        # the 0/1 indicator
-        assert counts == {"_split_binary": 2, "make_sample": 2}
+        # builds the only Sample of the response; the 0/1 indicator's
+        # mid-ranks need no Sample
+        assert counts == {"_split_binary": 2, "make_sample": 1}
 
 
 tied_values = st.lists(st.integers(-5, 5), min_size=1, max_size=30)
@@ -423,6 +423,17 @@ class TestTwoSampleIdentities:
     def test_w_equals_w_direct(self, xy):
         res = wilcoxon(*xy)
         assert math.isclose(res.w, res.w_direct, rel_tol=1e-12,
+                            abs_tol=1e-12)
+
+    @settings(deadline=None)
+    @given(tied_two_samples())
+    def test_wilcoxon_is_the_first_high_order_comoment(self, xy):
+        # Wilcoxon = LP(1, 1): w is lp1k[0] of the comparison density
+        try:
+            rep = analyze(*xy)
+        except DegenerateScale:
+            assume(False)
+        assert math.isclose(rep.w, rep.high_order_w[0], rel_tol=1e-12,
                             abs_tol=1e-12)
 
     @settings(deadline=None)
