@@ -48,7 +48,8 @@ _MIN_MASS = 1e-3
 # to order 14.
 _POLY_CAP = 10
 # A slice whose P_u' has a leading coefficient below this share of its
-# largest one goes to the dense slice: companion roots went wrong at 1e-16.
+# largest one goes to the dense slice: companion roots went wrong at 1e-16,
+# and the closed forms divide by the same coefficient.
 _LEAD_TOL = 1e-12
 
 
@@ -186,15 +187,91 @@ def _first_true(lo, hi, test):
     """Elementwise first index in [lo, hi) where `test` holds, else hi.
 
     `test` maps an index array (shaped like lo) to booleans and must be
-    false, then true, along each range.
+    false, then true, along each range. Until the widest range is used up,
+    a resolved entry is asked again at its answer: true there, unless the
+    answer is hi itself, where lo may step one past; the final clip undoes
+    that. So `test` must accept hi.
     """
-    lo, hi = lo.copy(), hi.copy()
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        hit = test(mid) | (lo >= hi)
+    top = hi
+    # each step at least halves the widest range, so this many steps suffice
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        hit = test(mid)
         hi = np.where(hit, mid, hi)
         lo = np.where(hit, lo, mid + 1)
-    return lo
+    return np.minimum(lo, top)
+
+
+def _quadratic_real_parts(b, c):
+    """Real parts of the two roots of t^2 + b t + c, row by row.
+
+    Real roots come as q = -(b + sign(b) sqrt(b^2 - 4c)) / 2 and c / q,
+    which avoids cancellation; a complex pair has real part -b/2, which is
+    q when the discriminant is negative.
+    """
+    disc = b * b - 4.0 * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    # q = 0 with real roots only for the double root 0
+    return np.stack((q, np.divide(c, q, out=q.copy(),
+                                  where=(disc >= 0.0) & (q != 0.0))), axis=1)
+
+
+def _cubic_real_root(c):
+    """One real root of t^3 + c[:, 2] t^2 + c[:, 1] t + c[:, 0], row by row.
+
+    With t = s - c2/3 the cubic is s^3 + p s + q. Its only real root comes
+    from Cardano's form; of three real roots, the trigonometric form gives
+    the largest in magnitude, the one least hurt by round-off in the shift.
+    """
+    shift = c[:, 2] / 3.0
+    p = c[:, 1] - c[:, 2] * shift
+    q = (2.0 * shift * shift - c[:, 1]) * shift + c[:, 0]
+    disc = 0.25 * q * q + p * p * p / 27.0
+    # Cardano's larger cube root u and its partner -p / 3u; u = 0 only for
+    # the triple root s = 0
+    u = -np.copysign(np.cbrt(0.5 * np.abs(q)
+                             + np.sqrt(np.maximum(disc, 0.0))), q)
+    root = u + np.divide(-p, 3.0 * u, out=np.zeros_like(u),
+                         where=u != 0.0) - shift
+    three = np.flatnonzero(disc < 0.0)  # then p < 0
+    amp = np.sqrt(-p[three] / 3.0)
+    angle = np.arccos(np.clip(-0.5 * q[three] / amp ** 3, -1.0, 1.0))
+    roots = (2.0 * amp[:, None]
+             * np.cos((angle[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0)
+             - shift[three, None])
+    root[three] = roots[np.arange(three.size), np.abs(roots).argmax(axis=1)]
+    return root
+
+
+def _root_real_parts(c):
+    """Sorted real parts of the roots of t^d + c[d-1] t^(d-1) + ... + c[0].
+
+    Row by row of c, as (k, d). Degrees 1 to 3 are solved in closed form: a
+    cubic's real root is divided out, and the quotient's two roots are a
+    quadratic's. Higher degrees take the eigenvalues of the batched
+    companion matrices.
+    """
+    k, d = c.shape
+    if d == 1:
+        return -c
+    if d == 2:
+        return np.sort(_quadratic_real_parts(c[:, 1], c[:, 0]), axis=1)
+    if d == 3:
+        r = _cubic_real_root(c)
+        # P / (t - r) = t^2 + b1 t + b0, divided from the leading term,
+        # which keeps b accurate when r is the smaller root in magnitude;
+        # where r^2 > |b0|, the pair's product, from the constant term
+        b1 = c[:, 2] + r
+        b0 = c[:, 1] + r * b1
+        big = r * r > np.abs(b0)
+        b0 = np.divide(-c[:, 0], r, out=b0, where=big)
+        b1 = np.divide(b0 - c[:, 1], r, out=b1, where=big)
+        return np.sort(np.column_stack((r, _quadratic_real_parts(b1, b0))),
+                       axis=1)
+    companion = np.zeros((k, d, d))
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -c
+    return np.sort(np.linalg.eigvals(companion).real, axis=1)
 
 
 def _clip_runs(sy: Sample, scores, weights):
@@ -202,9 +279,12 @@ def _clip_runs(sy: Sample, scores, weights):
 
     Slice i's raw series 1 + weights[i] @ table is a polynomial P_i of
     degree m in the standardized mid-rank t of Y, because the three-term
-    recurrence builds each T_j as a polynomial of degree j in t. Between the real roots of P_i' it is
-    monotone, so each such piece clips at most one run of atoms, at one end
-    of it, found by bisection on the table values themselves. Returns
+    recurrence builds each T_j as a polynomial of degree j in t. Between
+    the real roots of P_i' it is monotone, so each such piece clips at most
+    one run of atoms, at one end of it, found by bisection on the table
+    values themselves. Up to order 4, P_i' has degree 3 at most and its
+    roots come in closed form (`_root_real_parts`); above that, from one
+    batched eigenvalue call on the companion matrices. Returns
     (start, stop, served): runs [start, stop) of shape (k, max(m, 1)) in
     atom order (empty where start == stop), and a mask that is false for
     the slices whose P_i' has a leading coefficient too small for its
@@ -224,13 +304,10 @@ def _clip_runs(sy: Sample, scores, weights):
         deriv = (weights[near] @ mono[1:].T) * np.arange(1, m + 1)
         lead = deriv[:, -1]
         trusted = np.abs(lead) > _LEAD_TOL * np.abs(deriv).max(axis=1)
-        companion = np.zeros((near.size, m - 1, m - 1))
-        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
-        companion[:, :, -1] = (-deriv[:, :-1]
-                               / np.where(trusted, lead, 1.0)[:, None])
         # every root's real part splits: a cut inside a monotone piece is
         # harmless, a missed one is not
-        roots = np.sort(np.linalg.eigvals(companion).real, axis=1)
+        roots = _root_real_parts(deriv[:, :-1]
+                                 / np.where(trusted, lead, 1.0)[:, None])
         cuts[near] = np.searchsorted(t, roots)
         served[near] = trusted
         weights = weights * served[:, None]  # runs of rows not served: none

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from lpstats import (cli, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
+from lpstats import compdensity as cdmod
 from lpstats import twosample as tsmod
 from lpstats.cli import ingest_csv, main
 from lpstats.errors import (
@@ -285,6 +286,18 @@ class TestOrderBound:
         args = cli.build_parser().parse_args(
             ["describe", "--col", "GAG", "--order", str(cli.MAX_ORDER)])
         assert args.order == cli.MAX_ORDER
+
+    def test_fit_stops_at_the_l2_cap(self, capsys):
+        cap = cdmod.L2_ORDER_CAP
+        # BIC keeps few enough terms for the maxent cap (AIC keeps 7 here)
+        assert main(["fit", "--col", "GAG", "--g", "normal", "--order",
+                     str(cap), "--select", "bic"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--col", "GAG", "--g", "normal", "--data",
+                  "no-such-file.csv", "--order", str(cap + 1)])
+        assert exc.value.code == 2
+        assert f"--order: must be at most {cap}" in capsys.readouterr().err
 
 
 class TestOptionSurface:

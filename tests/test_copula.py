@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -488,6 +488,103 @@ class TestPolynomialCurves:
         calls.clear()
         quantile_curves(wide, wide.sx.fmid, [0.5])
         assert len(calls) == wide.sx.r
+
+
+class TestFirstTrue:
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 70),
+                              st.integers(-5, 130)), min_size=1))
+    def test_matches_a_scan_of_each_range(self, ranges):
+        lo, width, threshold = map(np.array, zip(*ranges))
+        hi = lo + width
+        got = cpmod._first_true(lo, hi, lambda e: e >= threshold)
+        # the first e in [lo, hi) with e >= threshold, else hi
+        assert_array_equal(got, np.clip(threshold, lo, hi))
+
+
+@st.composite
+def derivative_polys(draw):
+    """A slice's P' of degree 1 to 3 with known roots, and atoms t.
+
+    Returns (t, coefficients from the constant up, the real parts of the
+    roots, tol). Roots lie among the atoms, some exactly on one; at most
+    two cluster, as a double, near-double or complex pair. With `far`, one
+    root sits so far out that P' has a leading coefficient just above the
+    `_LEAD_TOL` share that `_clip_runs` trusts. tol bounds the round-off
+    of each root, relative to 1 + |root|: 1e-6 in a cluster, whose roots
+    are conditioned to about sqrt(eps), and 1e-10 elsewhere.
+    """
+    t = np.unique(draw(st.lists(st.floats(-2.0, 2.0), min_size=1,
+                                max_size=40)))
+    near_t = st.one_of(st.floats(-2.5, 2.5), st.sampled_from(t.tolist()))
+    degree = draw(st.integers(1, 3))
+    far = draw(st.booleans())
+    n = degree - far
+    pair = draw(st.sampled_from(["double", "near double", "complex"])) \
+        if n >= 2 and draw(st.booleans()) else None
+    roots = [complex(draw(near_t)) for _ in range(n - 2 * bool(pair))]
+    if pair:
+        a = draw(near_t)
+        gap = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+        b = draw(st.floats(1e-8, 2.0))
+        roots += {"double": [a, a], "near double": [a, a + gap],
+                  "complex": [complex(a, b), complex(a, -b)]}[pair]
+    gaps = [abs(u - v) for i, u in enumerate(roots) for v in roots[:i]]
+    # three clustered roots would be ill-conditioned to eps^(1/3)
+    assume(sum(g < 1e-2 for g in gaps) <= 1)
+    clustered = any(g < 1e-2 for g in gaps)
+    if far:
+        q = np.polynomial.polynomial.polyfromroots(roots).real
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        roots.append(sign / (2.0 * cpmod._LEAD_TOL * np.abs(q).max()))
+    coef = np.polynomial.polynomial.polyfromroots(roots).real
+    coef = coef * draw(st.sampled_from([1.0, -3.5, 1e-6, 2e5]))
+    assume(abs(coef[-1]) > cpmod._LEAD_TOL * np.abs(coef).max())
+    real = np.sort([z.real for z in roots])
+    tol = (1e-6 if clustered else 1e-10) * (1.0 + np.abs(real))
+    return t, coef, real, tol
+
+
+class TestRootStep:
+    """Closed-form real parts of the roots of P' against truth and LAPACK."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(derivative_polys())
+    # a double root on an atom
+    @example((np.array([-1.9957646545847862, 1.8868410777386027]),
+              np.array([26.304013618969883, 12.419067174670818,
+                        -7.366408810008394, -3.5]),
+              np.array([-1.9957646545847862, -1.9957646545847862,
+                        1.8868410777386027]),
+              np.full(3, 3e-6)))
+    def test_closed_forms_match_the_roots_and_the_companion_cuts(self, case):
+        t, coef, real, tol = case
+        c = (coef[:-1] / coef[-1])[None, :]
+        got = cpmod._root_real_parts(c)[0]
+        assert np.all(np.abs(got - real) <= tol)
+        d = c.shape[1]
+        companion = np.eye(d, k=-1)
+        companion[:, -1] = -c[0]
+        ref = np.sort(np.linalg.eigvals(companion).real)
+        # LAPACK's own round-off grows with the companion's norm
+        slack = tol + 64 * np.finfo(float).eps * (1.0 + np.abs(c).max())
+        cut, ref_cut = np.searchsorted(t, got), np.searchsorted(t, ref)
+        for i in np.flatnonzero(cut != ref_cut):
+            between = t[min(cut[i], ref_cut[i]):max(cut[i], ref_cut[i])]
+            assert np.all(np.abs(between - real[i]) <= slack[i])
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_companion_eigenvalues_only_above_order_four(self, order):
+        x = np.arange(80.0)
+        y = np.where(x < 40, x, 120.0 - 2.0 * x) + (np.arange(80) % 7)
+        mod = fit_copula(x, y, order=order, rule="none")
+        with mock.patch.object(np.linalg, "eigvals",
+                               wraps=np.linalg.eigvals) as eigvals, \
+                mock.patch.object(cpmod, "_root_real_parts",
+                                  wraps=cpmod._root_real_parts) as roots:
+            quantile_curves(mod, mod.sx.fmid, [0.5])
+        # from order 2 on, some slice comes near the floor and needs roots
+        assert roots.call_count == (order >= 2)
+        assert eigvals.call_count == (order == 5)
 
 
 def loop_modes(density, values):
