@@ -42,7 +42,7 @@ from .scores import build_score_basis
 __all__ = ["Dataset", "ingest_csv", "main"]
 
 SCHEMA_VERSION = "1"
-MAX_GRID = 1000  # bound on --grid: depend evaluates grid**2 copula cells
+MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
 
@@ -353,7 +353,7 @@ def cmd_cquantile(args):
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
     us = mod.sx.fmid
     means, table = cpmod.quantile_curves(mod, us, args.p)
-    quantiles = {f"{p:.10g}": table[:, j] for j, p in enumerate(args.p)}
+    quantiles = {_num(p): table[:, j] for j, p in enumerate(args.p)}
     extreme = []
     for u in (0.05, 0.95):
         count, where = cpmod.slice_modes(mod, u)
@@ -477,8 +477,11 @@ def _prob_list(text):
         raise argparse.ArgumentTypeError(str(e))
     if not ps or any(not 0.0 < p < 1.0 for p in ps):
         raise argparse.ArgumentTypeError(
-            "probabilities must lie strictly between 0 and 1"
-        )
+            "probabilities must lie strictly between 0 and 1")
+    if len(ps) > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"at most {MAX_GRID} probabilities")
+    if len(set(map(_num, ps))) < len(ps):
+        raise argparse.ArgumentTypeError("probabilities share a column label")
     return ps
 
 

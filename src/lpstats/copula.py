@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .empirical import (Sample, _scalar_or_array, _unit_open, make_sample,
                         mid_quantile)
@@ -42,15 +43,13 @@ __all__ = [
 
 _CLIP = 1e-6
 _MIN_MASS = 1e-3
-# quantile_curves works from the monomial form of Y's scores up to this
-# order: fitted to the score table it stays within 2e-12 there (continuous
-# n = 314 to 1e5), and clip runs matched the dense table cell for cell up
-# to order 14.
-_POLY_CAP = 10
-# A slice whose P_u' has a leading coefficient below this share of its
-# largest one goes to the dense slice: companion roots went wrong at 1e-16,
-# and the closed forms divide by the same coefficient.
+# A slice whose P_u' has a leading Chebyshev coefficient below this share of
+# its largest one goes to the dense slice: the closed forms and the colleague
+# matrix divide by it, and at round-off size its roots are noise.
 _LEAD_TOL = 1e-12
+# Row j holds the monomial coefficients of the Chebyshev polynomial T_j.
+_CHEB_TO_MONO = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 2, 0],
+                          [0, -3, 0, 4]])
 
 
 @dataclass(frozen=True)
@@ -244,54 +243,57 @@ def _cubic_real_root(c):
 
 
 def _root_real_parts(c):
-    """Sorted real parts of the roots of t^d + c[d-1] t^(d-1) + ... + c[0].
+    """Sorted real parts of the roots of T_d + c[d-1] T_(d-1) + ... + c[0] T_0.
 
-    Row by row of c, as (k, d). Degrees 1 to 3 are solved in closed form: a
-    cubic's real root is divided out, and the quotient's two roots are a
-    quadratic's. Higher degrees take the eigenvalues of the batched
-    companion matrices.
+    Row by row of c, as (k, d), T_j Chebyshev. Degrees 1 to 3 are solved in
+    closed form from the monomial coefficients: a cubic's real root is
+    divided out, the quotient's two roots are a quadratic's. Higher degrees
+    take the eigenvalues of batched colleague matrices (`chebcompanion`).
     """
     k, d = c.shape
+    if d > 3:
+        colleague = np.zeros((k, d, d))
+        i = np.arange(d - 1)
+        colleague[:, i, i + 1] = colleague[:, i + 1, i] = 0.5
+        colleague[:, 0, 1] = colleague[:, 1, 0] = np.sqrt(0.5)
+        colleague[:, :, -1] -= c * np.r_[np.sqrt(0.5), np.full(d - 1, 0.5)]
+        return np.sort(np.linalg.eigvals(colleague).real, axis=1)
+    # the monic monomial form: T_d leads with 2^(d-1) t^d
+    c = (c @ _CHEB_TO_MONO[:d, :d] + _CHEB_TO_MONO[d, :d]) / 2.0 ** (d - 1)
     if d == 1:
         return -c
     if d == 2:
         return np.sort(_quadratic_real_parts(c[:, 1], c[:, 0]), axis=1)
-    if d == 3:
-        r = _cubic_real_root(c)
-        # P / (t - r) = t^2 + b1 t + b0, divided from the leading term,
-        # which keeps b accurate when r is the smaller root in magnitude;
-        # where r^2 > |b0|, the pair's product, from the constant term
-        b1 = c[:, 2] + r
-        b0 = c[:, 1] + r * b1
-        big = r * r > np.abs(b0)
-        b0 = np.divide(-c[:, 0], r, out=b0, where=big)
-        b1 = np.divide(b0 - c[:, 1], r, out=b1, where=big)
-        return np.sort(np.column_stack((r, _quadratic_real_parts(b1, b0))),
-                       axis=1)
-    companion = np.zeros((k, d, d))
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, :, -1] = -c
-    return np.sort(np.linalg.eigvals(companion).real, axis=1)
+    r = _cubic_real_root(c)
+    # P / (t - r) = t^2 + b1 t + b0, divided from the leading term, which
+    # keeps b accurate when r is the smaller root in magnitude; where
+    # r^2 > |b0|, the pair's product, from the constant term
+    b1 = c[:, 2] + r
+    b0 = c[:, 1] + r * b1
+    big = r * r > np.abs(b0)
+    b0 = np.divide(-c[:, 0], r, out=b0, where=big)
+    b1 = np.divide(b0 - c[:, 1], r, out=b1, where=big)
+    return np.sort(np.column_stack((r, _quadratic_real_parts(b1, b0))),
+                   axis=1)
 
 
 def _clip_runs(sy: Sample, scores, weights):
     """Atom runs where each slice's raw series falls below the clip floor.
 
     Slice i's raw series 1 + weights[i] @ table is a polynomial P_i of
-    degree m in the standardized mid-rank t of Y, because the three-term
-    recurrence builds each T_j as a polynomial of degree j in t. Between
-    the real roots of P_i' it is monotone, so each such piece clips at most
-    one run of atoms, at one end of it, found by bisection on the table
-    values themselves. Up to order 4, P_i' has degree 3 at most and its
-    roots come in closed form (`_root_real_parts`); above that, from one
-    batched eigenvalue call on the companion matrices. Returns
-    (start, stop, served): runs [start, stop) of shape (k, max(m, 1)) in
-    atom order (empty where start == stop), and a mask that is false for
-    the slices whose P_i' has a leading coefficient too small for its
-    roots to be trusted (their runs are left empty).
+    degree m in s, Y's mid-distribution mapped onto [-1, 1], because the
+    three-term recurrence builds each T_j as a polynomial of degree j in
+    it. Y's scores, fitted in Chebyshev polynomials of s (accurate at every
+    order the basis allows), give P_i' as a Chebyshev series. Between its
+    real roots (`_root_real_parts`) P_i is monotone, so each such piece
+    clips at most one run of atoms, at one end of it, found by bisection on
+    the table values themselves. Returns (start, stop, served): runs
+    [start, stop) of shape (k, max(m, 1)) in atom order (empty where
+    start == stop), and a mask that is false for the slices whose P_i' has
+    a leading coefficient too small for its roots to be trusted (their runs
+    are left empty).
     """
     k, m = weights.shape
-    t = (sy.fmid - 0.5) / np.sqrt(sy.mid_rank_variance)
     served = np.ones(k, dtype=bool)
     cuts = np.full((k, max(m - 1, 0)), sy.r)
     # |P_i - 1| <= sum_j |w_ij| max|T_j|, so only slices past that bound
@@ -299,16 +301,16 @@ def _clip_runs(sy: Sample, scores, weights):
     near = np.flatnonzero(np.abs(weights) @ np.abs(scores).max(axis=0)
                           >= 1.0 - _CLIP)
     if m >= 2 and near.size:
-        vander = np.vander(t, m + 1, increasing=True)
-        mono = np.linalg.lstsq(vander, scores, rcond=None)[0]
-        deriv = (weights[near] @ mono[1:].T) * np.arange(1, m + 1)
+        s = 2.0 * (sy.fmid - sy.fmid[0]) / (sy.fmid[-1] - sy.fmid[0]) - 1.0
+        cheb = np.linalg.lstsq(chebvander(s, m), scores, rcond=None)[0]
+        deriv = weights[near] @ chebder(cheb).T
         lead = deriv[:, -1]
         trusted = np.abs(lead) > _LEAD_TOL * np.abs(deriv).max(axis=1)
         # every root's real part splits: a cut inside a monotone piece is
         # harmless, a missed one is not
         roots = _root_real_parts(deriv[:, :-1]
                                  / np.where(trusted, lead, 1.0)[:, None])
-        cuts[near] = np.searchsorted(t, roots)
+        cuts[near] = np.searchsorted(s, roots)
         served[near] = trusted
         weights = weights * served[:, None]  # runs of rows not served: none
     start = np.concatenate([np.zeros((k, 1), np.intp), cuts], axis=1)
@@ -422,10 +424,9 @@ def quantile_curves(mod: CopulaModel, us, ps):
     (see `_clip_runs`): prefix sums of the score table give each slice's
     CDF and mean in O(m) per value, clipped runs are located exactly, and
     the CDF is inverted by bisection over the atom index. A call costs
-    O(r_y m^2 + r_x m^3 + r_x |p| m log r_y), not O(r_x r_y m). Above order
-    `_POLY_CAP`, and for a slice whose derivative loses its leading term,
-    the slice is built densely by `conditional_slice` instead. One
-    mid-quantile call maps every level.
+    O(r_y m^2 + r_x m^3 + r_x |p| m log r_y), not O(r_x r_y m), at every
+    order. Only a slice whose derivative loses its leading term is built
+    densely by `conditional_slice`. One mid-quantile call maps every level.
     """
     us = _unit_open(us, "conditioning level")
     ps = np.ravel(_unit_open(ps, "quantile probability"))
@@ -434,16 +435,12 @@ def quantile_curves(mod: CopulaModel, us, ps):
     weights = su.T @ mod.coefficients
     used = np.flatnonzero(weights.any(axis=0))
     m = used[-1] + 1 if used.size else 0
-    if m <= _POLY_CAP:
-        means, levels, mass, served = _poly_curves(
-            sy, mod.by.table[:m], weights[:, :m], ps)
-        low = np.flatnonzero(served & (mass < _MIN_MASS))
-        if low.size:
-            raise DegenerateSlice(f"slice at u={us[low[0]]:g} carries mass "
-                                  f"{mass[low[0]]:.2e}")
-    else:
-        means, levels = np.empty(us.size), np.empty((us.size, ps.size))
-        served = np.zeros(us.size, dtype=bool)
+    means, levels, mass, served = _poly_curves(
+        sy, mod.by.table[:m], weights[:, :m], ps)
+    low = np.flatnonzero(served & (mass < _MIN_MASS))
+    if low.size:
+        raise DegenerateSlice(f"slice at u={us[low[0]]:g} carries mass "
+                              f"{mass[low[0]]:.2e}")
     for i in np.flatnonzero(~served):
         sl = conditional_slice(mod, us[i])
         means[i] = float((sy.masses * sl.density) @ sy.values)

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from lpstats import (cli, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
 from lpstats import compdensity as cdmod
+from lpstats import copula as cpmod
 from lpstats import twosample as tsmod
 from lpstats.cli import ingest_csv, main
 from lpstats.errors import (
@@ -254,6 +255,38 @@ class TestExitCodes:
                   "--p", "0.5,1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("ps", ["0.1,0.10000000001,0.9", "0.5,0.5"])
+    def test_probabilities_with_one_label_are_usage_error(self, ps, capsys):
+        # each labels a quantile column; a second would overwrite the first
+        with pytest.raises(SystemExit) as exc:
+            main(["cquantile", "--x", "Age", "--y", "GAG", "--p", ps])
+        assert exc.value.code == 2
+        assert "--p: probabilities share a column label" in \
+            capsys.readouterr().err
+
+
+class TestProbabilityBound:
+    """--p holds at most MAX_GRID values; each is a quantile per slice."""
+
+    @staticmethod
+    def probabilities(count):
+        return ",".join(str((i + 1) / (count + 1)) for i in range(count))
+
+    def test_the_bound_itself_parses(self):
+        args = cli.build_parser().parse_args(
+            ["cquantile", "--x", "Age", "--y", "GAG", "--p",
+             self.probabilities(cli.MAX_GRID)])
+        assert len(args.p) == cli.MAX_GRID
+
+    def test_one_past_the_bound_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cquantile", "--x", "Age", "--y", "GAG", "--data",
+                  "no-such-file.csv", "--p",
+                  self.probabilities(cli.MAX_GRID + 1)])
+        assert exc.value.code == 2
+        assert f"--p: at most {cli.MAX_GRID} probabilities" in \
+            capsys.readouterr().err
+
 
 class TestGridBound:
     """--grid is bounded at parse time; depend allocates grid**2 cells."""
@@ -298,6 +331,29 @@ class TestOrderBound:
                   "no-such-file.csv", "--order", str(cap + 1)])
         assert exc.value.code == 2
         assert f"--order: must be at most {cap}" in capsys.readouterr().err
+
+
+class TestHighOrderCurves:
+    """cquantile serves every slice from one path at any order."""
+
+    def test_order_20_builds_no_dense_curve_slice(self, tmp_path,
+                                                   monkeypatch):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal(20000)
+        y = np.sin(2.0 * x) + 0.3 * rng.standard_normal(x.size)
+        f = tmp_path / "wide.csv"
+        np.savetxt(f, np.column_stack((x, y)), delimiter=",", header="x,y",
+                   comments="")
+        calls = []
+        dense = cpmod.conditional_slice
+        monkeypatch.setattr(cpmod, "conditional_slice",
+                            lambda mod, u: calls.append(u) or dense(mod, u))
+        code, _ = run_cli(["cquantile", "--x", "x", "--y", "y", "--data",
+                           str(f), "--order", "20", "--select", "none"])
+        assert code == 0
+        # only slice_modes' two extreme slices, no curve slice: the dense
+        # loop would cost r_x r_y m = 8e9 operations here
+        assert calls == [0.05, 0.95]
 
 
 class TestOptionSurface:

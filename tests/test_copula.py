@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebroots, poly2cheb
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpstats import (
@@ -24,6 +25,7 @@ from lpstats import (
     slice_modes,
 )
 from lpstats import copula as cpmod
+from lpstats.cli import MAX_ORDER
 from lpstats.copula import _slice_levels
 from lpstats.errors import DomainError
 from lpstats.scores import ScoreBasis
@@ -401,13 +403,13 @@ def loop_curves(mod, us, ps):
 
 @st.composite
 def curve_models(draw):
-    """Tied fits up to one order past the polynomial cap, some reshaped.
+    """Tied fits at every order the CLI accepts, some reshaped.
 
     "tangent" rescales the comoments so that one slice's lowest raw value
     sits just above or below the 1e-6 floor; "zero" gives one slice all-zero
     weights by zeroing its column of X's score table.
     """
-    mod = draw(tied_models(max_order=cpmod._POLY_CAP + 1))
+    mod = draw(tied_models(max_order=MAX_ORDER))
     i = draw(st.integers(0, mod.sx.r - 1))
     shape = draw(st.sampled_from(["fit", "tangent", "zero"]))
     if shape == "tangent":
@@ -483,11 +485,12 @@ class TestPolynomialCurves:
                                 bx=ScoreBasis(mod.sx, 4, table, False)),
                         mod.sx.fmid, [0.5])
         assert calls == [mod.sx.fmid[4]]
-        wide = fit_copula(x, np.arange(60.0), order=cpmod._POLY_CAP + 1,
-                          rule="none")
+        # high orders take the same path, with no dense slice
         calls.clear()
-        quantile_curves(wide, wide.sx.fmid, [0.5])
-        assert len(calls) == wide.sx.r
+        for order in (11, 20):
+            wide = fit_copula(x, np.arange(60.0), order=order, rule="none")
+            quantile_curves(wide, wide.sx.fmid, [0.5])
+        assert calls == []
 
 
 class TestFirstTrue:
@@ -508,7 +511,7 @@ def derivative_polys(draw):
     Returns (t, coefficients from the constant up, the real parts of the
     roots, tol). Roots lie among the atoms, some exactly on one; at most
     two cluster, as a double, near-double or complex pair. With `far`, one
-    root sits so far out that P' has a leading coefficient just above the
+    root sits so far out that P' has a leading coefficient near the
     `_LEAD_TOL` share that `_clip_runs` trusts. tol bounds the round-off
     of each root, relative to 1 + |root|: 1e-6 in a cluster, whose roots
     are conditioned to about sqrt(eps), and 1e-10 elsewhere.
@@ -545,7 +548,7 @@ def derivative_polys(draw):
 
 
 class TestRootStep:
-    """Closed-form real parts of the roots of P' against truth and LAPACK."""
+    """Real parts of the roots of P' against truth, LAPACK and numpy."""
 
     @settings(deadline=None, max_examples=500)
     @given(derivative_polys())
@@ -558,9 +561,10 @@ class TestRootStep:
               np.full(3, 3e-6)))
     def test_closed_forms_match_the_roots_and_the_companion_cuts(self, case):
         t, coef, real, tol = case
-        c = (coef[:-1] / coef[-1])[None, :]
-        got = cpmod._root_real_parts(c)[0]
+        cheb = poly2cheb(coef)
+        got = cpmod._root_real_parts((cheb[:-1] / cheb[-1])[None, :])[0]
         assert np.all(np.abs(got - real) <= tol)
+        c = (coef[:-1] / coef[-1])[None, :]
         d = c.shape[1]
         companion = np.eye(d, k=-1)
         companion[:, -1] = -c[0]
@@ -572,8 +576,19 @@ class TestRootStep:
             between = t[min(cut[i], ref_cut[i]):max(cut[i], ref_cut[i])]
             assert np.all(np.abs(between - real[i]) <= slack[i])
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(4, MAX_ORDER - 1).flatmap(lambda d: st.lists(
+        st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d),
+        min_size=1, max_size=4)))
+    def test_batched_colleague_roots_match_chebroots(self, rows):
+        c = np.array(rows)
+        got = cpmod._root_real_parts(c)
+        for row, real in zip(c, got):
+            ref = np.sort(chebroots(np.append(row, 1.0)).real)
+            assert np.all(np.abs(real - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_companion_eigenvalues_only_above_order_four(self, order):
+    def test_colleague_eigenvalues_only_above_order_four(self, order):
         x = np.arange(80.0)
         y = np.where(x < 40, x, 120.0 - 2.0 * x) + (np.arange(80) % 7)
         mod = fit_copula(x, y, order=order, rule="none")
