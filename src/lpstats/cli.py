@@ -10,9 +10,9 @@ reference family, MaxEnt parameters, skew-G density grid), `twosample`
 `bayes-update` (conjugate-normal posterior from summary flags).
 
 Output is reproducible byte for byte: floats are rendered with %.10g,
-key order is fixed, and no subcommand draws random numbers; --seed is
-only echoed into command.seed. Exit codes: 0 success, 2 input problems
-(files, columns, flag values), 3 computation failures.
+key order is fixed, and no subcommand draws random numbers. Exit codes:
+0 success, 2 input problems (files, columns, flag values), 3 computation
+failures.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .scores import build_score_basis
 
 __all__ = ["Dataset", "ingest_csv", "main"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
@@ -499,8 +499,6 @@ def _add_options(sub, *flags):
                        help=f"grid size, 1..{MAX_GRID} (default %(default)s)"),
         "--select": dict(choices=["aic", "bic", "none"], default="aic",
                          help="coefficient selection rule"),
-        "--seed": dict(type=int, default=42,
-                       help="only echoed, as command.seed (default 42)"),
         "--format": dict(choices=["json", "csv"], default="json"),
         "--out": dict(default=None, help="write output to a file"),
     }
@@ -567,12 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bayes_update)
 
     for p in subs.choices.values():  # the envelope's options
-        _add_options(p, "--seed", "--format", "--out")
+        _add_options(p, "--format", "--out")
 
     return parser
 
 
-_ECHO_SKIP = {"handler", "command", "format", "out", "seed"}
+_ECHO_SKIP = {"handler", "command", "format", "out"}
 
 
 def _echo_args(args) -> dict:
@@ -592,7 +590,6 @@ def main(argv=None) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": {
                 "name": args.command,
-                "seed": args.seed,
                 "args": _echo_args(args),
             },
             "payload": payload,

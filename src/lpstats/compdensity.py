@@ -327,7 +327,7 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
     """Evaluate the fitted comparison density at u in [0, 1].
 
     Flavors: "l2" is the raw series (can go negative), "l2_clipped"
-    floors it at 1e-6 and renormalizes by quadrature, "maxent" is the
+    floors it at CLIP_FLOOR and renormalizes by quadrature, "maxent" is the
     exponential model and needs `maxent_fit` to have run.
     """
     _unit_open(u, "comparison density level", closed_left=True,
@@ -380,6 +380,8 @@ def simulate_skew_g(mod: CompDensityModel, count: int, seed) -> np.ndarray:
     envelope C taken as the density maximum over a 4096-point grid times
     a 1.001 safety factor.
     """
+    if count < 0:
+        raise DomainError(f"draw count {count} is negative")
     count = int(count)
     flavor = _best_flavor(mod)
     grid = (np.arange(4096) + 0.5) / 4096.0
@@ -388,8 +390,7 @@ def simulate_skew_g(mod: CompDensityModel, count: int, seed) -> np.ndarray:
         raise UnboundedDensity(f"envelope {peak:.3e} beyond 1e6")
     envelope = peak * 1.001
     rng = np.random.default_rng(seed)
-    keep = []
-    kept = 0
+    keep, kept = [np.empty(0)], 0
     while kept < count:
         u = rng.random(4096)
         v = rng.random(4096)

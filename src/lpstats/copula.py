@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
+from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _scalar_or_array, _unit_open, make_sample,
                         mid_quantile)
-from .errors import DegenerateSlice, LengthMismatch
+from .errors import DegenerateSlice, DomainError, LengthMismatch
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -41,7 +42,6 @@ __all__ = [
     "series_regression",
 ]
 
-_CLIP = 1e-6
 _MIN_MASS = 1e-3
 # A slice whose P_u' has a leading Chebyshev coefficient below this share of
 # its largest one goes to the dense slice: the closed forms and the colleague
@@ -102,7 +102,7 @@ def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
 def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     """Copula density series at (u, v), elementwise over broadcast inputs.
 
-    The raw series may be negative; `clipped` floors it at 1e-6 (no
+    The raw series may be negative; `clipped` floors it at CLIP_FLOOR (no
     renormalization, the full series already integrates to 1).
     """
     ua = _unit_open(u, "copula arguments")
@@ -113,7 +113,7 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     sv = mod.by.table[:, mod.by.source.atom_at_level(vv.ravel())]
     out = 1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
     if clipped:
-        out = np.maximum(out, _CLIP)
+        out = np.maximum(out, CLIP_FLOOR)
     out = out.reshape(uv.shape)
     return float(out.ravel()[0]) if scalar else out
 
@@ -124,7 +124,7 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
     weights = mod.coefficients.T @ su
     raw = 1.0 + weights @ mod.by.table
-    clipped = np.maximum(raw, _CLIP)
+    clipped = np.maximum(raw, CLIP_FLOOR)
     mass = float(mod.sy.masses @ clipped)
     if mass < _MIN_MASS:
         raise DegenerateSlice(f"slice at u={u:g} carries mass {mass:.2e}")
@@ -299,7 +299,7 @@ def _clip_runs(sy: Sample, scores, weights):
     # |P_i - 1| <= sum_j |w_ij| max|T_j|, so only slices past that bound
     # can clip; the others keep one piece and no run
     near = np.flatnonzero(np.abs(weights) @ np.abs(scores).max(axis=0)
-                          >= 1.0 - _CLIP)
+                          >= 1.0 - CLIP_FLOOR)
     if m >= 2 and near.size:
         s = 2.0 * (sy.fmid - sy.fmid[0]) / (sy.fmid[-1] - sy.fmid[0]) - 1.0
         cheb = np.linalg.lstsq(chebvander(s, m), scores, rcond=None)[0]
@@ -317,7 +317,7 @@ def _clip_runs(sy: Sample, scores, weights):
     stop = np.concatenate([cuts, np.full((k, 1), sy.r, np.intp)], axis=1)
 
     def clipped(w, idx):
-        return 1.0 + _dot_at(w, scores, idx) < _CLIP
+        return 1.0 + _dot_at(w, scores, idx) < CLIP_FLOOR
 
     # a monotone piece with one clipped end clips a prefix or a suffix of it
     first = clipped(weights, np.minimum(start, sy.r - 1))
@@ -363,7 +363,7 @@ def _poly_curves(sy: Sample, table, weights, ps):
         def unclipped(e):
             return _dot_at(series, zt, e)
 
-        fix = (_CLIP * (z[stop] - z[start])
+        fix = (CLIP_FLOOR * (z[stop] - z[start])
                - (unclipped(stop) - unclipped(start)))
         before = np.concatenate((np.zeros((k, 1)), np.cumsum(fix, axis=1)),
                                 axis=1)
@@ -378,10 +378,11 @@ def _poly_curves(sy: Sample, table, weights, ps):
     # clipped CDF at the run ends: edges 2q and 2q + 1 are run q's start
     # and stop, the last edge is r
     at_start = unclipped(start) + before[:, :-1]
-    at_stop = at_start + _CLIP * (z[stop] - z[start])
+    at_stop = at_start + CLIP_FLOOR * (z[stop] - z[start])
+    width = 2 * start.shape[1]  # not -1: numpy cannot infer it at k = 0
     edges = np.concatenate(
-        (np.stack((start, stop), -1).reshape(k, -1), full), axis=1)
-    cdf = np.concatenate((np.stack((at_start, at_stop), -1).reshape(k, -1),
+        (np.stack((start, stop), -1).reshape(k, width), full), axis=1)
+    cdf = np.concatenate((np.stack((at_start, at_stop), -1).reshape(k, width),
                           mass), axis=1) / mass
     # p lies between edges j - 1 and j: inside run j // 2 for odd j, else
     # past j // 2 runs on unclipped atoms
@@ -394,11 +395,12 @@ def _poly_curves(sy: Sample, table, weights, ps):
     q, in_run = j // 2, j % 2 == 1
     run = np.minimum(q, start.shape[1] - 1)
     # there the clipped CDF is coef @ zt[e] + base: the floor's mass
-    # CLIP * z[e] inside a run, the unclipped series outside
-    base = np.where(in_run, at_start[rows, run] - _CLIP * z[start[rows, run]],
+    # CLIP_FLOOR * z[e] inside a run, the unclipped series outside
+    base = np.where(in_run,
+                    at_start[rows, run] - CLIP_FLOOR * z[start[rows, run]],
                     before[rows, q])
     coef = np.where(in_run[..., None],
-                    _CLIP * (np.arange(terms.shape[1]) == 0),
+                    CLIP_FLOOR * (np.arange(terms.shape[1]) == 0),
                     series[:, None, :])
 
     def above_base(e):
@@ -407,9 +409,11 @@ def _poly_curves(sy: Sample, table, weights, ps):
     upper, lower = edges[rows, j], lows[rows, j] + 1
     rest = ps * mass - base
     atom = _first_true(lower, upper, lambda e: above_base(e) >= rest) - 1
-    density = np.maximum(_dot_at(series, terms, atom), _CLIP) / mass
-    level = (sy.cdf[atom] - sy.masses[atom]
-             + (ps - (above_base(atom) + base) / mass) / density)
+    density = np.maximum(_dot_at(series, terms, atom), CLIP_FLOOR) / mass
+    # round-off over a near-floor density must not leave the atom's interval
+    low = sy.cdf[atom] - sy.masses[atom]
+    level = np.clip(low + (ps - (above_base(atom) + base) / mass) / density,
+                    low, sy.cdf[atom])
     level = np.clip(level, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
     return means, level, mass[:, 0], served
 
@@ -471,6 +475,8 @@ def simulate_conditional(mod: CopulaModel, u: float, count: int,
     (`_slice_levels`) and then the mid-quantile of Y; deterministic for a
     fixed seed.
     """
+    if count < 0:
+        raise DomainError(f"draw count {count} is negative")
     sl = conditional_slice(mod, u)
     ps = np.random.default_rng(seed).random(int(count))
     return mid_quantile(mod.sy, _slice_levels(mod.sy, sl, ps))

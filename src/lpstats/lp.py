@@ -20,7 +20,7 @@ import numpy as np
 from .empirical import Sample, make_sample, mid_ranks
 from .errors import (DegenerateScale, DomainError, LengthMismatch,
                      OrderOutOfRange)
-from .scores import ScoreBasis
+from .scores import ScoreBasis, _check_order
 
 __all__ = [
     "LPMomentVector",
@@ -90,13 +90,7 @@ def lp_moments(s: Sample, b: ScoreBasis, m: int | None = None,
     """LP(j; X) = E[Z(X) T_j(X)] for j = 1..m, with the tail index."""
     if s.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
-    if m is None:
-        m = b.max_order
-    m = int(m)
-    if not 1 <= m <= b.max_order:
-        raise OrderOutOfRange(
-            f"order {m} outside the constructed range 1..{b.max_order}"
-        )
+    m = _check_order(b, b.max_order if m is None else m)
     z = (b.source.values - s.mean) / s.sd
     moments = (b.table[:m] * b.source.masses) @ z
     cumulative = np.cumsum(moments ** 2)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compdensity import CLIP_FLOOR
 from .empirical import Sample, _scalar_or_array, make_sample, mid_ranks
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, NonFiniteValue, SingleGroup)
@@ -282,7 +283,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     lp1k = math.sqrt(tau / (1.0 - tau)) * c
     selected = select_significant(lp1k, sy.n, rule=rule)
     raw = 1.0 + (c * selected) @ by.table
-    clipped = np.maximum(raw, 1e-6)
+    clipped = np.maximum(raw, CLIP_FLOOR)
     mass = float(sy.masses @ clipped)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
                             labels=tuple(labels.tolist()),

@@ -99,16 +99,25 @@ class TestGolden:
 
 
 class TestEnvelope:
-    def test_structure_and_seed_echo(self):
-        code, text = run_cli(["describe", "--col", "GAG", "--seed", "7"])
+    def test_structure(self):
+        code, text = run_cli(["describe", "--col", "GAG"])
         assert code == 0
         assert text.endswith("\n")
         doc = json.loads(text)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
+        assert set(doc) == {"schema_version", "command", "payload",
+                            "warnings"}
+        assert set(doc["command"]) == {"name", "args"}
         assert doc["command"]["name"] == "describe"
-        assert doc["command"]["seed"] == 7
         assert doc["command"]["args"]["col"] == "GAG"
-        assert "payload" in doc and "warnings" in doc
+
+    @pytest.mark.parametrize("name", sorted(set(GOLDEN_CASES)
+                                            - {"describe.csv"}))
+    def test_seed_is_not_an_option(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(GOLDEN_CASES[name] + ["--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_floats_use_ten_significant_digits(self):
         _, text = run_cli(["describe", "--col", "GAG"])
@@ -373,8 +382,7 @@ class TestOptionSurface:
         read.clear()  # drop the parser's own reads
         args.handler(args)
         # the envelope reads these; the handler has no use for them
-        declared = set(vars(args)) - {"handler", "command", "seed",
-                                      "format", "out"}
+        declared = set(vars(args)) - {"handler", "command", "format", "out"}
         assert declared - read == set()
 
     @pytest.mark.parametrize("argv", [
@@ -396,7 +404,7 @@ class TestOptionSurface:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        assert "--format" in capsys.readouterr().out
 
 
 class TestParser:

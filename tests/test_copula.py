@@ -18,10 +18,13 @@ from lpstats import (
     conditional_slice,
     eval_copula,
     fit_copula,
+    fit_reference,
+    l2_fit,
     make_sample,
     quantile_curves,
     series_regression,
     simulate_conditional,
+    simulate_skew_g,
     slice_modes,
 )
 from lpstats import copula as cpmod
@@ -442,10 +445,16 @@ class TestPolynomialCurves:
             means, _ = quantile_curves(mod, us, ps)
         levels = spy.call_args.args[1]
         assert_allclose(means, ref_means, rtol=0, atol=1e-12)
+        # Where p meets the end of an atom clipped to the floor, round-off
+        # divided by its 1e-6 density moves a level by up to ~1e-10 and may
+        # put it on either side of the atom's boundary. Levels are therefore
+        # also compared in probability: by the slice CDF between them.
         gap = np.abs(levels - ref_levels)
-        dens = np.take_along_axis(ref_dens, mod.sy.atom_at_level(levels),
-                                  axis=1)
-        assert np.all((gap <= 1e-10) | (gap * dens <= 1e-14))
+        cdf_gap = np.array([
+            [abs(slice_cdf(mod.sy, d, a) - slice_cdf(mod.sy, d, b))
+             for a, b in zip(row, ref_row)]
+            for d, row, ref_row in zip(ref_dens, levels, ref_levels)])
+        assert np.all((gap <= 1e-10) | (cdf_gap <= 1e-14))
 
         weights = mod.bx.table[:, mod.bx.source.atom_at_level(us)].T \
             @ mod.coefficients
@@ -491,6 +500,14 @@ class TestPolynomialCurves:
             wide = fit_copula(x, np.arange(60.0), order=order, rule="none")
             quantile_curves(wide, wide.sx.fmid, [0.5])
         assert calls == []
+
+    def test_an_empty_grid_gives_empty_curves(self):
+        x = np.arange(60.0) % 13
+        mod = fit_copula(x, (x - 6.0) ** 2 + np.arange(60.0) % 3, order=4,
+                         rule="none")
+        means, table = quantile_curves(mod, [], [0.25, 0.5, 0.75])
+        assert means.shape == (0,) and table.shape == (0, 3)
+        assert means.dtype == table.dtype == float
 
 
 class TestFirstTrue:
@@ -688,6 +705,31 @@ class TestSimulateConditional:
                                minlength=mod.sy.r) / count
             se = np.sqrt(mass * (1.0 - mass) / count)
             assert np.all(np.abs(freq - mass) <= 5.0 * se), (u, freq, mass)
+
+
+class TestDrawCounts:
+    """Both simulators treat a draw count the same way."""
+
+    @pytest.fixture(scope="class")
+    def simulators(self):
+        rng = np.random.default_rng(76)
+        x = random_sample_values(rng, 80)
+        y = random_sample_values(rng, 80)
+        cop = fit_copula(x, y)
+        s = make_sample(y)
+        cd = l2_fit(s, fit_reference("normal", s))
+        return [lambda count: simulate_conditional(cop, 0.4, count, seed=3),
+                lambda count: simulate_skew_g(cd, count, seed=3)]
+
+    def test_zero_draws_are_an_empty_float_array(self, simulators):
+        for simulate in simulators:
+            draws = simulate(0)
+            assert draws.shape == (0,) and draws.dtype == float
+
+    def test_a_negative_count_is_a_domain_error(self, simulators):
+        for simulate in simulators:
+            with pytest.raises(DomainError, match="-1"):
+                simulate(-1)
 
 
 class TestSeriesRegression:
