@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 _MIN_MASS = 1e-3
-# A slice whose P_u' has a leading Chebyshev coefficient below this share of
-# its largest one goes to the dense slice: the closed forms and the colleague
-# matrix divide by it, and at round-off size its roots are noise.
+# Chebyshev coefficients of a slice's P_u' below this share of its largest
+# one are dropped from the top: the closed forms and the colleague matrix
+# divide by the leading one, and at round-off size its roots are noise.
 _LEAD_TOL = 1e-12
 # Row j holds the monomial coefficients of the Chebyshev polynomial T_j.
 _CHEB_TO_MONO = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 2, 0],
@@ -146,19 +146,25 @@ def conditional_mean(mod: CopulaModel, u: float) -> float:
     return float((mod.sy.masses * sl.density) @ mod.sy.values)
 
 
+def _atom_level(sy: Sample, atom, offset):
+    """Each atom's start plus `offset`, clipped to the atom and to (0, 1)."""
+    low = sy.cdf[atom] - sy.masses[atom]
+    # round-off over a near-floor density must not leave the atom
+    level = np.clip(low + offset, low, sy.cdf[atom])
+    return np.clip(level, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+
+
 def _slice_levels(sy: Sample, sl: ConditionalSlice, ps):
     """Levels v at which the slice CDF reaches each p, exactly.
 
     The density is constant on each atom interval, so the CDF is linear
     there: find the interval where the cumulative mass reaches p and
-    interpolate. The clip keeps a p within round-off of 0 or 1 in (0, 1).
+    interpolate.
     """
     mass = sy.masses * sl.density
     cum = np.cumsum(mass)
     k = np.minimum(np.searchsorted(cum, ps, side="left"), sy.r - 1)
-    start = cum[k] - mass[k]
-    level = sy.cdf[k] - sy.masses[k] + (ps - start) / sl.density[k]
-    return np.clip(level, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return _atom_level(sy, k, (ps - (cum[k] - mass[k])) / sl.density[k])
 
 
 def conditional_quantile(mod: CopulaModel, u: float, p: float) -> float:
@@ -284,17 +290,14 @@ def _clip_runs(sy: Sample, scores, weights):
     degree m in s, Y's mid-distribution mapped onto [-1, 1], because the
     three-term recurrence builds each T_j as a polynomial of degree j in
     it. Y's scores, fitted in Chebyshev polynomials of s (accurate at every
-    order the basis allows), give P_i' as a Chebyshev series. Between its
-    real roots (`_root_real_parts`) P_i is monotone, so each such piece
+    order the basis allows), give P_i' as a Chebyshev series, of the degree
+    of its last coefficient above `_LEAD_TOL` times its largest. Between
+    its real roots (`_root_real_parts`) P_i is monotone, so each such piece
     clips at most one run of atoms, at one end of it, found by bisection on
-    the table values themselves. Returns (start, stop, served): runs
-    [start, stop) of shape (k, max(m, 1)) in atom order (empty where
-    start == stop), and a mask that is false for the slices whose P_i' has
-    a leading coefficient too small for its roots to be trusted (their runs
-    are left empty).
+    the table values themselves. Returns runs [start, stop) of shape
+    (k, max(m, 1)) in atom order, empty where start == stop.
     """
     k, m = weights.shape
-    served = np.ones(k, dtype=bool)
     cuts = np.full((k, max(m - 1, 0)), sy.r)
     # |P_i - 1| <= sum_j |w_ij| max|T_j|, so only slices past that bound
     # can clip; the others keep one piece and no run
@@ -304,15 +307,16 @@ def _clip_runs(sy: Sample, scores, weights):
         s = 2.0 * (sy.fmid - sy.fmid[0]) / (sy.fmid[-1] - sy.fmid[0]) - 1.0
         cheb = np.linalg.lstsq(chebvander(s, m), scores, rcond=None)[0]
         deriv = weights[near] @ chebder(cheb).T
-        lead = deriv[:, -1]
-        trusted = np.abs(lead) > _LEAD_TOL * np.abs(deriv).max(axis=1)
-        # every root's real part splits: a cut inside a monotone piece is
-        # harmless, a missed one is not
-        roots = _root_real_parts(deriv[:, :-1]
-                                 / np.where(trusted, lead, 1.0)[:, None])
-        cuts[near] = np.searchsorted(s, roots)
-        served[near] = trusted
-        weights = weights * served[:, None]  # runs of rows not served: none
+        size = np.abs(deriv)
+        big = size > _LEAD_TOL * size.max(axis=1, keepdims=True)
+        degree = (big * np.arange(m)).max(axis=1)
+        # cuts past a row's degree stay at r: its last pieces are empty, and
+        # at degree 0 P_i is monotone. Every root's real part splits: a cut
+        # inside a monotone piece is harmless, a missed one is not
+        for d in set(degree.tolist()) - {0}:
+            rows = np.flatnonzero(degree == d)
+            roots = _root_real_parts(deriv[rows, :d] / deriv[rows, d, None])
+            cuts[near[rows], :d] = np.searchsorted(s, roots)
     start = np.concatenate([np.zeros((k, 1), np.intp), cuts], axis=1)
     stop = np.concatenate([cuts, np.full((k, 1), sy.r, np.intp)], axis=1)
 
@@ -327,7 +331,7 @@ def _clip_runs(sy: Sample, scores, weights):
     w, target = weights[mixed // start.shape[1]], last.flat[mixed]
     edge.flat[mixed] = _first_true(start.flat[mixed], stop.flat[mixed],
                                    lambda e: clipped(w, e) == target)
-    return np.where(first, start, edge), np.where(first, edge, stop), served
+    return np.where(first, start, edge), np.where(first, edge, stop)
 
 
 def _poly_curves(sy: Sample, table, weights, ps):
@@ -337,17 +341,15 @@ def _poly_curves(sy: Sample, table, weights, ps):
     series; each clipped run then swaps its share for the floor's. The
     run ends split each slice's CDF into stretches on which one formula
     holds, p is placed in its stretch, and the atom where the CDF reaches
-    p is found by bisection there. Levels are interpolated as
-    `_slice_levels` does. Returns (means, levels, masses, served); rows
-    not served hold placeholders.
+    p is found by bisection there, and the level inside that atom by
+    `_atom_level`, as in `_slice_levels`. Returns (means, levels, masses).
     """
     k, r = weights.shape[0], sy.r
     scores = np.ascontiguousarray(table.T)
-    start, stop, served = _clip_runs(sy, scores, weights)
+    start, stop = _clip_runs(sy, scores, weights)
     rows, full = np.arange(k)[:, None], np.full((k, 1), r)
-    # raw = [1, weights] @ [1, scores]; rows not served get raw = 1
-    series = np.concatenate((np.ones((k, 1)), weights * served[:, None]),
-                            axis=1)
+    # raw = [1, weights] @ [1, scores]
+    series = np.concatenate((np.ones((k, 1)), weights), axis=1)
     terms = np.concatenate((np.ones((r, 1)), scores), axis=1)
 
     def sums(w):
@@ -410,12 +412,8 @@ def _poly_curves(sy: Sample, table, weights, ps):
     rest = ps * mass - base
     atom = _first_true(lower, upper, lambda e: above_base(e) >= rest) - 1
     density = np.maximum(_dot_at(series, terms, atom), CLIP_FLOOR) / mass
-    # round-off over a near-floor density must not leave the atom's interval
-    low = sy.cdf[atom] - sy.masses[atom]
-    level = np.clip(low + (ps - (above_base(atom) + base) / mass) / density,
-                    low, sy.cdf[atom])
-    level = np.clip(level, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return means, level, mass[:, 0], served
+    offset = (ps - (above_base(atom) + base) / mass) / density
+    return means, _atom_level(sy, atom, offset), mass[:, 0]
 
 
 def quantile_curves(mod: CopulaModel, us, ps):
@@ -424,32 +422,26 @@ def quantile_curves(mod: CopulaModel, us, ps):
     Returns (means, table) where table[i][j] is the p_j conditional
     quantile at u_i. All u and p are checked before any work.
 
-    Every slice is served at once from the polynomial form of Y's scores
+    Every slice is read at once off the polynomial form of Y's scores
     (see `_clip_runs`): prefix sums of the score table give each slice's
     CDF and mean in O(m) per value, clipped runs are located exactly, and
     the CDF is inverted by bisection over the atom index. A call costs
     O(r_y m^2 + r_x m^3 + r_x |p| m log r_y), not O(r_x r_y m), at every
-    order. Only a slice whose derivative loses its leading term is built
-    densely by `conditional_slice`. One mid-quantile call maps every level.
+    order. One mid-quantile call maps every level.
     """
     us = _unit_open(us, "conditioning level")
     ps = np.ravel(_unit_open(ps, "quantile probability"))
-    sy = mod.sy
     su = mod.bx.table[:, mod.bx.source.atom_at_level(us)]
     weights = su.T @ mod.coefficients
     used = np.flatnonzero(weights.any(axis=0))
     m = used[-1] + 1 if used.size else 0
-    means, levels, mass, served = _poly_curves(
-        sy, mod.by.table[:m], weights[:, :m], ps)
-    low = np.flatnonzero(served & (mass < _MIN_MASS))
+    means, levels, mass = _poly_curves(mod.sy, mod.by.table[:m],
+                                       weights[:, :m], ps)
+    low = np.flatnonzero(mass < _MIN_MASS)
     if low.size:
         raise DegenerateSlice(f"slice at u={us[low[0]]:g} carries mass "
                               f"{mass[low[0]]:.2e}")
-    for i in np.flatnonzero(~served):
-        sl = conditional_slice(mod, us[i])
-        means[i] = float((sy.masses * sl.density) @ sy.values)
-        levels[i] = _slice_levels(sy, sl, ps)
-    return means, mid_quantile(sy, levels)
+    return means, mid_quantile(mod.sy, levels)
 
 
 def slice_modes(mod: CopulaModel, u: float):

@@ -130,18 +130,24 @@ class QuartileSummary:
     dq: float
 
 
+def _finite(data) -> np.ndarray:
+    """`data` as a flat float array; NonFiniteValue names its first NaN/inf."""
+    a = np.asarray(data, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise NonFiniteValue(bad[0])
+    return a
+
+
 def make_sample(data) -> Sample:
     """Build a :class:`Sample` from a sequence of finite reals.
 
     Raises EmptyInput on an empty sequence and NonFiniteValue (with the
     offending position) if a NaN or infinity sneaks in.
     """
-    obs = np.asarray(data, dtype=float).ravel().copy()
+    obs = _finite(data).copy()
     if obs.size == 0:
         raise EmptyInput("need at least one observation")
-    bad = np.flatnonzero(~np.isfinite(obs))
-    if bad.size:
-        raise NonFiniteValue(bad[0])
     values, atom_index, counts = np.unique(
         obs, return_inverse=True, return_counts=True
     )
@@ -192,7 +198,8 @@ def mid_distribution(s: Sample, x):
     largest atom not exceeding x (0 below the minimum).
     """
     idx = s.atom_at(x)
-    return np.where(s.values[idx] == x, s.fmid[idx], s.step_cdf(x))
+    return np.where(s.values[idx] == x, s.fmid[idx],
+                    np.where(x < s.values[0], 0.0, s.cdf[idx]))
 
 
 def mid_ranks(s: Sample) -> np.ndarray:

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compdensity import CLIP_FLOOR
-from .empirical import Sample, _scalar_or_array, make_sample, mid_ranks
+from .empirical import (Sample, _finite, _scalar_or_array, make_sample,
+                        mid_ranks)
 from .errors import (DegenerateScale, DomainError, EmptyInput,
-                     LengthMismatch, NonFiniteValue, SingleGroup)
+                     LengthMismatch, SingleGroup)
 from .lp import _pearson, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -116,12 +117,9 @@ class BayesNormalState:
 
 
 def group_summary(obs) -> GroupSummary:
-    arr = np.asarray(obs, dtype=float).ravel()
+    arr = _finite(obs)
     if arr.size == 0:
         raise EmptyInput("empty group")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise NonFiniteValue(bad[0])
     return GroupSummary(n=float(arr.size), m=float(arr.mean()),
                         v=float(arr.var()))
 
@@ -175,9 +173,9 @@ def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
 
 
 def _split_binary(x_obs, y_obs):
-    """Group a response by a binary label; returns (labels, x01, y)."""
+    """Group a finite response by a binary label: (labels, x01, y)."""
     x = np.asarray(x_obs).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
+    y = _finite(y_obs)
     if x.size != y.size:
         raise LengthMismatch(x.size, y.size)
     labels = np.unique(x)

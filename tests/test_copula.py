@@ -410,11 +410,13 @@ def curve_models(draw):
 
     "tangent" rescales the comoments so that one slice's lowest raw value
     sits just above or below the 1e-6 floor; "zero" gives one slice all-zero
-    weights by zeroing its column of X's score table.
+    weights by zeroing its column of X's score table; "lead" lets only
+    T_1(x) reach Y's top one or two scores and zeroes T_1(x) at one slice,
+    so that slice's P_u' loses its leading terms while the others keep them.
     """
     mod = draw(tied_models(max_order=MAX_ORDER))
     i = draw(st.integers(0, mod.sx.r - 1))
-    shape = draw(st.sampled_from(["fit", "tangent", "zero"]))
+    shape = draw(st.sampled_from(["fit", "tangent", "zero", "lead"]))
     if shape == "tangent":
         low = float(np.min((mod.coefficients.T @ mod.bx.table[:, i])
                            @ mod.by.table))
@@ -423,11 +425,17 @@ def curve_models(draw):
         lpm = replace(mod.lpm, entries=mod.coefficients * scale,
                       selected=np.ones_like(mod.lpm.selected))
         mod = replace(mod, lpm=lpm)
-    elif shape == "zero":
+    elif shape in ("zero", "lead"):
+        # "zero" clears slice i's whole column, "lead" only its T_1(x)
         table = mod.bx.table.copy()
-        table[:, i] = 0.0
+        table[:1 if shape == "lead" else None, i] = 0.0
         mod = replace(mod, bx=ScoreBasis(mod.sx, mod.bx.requested_order,
                                          table, mod.bx.truncated))
+    if shape == "lead":
+        entries = mod.lpm.entries.copy()
+        entries[1:, -draw(st.integers(1, 2)):] = 0.0
+        mod = replace(mod, lpm=replace(mod.lpm, entries=entries,
+                                       selected=np.ones_like(entries, bool)))
     return mod
 
 
@@ -441,8 +449,10 @@ class TestPolynomialCurves:
         us = mod.sx.fmid
         ref_clip, ref_means, ref_levels, ref_dens = loop_curves(mod, us, ps)
         with mock.patch.object(cpmod, "mid_quantile",
-                               wraps=cpmod.mid_quantile) as spy:
+                               wraps=cpmod.mid_quantile) as spy, \
+                mock.patch.object(cpmod, "conditional_slice") as dense:
             means, _ = quantile_curves(mod, us, ps)
+        dense.assert_not_called()
         levels = spy.call_args.args[1]
         assert_allclose(means, ref_means, rtol=0, atol=1e-12)
         # Where p meets the end of an atom clipped to the floor, round-off
@@ -458,14 +468,13 @@ class TestPolynomialCurves:
 
         weights = mod.bx.table[:, mod.bx.source.atom_at_level(us)].T \
             @ mod.coefficients
-        start, stop, served = cpmod._clip_runs(
+        start, stop = cpmod._clip_runs(
             mod.sy, np.ascontiguousarray(mod.by.table.T), weights)
         atoms = np.arange(mod.sy.r)
         runs = ((atoms >= start[..., None]) & (atoms < stop[..., None]))
-        assert np.array_equal(runs.any(axis=1)[served], ref_clip[served])
+        assert np.array_equal(runs.any(axis=1), ref_clip)
 
-    def test_dense_slices_only_where_the_polynomial_cannot_serve(
-            self, monkeypatch):
+    def test_no_slice_is_built_densely(self, monkeypatch):
         calls = []
         real = cpmod.conditional_slice
 
@@ -490,16 +499,15 @@ class TestPolynomialCurves:
         table[0, 4] = 0.0
         lpm = replace(mod.lpm, entries=entries,
                       selected=np.ones((4, 4), dtype=bool))
-        quantile_curves(replace(mod, lpm=lpm,
-                                bx=ScoreBasis(mod.sx, 4, table, False)),
-                        mod.sx.fmid, [0.5])
-        assert calls == [mod.sx.fmid[4]]
-        # high orders take the same path, with no dense slice
-        calls.clear()
+        lead = replace(mod, lpm=lpm, bx=ScoreBasis(mod.sx, 4, table, False))
+        means, _ = quantile_curves(lead, lead.sx.fmid, [0.5])
         for order in (11, 20):
             wide = fit_copula(x, np.arange(60.0), order=order, rule="none")
             quantile_curves(wide, wide.sx.fmid, [0.5])
         assert calls == []
+        # the trimmed slice 4 gets the mean of its dense slice
+        assert_allclose(means[4], loop_curves(lead, lead.sx.fmid[4:5],
+                                              [0.5])[1][0], rtol=0, atol=1e-12)
 
     def test_an_empty_grid_gives_empty_curves(self):
         x = np.arange(60.0) % 13
@@ -508,6 +516,17 @@ class TestPolynomialCurves:
         means, table = quantile_curves(mod, [], [0.25, 0.5, 0.75])
         assert means.shape == (0,) and table.shape == (0, 3)
         assert means.dtype == table.dtype == float
+
+
+class TestAtomLevel:
+    def test_clips_to_the_atom_and_the_open_unit_interval(self):
+        # atom intervals (0, 0.25], (0.25, 0.75], (0.75, 1]
+        sy = make_sample([1.0, 2.0, 2.0, 3.0])
+        got = cpmod._atom_level(sy, np.array([1, 1, 1, 0, 2]),
+                                np.array([0.25, -1e-10, 0.5 + 1e-10, -1.0,
+                                          1.0]))
+        assert_array_equal(got, [0.5, 0.25, 0.75, np.finfo(float).tiny,
+                                 np.nextafter(1.0, 0.0)])
 
 
 class TestFirstTrue:

@@ -382,6 +382,16 @@ class TestAnalyze:
         assert counts == {"_split_binary": 2, "make_sample": 1}
 
 
+class TestNonFiniteResponse:
+    @pytest.mark.parametrize("entry", [analyze, correlation_stats, wilcoxon,
+                                       two_sample_comp_density])
+    def test_reports_the_index_in_the_response(self, entry):
+        # the NaN is the third response of group 0, but the fifth overall
+        with pytest.raises(NonFiniteValue, match="at index 4") as exc:
+            entry([0, 1, 0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, np.nan, 6.0])
+        assert exc.value.index == 4
+
+
 tied_values = st.lists(st.integers(-5, 5), min_size=1, max_size=30)
 
 
