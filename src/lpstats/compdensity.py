@@ -317,8 +317,6 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
 
 def _l2_series(mod: CompDensityModel, u: np.ndarray) -> np.ndarray:
     ks = np.flatnonzero(mod.selected)
-    if ks.size == 0:
-        return np.ones_like(u)
     return 1.0 + mod.c[ks] @ _leg_table((ks + 1).tolist(), u)
 
 
@@ -342,9 +340,8 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
         if mod.theta is None:
             raise FlavorNotFitted("run maxent_fit first")
         ks = np.flatnonzero(mod.theta)
-        series = mod.theta[ks] @ _leg_table((ks + 1).tolist(), u) \
-            if ks.size else np.zeros_like(u)
-        return np.exp(mod.theta0 + series)
+        return np.exp(mod.theta0
+                      + mod.theta[ks] @ _leg_table((ks + 1).tolist(), u))
     raise DomainError(f"unknown flavor {flavor!r}")
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .compdensity import CLIP_FLOOR
-from .empirical import (Sample, _scalar_or_array, _unit_open, make_sample,
-                        mid_quantile)
-from .errors import DegenerateSlice, DomainError, LengthMismatch
+from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
+                        make_sample, mid_quantile)
+from .errors import DegenerateSlice, DomainError
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -88,10 +88,7 @@ class ConditionalSlice:
 
 def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
     """Build margins, score bases, and the selected comoment matrix."""
-    x = np.asarray(x_obs, dtype=float).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
+    x, y = _paired(x_obs, y_obs)
     sx, sy = make_sample(x), make_sample(y)
     bx = build_score_basis(sx, order)
     by = build_score_basis(sy, order)
@@ -504,10 +501,7 @@ def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
     coefficients are plain cross moments mean(y T_j(x)). A constant y
     yields an empty selection and a flat curve.
     """
-    x = np.asarray(x_obs, dtype=float).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
+    x, y = _paired(x_obs, y_obs)
     m = bx.max_order if m is None else min(int(m), bx.max_order)
     table = bx.table[:m, bx.source.atom_at(x)]
     coefficients = table @ y / y.size

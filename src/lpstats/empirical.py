@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScale, DomainError, EmptyInput, NonFiniteValue
+from .errors import (DegenerateScale, DomainError, EmptyInput, LengthMismatch,
+                     NonFiniteValue)
 
 __all__ = [
     "Sample",
@@ -89,11 +90,14 @@ class Sample:
         """Index of the largest atom not exceeding x; 0 below the support.
 
         The sample's own `obs` and `values` map to their indices unsearched.
+        +-inf map to the ends; NaN has no place and raises DomainError.
         """
         if np.shape(x) == self.obs.shape and np.array_equal(x, self.obs):
             return self.atom_index
         if np.shape(x) == self.values.shape and np.array_equal(x, self.values):
             return np.arange(self.r, dtype=np.intp)
+        if np.isnan(x).any():
+            raise DomainError("cannot look up NaN in a sample")
         return np.clip(np.searchsorted(self.values, x, side="right") - 1,
                        0, None)
 
@@ -137,6 +141,14 @@ def _finite(data) -> np.ndarray:
     if bad.size:
         raise NonFiniteValue(bad[0])
     return a
+
+
+def _paired(x_obs, y_obs):
+    """Two columns as flat float arrays: lengths checked first, then values."""
+    x, y = (np.asarray(a, dtype=float).ravel() for a in (x_obs, y_obs))
+    if x.size != y.size:
+        raise LengthMismatch(x.size, y.size)
+    return _finite(x), _finite(y)
 
 
 def make_sample(data) -> Sample:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, make_sample, mid_ranks
-from .errors import (DegenerateScale, DomainError, LengthMismatch,
-                     OrderOutOfRange)
+from .empirical import Sample, _paired, make_sample, mid_ranks
+from .errors import DegenerateScale, DomainError, OrderOutOfRange
 from .scores import ScoreBasis, _check_order
 
 __all__ = [
@@ -108,10 +107,7 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
     supports, so heavily tied variables give fewer rows or columns rather
     than failing. Selection and LPINFOR are filled in immediately.
     """
-    x = np.asarray(x_obs, dtype=float).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
+    x, y = _paired(x_obs, y_obs)
     m = int(m)
     if m < 1:
         raise OrderOutOfRange("order must be at least 1")
@@ -174,10 +170,8 @@ def correlations(x_obs, y_obs) -> CorrelationReport:
     other's mid-ranks. Either argument may be a Sample, whose observations
     and atoms are then used as they are.
     """
-    x, y = (a.obs if isinstance(a, Sample) else
-            np.asarray(a, dtype=float).ravel() for a in (x_obs, y_obs))
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
+    x, y = _paired(*(a.obs if isinstance(a, Sample) else a
+                     for a in (x_obs, y_obs)))
     if x.size < 2:
         raise DegenerateScale("need at least two paired observations")
     ux, uy = (mid_ranks(a if isinstance(a, Sample) else make_sample(v))

@@ -175,9 +175,10 @@ def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
 def _split_binary(x_obs, y_obs):
     """Group a finite response by a binary label: (labels, x01, y)."""
     x = np.asarray(x_obs).ravel()
-    y = _finite(y_obs)
+    y = np.asarray(y_obs, dtype=float).ravel()
     if x.size != y.size:
         raise LengthMismatch(x.size, y.size)
+    x, y = (_finite(x) if x.dtype.kind == "f" else x), _finite(y)
     labels = np.unique(x)
     if labels.size != 2:
         raise SingleGroup(
@@ -254,13 +255,15 @@ class TwoSampleDensity:
     lp1k = sqrt(tau / (1 - tau)) c are the matching LP(1, k) comoments
     (the high-order Wilcoxon statistics), and selection runs on that
     scale. `atom_density` is the clipped, renormalized density over the
-    pooled atoms, the object classification consumes.
+    pooled atoms, the object classification consumes. `group` is the 0/1
+    indicator of the higher label, in `sy.obs` order.
     """
 
     sy: Sample
     by: ScoreBasis
     tau: float
     labels: tuple
+    group: np.ndarray
     c: np.ndarray
     lp1k: np.ndarray
     selected: np.ndarray
@@ -284,7 +287,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     clipped = np.maximum(raw, CLIP_FLOOR)
     mass = float(sy.masses @ clipped)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
-                            labels=tuple(labels.tolist()),
+                            labels=tuple(labels.tolist()), group=x01,
                             c=c, lp1k=lp1k, selected=selected,
                             atom_density=clipped / mass, mass=mass)
 
@@ -323,11 +326,9 @@ def logistic_score_features(x_obs, y_obs, m: int = 4,
     No regression is fitted here.
     """
     model = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
-    y = np.asarray(y_obs, dtype=float).ravel()
     ks = np.flatnonzero(model.selected)
-    columns = model.by.table[ks][:, model.sy.atom_at(y)].T \
-        if ks.size else np.empty((y.size, 0))
-    return ScoreFeatures(orders=(ks + 1).tolist(), columns=columns)
+    return ScoreFeatures(orders=(ks + 1).tolist(),
+                         columns=model.by.table[ks][:, model.sy.atom_index].T)
 
 
 def bayes_normal_update(prior: BayesNormalState,
@@ -374,18 +375,18 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     the higher label goes with larger responses. `identities_ok` verifies
     r^2 = t^2 / (1 + t^2) and Vpool = V (1 - r^2) at 1e-12.
     """
-    labels, x01, y = _split_binary(x_obs, y_obs)
+    dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
+    x01, y = dens.group, dens.sy.obs
     g1 = group_summary(y[x01 == 0.0])
     g2 = group_summary(y[x01 == 1.0])
     comb = combine(g1, g2)
     st = student_t(g1, g2)
     cs = _correlation_stats(x01, y, g1, g2)
-    dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
     wr = _wilcoxon(x01, dens.sy, small_sample)
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))
-    return TwoSampleReport(labels=tuple(labels.tolist()), g1=g1, g2=g2,
+    return TwoSampleReport(labels=dens.labels, g1=g1, g2=g2,
                            combined=comb, r=cs.r, r2=cs.r2, t=st.t_core,
                            t_scaled=st.t_scaled, w=wr.w, z_stat=wr.z_stat,
                            high_order_w=dens.lp1k,

@@ -207,6 +207,17 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_constant_twosample_response_names_the_cause(self, tmp_path,
+                                                         capsys):
+        # the density fit comes first, so the score basis refuses the
+        # single atom before the t statistic meets a zero pooled variance
+        f = tmp_path / "const.csv"
+        f.write_text("y,g\n1,0\n1,1\n1,0\n1,1\n", encoding="utf-8")
+        code, _ = run_cli(["twosample", "--y", "y", "--group", "g",
+                           "--data", str(f)])
+        assert code == 3
+        assert "need at least two distinct values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [b"\xff\xfe\n",
                                          b"x,y\n1,\xff\xfe\n"])
     def test_undecodable_file_is_input_error(self, tmp_path, capsys,

@@ -179,6 +179,9 @@ class TestMaxent:
         assert mod.maxent_iterations == 0
         assert_allclose(mod.theta, np.zeros(base.order), rtol=0)
         assert_allclose(eval_density(mod, [0.2, 0.8], "maxent"), 1.0)
+        for flavor in ("l2", "l2_clipped"):
+            assert_allclose(eval_density(base, [0.2, 0.8], flavor), 1.0,
+                            rtol=0)
 
     def test_term_cap(self):
         rng = np.random.default_rng(47)

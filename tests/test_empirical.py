@@ -12,7 +12,15 @@ from scipy.special import ndtr
 from scipy.stats import binom
 
 from lpstats import (
+    analyze,
+    build_score_basis,
+    classify,
+    correlation_stats,
+    correlations,
+    eval_score,
+    fit_copula,
     informative_quantile,
+    lp_comoments,
     make_sample,
     mid_clt_approx,
     mid_distribution,
@@ -20,16 +28,20 @@ from lpstats import (
     mid_ranks,
     quantile,
     quartile_summary,
+    series_regression,
     standardize,
+    two_sample_comp_density,
+    wilcoxon,
 )
 from lpstats.errors import (
     DegenerateScale,
     DomainError,
     EmptyInput,
+    LengthMismatch,
     NonFiniteValue,
 )
 
-from conftest import random_sample_values
+from conftest import random_sample_values, search_only
 
 
 @st.composite
@@ -116,6 +128,110 @@ class TestAtomLookups:
     @given(tied_samples())
     def test_mid_distribution_at_atoms_is_fmid(self, s):
         assert_array_equal(mid_distribution(s, s.values), s.fmid)
+
+
+VALUE_LOOKUPS = {
+    "mid_distribution": lambda m, v: mid_distribution(m["s"], v),
+    "step_cdf": lambda m, v: m["s"].step_cdf(v),
+    "eval_score": lambda m, v: eval_score(m["basis"], 1, v),
+    "predict": lambda m, v: m["fit"].predict(v),
+    "classify": lambda m, v: classify(m["density"], v),
+}
+
+
+class TestNanLookup:
+    """NaN has no atom; +-inf still map to the ends of the support."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(62)
+        x = random_sample_values(rng, 80)
+        y = x + random_sample_values(rng, 80, tied=False)
+        s = make_sample(x)
+        basis = build_score_basis(s, 3)
+        return {"s": s, "basis": basis,
+                "fit": series_regression(x, y, basis),
+                "density": two_sample_comp_density(
+                    (x > np.median(x)).astype(float), y)}
+
+    @pytest.mark.parametrize("name", sorted(VALUE_LOOKUPS))
+    def test_nan_raises(self, models, name):
+        for v in (np.nan, [0.5, np.nan]):
+            with pytest.raises(DomainError, match="NaN"):
+                VALUE_LOOKUPS[name](models, v)
+
+    @pytest.mark.parametrize("name", sorted(VALUE_LOOKUPS))
+    def test_infinities_are_answered_as_before(self, models, name):
+        ends = np.array([-np.inf, np.inf])
+        with search_only():
+            want = VALUE_LOOKUPS[name](models, ends)
+        assert_array_equal(VALUE_LOOKUPS[name](models, ends), want)
+        assert_array_equal([VALUE_LOOKUPS[name](models, e) for e in ends],
+                           want)
+
+
+_BASIS = build_score_basis(make_sample(np.arange(6.0)), 2)
+
+# Every public function that takes a paired table, as f(x, y). x holds
+# 0/1, which the two-sample functions read as the group label. The int
+# names the column a `Sample` argument holds, which cannot carry a bad
+# value; None means both columns are raw arrays.
+PAIRED_ENTRIES = {
+    "fit_copula": (fit_copula, None),
+    "lp_comoments": (lambda x, y: lp_comoments(x, y, _BASIS, _BASIS), None),
+    "correlations": (correlations, None),
+    "correlations_sample_x": (
+        lambda x, y: correlations(make_sample(x), y), 0),
+    "series_regression": (lambda x, y: series_regression(x, y, _BASIS),
+                          None),
+    "two_sample_comp_density": (two_sample_comp_density, None),
+    "analyze": (analyze, None),
+    "correlation_stats": (correlation_stats, None),
+    "wilcoxon": (wilcoxon, None),
+}
+
+
+@st.composite
+def paired_columns(draw):
+    """0/1 labels (both present) and a tied response of one length."""
+    n = draw(st.integers(4, 30))
+    x = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=float)
+    x[:2] = 0.0, 1.0
+    y = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)),
+                 dtype=float)
+    return [x, y]
+
+
+class TestPairedIntake:
+    """Each paired entry point checks lengths, then finiteness by index."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(PAIRED_ENTRIES)), paired_columns(),
+           st.integers(0, 1), st.integers(0, 29),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_a_bad_value_is_named_by_its_index(self, name, cols, column,
+                                               index, bad):
+        entry, clean = PAIRED_ENTRIES[name]
+        column = 1 - clean if clean is not None else column
+        index %= cols[column].size
+        cols[column][index] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            entry(*cols)
+        assert exc.value.index == index
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(PAIRED_ENTRIES)), paired_columns(),
+           st.integers(0, 1), st.integers(1, 3), st.integers(0, 1),
+           st.integers(0, 29))
+    def test_unequal_lengths_come_first(self, name, cols, longer, extra,
+                                        column, index):
+        entry, clean = PAIRED_ENTRIES[name]
+        cols[longer] = np.concatenate([cols[longer], cols[longer][:extra]])
+        column = 1 - clean if clean is not None else column
+        cols[column][index % cols[column].size] = np.nan
+        with pytest.raises(LengthMismatch):
+            entry(*cols)
 
 
 class TestMakeSample:

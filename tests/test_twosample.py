@@ -365,7 +365,8 @@ class TestAnalyze:
             assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_sorts_the_response_once(self, monkeypatch):
-        counts = {"_split_binary": 0, "make_sample": 0}
+        counts = {"_split_binary": 0, "make_sample": 0,
+                  "two_sample_comp_density": 0}
         for name in counts:
             original = getattr(tsmod, name)
 
@@ -376,10 +377,11 @@ class TestAnalyze:
             monkeypatch.setattr(tsmod, name, counted)
         rng = np.random.default_rng(97)
         analyze(rng.integers(0, 2, 40), rng.integers(0, 5, 40))
-        # analyze's own split and the one in two_sample_comp_density, which
-        # builds the only Sample of the response; the 0/1 indicator's
-        # mid-ranks need no Sample
-        assert counts == {"_split_binary": 2, "make_sample": 1}
+        # analyze reads the split from the density fit, which builds the
+        # only Sample of the response; the 0/1 indicator's mid-ranks need
+        # no Sample
+        assert counts == {"_split_binary": 1, "make_sample": 1,
+                          "two_sample_comp_density": 1}
 
 
 class TestNonFiniteResponse:
@@ -390,6 +392,16 @@ class TestNonFiniteResponse:
         with pytest.raises(NonFiniteValue, match="at index 4") as exc:
             entry([0, 1, 0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, np.nan, 6.0])
         assert exc.value.index == 4
+
+
+class TestNonFiniteLabel:
+    @pytest.mark.parametrize("entry", [analyze, correlation_stats, wilcoxon,
+                                       two_sample_comp_density,
+                                       logistic_score_features])
+    def test_reports_the_index_of_a_nan_label(self, entry):
+        with pytest.raises(NonFiniteValue) as exc:
+            entry([0, 0, np.nan, np.nan, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert exc.value.index == 2
 
 
 tied_values = st.lists(st.integers(-5, 5), min_size=1, max_size=30)
