@@ -22,6 +22,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
@@ -45,6 +46,11 @@ SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
+# The only bytes a body read whole by np.loadtxt may hold: no quote, CR,
+# NUL, letter or non-ASCII byte.
+_NUMERIC_BYTES = b"0123456789.,+-eE \t\n"
+# Suffixes of files that np.loadtxt, given a path, decompresses.
+_COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
 # Default --data: names the bundled table without its install path, so the
 # echoed arguments are the same on every machine.
@@ -121,6 +127,65 @@ def _loadtxt_chunk(lines, idx):
     return table.T
 
 
+def _loadtxt_body(p, idx):
+    """The body's requested fields by one np.loadtxt over path `p`, or None.
+
+    np.loadtxt reads a path in blocks in C; given lines or a file object it
+    iterates in Python. One pass over the raw bytes, in 1 MiB blocks,
+    decides whether to try: the header line ends in LF within 1 MiB and
+    holds no CR, the body after it holds only `_NUMERIC_BYTES` and no
+    blank line (so a quoted header spanning lines is refused), it has more
+    than INGEST_CHUNK_ROWS lines, and `p` has no suffix np.loadtxt
+    decompresses; a file too small to hold that many lines is not opened.
+    As in `_loadtxt_chunk`, None also wherever loadtxt rejects a field,
+    returns a non-finite value or returns fewer rows than lines.
+    """
+    # more than INGEST_CHUNK_ROWS nonblank lines take two bytes each
+    if p.suffix in _COMPRESSED or p.stat().st_size <= 2 * INGEST_CHUNK_ROWS:
+        return None
+    lines = 0
+    last = b"\n"  # the header line's end
+    with p.open("rb") as fb:
+        # bounded, so a file with bare-CR line ends is not read in one piece
+        head = fb.readline(1 << 20)
+        if not head.endswith(b"\n") or b"\r" in head:
+            return None
+        while block := fb.read(1 << 20):
+            if (block.translate(None, _NUMERIC_BYTES) or b"\n\n" in block
+                    or last + block[:1] == b"\n\n"):
+                return None
+            lines += block.count(b"\n")
+            last = block[-1:]
+    lines += last != b"\n"  # a last line with no final newline
+    if lines <= INGEST_CHUNK_ROWS:
+        return None
+    try:
+        table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
+                           comments=None, ndmin=2, skiprows=1,
+                           encoding="utf-8-sig")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if len(table) != lines or not np.isfinite(table).all():
+        return None
+    return table.T
+
+
+def _chunks(fh, idx, reasons):
+    """Requested-field tables of the rows left in `fh`, chunk by chunk."""
+    chunks = []
+    while lines := list(islice(fh, INGEST_CHUNK_ROWS)):
+        if '"' in "".join(lines):
+            rows = csv.reader(chain(lines, fh))
+            while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
+                chunks.append(_walk(batch, idx, reasons))
+            break
+        table = _loadtxt_chunk(lines, idx)
+        if table is None:
+            table = _walk(csv.reader(lines), idx, reasons)
+        chunks.append(table)
+    return chunks
+
+
 def ingest_csv(path, columns) -> Dataset:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
@@ -129,14 +194,18 @@ def ingest_csv(path, columns) -> Dataset:
     entries (NaN and infinities included) in the requested columns are
     dropped and counted by reason; blank lines are skipped uncounted.
 
-    The header goes through csv.reader. The rows after it are read in
-    chunks of INGEST_CHUNK_ROWS raw lines, and each chunk is parsed in C by
-    np.loadtxt. A chunk loadtxt cannot vouch for (see `_loadtxt_chunk`) is
-    walked on its own by csv.reader, `_row_problem` and float(). Once a
-    chunk holds a `"`, the rest of the file is walked that way, since a
-    quoted field may span lines. Both paths give the same columns, bit for
-    bit, and the same drop counts; only the csv module refuses a field
-    longer than `csv.field_size_limit()`.
+    The header goes through csv.reader. A body of more than
+    INGEST_CHUNK_ROWS lines made only of digits, `.,+-eE`, spaces, tabs and
+    LF line ends, with no blank line, is read whole by one np.loadtxt over
+    the path (see `_loadtxt_body`), which makes no Python string per line.
+    Where that read is not tried or cannot vouch for every row, the body
+    is read in chunks of INGEST_CHUNK_ROWS raw lines, and each chunk is
+    parsed in C by np.loadtxt. A chunk loadtxt cannot vouch for (see
+    `_loadtxt_chunk`) is walked on its own by csv.reader, `_row_problem`
+    and float(). Once a chunk holds a `"`, the rest of the file is walked
+    that way, since a quoted field may span lines. All paths give the same
+    columns, bit for bit, and the same drop counts; only the csv module
+    refuses a field longer than `csv.field_size_limit()`.
     """
     p = Path(path)
     if not p.is_file():
@@ -150,18 +219,9 @@ def ingest_csv(path, columns) -> Dataset:
             if name not in header:
                 raise MissingColumn(name, header)
         idx = [header.index(name) for name in columns]
-        chunks = []
         reasons = {}
-        while lines := list(islice(fh, INGEST_CHUNK_ROWS)):
-            if '"' in "".join(lines):
-                rows = csv.reader(chain(lines, fh))
-                while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
-                    chunks.append(_walk(batch, idx, reasons))
-                break
-            table = _loadtxt_chunk(lines, idx)
-            if table is None:
-                table = _walk(csv.reader(lines), idx, reasons)
-            chunks.append(table)
+        whole = _loadtxt_body(p, idx)
+        chunks = [whole] if whole is not None else _chunks(fh, idx, reasons)
     # with no requested columns there is nothing to keep
     kept = sum(t.shape[1] for t in chunks) if columns else 0
     if kept == 0:

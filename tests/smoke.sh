@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `lpstats` console script: each command must
-# print the bytes of its golden, and the refusals must exit 2.
+# print the bytes of its golden, the refusals must exit 2, and a table read
+# whole must give the bytes its chunk-by-chunk read gives.
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
@@ -19,3 +20,21 @@ test "$code" -eq 2
 code=0
 lpstats describe --col GAG --seed 1 || code=$?
 test "$code" -eq 2
+# A clean 20000-row table is read whole by one np.loadtxt; its CRLF copy
+# goes through the chunk loop. Both must give the same bytes.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+python3 - "$tmp" <<'PY'
+import random
+import sys
+
+rng = random.Random(16)
+rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
+for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+    with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
+        fh.write(end.join(["x,y", *rows]) + end)
+PY
+for cmd in "describe --col x" "depend --x x --y y"; do
+    lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/lf.out"
+    lpstats $cmd --format csv --data "$tmp/crlf.csv" | cmp - "$tmp/lf.out"
+done

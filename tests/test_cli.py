@@ -660,33 +660,122 @@ def messy_csvs(draw):
     return "".join(line + end for line, end in zip(["a,b,c"] + rows, ends))
 
 
+def kept_field(field):
+    """Whether ingest keeps a row for this field: a finite float."""
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False
+
+
+# the FIELDS made only of bytes that let ingest_csv read a body whole, and
+# those of them that keep a row
+NUMERIC_FIELDS = [f for f in FIELDS if set(f) <= set("0123456789.+-eE \t")]
+KEPT_FIELDS = list(filter(kept_field, NUMERIC_FIELDS))
+
+
+@st.composite
+def numeric_csvs(draw):
+    """CSV text under an a,b,c header, in the bytes of a whole-body read.
+
+    Rows of 3 or 4 kept fields, with up to two odd lines put in: a row
+    with any numeric field, one ending in a trailing comma, a short row, a
+    blank line or one holding only whitespace. Lines end in LF, and the
+    last one may have none.
+    """
+    field = st.sampled_from(NUMERIC_FIELDS)
+    full = st.lists(st.sampled_from(KEPT_FIELDS), min_size=3, max_size=4)
+    odd = st.one_of(
+        st.lists(field, min_size=3, max_size=3).map(",".join),
+        st.lists(field, max_size=3).map(lambda f: ",".join(f) + ","),
+        st.lists(field, min_size=1, max_size=2).map(",".join),
+        st.sampled_from(["", " ", "\t", " \t "]))
+    rows = draw(st.lists(full.map(",".join), min_size=1, max_size=14))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    return "\n".join(["a,b,c"] + rows) + draw(st.sampled_from(["\n", ""]))
+
+
+def assert_ingest_matches_rowwise(text, chunk, columns):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
+        f = Path(tmp) / "messy.csv"
+        f.write_bytes(text.encode("utf-8"))
+        want = ingest_rowwise(f, columns)
+        if want is None:
+            with pytest.raises(EmptyAfterFilter):
+                ingest_csv(f, columns)
+            return
+        ds = ingest_csv(f, columns)
+    cols, kept, dropped, reasons = want
+    assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
+    assert list(ds.columns) == list(cols)
+    for name in columns:
+        assert ds.columns[name].dtype == cols[name].dtype
+        assert ds.columns[name].tobytes() == cols[name].tobytes()
+
+
+COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                        max_size=3, unique=True)
+
+
 class TestIngest:
     @settings(deadline=None, max_examples=300)
     # loadtxt's default comments="#" would read the last field "4#5" as 4
     @example(text="a,b,c\n1,2\n3,4#5\n", chunk=4, columns=["a", "b"])
-    @given(text=messy_csvs(), chunk=st.integers(1, 4),
-           columns=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
-                            max_size=3, unique=True))
+    # a quoted field across two lines, each of which loadtxt would read as
+    # a row of its own
+    @example(text='a,b,c\n1,"x\n2,3"\n4,5\n', chunk=1, columns=["a"])
+    @given(text=messy_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
     def test_columnar_ingest_matches_the_rowwise_loop(self, text, chunk,
                                                       columns):
         # Chunks of 1-4 lines put bad rows on both sides of chunk boundaries
         # and split multi-line quoted fields across them.
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
-            f = Path(tmp) / "messy.csv"
-            f.write_bytes(text.encode("utf-8"))
-            want = ingest_rowwise(f, columns)
-            if want is None:
-                with pytest.raises(EmptyAfterFilter):
-                    ingest_csv(f, columns)
-                return
-            ds = ingest_csv(f, columns)
-        cols, kept, dropped, reasons = want
+        assert_ingest_matches_rowwise(text, chunk, columns)
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=numeric_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
+    def test_whole_body_ingest_matches_the_rowwise_loop(self, text, chunk,
+                                                        columns):
+        # With chunks of 1-4 lines most bodies are long enough to be tried
+        # whole; a bad row makes the chunk loop read the body instead.
+        assert_ingest_matches_rowwise(text, chunk, columns)
+
+    def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
+        f = tmp_path / "clean.csv"
+        f.write_text("a,b\n" + "1,2\n-3.5e1, 4\n" * 4, encoding="utf-8")
+
+        def chunk_path(*args):
+            raise AssertionError("the chunk path was taken")
+
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        monkeypatch.setattr(cli, "_loadtxt_chunk", chunk_path)
+        monkeypatch.setattr(cli, "_row_problem", chunk_path)
+        ds = ingest_csv(f, ["b", "a"])
+        assert ds.columns["a"].tolist() == [1.0, -35.0] * 4
+        assert ds.columns["b"].tolist() == [2.0, 4.0] * 4
+        assert (ds.kept, ds.dropped) == (8, 0)
+
+    def test_a_blank_body_raises_no_warning(self, tmp_path, monkeypatch):
+        f = tmp_path / "blank.csv"
+        f.write_text("a,b\n" + "\n" * 10, encoding="utf-8")
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyAfterFilter):
+                ingest_csv(f, ["a", "b"])
+
+    def test_a_plain_table_named_gz_is_read_as_text(self, tmp_path,
+                                                    monkeypatch):
+        # np.loadtxt would gunzip a path ending in .gz and fail
+        f = tmp_path / "t.csv.gz"
+        f.write_text("a,b\n" + "1,2\n3,4\n" * 4, encoding="utf-8")
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        ds = ingest_csv(f, ["a", "b"])
+        cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
         assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
-        assert list(ds.columns) == list(cols)
-        for name in columns:
-            assert ds.columns[name].dtype == cols[name].dtype
+        for name in cols:
             assert ds.columns[name].tobytes() == cols[name].tobytes()
 
     @staticmethod
