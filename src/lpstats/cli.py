@@ -46,9 +46,9 @@ SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
-# The only bytes a body read whole by np.loadtxt may hold: no quote, CR,
-# NUL, letter or non-ASCII byte.
-_NUMERIC_BYTES = b"0123456789.,+-eE \t\n"
+# The bytes a field of a body read whole by np.loadtxt may hold: no quote,
+# CR, NUL, letter or non-ASCII byte. Besides these the body holds only LFs.
+_FIELD_BYTES = b"0123456789.,+-eE \t"
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
@@ -127,45 +127,76 @@ def _loadtxt_chunk(lines, idx):
     return table.T
 
 
+def _body_lines(fb):
+    """Lines left in binary file `fb`, or None if it cannot be read whole.
+
+    One translate per 1 MiB block deletes the field bytes; what is left
+    must be LFs, and its length is the block's line count. None also for
+    a body with no field byte, which np.loadtxt would warn holds no data.
+    No block outlives its iteration.
+    """
+    lines, data, last = 0, False, b"\n"
+    while block := fb.read(1 << 20):
+        rest = block.translate(None, _FIELD_BYTES)
+        if rest != b"\n" * len(rest):  # a byte no field may hold
+            return None
+        lines += len(rest)
+        data = data or len(rest) < len(block)
+        last = block[-1:]
+    if not data:
+        return None
+    return lines + (last != b"\n")  # a last line with no final newline
+
+
+def _empty_lines(fb):
+    """Empty lines left in binary file `fb`, read from just after an LF."""
+    empty, last = 0, b"\n"
+    while block := fb.read(1 << 20):
+        text = last + block
+        ends = np.frombuffer(text, np.uint8) == ord("\n")
+        empty += np.count_nonzero(ends[1:] & ends[:-1])
+        last = text[-1:]
+    return empty
+
+
 def _loadtxt_body(p, idx):
     """The body's requested fields by one np.loadtxt over path `p`, or None.
 
     np.loadtxt reads a path in blocks in C; given lines or a file object it
-    iterates in Python. One pass over the raw bytes, in 1 MiB blocks,
-    decides whether to try: the header line ends in LF within 1 MiB and
-    holds no CR, the body after it holds only `_NUMERIC_BYTES` and no
-    blank line (so a quoted header spanning lines is refused), it has more
-    than INGEST_CHUNK_ROWS lines, and `p` has no suffix np.loadtxt
-    decompresses; a file too small to hold that many lines is not opened.
-    As in `_loadtxt_chunk`, None also wherever loadtxt rejects a field,
-    returns a non-finite value or returns fewer rows than lines.
+    iterates in Python. It is tried when `p` has no suffix np.loadtxt
+    decompresses, the header line ends in LF within 1 MiB, and the body
+    after it holds only `_FIELD_BYTES` and LFs in more than
+    INGEST_CHUNK_ROWS lines (`_body_lines`; so a quoted header spanning
+    lines is refused, and so is any CR).
+
+    np.loadtxt skips empty lines and raises on whitespace-only ones. So
+    the result is kept when every value is finite and it has one row per
+    line, or, counting the empty lines only in that case, one per nonempty
+    line; a loadtxt that skipped any other line fails that count. As in
+    `_loadtxt_chunk`, None wherever loadtxt rejects a field.
     """
-    # more than INGEST_CHUNK_ROWS nonblank lines take two bytes each
-    if p.suffix in _COMPRESSED or p.stat().st_size <= 2 * INGEST_CHUNK_ROWS:
+    # more than INGEST_CHUNK_ROWS lines take a byte each
+    if p.suffix in _COMPRESSED or p.stat().st_size <= INGEST_CHUNK_ROWS:
         return None
-    lines = 0
-    last = b"\n"  # the header line's end
     with p.open("rb") as fb:
         # bounded, so a file with bare-CR line ends is not read in one piece
         head = fb.readline(1 << 20)
         if not head.endswith(b"\n") or b"\r" in head:
             return None
-        while block := fb.read(1 << 20):
-            if (block.translate(None, _NUMERIC_BYTES) or b"\n\n" in block
-                    or last + block[:1] == b"\n\n"):
+        lines = _body_lines(fb)
+        if lines is None or lines <= INGEST_CHUNK_ROWS:
+            return None
+        try:
+            table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
+                               comments=None, ndmin=2, skiprows=1,
+                               encoding="utf-8-sig")
+        except ValueError:  # UnicodeDecodeError included
+            return None
+        if len(table) != lines:
+            fb.seek(len(head))
+            if len(table) + _empty_lines(fb) != lines:
                 return None
-            lines += block.count(b"\n")
-            last = block[-1:]
-    lines += last != b"\n"  # a last line with no final newline
-    if lines <= INGEST_CHUNK_ROWS:
-        return None
-    try:
-        table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
-                           comments=None, ndmin=2, skiprows=1,
-                           encoding="utf-8-sig")
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    if len(table) != lines or not np.isfinite(table).all():
+    if not np.isfinite(table).all():
         return None
     return table.T
 
@@ -196,8 +227,9 @@ def ingest_csv(path, columns) -> Dataset:
 
     The header goes through csv.reader. A body of more than
     INGEST_CHUNK_ROWS lines made only of digits, `.,+-eE`, spaces, tabs and
-    LF line ends, with no blank line, is read whole by one np.loadtxt over
-    the path (see `_loadtxt_body`), which makes no Python string per line.
+    LF line ends, blank lines included, is read whole by one np.loadtxt
+    over the path (see `_loadtxt_body`), which makes no Python string per
+    line; deciding to try takes one pass over each 1 MiB block.
     Where that read is not tried or cannot vouch for every row, the body
     is read in chunks of INGEST_CHUNK_ROWS raw lines, and each chunk is
     parsed in C by np.loadtxt. A chunk loadtxt cannot vouch for (see

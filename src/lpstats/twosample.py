@@ -277,9 +277,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     labels, x01, y = _split_binary(x_obs, y_obs)
     sy = make_sample(y)
     by = build_score_basis(sy, m)
-    table = by.table[:, sy.atom_index]
-    in1 = x01 == 1.0
-    c = table[:, in1].mean(axis=1)
+    c = by.table[:, sy.atom_index[x01 == 1.0]].mean(axis=1)
     tau = float(x01.mean())
     lp1k = math.sqrt(tau / (1.0 - tau)) * c
     selected = select_significant(lp1k, sy.n, rule=rule)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `lpstats` console script: each command must
-# print the bytes of its golden, the refusals must exit 2, and a table read
-# whole must give the bytes its chunk-by-chunk read gives.
+# print the bytes of its golden, the refusals must exit 2, and copies of a
+# table, read whole or chunk by chunk, must give the same bytes.
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
@@ -20,8 +20,9 @@ test "$code" -eq 2
 code=0
 lpstats describe --col GAG --seed 1 || code=$?
 test "$code" -eq 2
-# A clean 20000-row table is read whole by one np.loadtxt; its CRLF copy
-# goes through the chunk loop. Both must give the same bytes.
+# A clean 20000-row table is read whole by one np.loadtxt, and so is its
+# copy with blank lines; its CRLF copy goes through the chunk loop. All
+# must give the same bytes.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 python3 - "$tmp" <<'PY'
@@ -30,11 +31,15 @@ import sys
 
 rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
-for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
+for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
+                         ("blank.csv", blank, "\n")):
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
-        fh.write(end.join(["x,y", *rows]) + end)
+        fh.write(end.join(["x,y", *lines]) + end)
 PY
 for cmd in "describe --col x" "depend --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/lf.out"
-    lpstats $cmd --format csv --data "$tmp/crlf.csv" | cmp - "$tmp/lf.out"
+    for copy in crlf blank; do
+        lpstats $cmd --format csv --data "$tmp/$copy.csv" | cmp - "$tmp/lf.out"
+    done
 done

@@ -13,6 +13,7 @@ one and account for every field that moved.
 import argparse
 import csv
 import inspect
+import io
 import json
 import math
 import tempfile
@@ -752,10 +753,82 @@ class TestIngest:
         monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
         monkeypatch.setattr(cli, "_loadtxt_chunk", chunk_path)
         monkeypatch.setattr(cli, "_row_problem", chunk_path)
+        # with one row per line there are no empty lines to count
+        monkeypatch.setattr(cli, "_empty_lines", chunk_path)
         ds = ingest_csv(f, ["b", "a"])
         assert ds.columns["a"].tolist() == [1.0, -35.0] * 4
         assert ds.columns["b"].tolist() == [2.0, 4.0] * 4
         assert (ds.kept, ds.dropped) == (8, 0)
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n\n-3.5e1, 4\n\n\n5,6\n7,8\n",
+        "1,2\n-3.5e1, 4\n5,6\n7,8\n\n\n",
+    ], ids=["interior", "trailing"])
+    def test_blank_lines_are_read_whole(self, tmp_path, monkeypatch, body):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n" + body, encoding="utf-8")
+        want = ingest_rowwise(f, ["b", "a"])
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        def chunk_path(*args):
+            raise AssertionError("the chunk loop was taken")
+
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        monkeypatch.setattr(cli, "_chunks", chunk_path)
+        ds = ingest_csv(f, ["b", "a"])
+        assert calls == [str(f)]
+        cols, kept, dropped, reasons = want
+        assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
+        assert kept == 4
+        for name in cols:
+            assert ds.columns[name].tobytes() == cols[name].tobytes()
+
+    def test_body_lines_counts_lfs_and_refuses_any_cr(self):
+        # an empty line whose two LFs straddle the 1 MiB block edge
+        line = b"1,2\n"
+        pad = ((1 << 20) - 1 - line.index(b"\n")) % len(line)
+        body = (b"0" * pad + line * ((1 << 20) // len(line)) + b"\n"
+                + line * 3)
+        assert body[(1 << 20) - 1:(1 << 20) + 1] == b"\n\n"
+        assert cli._body_lines(io.BytesIO(body)) == body.count(b"\n")
+        assert cli._empty_lines(io.BytesIO(body)) == 1
+        assert cli._body_lines(io.BytesIO(b"1,2\n\n3,4")) == 3
+        for bad in (b"1,2\r\n3,4\r\n", b"1,2\r3,4\n", b"1,2\n3,a\n"):
+            assert cli._body_lines(io.BytesIO(bad)) is None
+        # a body of line ends alone would make np.loadtxt warn
+        assert cli._body_lines(io.BytesIO(b"\n\n\n")) is None
+
+    def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
+                                                   monkeypatch):
+        # csv.reader ends the header at the CR, so "2,3" is the first row
+        f = tmp_path / "cr.csv"
+        f.write_bytes(b"1\r2,3\n" + b"4,5\n" * 8)
+
+        def whole_read(*args, **kwargs):
+            raise AssertionError("the body was read whole")
+
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        want = ingest_rowwise(f, ["1"])
+        monkeypatch.setattr(np, "loadtxt", whole_read)
+        monkeypatch.setattr(cli, "_loadtxt_chunk", lambda lines, idx: None)
+        ds = ingest_csv(f, ["1"])
+        assert ds.columns["1"].tolist() == [2.0] + [4.0] * 8
+        assert ds.columns["1"].tobytes() == want[0]["1"].tobytes()
+
+    def test_no_requested_column_is_empty_after_a_whole_read(
+            self, tmp_path, monkeypatch):
+        f = tmp_path / "clean.csv"
+        f.write_text("a,b\n" + "1,2\n" * 8, encoding="utf-8")
+        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        assert cli._loadtxt_body(f, []).shape == (0, 8)
+        with pytest.raises(EmptyAfterFilter):
+            ingest_csv(f, [])
 
     def test_a_blank_body_raises_no_warning(self, tmp_path, monkeypatch):
         f = tmp_path / "blank.csv"

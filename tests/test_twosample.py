@@ -34,6 +34,8 @@ from lpstats.errors import (
     SingleGroup,
 )
 
+from conftest import random_sample_values
+
 
 def random_groups(rng, n_max=60):
     n1 = int(rng.integers(2, n_max))
@@ -247,6 +249,22 @@ class TestTwoSampleDensity:
             dens = two_sample_comp_density(x, y)
             assert_allclose(dens.sy.masses @ dens.atom_density, 1.0,
                             rtol=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3000),
+           tied=st.booleans(), share=st.floats(0.05, 0.95))
+    def test_group_one_coefficients_equal_the_full_gather(self, seed, n,
+                                                          tied, share):
+        # c is taken from group 1's atoms alone; it must keep the bits of
+        # the mean over the full (m x n) gather, boolean-indexed
+        rng = np.random.default_rng(seed)
+        y = random_sample_values(rng, n, tied)
+        x = (rng.random(n) < share).astype(float)
+        assume(0 < x.sum() < n and np.unique(y).size > 1)
+        dens = two_sample_comp_density(x, y)
+        full = dens.by.table[:, dens.sy.atom_index]
+        want = full[:, dens.group == 1.0].mean(axis=1)
+        assert dens.c.tobytes() == want.tobytes()
 
 
 class TestClassify:
