@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,11 @@ __all__ = ["Dataset", "ingest_csv", "main"]
 SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
-INGEST_CHUNK_ROWS = 8192  # CSV rows held and parsed at once by ingest_csv
-# The bytes a field of a body read whole by np.loadtxt may hold: no quote,
-# CR, NUL, letter or non-ASCII byte. Besides these the body holds only LFs.
-_FIELD_BYTES = b"0123456789.,+-eE \t"
+INGEST_CHUNK_ROWS = 8192  # CSV rows held at once by ingest_csv's row walk
+# The bytes a body read whole by np.loadtxt may hold besides LFs: those of
+# a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
+# to np.loadtxt given a path and to csv.reader alike.
+_FIELD_BYTES = b"0123456789.,+-eE \t\r"
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
@@ -107,32 +108,12 @@ def _walk(rows, idx, reasons) -> np.ndarray:
     return np.array(kept, dtype=float).reshape(len(kept), len(idx)).T
 
 
-def _loadtxt_chunk(lines, idx):
-    """Requested fields of unquoted `lines` by np.loadtxt, or None.
-
-    None wherever csv.reader and float() could read the lines otherwise:
-    loadtxt rejects a field, returns a non-finite value, or returns fewer
-    rows than lines (it skips blank lines). A chunk of blank lines never
-    reaches loadtxt, which would warn that it holds no data.
-    """
-    if not any(map(str.strip, lines)):
-        return None
-    try:
-        table = np.loadtxt(lines, delimiter=",", usecols=idx, comments=None,
-                           ndmin=2)
-    except ValueError:
-        return None
-    if len(table) != len(lines) or not np.isfinite(table).all():
-        return None
-    return table.T
-
-
 def _body_lines(fb):
-    """Lines left in binary file `fb`, or None if it cannot be read whole.
+    """LFs left in binary file `fb`, or None if it cannot be read whole.
 
-    One translate per 1 MiB block deletes the field bytes; what is left
-    must be LFs, and its length is the block's line count. None also for
-    a body with no field byte, which np.loadtxt would warn holds no data.
+    One translate per 1 MiB block deletes `_FIELD_BYTES`; what is left
+    must be LFs, and its length is the block's count. None also for a body
+    made only of line ends, which np.loadtxt would warn holds no data.
     No block outlives its iteration.
     """
     lines, data, last = 0, False, b"\n"
@@ -141,7 +122,7 @@ def _body_lines(fb):
         if rest != b"\n" * len(rest):  # a byte no field may hold
             return None
         lines += len(rest)
-        data = data or len(rest) < len(block)
+        data = data or bool(block.strip(b"\r\n"))
         last = block[-1:]
     if not data:
         return None
@@ -164,27 +145,30 @@ def _loadtxt_body(p, idx):
 
     np.loadtxt reads a path in blocks in C; given lines or a file object it
     iterates in Python. It is tried when `p` has no suffix np.loadtxt
-    decompresses, the header line ends in LF within 1 MiB, and the body
-    after it holds only `_FIELD_BYTES` and LFs in more than
-    INGEST_CHUNK_ROWS lines (`_body_lines`; so a quoted header spanning
-    lines is refused, and so is any CR).
+    decompresses, the header line ends in LF within 1 MiB with no CR
+    before its line end, and the body after it holds only `_FIELD_BYTES`
+    and LFs (`_body_lines`; so a quoted header spanning lines is refused).
+    np.loadtxt on a path and csv.reader on a `newline=""` handle both end
+    a line at CR, LF and CRLF.
 
     np.loadtxt skips empty lines and raises on whitespace-only ones. So
     the result is kept when every value is finite and it has one row per
-    line, or, counting the empty lines only in that case, one per nonempty
-    line; a loadtxt that skipped any other line fails that count. As in
-    `_loadtxt_chunk`, None wherever loadtxt rejects a field.
+    LF, or, counting the empty lines only in that case, one per LF that
+    ends a nonempty line; a loadtxt that skipped any other line, or split
+    one at a bare CR, fails that count. None wherever loadtxt rejects a
+    field.
     """
-    # more than INGEST_CHUNK_ROWS lines take a byte each
-    if p.suffix in _COMPRESSED or p.stat().st_size <= INGEST_CHUNK_ROWS:
+    if p.suffix in _COMPRESSED:
         return None
     with p.open("rb") as fb:
         # bounded, so a file with bare-CR line ends is not read in one piece
         head = fb.readline(1 << 20)
-        if not head.endswith(b"\n") or b"\r" in head:
+        # a CR inside a quoted header name would make np.loadtxt, but not
+        # csv.reader, read the rest of the header as a row
+        if not head.endswith(b"\n") or b"\r" in head[:-2]:
             return None
         lines = _body_lines(fb)
-        if lines is None or lines <= INGEST_CHUNK_ROWS:
+        if lines is None:
             return None
         try:
             table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
@@ -201,22 +185,6 @@ def _loadtxt_body(p, idx):
     return table.T
 
 
-def _chunks(fh, idx, reasons):
-    """Requested-field tables of the rows left in `fh`, chunk by chunk."""
-    chunks = []
-    while lines := list(islice(fh, INGEST_CHUNK_ROWS)):
-        if '"' in "".join(lines):
-            rows = csv.reader(chain(lines, fh))
-            while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
-                chunks.append(_walk(batch, idx, reasons))
-            break
-        table = _loadtxt_chunk(lines, idx)
-        if table is None:
-            table = _walk(csv.reader(lines), idx, reasons)
-        chunks.append(table)
-    return chunks
-
-
 def ingest_csv(path, columns) -> Dataset:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
@@ -225,19 +193,15 @@ def ingest_csv(path, columns) -> Dataset:
     entries (NaN and infinities included) in the requested columns are
     dropped and counted by reason; blank lines are skipped uncounted.
 
-    The header goes through csv.reader. A body of more than
-    INGEST_CHUNK_ROWS lines made only of digits, `.,+-eE`, spaces, tabs and
-    LF line ends, blank lines included, is read whole by one np.loadtxt
-    over the path (see `_loadtxt_body`), which makes no Python string per
-    line; deciding to try takes one pass over each 1 MiB block.
-    Where that read is not tried or cannot vouch for every row, the body
-    is read in chunks of INGEST_CHUNK_ROWS raw lines, and each chunk is
-    parsed in C by np.loadtxt. A chunk loadtxt cannot vouch for (see
-    `_loadtxt_chunk`) is walked on its own by csv.reader, `_row_problem`
-    and float(). Once a chunk holds a `"`, the rest of the file is walked
-    that way, since a quoted field may span lines. All paths give the same
-    columns, bit for bit, and the same drop counts; only the csv module
-    refuses a field longer than `csv.field_size_limit()`.
+    The header goes through csv.reader. A body made only of digits,
+    `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
+    included, is read whole by one np.loadtxt over the path (see
+    `_loadtxt_body`), which makes no Python string per line; deciding to
+    try takes one pass over each 1 MiB block. Where that read is not tried
+    or cannot vouch for every row, csv.reader, `_row_problem` and float()
+    walk the body in batches of INGEST_CHUNK_ROWS rows. Both paths give the
+    same columns, bit for bit, and the same drop counts; only the csv
+    module refuses a field longer than `csv.field_size_limit()`.
     """
     p = Path(path)
     if not p.is_file():
@@ -252,8 +216,11 @@ def ingest_csv(path, columns) -> Dataset:
                 raise MissingColumn(name, header)
         idx = [header.index(name) for name in columns]
         reasons = {}
-        whole = _loadtxt_body(p, idx)
-        chunks = [whole] if whole is not None else _chunks(fh, idx, reasons)
+        chunks = [_loadtxt_body(p, idx)]
+        if chunks[0] is None:
+            rows, chunks = csv.reader(fh), []
+            while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
+                chunks.append(_walk(batch, idx, reasons))
     # with no requested columns there is nothing to keep
     kept = sum(t.shape[1] for t in chunks) if columns else 0
     if kept == 0:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `lpstats` console script: each command must
 # print the bytes of its golden, the refusals must exit 2, and copies of a
-# table, read whole or chunk by chunk, must give the same bytes.
+# table, read whole or walked row by row, must give the same bytes.
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
@@ -20,9 +20,10 @@ test "$code" -eq 2
 code=0
 lpstats describe --col GAG --seed 1 || code=$?
 test "$code" -eq 2
-# A clean 20000-row table is read whole by one np.loadtxt, and so is its
-# copy with blank lines; its CRLF copy goes through the chunk loop. All
-# must give the same bytes.
+# A clean 20000-row table is read whole by one np.loadtxt, and so are its
+# copy with blank lines and its CRLF copy. All must give the same bytes.
+# Its copy with an NA cell in row 10000 is walked by csv.reader, and must
+# give the bytes of the copy without that row.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 python3 - "$tmp" <<'PY'
@@ -32,8 +33,10 @@ import sys
 rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
+na = rows[:9999] + ["NA," + rows[9999].split(",")[1]] + rows[10000:]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
-                         ("blank.csv", blank, "\n")):
+                         ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
+                         ("drop.csv", rows[:9999] + rows[10000:], "\n")):
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
         fh.write(end.join(["x,y", *lines]) + end)
 PY
@@ -43,3 +46,6 @@ for cmd in "describe --col x" "depend --x x --y y"; do
         lpstats $cmd --format csv --data "$tmp/$copy.csv" | cmp - "$tmp/lf.out"
     done
 done
+lpstats depend --x x --y y --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
+lpstats depend --x x --y y --format csv --data "$tmp/na.csv" \
+    | cmp - "$tmp/drop.out"

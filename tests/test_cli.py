@@ -681,8 +681,8 @@ def numeric_csvs(draw):
 
     Rows of 3 or 4 kept fields, with up to two odd lines put in: a row
     with any numeric field, one ending in a trailing comma, a short row, a
-    blank line or one holding only whitespace. Lines end in LF, and the
-    last one may have none.
+    blank line or one holding only whitespace. Every line ends in the same
+    drawn LF, CRLF or bare CR, and the last one may have none.
     """
     field = st.sampled_from(NUMERIC_FIELDS)
     full = st.lists(st.sampled_from(KEPT_FIELDS), min_size=3, max_size=4)
@@ -694,12 +694,16 @@ def numeric_csvs(draw):
     rows = draw(st.lists(full.map(",".join), min_size=1, max_size=14))
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), draw(odd))
-    return "\n".join(["a,b,c"] + rows) + draw(st.sampled_from(["\n", ""]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(["a,b,c"] + rows) + draw(st.sampled_from([end, ""]))
 
 
 def assert_ingest_matches_rowwise(text, chunk, columns):
+    # every warning, not only the RuntimeWarning pytest is set to raise:
+    # np.loadtxt's "input contained no data" is a UserWarning
     with tempfile.TemporaryDirectory() as tmp, \
-            pytest.MonkeyPatch.context() as mp:
+            pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
         f = Path(tmp) / "messy.csv"
         f.write_bytes(text.encode("utf-8"))
@@ -731,34 +735,32 @@ class TestIngest:
     @given(text=messy_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
     def test_columnar_ingest_matches_the_rowwise_loop(self, text, chunk,
                                                       columns):
-        # Chunks of 1-4 lines put bad rows on both sides of chunk boundaries
-        # and split multi-line quoted fields across them.
+        # Batches of 1-4 rows put bad rows on both sides of batch edges.
         assert_ingest_matches_rowwise(text, chunk, columns)
 
     @settings(deadline=None, max_examples=300)
     @given(text=numeric_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
     def test_whole_body_ingest_matches_the_rowwise_loop(self, text, chunk,
                                                         columns):
-        # With chunks of 1-4 lines most bodies are long enough to be tried
-        # whole; a bad row makes the chunk loop read the body instead.
+        # Every body is tried whole; a bad row, or a blank line among CRLF
+        # or bare-CR ends, makes the row walk read it instead.
         assert_ingest_matches_rowwise(text, chunk, columns)
 
     def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
-        f = tmp_path / "clean.csv"
-        f.write_text("a,b\n" + "1,2\n-3.5e1, 4\n" * 4, encoding="utf-8")
+        def walk(*args):
+            raise AssertionError("the row walk was taken")
 
-        def chunk_path(*args):
-            raise AssertionError("the chunk path was taken")
-
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
-        monkeypatch.setattr(cli, "_loadtxt_chunk", chunk_path)
-        monkeypatch.setattr(cli, "_row_problem", chunk_path)
+        monkeypatch.setattr(cli, "_row_problem", walk)
         # with one row per line there are no empty lines to count
-        monkeypatch.setattr(cli, "_empty_lines", chunk_path)
-        ds = ingest_csv(f, ["b", "a"])
-        assert ds.columns["a"].tolist() == [1.0, -35.0] * 4
-        assert ds.columns["b"].tolist() == [2.0, 4.0] * 4
-        assert (ds.kept, ds.dropped) == (8, 0)
+        monkeypatch.setattr(cli, "_empty_lines", walk)
+        for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+            f = tmp_path / name
+            f.write_bytes(end.join(["a,b", *["1,2", "-3.5e1, 4"] * 4, ""])
+                          .encode("utf-8"))
+            ds = ingest_csv(f, ["b", "a"])
+            assert ds.columns["a"].tolist() == [1.0, -35.0] * 4
+            assert ds.columns["b"].tolist() == [2.0, 4.0] * 4
+            assert (ds.kept, ds.dropped) == (8, 0)
 
     @pytest.mark.parametrize("body", [
         "1,2\n\n-3.5e1, 4\n\n\n5,6\n7,8\n",
@@ -775,12 +777,11 @@ class TestIngest:
             calls.append(fname)
             return loadtxt(fname, *args, **kwargs)
 
-        def chunk_path(*args):
-            raise AssertionError("the chunk loop was taken")
+        def walk(*args):
+            raise AssertionError("the row walk was taken")
 
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
         monkeypatch.setattr(np, "loadtxt", counted)
-        monkeypatch.setattr(cli, "_chunks", chunk_path)
+        monkeypatch.setattr(cli, "_row_problem", walk)
         ds = ingest_csv(f, ["b", "a"])
         assert calls == [str(f)]
         cols, kept, dropped, reasons = want
@@ -789,7 +790,7 @@ class TestIngest:
         for name in cols:
             assert ds.columns[name].tobytes() == cols[name].tobytes()
 
-    def test_body_lines_counts_lfs_and_refuses_any_cr(self):
+    def test_body_lines_counts_lfs_and_refuses_other_bytes(self):
         # an empty line whose two LFs straddle the 1 MiB block edge
         line = b"1,2\n"
         pad = ((1 << 20) - 1 - line.index(b"\n")) % len(line)
@@ -799,41 +800,48 @@ class TestIngest:
         assert cli._body_lines(io.BytesIO(body)) == body.count(b"\n")
         assert cli._empty_lines(io.BytesIO(body)) == 1
         assert cli._body_lines(io.BytesIO(b"1,2\n\n3,4")) == 3
-        for bad in (b"1,2\r\n3,4\r\n", b"1,2\r3,4\n", b"1,2\n3,a\n"):
+        assert cli._body_lines(io.BytesIO(b"1,2\r\n3,4\r\n")) == 2
+        for bad in (b"1,2\n3,a\n", b'1,"2"\r\n'):
             assert cli._body_lines(io.BytesIO(bad)) is None
         # a body of line ends alone would make np.loadtxt warn
-        assert cli._body_lines(io.BytesIO(b"\n\n\n")) is None
+        for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
+            assert cli._body_lines(io.BytesIO(ends)) is None
 
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
                                                    monkeypatch):
-        # csv.reader ends the header at the CR, so "2,3" is the first row
         f = tmp_path / "cr.csv"
+        # csv.reader ends the header at the CR, so "2,3" is the first row
         f.write_bytes(b"1\r2,3\n" + b"4,5\n" * 8)
+        want = ingest_rowwise(f, ["1"])
+        g = tmp_path / "quoted.csv"
+        # csv.reader keeps the quoted CR in the name of column 0; split at
+        # the CR, np.loadtxt would read "3" under column "4", and the blank
+        # line would hide that extra row from the LF count
+        g.write_bytes(b'"a\r1,2",3,4\n5,6,7\n\n')
+        want_quoted = ingest_rowwise(g, ["4"])
 
         def whole_read(*args, **kwargs):
             raise AssertionError("the body was read whole")
 
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
-        want = ingest_rowwise(f, ["1"])
         monkeypatch.setattr(np, "loadtxt", whole_read)
-        monkeypatch.setattr(cli, "_loadtxt_chunk", lambda lines, idx: None)
         ds = ingest_csv(f, ["1"])
         assert ds.columns["1"].tolist() == [2.0] + [4.0] * 8
         assert ds.columns["1"].tobytes() == want[0]["1"].tobytes()
+        ds = ingest_csv(g, ["4"])
+        assert ds.columns["4"].tolist() == [7.0]
+        assert ds.columns["4"].tobytes() == want_quoted[0]["4"].tobytes()
 
     def test_no_requested_column_is_empty_after_a_whole_read(
             self, tmp_path, monkeypatch):
         f = tmp_path / "clean.csv"
         f.write_text("a,b\n" + "1,2\n" * 8, encoding="utf-8")
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
         assert cli._loadtxt_body(f, []).shape == (0, 8)
         with pytest.raises(EmptyAfterFilter):
             ingest_csv(f, [])
 
     def test_a_blank_body_raises_no_warning(self, tmp_path, monkeypatch):
         f = tmp_path / "blank.csv"
-        f.write_text("a,b\n" + "\n" * 10, encoding="utf-8")
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
+        f.write_text("a,b\n" + "\r\n" * 10, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmptyAfterFilter):
@@ -844,7 +852,6 @@ class TestIngest:
         # np.loadtxt would gunzip a path ending in .gz and fail
         f = tmp_path / "t.csv.gz"
         f.write_text("a,b\n" + "1,2\n3,4\n" * 4, encoding="utf-8")
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 3)
         ds = ingest_csv(f, ["a", "b"])
         cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
         assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
@@ -853,7 +860,7 @@ class TestIngest:
 
     @staticmethod
     def walked_rows(monkeypatch, chunk):
-        """Rows that reach `_row_problem`, with chunks of `chunk` lines."""
+        """Rows that reach `_row_problem`, walked in batches of `chunk`."""
         walked = []
         problem = cli._row_problem
 
@@ -865,33 +872,31 @@ class TestIngest:
         monkeypatch.setattr(cli, "_row_problem", counted)
         return walked
 
-    def test_clean_chunks_skip_the_row_walk(self, tmp_path, monkeypatch):
-        f = tmp_path / "clean.csv"
-        f.write_text("a,b\n" + "1,2\n" * 7 + "x,2\n", encoding="utf-8")
+    def test_a_dirty_body_walks_each_nonblank_row_once(self, tmp_path,
+                                                       monkeypatch):
+        # the bad row fails the whole read; batches of 3 rows then put a
+        # blank line and the bad row on both sides of batch edges
+        f = tmp_path / "dirty.csv"
+        f.write_text("a,b\n1,2\n\n3,4\nx,2\n" + "5,6\n" * 4 + "\n7,8\n",
+                     encoding="utf-8")
         walked = self.walked_rows(monkeypatch, 3)
         ds = ingest_csv(f, ["a", "b"])
         assert (ds.kept, ds.reasons) == (7, {"non_numeric": 1})
-        assert len(walked) == 2  # only the last chunk: ["1", "2"], ["x", "2"]
-
-    def test_a_dirty_first_chunk_leaves_later_chunks_unwalked(
-            self, tmp_path, monkeypatch):
-        f = tmp_path / "dirty.csv"
-        f.write_text("a,b\nx,2\n" + "1,2\n" * 8, encoding="utf-8")
-        walked = self.walked_rows(monkeypatch, 3)
-        ds = ingest_csv(f, ["a", "b"])
-        assert (ds.kept, ds.reasons) == (8, {"non_numeric": 1})
-        assert walked == [["x", "2"], ["1", "2"], ["1", "2"]]
+        assert walked == [["1", "2"], ["3", "4"], ["x", "2"],
+                          *[["5", "6"]] * 4, ["7", "8"]]
 
     def test_a_quote_sends_the_rest_of_the_file_to_csv_reader(
             self, tmp_path, monkeypatch):
-        # The quoted field "4\n" spans lines 3 and 4, across a chunk edge.
+        # The quoted field "4\n" spans lines 3 and 4; its quotes keep the
+        # body from being read whole, so every row is walked.
         f = tmp_path / "quoted.csv"
         f.write_text('a,b\n1,2\n1,2\n3,"4\n"\n5,6\n7,8\n',
                      encoding="utf-8")
         walked = self.walked_rows(monkeypatch, 2)
         ds = ingest_csv(f, ["a", "b"])
         assert ds.columns["b"].tolist() == [2.0, 2.0, 4.0, 6.0, 8.0]
-        assert walked == [["3", "4\n"], ["5", "6"], ["7", "8"]]
+        assert walked == [["1", "2"], ["1", "2"], ["3", "4\n"], ["5", "6"],
+                          ["7", "8"]]
 
     def test_blank_chunks_raise_no_warning(self, tmp_path, monkeypatch):
         f = tmp_path / "blank.csv"
