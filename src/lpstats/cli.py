@@ -50,6 +50,9 @@ INGEST_CHUNK_ROWS = 8192  # CSV rows held at once by ingest_csv's row walk
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
+# Those of an integral body, read as int64: with no '-', whose "-0" would
+# read as 0 where float gives -0.0, and no '.', 'e' or 'E'.
+_INT_BYTES = b"0123456789,+ \t\r"
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
@@ -109,24 +112,32 @@ def _walk(rows, idx, reasons) -> np.ndarray:
 
 
 def _body_lines(fb):
-    """LFs left in binary file `fb`, or None if it cannot be read whole.
+    """The LFs left in binary file `fb` and whether it is integral, or None.
 
-    One translate per 1 MiB block deletes `_FIELD_BYTES`; what is left
-    must be LFs, and its length is the block's count. None also for a body
-    made only of line ends, which np.loadtxt would warn holds no data.
-    No block outlives its iteration.
+    A body is integral when it holds only `_INT_BYTES` and LFs. One
+    translate per 1 MiB block deletes `_INT_BYTES`; the first block that
+    this leaves more than LFs in ends the integral body, and a second
+    translate of the rest, and one translate of every later block, delete
+    `_FIELD_BYTES`. What is left must be LFs, and its length is the
+    block's count. None for a byte no field may hold, and for a body made
+    only of line ends, which np.loadtxt would warn holds no data. No block
+    outlives its iteration.
     """
-    lines, data, last = 0, False, b"\n"
+    lines, data, last, deleted = 0, False, b"\n", _INT_BYTES
     while block := fb.read(1 << 20):
-        rest = block.translate(None, _FIELD_BYTES)
-        if rest != b"\n" * len(rest):  # a byte no field may hold
-            return None
+        rest = block.translate(None, deleted)
+        if rest != b"\n" * len(rest):  # a '-', '.', 'e' or 'E', or worse
+            deleted = _FIELD_BYTES
+            rest = rest.translate(None, deleted)
+            if rest != b"\n" * len(rest):  # a byte no field may hold
+                return None
         lines += len(rest)
         data = data or bool(block.strip(b"\r\n"))
         last = block[-1:]
     if not data:
         return None
-    return lines + (last != b"\n")  # a last line with no final newline
+    # a last line with no final newline counts too
+    return lines + (last != b"\n"), deleted is _INT_BYTES
 
 
 def _empty_lines(fb):
@@ -157,6 +168,13 @@ def _loadtxt_body(p, idx):
     ends a nonempty line; a loadtxt that skipped any other line, or split
     one at a bare CR, fails that count. None wherever loadtxt rejects a
     field.
+
+    An integral body (see `_body_lines`) is read with dtype int64 and then
+    converted to float. int64 to float64 rounds to nearest even, as a
+    correctly rounded float() of the same decimal integer does, so the
+    columns have the bits of a float read. On these bytes int64 refuses
+    what float refuses and also integers of 2**63 or more; such a table is
+    walked, with no float read tried.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -167,19 +185,23 @@ def _loadtxt_body(p, idx):
         # csv.reader, read the rest of the header as a row
         if not head.endswith(b"\n") or b"\r" in head[:-2]:
             return None
-        lines = _body_lines(fb)
-        if lines is None:
+        scan = _body_lines(fb)
+        if scan is None:
             return None
+        lines, integral = scan
         try:
             table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
                                comments=None, ndmin=2, skiprows=1,
-                               encoding="utf-8-sig")
+                               encoding="utf-8-sig",
+                               dtype=np.int64 if integral else float)
         except ValueError:  # UnicodeDecodeError included
             return None
         if len(table) != lines:
             fb.seek(len(head))
             if len(table) + _empty_lines(fb) != lines:
                 return None
+    if integral:
+        return table.astype(float).T
     if not np.isfinite(table).all():
         return None
     return table.T
@@ -197,11 +219,14 @@ def ingest_csv(path, columns) -> Dataset:
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
     included, is read whole by one np.loadtxt over the path (see
     `_loadtxt_body`), which makes no Python string per line; deciding to
-    try takes one pass over each 1 MiB block. Where that read is not tried
-    or cannot vouch for every row, csv.reader, `_row_problem` and float()
-    walk the body in batches of INGEST_CHUNK_ROWS rows. Both paths give the
-    same columns, bit for bit, and the same drop counts; only the csv
-    module refuses a field longer than `csv.field_size_limit()`.
+    try takes one pass over each 1 MiB block. The same pass finds whether
+    the body is integral, with no '-', '.', 'e' or 'E'; that read then
+    parses it as int64, which numpy does faster than float, and converts
+    it to float. Where the read is not tried or cannot vouch for every
+    row, csv.reader, `_row_problem` and float() walk the body in batches
+    of INGEST_CHUNK_ROWS rows. Both paths give the same columns, bit for
+    bit, and the same drop counts; only the csv module refuses a field
+    longer than `csv.field_size_limit()`.
     """
     p = Path(path)
     if not p.is_file():

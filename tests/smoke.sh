@@ -23,7 +23,9 @@ test "$code" -eq 2
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
 # copy with blank lines and its CRLF copy. All must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and must
-# give the bytes of the copy without that row.
+# give the bytes of the copy without that row. A table of integers is read
+# whole as int64; its copy with one cell written as 7.0 is read whole as
+# float, and must give the same bytes.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 python3 - "$tmp" <<'PY'
@@ -34,9 +36,13 @@ rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
 na = rows[:9999] + ["NA," + rows[9999].split(",")[1]] + rows[10000:]
+ints = [f"{rng.randrange(34)},{rng.randrange(37)}" for _ in range(20000)]
+ints[10000] = "7," + ints[10000].split(",")[1]
+dot = ints[:10000] + ["7.0," + ints[10000].split(",")[1]] + ints[10001:]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
-                         ("drop.csv", rows[:9999] + rows[10000:], "\n")):
+                         ("drop.csv", rows[:9999] + rows[10000:], "\n"),
+                         ("int.csv", ints, "\n"), ("dot.csv", dot, "\n")):
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
         fh.write(end.join(["x,y", *lines]) + end)
 PY
@@ -49,3 +55,7 @@ done
 lpstats depend --x x --y y --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
 lpstats depend --x x --y y --format csv --data "$tmp/na.csv" \
     | cmp - "$tmp/drop.out"
+for cmd in "describe --col x" "depend --x x --y y"; do
+    lpstats $cmd --format csv --data "$tmp/int.csv" > "$tmp/int.out"
+    lpstats $cmd --format csv --data "$tmp/dot.csv" | cmp - "$tmp/int.out"
+done

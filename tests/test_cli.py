@@ -724,6 +724,43 @@ def assert_ingest_matches_rowwise(text, chunk, columns):
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
                         max_size=3, unique=True)
 
+# where float64 rounds, and where int64 ends: 2**63 is not an int64
+EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63]
+
+
+@st.composite
+def integral_csvs(draw):
+    """CSV text under an a,b,c header, in the bytes of an integral body.
+
+    Rows of 3 fields, each an integer with an optional '+', leading zeros
+    and padding of spaces and tabs; up to two blank lines put in. Every
+    line ends in the same drawn LF or CRLF, and the last one may have none.
+    """
+    pad = st.sampled_from(["", " ", "\t", " \t"])
+    field = st.tuples(
+        pad, st.sampled_from(["", "+"]), st.sampled_from(["", "0", "007"]),
+        st.one_of(st.integers(0, 999), st.sampled_from(EDGE_INTS)), pad,
+    ).map(lambda t: "".join(map(str, t)))
+    rows = draw(st.lists(st.lists(field, min_size=3, max_size=3)
+                         .map(",".join), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(["a,b,c"] + rows) + draw(st.sampled_from([end, ""]))
+
+
+def loadtxt_dtypes(monkeypatch):
+    """The dtype of each np.loadtxt call made from here on."""
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def recorded(*args, **kwargs):
+        dtypes.append(kwargs.get("dtype", float))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    return dtypes
+
 
 class TestIngest:
     @settings(deadline=None, max_examples=300)
@@ -745,6 +782,43 @@ class TestIngest:
         # Every body is tried whole; a bad row, or a blank line among CRLF
         # or bare-CR ends, makes the row walk read it instead.
         assert_ingest_matches_rowwise(text, chunk, columns)
+
+    @settings(deadline=None, max_examples=200)
+    @example(text="a,b,c\n1,2,9223372036854775808\n", columns=["a"])
+    @given(text=integral_csvs(), columns=COLUMN_LISTS)
+    def test_integral_ingest_matches_the_rowwise_loop(self, text, columns):
+        # Each body makes one int64 read; one with a field of 2**63 or more
+        # fails it and is walked.
+        with pytest.MonkeyPatch.context() as mp:
+            dtypes = loadtxt_dtypes(mp)
+            assert_ingest_matches_rowwise(text, 4, columns)
+        assert dtypes == [np.int64]
+
+    @pytest.mark.parametrize("body, dtype", [
+        ("1,2\n+3, 04\n\n5,\t6\n", np.int64),
+        ("1,2\r\n3,4\r\n", np.int64),
+        ("1,2\n3,-4\n", float),
+        ("1,2\n3,-0\n", float),
+        ("1,2.5\n3,4\n", float),
+        ("1,2\n3e1,4\n", float),
+    ])
+    def test_one_loadtxt_call_with_the_body_s_dtype(self, tmp_path,
+                                                    monkeypatch, body, dtype):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n" + body, encoding="utf-8")
+        cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
+        dtypes = loadtxt_dtypes(monkeypatch)
+
+        def walk(*args):
+            raise AssertionError("the row walk was taken")
+
+        monkeypatch.setattr(cli, "_row_problem", walk)
+        ds = ingest_csv(f, ["a", "b"])
+        assert dtypes == [dtype]
+        assert (ds.kept, ds.dropped) == (kept, dropped) == (kept, 0)
+        for name in cols:
+            assert ds.columns[name].dtype == np.float64
+            assert ds.columns[name].tobytes() == cols[name].tobytes()
 
     def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
         def walk(*args):
@@ -797,15 +871,25 @@ class TestIngest:
         body = (b"0" * pad + line * ((1 << 20) // len(line)) + b"\n"
                 + line * 3)
         assert body[(1 << 20) - 1:(1 << 20) + 1] == b"\n\n"
-        assert cli._body_lines(io.BytesIO(body)) == body.count(b"\n")
+        assert cli._body_lines(io.BytesIO(body)) == (body.count(b"\n"), True)
         assert cli._empty_lines(io.BytesIO(body)) == 1
-        assert cli._body_lines(io.BytesIO(b"1,2\n\n3,4")) == 3
-        assert cli._body_lines(io.BytesIO(b"1,2\r\n3,4\r\n")) == 2
-        for bad in (b"1,2\n3,a\n", b'1,"2"\r\n'):
+        assert cli._body_lines(io.BytesIO(b"1,2\n\n3,4")) == (3, True)
+        # a CRLF integer body stays integral
+        assert cli._body_lines(io.BytesIO(b"1,2\r\n3,4\r\n")) == (2, True)
+        for bad in (b"1,2\n3,a\n", b'1,"2"\r\n', b"1.5,2\n3,a\n"):
             assert cli._body_lines(io.BytesIO(bad)) is None
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
             assert cli._body_lines(io.BytesIO(ends)) is None
+        # the integral flag: a '-', '.', 'e' or 'E' anywhere clears it,
+        # also one only in the second 1 MiB block
+        head = line * ((1 << 20) // len(line))
+        assert len(head) == 1 << 20
+        for cell in (b"-2", b"-0", b"2.", b"2e0", b"2E0"):
+            for body in (cell + b",2\n" + head, head + cell + b",2\n" + line,
+                         b"1,2\r\n3," + cell):
+                assert cli._body_lines(io.BytesIO(body)) == (
+                    body.count(b"\n") + (not body.endswith(b"\n")), False)
 
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
                                                    monkeypatch):
