@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -50,8 +51,7 @@ INGEST_CHUNK_ROWS = 8192  # CSV rows held at once by ingest_csv's row walk
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
-# Those of an integral body, read as int64: with no '-', whose "-0" would
-# read as 0 where float gives -0.0, and no '.', 'e' or 'E'.
+# Those of an integral body, which `_loadtxt_body` reads as int64.
 _INT_BYTES = b"0123456789,+ \t\r"
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
@@ -169,12 +169,17 @@ def _loadtxt_body(p, idx):
     one at a bare CR, fails that count. None wherever loadtxt rejects a
     field.
 
-    An integral body (see `_body_lines`) is read with dtype int64 and then
-    converted to float. int64 to float64 rounds to nearest even, as a
-    correctly rounded float() of the same decimal integer does, so the
-    columns have the bits of a float read. On these bytes int64 refuses
-    what float refuses and also integers of 2**63 or more; such a table is
-    walked, with no float read tried.
+    An integral body (`_body_lines`) is read with dtype int64, which numpy
+    parses several times faster than float, and then converted to float.
+    int64 to float64 rounds to nearest even, as a correctly rounded float()
+    of the same decimal integer does, so the columns have the bits of a
+    float read. '-' is not integral: "-0" reads as the int 0 but as the
+    float -0.0. On these bytes int64 refuses what float refuses and also
+    integers of 2**63 or more; such a table is walked, with no float read
+    tried. Some numpy releases from 1.23 on parse such an integer as a
+    float instead and cast it to int64 in C, which is undefined past
+    2**63, with only a DeprecationWarning; made an error here, that
+    warning makes loadtxt raise ValueError.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -190,10 +195,13 @@ def _loadtxt_body(p, idx):
             return None
         lines, integral = scan
         try:
-            table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
-                               comments=None, ndmin=2, skiprows=1,
-                               encoding="utf-8-sig",
-                               dtype=np.int64 if integral else float)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", ".*integer via a float",
+                                        DeprecationWarning)
+                table = np.loadtxt(os.fspath(p), delimiter=",",
+                                   usecols=idx, comments=None, ndmin=2,
+                                   skiprows=1, encoding="utf-8-sig",
+                                   dtype=np.int64 if integral else float)
         except ValueError:  # UnicodeDecodeError included
             return None
         if len(table) != lines:
@@ -220,13 +228,12 @@ def ingest_csv(path, columns) -> Dataset:
     included, is read whole by one np.loadtxt over the path (see
     `_loadtxt_body`), which makes no Python string per line; deciding to
     try takes one pass over each 1 MiB block. The same pass finds whether
-    the body is integral, with no '-', '.', 'e' or 'E'; that read then
-    parses it as int64, which numpy does faster than float, and converts
-    it to float. Where the read is not tried or cannot vouch for every
-    row, csv.reader, `_row_problem` and float() walk the body in batches
-    of INGEST_CHUNK_ROWS rows. Both paths give the same columns, bit for
-    bit, and the same drop counts; only the csv module refuses a field
-    longer than `csv.field_size_limit()`.
+    the body is integral, which that read then parses as int64. Where the
+    read is not tried or cannot vouch for every row, csv.reader,
+    `_row_problem` and float() walk the body in batches of
+    INGEST_CHUNK_ROWS rows. Both paths give the same columns, bit for bit,
+    and the same drop counts; only the csv module refuses a field longer
+    than `csv.field_size_limit()`.
     """
     p = Path(path)
     if not p.is_file():
