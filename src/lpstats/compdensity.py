@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .empirical import Sample, _scalar_or_array, _unit_open
+from .empirical import Sample, _scalar_or_array, _unit_open, quantile
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
                      IllConditioned, NonConvergence, OrderTooHigh,
                      UnboundedDensity)
@@ -163,16 +163,8 @@ def uniform_reference(a: float, b: float) -> ReferenceDistribution:
 
 def empirical_reference(s: Sample) -> ReferenceDistribution:
     """The sample's own step CDF and left-continuous quantile as G."""
-
-    def qf(u):
-        _unit_open(u, "empirical quantile level", closed_right=True)
-        return s.values[s.atom_at_level(u)]
-
-    return ReferenceDistribution(
-        "empirical", {"n": s.n},
-        cdf=s.step_cdf,
-        quantile=qf,
-    )
+    return ReferenceDistribution("empirical", {"n": s.n}, cdf=s.step_cdf,
+                                 quantile=partial(quantile, s))
 
 
 def fit_reference(kind: str, s: Sample) -> ReferenceDistribution:

@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
                         make_sample, mid_quantile)
-from .errors import DegenerateSlice, DomainError
+from .errors import DomainError
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -42,7 +42,6 @@ __all__ = [
     "series_regression",
 ]
 
-_MIN_MASS = 1e-3
 # Chebyshev coefficients of a slice's P_u' below this share of its largest
 # one are dropped from the top: the closed forms and the colleague matrix
 # divide by the leading one, and at round-off size its roots are noise.
@@ -76,7 +75,7 @@ class ConditionalSlice:
     `weights[k-1]` multiplies S_k(v; Y); `raw` holds the series values on
     Y's atom intervals, `density` the clipped and renormalized version
     (integrates to exactly 1 by the step sum), `mass` the pre-normalization
-    integral of the clipped values.
+    integral of the clipped values, at least 1 (see `_step_density`).
     """
 
     u: float
@@ -115,18 +114,28 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     return float(out.ravel()[0]) if scalar else out
 
 
+def _step_density(sy: Sample, table, weights):
+    """Floored, normalized step series 1 + weights @ table over Y's atoms.
+
+    Returns (raw, density, mass): the series, its floor at CLIP_FLOOR
+    divided by `mass`, the floored series' step sum. Each score of `table`
+    has mean zero under `sy.masses`, so the raw series sums to exactly 1
+    and flooring only adds: mass >= 1 up to round-off.
+    """
+    raw = 1.0 + weights @ table
+    floored = np.maximum(raw, CLIP_FLOOR)
+    mass = float(sy.masses @ floored)
+    return raw, floored / mass, mass
+
+
 def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     """Normalized conditional density of Y at conditioning level u."""
     u = float(_unit_open(u, "conditioning level"))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
     weights = mod.coefficients.T @ su
-    raw = 1.0 + weights @ mod.by.table
-    clipped = np.maximum(raw, CLIP_FLOOR)
-    mass = float(mod.sy.masses @ clipped)
-    if mass < _MIN_MASS:
-        raise DegenerateSlice(f"slice at u={u:g} carries mass {mass:.2e}")
-    return ConditionalSlice(u=u, weights=weights, raw=raw,
-                            density=clipped / mass, mass=mass)
+    raw, density, mass = _step_density(mod.sy, mod.by.table, weights)
+    return ConditionalSlice(u=u, weights=weights, raw=raw, density=density,
+                            mass=mass)
 
 
 @_scalar_or_array(2)
@@ -339,7 +348,7 @@ def _poly_curves(sy: Sample, table, weights, ps):
     run ends split each slice's CDF into stretches on which one formula
     holds, p is placed in its stretch, and the atom where the CDF reaches
     p is found by bisection there, and the level inside that atom by
-    `_atom_level`, as in `_slice_levels`. Returns (means, levels, masses).
+    `_atom_level`, as in `_slice_levels`. Returns (means, levels).
     """
     k, r = weights.shape[0], sy.r
     scores = np.ascontiguousarray(table.T)
@@ -410,7 +419,7 @@ def _poly_curves(sy: Sample, table, weights, ps):
     atom = _first_true(lower, upper, lambda e: above_base(e) >= rest) - 1
     density = np.maximum(_dot_at(series, terms, atom), CLIP_FLOOR) / mass
     offset = (ps - (above_base(atom) + base) / mass) / density
-    return means, _atom_level(sy, atom, offset), mass[:, 0]
+    return means, _atom_level(sy, atom, offset)
 
 
 def quantile_curves(mod: CopulaModel, us, ps):
@@ -432,12 +441,8 @@ def quantile_curves(mod: CopulaModel, us, ps):
     weights = su.T @ mod.coefficients
     used = np.flatnonzero(weights.any(axis=0))
     m = used[-1] + 1 if used.size else 0
-    means, levels, mass = _poly_curves(mod.sy, mod.by.table[:m],
-                                       weights[:, :m], ps)
-    low = np.flatnonzero(mass < _MIN_MASS)
-    if low.size:
-        raise DegenerateSlice(f"slice at u={us[low[0]]:g} carries mass "
-                              f"{mass[low[0]]:.2e}")
+    means, levels = _poly_curves(mod.sy, mod.by.table[:m], weights[:, :m],
+                                 ps)
     return means, mid_quantile(mod.sy, levels)
 
 

@@ -97,7 +97,3 @@ class FlavorNotFitted(LPStatsError):
 
 class UnboundedDensity(LPStatsError):
     """Accept-reject envelope could not be bounded."""
-
-
-class DegenerateSlice(LPStatsError):
-    """A conditional density slice carries essentially no mass."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compdensity import CLIP_FLOOR
+from .copula import _step_density
 from .empirical import (Sample, _finite, _scalar_or_array, make_sample,
                         mid_ranks)
 from .errors import (DegenerateScale, DomainError, EmptyInput,
@@ -193,7 +193,8 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     Verifies the algebra linking it to the group means and the pooled
     variance: r = (M1 - M0) sqrt(tau (1 - tau) / V) and
     t_core = r / sqrt(1 - r^2), each to 1e-12 relative; the returned flag
-    reports whether both held. r = +-1 leaves t undefined and raises.
+    reports whether both held. r = +-1 or a zero pooled variance leaves t
+    undefined and raises DegenerateScale.
     """
     _, x01, y = _split_binary(x_obs, y_obs)
     return _correlation_stats(x01, y, group_summary(y[x01 == 0.0]),
@@ -211,9 +212,7 @@ def _correlation_stats(x01, y, g0: GroupSummary,
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")
     t = r / math.sqrt(1.0 - r ** 2)
-    comb = combine(g0, g1)
-    t_pool = (m1 - m0) * math.sqrt(comb.tau1 * comb.tau2 / comb.vpool) \
-        if comb.vpool > 0.0 else t
+    t_pool = student_t(g0, g1).t_core
     ok = (abs(r - r_groups) <= 1e-12 * max(1.0, abs(r))
           and abs(t - t_pool) <= 1e-12 * max(1.0, abs(t)))
     return CorrelationStats(r=r, r2=r ** 2, t=t, vpool_identity_ok=bool(ok))
@@ -255,8 +254,9 @@ class TwoSampleDensity:
     lp1k = sqrt(tau / (1 - tau)) c are the matching LP(1, k) comoments
     (the high-order Wilcoxon statistics), and selection runs on that
     scale. `atom_density` is the clipped, renormalized density over the
-    pooled atoms, the object classification consumes. `group` is the 0/1
-    indicator of the higher label, in `sy.obs` order.
+    pooled atoms, the object classification consumes, and `mass` (at
+    least 1) what it was divided by. `group` is the 0/1 indicator of the
+    higher label, in `sy.obs` order.
     """
 
     sy: Sample
@@ -281,13 +281,11 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     tau = float(x01.mean())
     lp1k = math.sqrt(tau / (1.0 - tau)) * c
     selected = select_significant(lp1k, sy.n, rule=rule)
-    raw = 1.0 + (c * selected) @ by.table
-    clipped = np.maximum(raw, CLIP_FLOOR)
-    mass = float(sy.masses @ clipped)
+    _, density, mass = _step_density(sy, by.table, c * selected)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
                             labels=tuple(labels.tolist()), group=x01,
                             c=c, lp1k=lp1k, selected=selected,
-                            atom_density=clipped / mass, mass=mass)
+                            atom_density=density, mass=mass)
 
 
 @_scalar_or_array(1)

@@ -10,6 +10,9 @@ lpstats describe --col GAG --format csv | cmp - tests/golden/describe.csv
 lpstats depend --x Age --y GAG | cmp - tests/golden/depend.json
 lpstats regress --x Age --y GAG | cmp - tests/golden/regress.json
 lpstats cquantile --x Age --y GAG | cmp - tests/golden/cquantile.json
+lpstats fit --col GAG --g normal | cmp - tests/golden/fit.json
+lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
+    --mean 2 --var 1 | cmp - tests/golden/bayes_update.json
 # the golden echoes --data as given, so run from tests/
 (cd tests && lpstats twosample --y response --group group \
     --data data/clinic.csv | cmp - golden/twosample.json)

@@ -26,6 +26,7 @@ from lpstats import (
     simulate_conditional,
     simulate_skew_g,
     slice_modes,
+    two_sample_comp_density,
 )
 from lpstats import copula as cpmod
 from lpstats.cli import MAX_ORDER
@@ -150,8 +151,7 @@ class TestConditionalSlice:
 
     def test_clipping_only_adds_mass(self):
         # the raw series integrates to one for any weights, so the
-        # pre-normalization mass can never fall below one and the
-        # degenerate-slice guard stays quiet on fitted models
+        # pre-normalization mass can never fall below one
         rng = np.random.default_rng(64)
         x = rng.standard_normal(100)
         y = -x + 0.1 * rng.standard_normal(100)
@@ -516,6 +516,30 @@ class TestPolynomialCurves:
         means, table = quantile_curves(mod, [], [0.25, 0.5, 0.75])
         assert means.shape == (0,) and table.shape == (0, 3)
         assert means.dtype == table.dtype == float
+
+
+class TestStepDensityMass:
+    """Y's scores have mean zero, so a step series 1 + w @ table sums to 1
+    over Y's atoms for any weights, and its floored form to at least 1."""
+
+    @settings(deadline=None)
+    @given(st.one_of(tied_models(), curve_models()))
+    def test_every_slice_sums_to_one_before_the_floor(self, mod):
+        for u in mod.sx.fmid:
+            sl = conditional_slice(mod, u)
+            assert abs(mod.sy.masses @ sl.raw - 1.0) <= 1e-12
+            assert sl.mass >= 1.0 - 1e-12
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=2,
+                    max_size=60), st.integers(1, MAX_ORDER),
+           st.sampled_from(["aic", "none"]))
+    def test_two_sample_density_carries_mass_at_least_one(self, rows, m,
+                                                          rule):
+        y, group = np.array(rows, dtype=float).T
+        assume(0 < group.sum() < group.size and np.unique(y).size > 1)
+        dens = two_sample_comp_density(group, y, m, rule=rule)
+        assert dens.mass >= 1.0 - 1e-12
 
 
 class TestAtomLevel:

@@ -1,0 +1,77 @@
+"""Refusals that no other test reaches: each raises its named error class."""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from lpstats import (GroupSummary, build_score_basis, correlations,
+                     exponential_reference, fit_reference, l2_fit,
+                     lhermite_normality, lp_comoments, make_sample,
+                     mid_clt_approx, normal_reference, recursive_update,
+                     select_significant, uniform_reference)
+from lpstats.cli import main
+from lpstats.errors import DegenerateScale, DomainError, OrderOutOfRange
+from lpstats.lp import _pearson
+
+SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
+BASIS = build_score_basis(SAMPLE, 2)
+
+
+def cli_exit(*argv):
+    """Run the CLI; a SystemExit is raised again with its code and stderr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            main(list(argv))
+    except SystemExit as exc:
+        raise SystemExit(f"exit {exc.code}: {err.getvalue()}") from None
+
+
+CASES = {
+    "cquantile-p-not-a-float": (
+        lambda: cli_exit("cquantile", "--x", "Age", "--y", "GAG",
+                         "--p", "0.2,abc"), SystemExit,
+        "(?s)^exit 2: .*argument --p: could not convert string to float"),
+    "normal-zero-sigma": (lambda: normal_reference(0.0, 0.0),
+                          DegenerateScale, "sigma must be positive"),
+    "exponential-zero-rate": (lambda: exponential_reference(0.0),
+                              DegenerateScale, "rate must be positive"),
+    "uniform-empty-range": (lambda: uniform_reference(1.0, 1.0),
+                            DegenerateScale, "need a < b"),
+    "empirical-fit-has-no-pdf": (
+        lambda: fit_reference("empirical", SAMPLE).pdf(2.0), DomainError,
+        "reference kind 'empirical' has no density"),
+    "l2-fit-order-zero": (
+        lambda: l2_fit(SAMPLE, normal_reference(0.0, 1.0), m=0),
+        DomainError, "order must be at least 1"),
+    "score-basis-order-zero": (lambda: build_score_basis(SAMPLE, 0),
+                               DomainError, "max_order must be at least 1"),
+    "comoments-order-zero": (
+        lambda: lp_comoments(SAMPLE.obs, SAMPLE.obs, BASIS, BASIS, m=0),
+        OrderOutOfRange, "order must be at least 1"),
+    "unknown-selection-rule": (
+        lambda: select_significant([0.5], 10, rule="x"), DomainError,
+        "unknown selection rule 'x'"),
+    "correlations-one-pair": (lambda: correlations([1.0], [2.0]),
+                              DegenerateScale, "at least two paired"),
+    "pearson-constant-column": (
+        lambda: _pearson(np.ones(3), np.arange(3.0)), DegenerateScale,
+        "zero variance in correlation input"),
+    "lhermite-constant-sample": (
+        lambda: lhermite_normality(make_sample([2.0, 2.0, 2.0])),
+        DegenerateScale, "sample standard deviation is zero"),
+    "mid-clt-zero-sd": (lambda: mid_clt_approx(0.0, 0.0, 1.0),
+                        DegenerateScale, "sd must be positive"),
+    "recursive-update-empty-state": (
+        lambda: recursive_update(GroupSummary(n=0.0, m=0.0, v=0.0), 1.0),
+        DomainError, "at least one observation"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", CASES.values(),
+                         ids=list(CASES))
+def test_refuses_with_its_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

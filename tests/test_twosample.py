@@ -171,6 +171,14 @@ class TestCorrelationStats:
         with pytest.raises(DegenerateScale):
             correlation_stats(x, y)
 
+    def test_zero_pooled_variance_degenerate(self):
+        # r rounds to just below 1, but each group is constant: the pooled
+        # t is undefined, as student_t says
+        x = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        y = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+        with pytest.raises(DegenerateScale, match="pooled variance is zero"):
+            correlation_stats(x, y)
+
     def test_label_handling(self):
         with pytest.raises(SingleGroup):
             correlation_stats(np.zeros(4), np.arange(4.0))
