@@ -578,14 +578,13 @@ def _prob_list(text):
 
 def _add_options(sub, *flags):
     """Add the named shared options to `sub`, each from its one definition."""
-    # fit's L2 series stops at L2_ORDER_CAP: a higher order could only fail
-    top = cdmod.L2_ORDER_CAP if sub.prog.endswith(" fit") else MAX_ORDER
     options = {
         "--data": dict(default=BUNDLED_DATA,
                        help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
                             "example table)"),
-        "--order": dict(type=_positive_int_to(top), default=4,
-                        help=f"series order, 1..{top} (default %(default)s)"),
+        "--order": dict(type=_positive_int_to(MAX_ORDER), default=4,
+                        help=f"series order, 1..{MAX_ORDER} "
+                             "(default %(default)s)"),
         "--grid": dict(type=_positive_int_to(MAX_GRID), default=101,
                        help=f"grid size, 1..{MAX_GRID} (default %(default)s)"),
         "--select": dict(choices=["aic", "bic", "none"], default="aic",

@@ -25,8 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .empirical import Sample, _scalar_or_array, _unit_open, quantile
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
-                     IllConditioned, NonConvergence, OrderTooHigh,
-                     UnboundedDensity)
+                     IllConditioned, NonConvergence, UnboundedDensity)
 from .lp import select_significant
 from .scores import legendre_eval
 
@@ -48,8 +47,6 @@ __all__ = [
     "simulate_skew_g",
 ]
 
-L2_ORDER_CAP = 8
-MAXENT_TERM_CAP = 6
 QUAD_NODES = 128
 CLIP_FLOOR = 1e-6
 
@@ -232,8 +229,6 @@ def l2_fit(s: Sample, g: ReferenceDistribution, m: int = 4,
     m = int(m)
     if m < 1:
         raise DomainError("order must be at least 1")
-    if m > L2_ORDER_CAP:
-        raise OrderTooHigh(f"L2 order {m} above cap {L2_ORDER_CAP}")
     u_atoms = np.clip(np.asarray(g.cdf(s.values), dtype=float), 0.0, 1.0)
     table = _leg_table(range(1, m + 1), u_atoms)
     c = table @ s.masses
@@ -250,14 +245,13 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
     theta_j Leg_j) reproduces the selected L2 coefficients:
     integral Leg_j d(u) du = C_j. Newton iteration on the log-partition
     function with 128-node Gauss-Legendre quadrature; steps are halved
-    until the dual objective decreases (at most 30 times). theta_0 is the
-    normalizer, so the result integrates to 1 by construction.
+    until the dual objective decreases (at most 30 times). theta_0
+    normalizes the density on those nodes; at convergence the same rule
+    on each half of [0, 1] integrates it again, and a gap above `tol`
+    raises `IllConditioned`: the targets then lie at the edge of the
+    moment space, where the density spikes between the nodes.
     """
     ks = np.flatnonzero(mod.selected)
-    if ks.size > MAXENT_TERM_CAP:
-        raise OrderTooHigh(
-            f"{ks.size} selected terms exceed the maxent cap {MAXENT_TERM_CAP}"
-        )
     theta_full = np.zeros(mod.order)
     if ks.size == 0:
         return replace(mod, theta=theta_full, theta0=0.0,
@@ -280,6 +274,15 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
         grad = mom - targets
         residual = float(np.max(np.abs(grad)))
         if residual < tol:
+            halves = np.concatenate((nodes, nodes + 1.0)) / 2.0
+            with np.errstate(over="ignore"):  # an overflow is a gap too
+                mass = float(np.concatenate((wts, wts)) @ np.exp(
+                    theta @ _leg_table((ks + 1).tolist(), halves) - psi)) / 2
+            if abs(mass - 1.0) > tol:
+                raise IllConditioned(
+                    f"maxent density integrates to {mass:.10g} on a finer "
+                    f"rule, a normalizer gap of {mass - 1.0:.3e}"
+                )
             theta_full[ks] = theta
             return replace(mod, theta=theta_full, theta0=-psi,
                            maxent_residual=residual,

@@ -67,10 +67,6 @@ class DegenerateSample(LPStatsError):
     """The sample has too few distinct values for the operation."""
 
 
-class OrderTooHigh(LPStatsError):
-    """Requested series order above the supported cap."""
-
-
 class OrderOutOfRange(LPStatsError):
     """Score or moment order outside the range of the constructed basis."""
 

@@ -21,12 +21,10 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .empirical import Sample, _scalar_or_array, _unit_open
-from .errors import DegenerateSample, DomainError, OrderOutOfRange, OrderTooHigh
+from .errors import DegenerateSample, DomainError, OrderOutOfRange
 
 __all__ = ["ScoreBasis", "legendre_eval", "build_score_basis",
-           "eval_score", "score_quantile", "LEGENDRE_CAP"]
-
-LEGENDRE_CAP = 12
+           "eval_score", "score_quantile"]
 
 # A power of T_1 whose residual after projection drops below this fraction
 # of its pre-projection norm is numerically dependent on the lower orders;
@@ -41,14 +39,11 @@ def legendre_eval(j: int, u):
     Leg_0 = 1, Leg_1(u) = sqrt(12) (u - 0.5), and generally
     Leg_j = sqrt(2j + 1) P_j(2u - 1) with P_j the classical Legendre
     polynomial, evaluated by numpy's `legvander` (the stable three-term
-    recurrence). Orders are capped at 12; the recurrence is accurate there
-    and nothing in the package needs more.
+    recurrence).
     """
     j = int(j)
     if j < 0:
         raise DomainError("order must be nonnegative")
-    if j > LEGENDRE_CAP:
-        raise OrderTooHigh(f"Legendre order {j} above cap {LEGENDRE_CAP}")
     return legvander(2.0 * u - 1.0, j)[:, j] * np.sqrt(2.0 * j + 1.0)
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed `lpstats` console script: each command must
-# print the bytes of its golden, the refusals must exit 2, and copies of a
-# table, read whole or walked row by row, must give the same bytes.
+# print the bytes of its golden, the refusals must exit 2 or 3, and copies
+# of a table, read whole or walked row by row, must give the same bytes.
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
@@ -17,20 +17,27 @@ lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
 (cd tests && lpstats twosample --y response --group group \
     --data data/clinic.csv | cmp - golden/twosample.json)
 lpstats cquantile --x Age --y GAG --order 30 --select none > /dev/null
+lpstats fit --col GAG --g normal --order 8 > /dev/null
 code=0
-lpstats fit --col GAG --g normal --order 9 || code=$?
+lpstats fit --col GAG --g normal --order 51 || code=$?
 test "$code" -eq 2
 code=0
 lpstats describe --col GAG --seed 1 || code=$?
 test "$code" -eq 2
+# Eight 1s and two 2s cannot carry six moments: the maxent density does
+# not integrate to 1, and fit must refuse it.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+printf 'y\n1\n1\n1\n1\n1\n1\n1\n1\n2\n2\n' > "$tmp/two.csv"
+code=0
+lpstats fit --col y --g normal --order 6 --data "$tmp/two.csv" || code=$?
+test "$code" -eq 3
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
 # copy with blank lines and its CRLF copy. All must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and must
 # give the bytes of the copy without that row. A table of integers is read
 # whole as int64; its copy with one cell written as 7.0 is read whole as
 # float, and must give the same bytes.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 python3 - "$tmp" <<'PY'
 import random
 import sys

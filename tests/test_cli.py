@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from lpstats import (cli, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
-from lpstats import compdensity as cdmod
 from lpstats import copula as cpmod
 from lpstats import twosample as tsmod
 from lpstats.cli import ingest_csv, main
@@ -331,27 +330,32 @@ class TestOrderBound:
 
     @pytest.mark.parametrize("order", [cli.MAX_ORDER + 1, 0])
     def test_out_of_range_order_is_usage_error(self, order, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["describe", "--col", "GAG", "--order", str(order)])
-        assert exc.value.code == 2
-        assert "--order" in capsys.readouterr().err
+        for argv in (["describe", "--col", "GAG"],
+                     ["fit", "--col", "GAG", "--g", "normal"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--order", str(order)])
+            assert exc.value.code == 2
+            assert "--order" in capsys.readouterr().err
 
     def test_the_bound_itself_parses(self):
         args = cli.build_parser().parse_args(
             ["describe", "--col", "GAG", "--order", str(cli.MAX_ORDER)])
         assert args.order == cli.MAX_ORDER
 
-    def test_fit_stops_at_the_l2_cap(self, capsys):
-        cap = cdmod.L2_ORDER_CAP
-        # BIC keeps few enough terms for the maxent cap (AIC keeps 7 here)
-        assert main(["fit", "--col", "GAG", "--g", "normal", "--order",
-                     str(cap), "--select", "bic"]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--col", "GAG", "--g", "normal", "--data",
-                  "no-such-file.csv", "--order", str(cap + 1)])
-        assert exc.value.code == 2
-        assert f"--order: must be at most {cap}" in capsys.readouterr().err
+    def test_fit_is_refused_by_its_normalizer_not_its_order(self, tmp_path,
+                                                           capsys):
+        code, text = run_cli(["fit", "--col", "GAG", "--g", "normal",
+                              "--order", "8"])
+        assert code == 0
+        assert sum(json.loads(text)["payload"]["selected"]) == 7
+        # r = 2 atoms cannot carry 6 moments: the solve converges on the
+        # quadrature nodes, but the density does not integrate to 1
+        f = tmp_path / "two_atoms.csv"
+        f.write_text("y\n" + "1\n" * 8 + "2\n" * 2, encoding="utf-8")
+        code, text = run_cli(["fit", "--col", "y", "--g", "normal",
+                              "--order", "6", "--data", str(f)])
+        assert (code, text) == (3, "")
+        assert "normalizer gap of -1.127e-03" in capsys.readouterr().err
 
 
 class TestHighOrderCurves:

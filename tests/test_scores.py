@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from lpstats import (
     build_score_basis,
+    cli,
     eval_score,
     legendre_eval,
     make_sample,
@@ -18,7 +20,6 @@ from lpstats.errors import (
     DegenerateSample,
     DomainError,
     OrderOutOfRange,
-    OrderTooHigh,
 )
 
 from conftest import random_sample_values
@@ -65,7 +66,6 @@ class TestLegendreEval:
 
     def test_continuum_orthonormality(self):
         # Gauss-Legendre quadrature integrates the products exactly
-        from numpy.polynomial.legendre import leggauss
         nodes, w = leggauss(32)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * w
@@ -75,9 +75,14 @@ class TestLegendreEval:
                 assert_allclose(ip, 1.0 if j == k else 0.0, atol=1e-13)
 
     def test_order_cap(self):
-        assert np.isfinite(legendre_eval(12, 0.3))
-        with pytest.raises(OrderTooHigh):
-            legendre_eval(13, 0.3)
+        # no cap above: orthonormal up to the CLI's highest order, under
+        # the 128-node rule, which is exact to degree 255
+        nodes, w = leggauss(128)
+        u = 0.5 * (nodes + 1.0)
+        table = np.array([legendre_eval(j, u)
+                          for j in range(cli.MAX_ORDER + 1)])
+        assert_allclose((table * (0.5 * w)) @ table.T,
+                        np.eye(cli.MAX_ORDER + 1), rtol=0, atol=1e-12)
         with pytest.raises(DomainError):
             legendre_eval(-1, 0.3)
 
