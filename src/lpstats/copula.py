@@ -504,12 +504,18 @@ def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
-    yields an empty selection and a flat curve.
+    yields an empty selection and a flat curve. When x has r atoms with
+    r**2 <= n, y is first summed per atom by `np.bincount`, and the cross
+    moments come from those r sums.
     """
     x, y = _paired(x_obs, y_obs)
     m = bx.max_order if m is None else min(int(m), bx.max_order)
-    table = bx.table[:m, bx.source.atom_at(x)]
-    coefficients = table @ y / y.size
+    ax = bx.source.atom_at(x)
+    if bx.source.r ** 2 <= y.size:
+        sums = np.bincount(ax, weights=y, minlength=bx.source.r)
+        coefficients = bx.table[:m] @ sums / y.size
+    else:
+        coefficients = bx.table[:m, ax] @ y / y.size
     y_sd = float(y.std())
     if y_sd > 0.0:
         selected = select_significant(coefficients / y_sd, y.size, rule=rule)

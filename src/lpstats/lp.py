@@ -106,14 +106,25 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
     The requested order m is clipped per margin to what the basis
     supports, so heavily tied variables give fewer rows or columns rather
     than failing. Selection and LPINFOR are filled in immediately.
+
+    When r_x * r_y <= n the expectation is taken over the contingency
+    table of atom pairs, Tx N Ty' / n with N counted by `np.bincount`, in
+    O(n + m r_x r_y); otherwise both score tables are gathered per
+    observation. The two sums differ only by round-off.
     """
     x, y = _paired(x_obs, y_obs)
     m = int(m)
     if m < 1:
         raise OrderOutOfRange("order must be at least 1")
-    tx = bx.table[: min(m, bx.max_order), bx.source.atom_at(x)]
-    ty = by.table[: min(m, by.max_order), by.source.atom_at(y)]
-    entries = tx @ ty.T / x.size
+    tx = bx.table[: min(m, bx.max_order)]
+    ty = by.table[: min(m, by.max_order)]
+    ax, ay = bx.source.atom_at(x), by.source.atom_at(y)
+    rx, ry = bx.source.r, by.source.r
+    if rx * ry <= x.size:
+        cells = np.bincount(ax * ry + ay, minlength=rx * ry)
+        entries = tx @ cells.reshape(rx, ry) @ ty.T / x.size
+    else:
+        entries = tx[:, ax] @ ty[:, ay].T / x.size
     selected = select_significant(entries, x.size, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
     return LPComomentMatrix(entries=entries, n=int(x.size),

@@ -37,7 +37,8 @@ test "$code" -eq 3
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and must
 # give the bytes of the copy without that row. A table of integers is read
 # whole as int64; its copy with one cell written as 7.0 is read whole as
-# float, and must give the same bytes.
+# float, and must give the same bytes. Both are counted by make_sample, and
+# depend, regress and cquantile sum over their atoms and cells.
 python3 - "$tmp" <<'PY'
 import random
 import sys
@@ -65,7 +66,8 @@ done
 lpstats depend --x x --y y --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
 lpstats depend --x x --y y --format csv --data "$tmp/na.csv" \
     | cmp - "$tmp/drop.out"
-for cmd in "describe --col x" "depend --x x --y y"; do
+for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
+    "cquantile --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/int.csv" > "$tmp/int.out"
     lpstats $cmd --format csv --data "$tmp/dot.csv" | cmp - "$tmp/int.out"
 done

@@ -811,6 +811,31 @@ class TestSeriesRegression:
         assert_array_equal(fit.coefficients, ref.coefficients)
         assert_array_equal(fit.predict(s.values), ref_curve)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 500), st.integers(1, 8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_atom_sums_equal_the_observation_gather(self, r, extra, m, seed):
+        rng = np.random.default_rng(seed)
+        n = r * r + extra
+        x = rng.integers(0, r, n).astype(float)
+        x[:r] = np.arange(r)
+        y = x + rng.standard_normal(n)
+        s = make_sample(x)
+        b = build_score_basis(s, min(m, r - 1))
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            got = series_regression(x, y, b, rule="none").coefficients
+        assert count.called
+        t = b.table[:, s.atom_index]
+        # round-off is relative to the sum of absolute terms, E|y T_j|
+        assert np.all(np.abs(got - t @ y / n)
+                      <= 1e-13 * (np.abs(t) @ np.abs(y) / n))
+
+    def test_bundled_table_is_gathered(self, age, gag):
+        b = build_score_basis(make_sample(age), 4)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            series_regression(age, gag, b)
+        assert not count.called
+
     def test_prediction_between_atoms_is_a_step(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
         y = np.array([0.0, 1.0, 4.0, 9.0])

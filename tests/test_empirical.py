@@ -33,6 +33,7 @@ from lpstats import (
     two_sample_comp_density,
     wilcoxon,
 )
+from lpstats.empirical import Sample, _counted
 from lpstats.errors import (
     DegenerateScale,
     DomainError,
@@ -271,6 +272,76 @@ class TestMakeSample:
         assert "1" in str(exc.value)
         with pytest.raises(NonFiniteValue):
             make_sample([1.0, np.inf])
+
+
+def unique_sample(obs):
+    """The Sample that `np.unique` builds, the reference for counting."""
+    obs = np.array(obs, dtype=float)
+    values, atom_index, counts = np.unique(
+        obs, return_inverse=True, return_counts=True)
+    return Sample(obs, values, counts, atom_index.astype(np.intp))
+
+
+@st.composite
+def integer_tables(draw):
+    """Integer-valued columns on both sides of the counting gates.
+
+    The span hi - lo lands well inside, just inside or just outside 4 n;
+    lo may sit near +-2**53; one value may be moved off the integers.
+    """
+    n = draw(st.integers(1, 60))
+    span = draw(st.sampled_from([0, 1, n, 4 * n - 1, 4 * n, 4 * n + 1]))
+    lo = draw(st.one_of(st.integers(-50, 50),
+                        st.sampled_from([-2 ** 53, -2 ** 53 + 1, 2 ** 52,
+                                         2 ** 53 - 1 - span, 2 ** 53 - span,
+                                         2 ** 53 + 2 - span])))
+    offsets = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
+    offsets[draw(st.integers(0, n - 1))] = 0
+    offsets[draw(st.integers(0, n - 1))] = span
+    obs = (lo + np.array(offsets, dtype=object)).astype(float)
+    if draw(st.booleans()) and draw(st.booleans()):
+        obs[draw(st.integers(0, n - 1))] += draw(
+            st.sampled_from([0.5, 0.25, 1e-9]))
+    return obs
+
+
+class TestCountingSample:
+    """Integers counted by bincount give the np.unique Sample, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("values", "counts", "atom_index", "cdf", "fmid",
+                     "masses"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.mean.hex() == want.mean.hex()
+        assert got.var.hex() == want.var.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_tables())
+    def test_equals_unique_and_counts_when_the_gates_hold(self, obs):
+        self.assert_same(make_sample(obs), unique_sample(obs))
+        lo, hi = obs.min(), obs.max()
+        gates = (hi - lo < 4 * obs.size and max(-lo, hi) < 2.0 ** 53
+                 and np.array_equal(obs, np.rint(obs)))
+        assert (_counted(obs) is not None) == gates
+
+    @pytest.mark.parametrize("obs", [
+        [-0.0, 0.0, 1.0],
+        [0.0, -0.0, 1.0],
+        [-0.0],
+        [-0.0, -0.0, -0.0],
+        [-2.0, -0.0, 3.0, -0.0],
+    ])
+    def test_negative_zero_keeps_its_sign(self, obs):
+        assert _counted(np.array(obs)) is None
+        self.assert_same(make_sample(obs), unique_sample(obs))
+
+    def test_positive_zero_is_counted(self):
+        obs = np.array([-3.0, 0.0, 0.0, 2.0])
+        assert _counted(obs) is not None
+        self.assert_same(make_sample(obs), unique_sample(obs))
 
 
 class TestMidDistribution:

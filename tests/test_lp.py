@@ -1,7 +1,11 @@
 """LP moments, comoments, selection, LPINFOR and the dependence report."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import spearmanr
 
@@ -205,6 +209,43 @@ class TestLPComoments:
                 ref = lp_comoments(x, y, bx, by)
             assert_array_equal(lp_comoments(x, y, bx, by).entries,
                                ref.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 400),
+           st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_cell_table_equals_the_observation_gather(self, rx, ry, extra,
+                                                      m, seed):
+        rng = np.random.default_rng(seed)
+        n = rx * ry + extra
+        x = rng.integers(0, rx, n).astype(float)
+        y = (x + rng.integers(0, ry, n) * rng.integers(0, 2, n)) % ry
+        x[:rx], y[:ry] = np.arange(rx), np.arange(ry)  # every atom occurs
+        sx, bx = basis_for(x, m)
+        sy, by = basis_for(y, m)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            got = lp_comoments(x, y, bx, by, m).entries
+        assert count.called
+        tx, ty = bx.table[:m, sx.atom_index], by.table[:m, sy.atom_index]
+        want = tx @ ty.T / n
+        # round-off is relative to the sum of absolute terms, E|T_j T_k|,
+        # not to the entry: an entry can cancel to 0 on independent cells
+        scale = np.max(np.abs(tx) @ np.abs(ty).T / n)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("table", ["bundled", "continuous"])
+    def test_gathers_where_cells_outnumber_rows(self, table, age, gag):
+        if table == "bundled":
+            x, y = age, gag
+        else:
+            rng = np.random.default_rng(34)
+            x = rng.standard_normal(2000)
+            y = x + rng.standard_normal(2000)
+        _, bx = basis_for(x)
+        _, by = basis_for(y)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            lp_comoments(x, y, bx, by)
+        assert not count.called
 
     def test_lpinfor_is_squared_sum_of_selected(self):
         rng = np.random.default_rng(29)
