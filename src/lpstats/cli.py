@@ -170,16 +170,17 @@ def _loadtxt_body(p, idx):
     field.
 
     An integral body (`_body_lines`) is read with dtype int64, which numpy
-    parses several times faster than float, and then converted to float.
-    int64 to float64 rounds to nearest even, as a correctly rounded float()
-    of the same decimal integer does, so the columns have the bits of a
-    float read. '-' is not integral: "-0" reads as the int 0 but as the
-    float -0.0. On these bytes int64 refuses what float refuses and also
-    integers of 2**63 or more; such a table is walked, with no float read
-    tried. Some numpy releases from 1.23 on parse such an integer as a
-    float instead and cast it to int64 in C, which is undefined past
-    2**63, with only a DeprecationWarning; made an error here, that
-    warning makes loadtxt raise ValueError.
+    parses several times faster than float, and returned as int64 for
+    `ingest_csv` to convert column by column. int64 to float64 rounds to
+    nearest even, as a correctly rounded float() of the same decimal
+    integer does, so the columns have the bits of a float read. '-' is
+    not integral: "-0" reads as the int 0 but as the float -0.0. On these
+    bytes int64 refuses what float refuses and also integers of 2**63 or
+    more; such a table is walked, with no float read tried. Some numpy
+    releases from 1.23 on parse such an integer as a float instead and
+    cast it to int64 in C, which is undefined past 2**63, with only a
+    DeprecationWarning; made an error here, that warning makes loadtxt
+    raise ValueError.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -208,9 +209,7 @@ def _loadtxt_body(p, idx):
             fb.seek(len(head))
             if len(table) + _empty_lines(fb) != lines:
                 return None
-    if integral:
-        return table.astype(float).T
-    if not np.isfinite(table).all():
+    if not integral and not np.isfinite(table).all():
         return None
     return table.T
 
@@ -233,7 +232,9 @@ def ingest_csv(path, columns) -> Dataset:
     `_row_problem` and float() walk the body in batches of
     INGEST_CHUNK_ROWS rows. Both paths give the same columns, bit for bit,
     and the same drop counts; only the csv module refuses a field longer
-    than `csv.field_size_limit()`.
+    than `csv.field_size_limit()`. A whole read makes each column by one
+    `astype(float)` of its row of the table, a cast of an int64 row or a
+    contiguous copy of a float one; walked batches are concatenated.
     """
     p = Path(path)
     if not p.is_file():
@@ -248,8 +249,9 @@ def ingest_csv(path, columns) -> Dataset:
                 raise MissingColumn(name, header)
         idx = [header.index(name) for name in columns]
         reasons = {}
-        chunks = [_loadtxt_body(p, idx)]
-        if chunks[0] is None:
+        whole = _loadtxt_body(p, idx)
+        chunks = [whole]
+        if whole is None:
             rows, chunks = csv.reader(fh), []
             while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
                 chunks.append(_walk(batch, idx, reasons))
@@ -259,6 +261,7 @@ def ingest_csv(path, columns) -> Dataset:
         raise EmptyAfterFilter(f"no usable rows in {path} for {columns}")
     return Dataset(
         columns={name: np.concatenate([t[j] for t in chunks])
+                 if whole is None else whole[j].astype(float)
                  for j, name in enumerate(columns)},
         source=str(path), kept=kept, dropped=sum(reasons.values()),
         reasons=reasons,

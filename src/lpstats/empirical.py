@@ -174,6 +174,11 @@ def _counted(obs: np.ndarray):
             atom_of_offset[offsets])
 
 
+def _pair_counts(a, b, ra: int, rb: int) -> np.ndarray:
+    """(ra x rb) table of how often each pair (a[t], b[t]) of indices occurs."""
+    return np.bincount(a * rb + b, minlength=ra * rb).reshape(ra, rb)
+
+
 def make_sample(data) -> Sample:
     """Build a :class:`Sample` from a sequence of finite reals.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, _paired, make_sample, mid_ranks
+from .empirical import Sample, _pair_counts, _paired, make_sample, mid_ranks
 from .errors import DegenerateScale, DomainError, OrderOutOfRange
 from .scores import ScoreBasis, _check_order
 
@@ -121,8 +121,7 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
     ax, ay = bx.source.atom_at(x), by.source.atom_at(y)
     rx, ry = bx.source.r, by.source.r
     if rx * ry <= x.size:
-        cells = np.bincount(ax * ry + ay, minlength=rx * ry)
-        entries = tx @ cells.reshape(rx, ry) @ ty.T / x.size
+        entries = tx @ _pair_counts(ax, ay, rx, ry) @ ty.T / x.size
     else:
         entries = tx[:, ax] @ ty[:, ay].T / x.size
     selected = select_significant(entries, x.size, rule=rule)
@@ -172,6 +171,16 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
+def _standardized(s: Sample) -> np.ndarray:
+    """Values and mid-ranks of the atoms, rows standardized under the masses."""
+    rows = np.stack([s.values, s.fmid])
+    centred = rows - (rows @ s.masses)[:, None]
+    sd = np.sqrt(centred ** 2 @ s.masses)
+    if np.any(sd <= 0.0):
+        raise DegenerateScale("zero variance in correlation input")
+    return centred / sd[:, None]
+
+
 def correlations(x_obs, y_obs) -> CorrelationReport:
     """Pearson, mid-rank Spearman, and the two Gini correlations.
 
@@ -180,13 +189,27 @@ def correlations(x_obs, y_obs) -> CorrelationReport:
     correction terms. The Gini pair correlates each raw variable with the
     other's mid-ranks. Either argument may be a Sample, whose observations
     and atoms are then used as they are.
+
+    When r_x * r_y <= n the four are one 2 x 2 product over the r_x x r_y
+    table of atom-pair counts, of each margin's standardized values and
+    mid-ranks; otherwise they are taken over the n rows. The two agree to
+    round-off.
     """
     x, y = _paired(*(a.obs if isinstance(a, Sample) else a
                      for a in (x_obs, y_obs)))
     if x.size < 2:
         raise DegenerateScale("need at least two paired observations")
-    ux, uy = (mid_ranks(a if isinstance(a, Sample) else make_sample(v))
+    sx, sy = (a if isinstance(a, Sample) else make_sample(v)
               for a, v in ((x_obs, x), (y_obs, y)))
+    if sx.r * sy.r <= x.size:
+        cells = _pair_counts(sx.atom_index, sy.atom_index, sx.r, sy.r)
+        (pearson, gini_xy), (gini_yx, spearman) = (
+            _standardized(sx) @ cells @ _standardized(sy).T / x.size)
+        return CorrelationReport(pearson=float(pearson),
+                                 spearman_mid=float(spearman),
+                                 gini_xy=float(gini_xy),
+                                 gini_yx=float(gini_yx))
+    ux, uy = mid_ranks(sx), mid_ranks(sy)
     return CorrelationReport(
         pearson=_pearson(x, y),
         spearman_mid=_pearson(ux, uy),

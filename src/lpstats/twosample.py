@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import _step_density
-from .empirical import (Sample, _finite, _scalar_or_array, make_sample,
-                        mid_ranks)
+from .empirical import (Sample, _finite, _pair_counts, _scalar_or_array,
+                        make_sample, mid_ranks)
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, SingleGroup)
 from .lp import _pearson, select_significant
@@ -230,16 +230,30 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
 
 
 def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
-    """`wilcoxon` on a split sample, given the response's Sample."""
+    """`wilcoxon` on a split sample, given the response's Sample.
+
+    When 2 r_y <= n the sums run over the r_y x 2 table of (response atom,
+    group) counts, otherwise over the n rows. The two agree to round-off.
+    """
     n = sy.n
-    tau = float(x01.mean())
-    # the indicator's standardized mid-rank, in closed form from its masses
-    t1x = (x01 - tau) / math.sqrt(tau * (1.0 - tau))
-    ry = mid_ranks(sy)
-    t1y = (ry - 0.5) / math.sqrt(sy.mid_rank_variance)
-    w = float(np.mean(t1x * t1y))
-    m1 = float(ry[x01 == 1.0].mean())
     v_mid = sy.mid_rank_variance
+    # t1x: the indicator's standardized mid-rank, in closed form from its
+    # masses
+    if 2 * sy.r <= n:
+        cells = _pair_counts(sy.atom_index, x01.astype(np.intp), sy.r, 2)
+        n1 = int(cells[:, 1].sum())
+        tau = n1 / n
+        t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
+        t1y = (sy.fmid - 0.5) / math.sqrt(v_mid)
+        w = float(t1y @ cells @ t1x / n)
+        m1 = float(sy.fmid @ cells[:, 1] / n1)
+    else:
+        tau = float(x01.mean())
+        t1x = (x01 - tau) / math.sqrt(tau * (1.0 - tau))
+        ry = mid_ranks(sy)
+        t1y = (ry - 0.5) / math.sqrt(v_mid)
+        w = float(np.mean(t1x * t1y))
+        m1 = float(ry[x01 == 1.0].mean())
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
     scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
     return WilcoxonResult(w=w, z_stat=scale * w, w_direct=w_direct,

@@ -37,8 +37,9 @@ test "$code" -eq 3
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and must
 # give the bytes of the copy without that row. A table of integers is read
 # whole as int64; its copy with one cell written as 7.0 is read whole as
-# float, and must give the same bytes. Both are counted by make_sample, and
-# depend, regress and cquantile sum over their atoms and cells.
+# float, and must give the same bytes. Both are counted by make_sample;
+# depend, regress and cquantile sum over their atoms and cells, and
+# twosample over the (atom, group) cells of y and the 0/1 column g.
 python3 - "$tmp" <<'PY'
 import random
 import sys
@@ -47,15 +48,17 @@ rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
 na = rows[:9999] + ["NA," + rows[9999].split(",")[1]] + rows[10000:]
-ints = [f"{rng.randrange(34)},{rng.randrange(37)}" for _ in range(20000)]
-ints[10000] = "7," + ints[10000].split(",")[1]
-dot = ints[:10000] + ["7.0," + ints[10000].split(",")[1]] + ints[10001:]
+ints = [f"{rng.randrange(34)},{rng.randrange(37)},{rng.randrange(2)}"
+        for _ in range(20000)]
+ints[10000] = "7," + ints[10000].split(",", 1)[1]
+dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n")):
+    head = "x,y,g" if name in ("int.csv", "dot.csv") else "x,y"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
-        fh.write(end.join(["x,y", *lines]) + end)
+        fh.write(end.join([head, *lines]) + end)
 PY
 for cmd in "describe --col x" "depend --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/lf.out"
@@ -67,7 +70,7 @@ lpstats depend --x x --y y --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
 lpstats depend --x x --y y --format csv --data "$tmp/na.csv" \
     | cmp - "$tmp/drop.out"
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
-    "cquantile --x x --y y"; do
+    "cquantile --x x --y y" "twosample --y y --group g"; do
     lpstats $cmd --format csv --data "$tmp/int.csv" > "$tmp/int.out"
     lpstats $cmd --format csv --data "$tmp/dot.csv" | cmp - "$tmp/int.out"
 done

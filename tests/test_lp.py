@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import spearmanr
@@ -19,7 +19,9 @@ from lpstats import (
     make_sample,
     select_significant,
 )
+from lpstats.empirical import mid_ranks
 from lpstats.errors import DegenerateScale, LengthMismatch
+from lpstats.lp import _pearson
 
 from conftest import random_sample_values, search_only
 
@@ -293,6 +295,42 @@ class TestCorrelations:
             assert correlations(a, b) == ref
         with pytest.raises(LengthMismatch):
             correlations(sx, y[:-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 12), st.integers(2, 300),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_cell_table_equals_the_row_formulas(self, rx, ry, n, integral,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        atoms_x, atoms_y = (np.arange(r) if integral
+                            else np.sort(rng.standard_normal(r)) * 10
+                            for r in (rx, ry))
+        ix = rng.integers(0, rx, n)
+        iy = (ix + rng.integers(0, ry, n) * rng.integers(0, 2, n)) % ry
+        x, y = atoms_x[ix], atoms_y[iy]
+        sx, sy = make_sample(x), make_sample(y)
+        assume(sx.r > 1 and sy.r > 1)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            got = correlations(sx, sy)
+        assert count.called == (sx.r * sy.r <= n)
+        ux, uy = mid_ranks(sx), mid_ranks(sy)
+        want = [_pearson(x, y), _pearson(ux, uy), _pearson(x, uy),
+                _pearson(ux, y)]
+        assert_allclose([got.pearson, got.spearman_mid, got.gini_xy,
+                         got.gini_yx], want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("table", ["bundled", "continuous"])
+    def test_rows_where_cells_outnumber_them(self, table, age, gag):
+        if table == "bundled":
+            x, y = age, gag
+        else:
+            rng = np.random.default_rng(35)
+            x = rng.standard_normal(2000)
+            y = x + rng.standard_normal(2000)
+        sx, sy = make_sample(x), make_sample(y)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            correlations(sx, sy)
+        assert not count.called
 
     def test_gini_pair_is_asymmetric_in_general(self):
         rng = np.random.default_rng(32)

@@ -1,6 +1,7 @@
 """Two-sample pooling identities, rank statistics and Bayes updates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lpstats import (
     wilcoxon,
 )
 from lpstats import twosample as tsmod
+from lpstats.empirical import make_sample, mid_ranks
 from lpstats.errors import (
     DegenerateScale,
     DomainError,
@@ -228,6 +230,48 @@ class TestWilcoxon:
         y = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
         assert wilcoxon(x, y).w > 0
         assert wilcoxon(x, -y).w < 0
+
+
+class TestWilcoxonCells:
+    """The (atom, group) count table against the per-row sums."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 300), st.booleans(),
+           st.floats(0.05, 0.95), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_cell_table_equals_the_row_formulas(self, r, n, integral, share,
+                                                small, seed):
+        rng = np.random.default_rng(seed)
+        atoms = (np.arange(r) if integral
+                 else np.sort(rng.standard_normal(r)) * 10)
+        y = atoms[rng.integers(0, r, n)]
+        x01 = (rng.random(n) < share).astype(float)
+        sy = make_sample(y)
+        assume(0 < x01.sum() < n and sy.r > 1)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            got = tsmod._wilcoxon(x01, sy, small)
+        assert count.called == (2 * sy.r <= n)
+        tau = x01.mean()
+        ry = mid_ranks(sy)
+        v_mid = sy.mid_rank_variance
+        w = np.mean((x01 - tau) * (ry - 0.5)) / math.sqrt(
+            tau * (1.0 - tau) * v_mid)
+        w_direct = (ry[x01 == 1.0].mean() - 0.5) * math.sqrt(
+            tau / ((1.0 - tau) * v_mid))
+        assert_allclose([got.w, got.w_direct, got.z_stat / got.scale],
+                        [w, w_direct, w], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("table", ["bundled", "continuous"])
+    def test_rows_where_cells_outnumber_them(self, table, age, gag):
+        if table == "bundled":
+            x01, y = (age > np.median(age)).astype(float), gag
+        else:
+            rng = np.random.default_rng(98)
+            y = rng.standard_normal(2000)
+            x01 = (rng.random(2000) < 0.4).astype(float)
+        sy = make_sample(y)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+            tsmod._wilcoxon(x01, sy, False)
+        assert not count.called
 
 
 class TestTwoSampleDensity:
@@ -464,6 +508,26 @@ class TestTwoSampleIdentities:
         cs = correlation_stats(x, y)
         assert (rep.r, rep.r2) == (cs.r, cs.r2)
         wr = wilcoxon(x, y, small_sample=small)
+        assert (rep.w, rep.z_stat) == (wr.w, wr.z_stat)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=2, max_size=60),
+           st.sampled_from([(-2.0, 3.5), ("a", "b")]), st.data())
+    def test_analyze_and_wilcoxon_agree_on_half_steps(self, ks, labels,
+                                                      data):
+        # a response on a 0.5 grid with no integer on it is sorted by
+        # np.unique, not counted; analyze and wilcoxon share its Sample's
+        # path, cell table or rows
+        y = np.array(ks) * 0.5 + 0.25
+        pick = data.draw(st.lists(st.booleans(), min_size=y.size,
+                                  max_size=y.size))
+        x = np.array([labels[int(b)] for b in pick])
+        assume(np.unique(x).size == 2 and np.unique(y).size > 1)
+        try:
+            rep = analyze(x, y)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        wr = wilcoxon(x, y)
         assert (rep.w, rep.z_stat) == (wr.w, wr.z_stat)
 
     @settings(deadline=None)
