@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = ["Dataset", "ingest_csv", "main"]
 SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
-INGEST_CHUNK_ROWS = 8192  # CSV rows held at once by ingest_csv's row walk
 # The bytes a body read whole by np.loadtxt may hold besides LFs: those of
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
@@ -95,20 +93,17 @@ def _row_problem(row, idx):
     return values
 
 
-def _walk(rows, idx, reasons) -> np.ndarray:
-    """The exact path: the nonblank rows that `_row_problem` passes.
-
-    Returns their requested fields as a (len(idx), kept) float table;
-    dropped rows are counted by reason into `reasons`.
+def _walk(rows, idx, reasons):
+    """The exact path: yields the requested fields of each nonblank row
+    that `_row_problem` passes, in file order; dropped rows are counted by
+    reason into `reasons`.
     """
-    kept = []
     for row in filter(None, rows):
         got = _row_problem(row, idx)
         if isinstance(got, str):
             reasons[got] = reasons.get(got, 0) + 1
         else:
-            kept.append(got)
-    return np.array(kept, dtype=float).reshape(len(kept), len(idx)).T
+            yield from got
 
 
 def _body_lines(fb):
@@ -229,12 +224,13 @@ def ingest_csv(path, columns) -> Dataset:
     try takes one pass over each 1 MiB block. The same pass finds whether
     the body is integral, which that read then parses as int64. Where the
     read is not tried or cannot vouch for every row, csv.reader,
-    `_row_problem` and float() walk the body in batches of
-    INGEST_CHUNK_ROWS rows. Both paths give the same columns, bit for bit,
-    and the same drop counts; only the csv module refuses a field longer
-    than `csv.field_size_limit()`. A whole read makes each column by one
-    `astype(float)` of its row of the table, a cast of an int64 row or a
-    contiguous copy of a float one; walked batches are concatenated.
+    `_row_problem` and float() walk the body, and one np.fromiter takes
+    the kept values, holding no Python list of rows. Both paths give the
+    same columns, bit for bit, and the same drop counts; only the csv
+    module refuses a field longer than `csv.field_size_limit()`. Each path
+    gives a (len(columns), rows) table, and each column is one
+    `astype(float)` of its row: a cast of an int64 row or a contiguous
+    copy of a float one.
     """
     p = Path(path)
     if not p.is_file():
@@ -248,20 +244,20 @@ def ingest_csv(path, columns) -> Dataset:
             if name not in header:
                 raise MissingColumn(name, header)
         idx = [header.index(name) for name in columns]
+        unusable = f"no usable rows in {path} for {columns}"
+        # with no requested columns there is nothing to keep
+        if not columns:
+            raise EmptyAfterFilter(unusable)
         reasons = {}
-        whole = _loadtxt_body(p, idx)
-        chunks = [whole]
-        if whole is None:
-            rows, chunks = csv.reader(fh), []
-            while batch := list(islice(rows, INGEST_CHUNK_ROWS)):
-                chunks.append(_walk(batch, idx, reasons))
-    # with no requested columns there is nothing to keep
-    kept = sum(t.shape[1] for t in chunks) if columns else 0
+        table = _loadtxt_body(p, idx)
+        if table is None:
+            table = np.fromiter(_walk(csv.reader(fh), idx, reasons),
+                                float).reshape(-1, len(idx)).T
+    kept = table.shape[1]
     if kept == 0:
-        raise EmptyAfterFilter(f"no usable rows in {path} for {columns}")
+        raise EmptyAfterFilter(unusable)
     return Dataset(
-        columns={name: np.concatenate([t[j] for t in chunks])
-                 if whole is None else whole[j].astype(float)
+        columns={name: table[j].astype(float)
                  for j, name in enumerate(columns)},
         source=str(path), kept=kept, dropped=sum(reasons.values()),
         reasons=reasons,

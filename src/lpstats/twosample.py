@@ -222,7 +222,8 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     """Wilcoxon statistic as the (1, 1) LP comoment of (label, response).
 
     Ties need no correction: the mid-rank variance (1 - sum p^3)/12
-    absorbs them. z_stat scales by sqrt(n), or sqrt(n - 1) when
+    absorbs them; a constant response, whose mid-rank variance is zero,
+    raises DegenerateScale. z_stat scales by sqrt(n), or sqrt(n - 1) when
     small_sample is set.
     """
     _, x01, y = _split_binary(x_obs, y_obs)
@@ -237,6 +238,8 @@ def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
     """
     n = sy.n
     v_mid = sy.mid_rank_variance
+    if v_mid <= 0:
+        raise DegenerateScale("the response is constant")
     # t1x: the indicator's standardized mid-rank, in closed form from its
     # masses
     if 2 * sy.r <= n:

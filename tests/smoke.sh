@@ -34,8 +34,9 @@ lpstats fit --col y --g normal --order 6 --data "$tmp/two.csv" || code=$?
 test "$code" -eq 3
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
 # copy with blank lines and its CRLF copy. All must give the same bytes.
-# Its copy with an NA cell in row 10000 is walked by csv.reader, and must
-# give the bytes of the copy without that row. A table of integers is read
+# Its copy with an NA cell in row 10000 is walked by csv.reader, and
+# describe, depend and regress must give for it the bytes of the copy
+# without that row. A table of integers is read
 # whole as int64; its copy with one cell written as 7.0 is read whole as
 # float, and must give the same bytes. Both are counted by make_sample;
 # depend, regress and cquantile sum over their atoms and cells, and
@@ -66,9 +67,10 @@ for cmd in "describe --col x" "depend --x x --y y"; do
         lpstats $cmd --format csv --data "$tmp/$copy.csv" | cmp - "$tmp/lf.out"
     done
 done
-lpstats depend --x x --y y --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
-lpstats depend --x x --y y --format csv --data "$tmp/na.csv" \
-    | cmp - "$tmp/drop.out"
+for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y"; do
+    lpstats $cmd --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
+    lpstats $cmd --format csv --data "$tmp/na.csv" | cmp - "$tmp/drop.out"
+done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
     "cquantile --x x --y y" "twosample --y y --group g"; do
     lpstats $cmd --format csv --data "$tmp/int.csv" > "$tmp/int.out"

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -702,13 +703,11 @@ def numeric_csvs(draw):
     return end.join(["a,b,c"] + rows) + draw(st.sampled_from([end, ""]))
 
 
-def assert_ingest_matches_rowwise(text, chunk, columns):
+def assert_ingest_matches_rowwise(text, columns):
     # every warning, not only the RuntimeWarning pytest is set to raise:
     # np.loadtxt's "input contained no data" is a UserWarning
-    with tempfile.TemporaryDirectory() as tmp, \
-            pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
         f = Path(tmp) / "messy.csv"
         f.write_bytes(text.encode("utf-8"))
         want = ingest_rowwise(f, columns)
@@ -789,23 +788,20 @@ def loadtxt_via_float(*args, loadtxt=np.loadtxt, **kwargs):
 class TestIngest:
     @settings(deadline=None, max_examples=300)
     # loadtxt's default comments="#" would read the last field "4#5" as 4
-    @example(text="a,b,c\n1,2\n3,4#5\n", chunk=4, columns=["a", "b"])
+    @example(text="a,b,c\n1,2\n3,4#5\n", columns=["a", "b"])
     # a quoted field across two lines, each of which loadtxt would read as
     # a row of its own
-    @example(text='a,b,c\n1,"x\n2,3"\n4,5\n', chunk=1, columns=["a"])
-    @given(text=messy_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
-    def test_columnar_ingest_matches_the_rowwise_loop(self, text, chunk,
-                                                      columns):
-        # Batches of 1-4 rows put bad rows on both sides of batch edges.
-        assert_ingest_matches_rowwise(text, chunk, columns)
+    @example(text='a,b,c\n1,"x\n2,3"\n4,5\n', columns=["a"])
+    @given(text=messy_csvs(), columns=COLUMN_LISTS)
+    def test_columnar_ingest_matches_the_rowwise_loop(self, text, columns):
+        assert_ingest_matches_rowwise(text, columns)
 
     @settings(deadline=None, max_examples=300)
-    @given(text=numeric_csvs(), chunk=st.integers(1, 4), columns=COLUMN_LISTS)
-    def test_whole_body_ingest_matches_the_rowwise_loop(self, text, chunk,
-                                                        columns):
+    @given(text=numeric_csvs(), columns=COLUMN_LISTS)
+    def test_whole_body_ingest_matches_the_rowwise_loop(self, text, columns):
         # Every body is tried whole; a bad row, or a blank line among CRLF
         # or bare-CR ends, makes the row walk read it instead.
-        assert_ingest_matches_rowwise(text, chunk, columns)
+        assert_ingest_matches_rowwise(text, columns)
 
     @settings(deadline=None, max_examples=200)
     @example(text="a,b,c\n1,2,9223372036854775808\n", columns=["a"])
@@ -815,7 +811,7 @@ class TestIngest:
         # fails it and is walked.
         with pytest.MonkeyPatch.context() as mp:
             calls = record_loadtxt(mp)
-            assert_ingest_matches_rowwise(text, 4, columns)
+            assert_ingest_matches_rowwise(text, columns)
         assert [dtype for _, dtype in calls] == [np.int64]
 
     @pytest.mark.parametrize("loadtxt", [np.loadtxt, loadtxt_via_float],
@@ -964,8 +960,8 @@ class TestIngest:
             assert ds.columns[name].tobytes() == cols[name].tobytes()
 
     @staticmethod
-    def walked_rows(monkeypatch, chunk):
-        """Rows that reach `_row_problem`, walked in batches of `chunk`."""
+    def walked_rows(monkeypatch):
+        """Rows that reach `_row_problem`, in the order they reach it."""
         walked = []
         problem = cli._row_problem
 
@@ -973,18 +969,17 @@ class TestIngest:
             walked.append(row)
             return problem(row, idx)
 
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", chunk)
         monkeypatch.setattr(cli, "_row_problem", counted)
         return walked
 
     def test_a_dirty_body_walks_each_nonblank_row_once(self, tmp_path,
                                                        monkeypatch):
-        # the bad row fails the whole read; batches of 3 rows then put a
-        # blank line and the bad row on both sides of batch edges
+        # the bad row keeps the body from being read whole; the walk skips
+        # the blank lines and passes every other row once, in file order
         f = tmp_path / "dirty.csv"
         f.write_text("a,b\n1,2\n\n3,4\nx,2\n" + "5,6\n" * 4 + "\n7,8\n",
                      encoding="utf-8")
-        walked = self.walked_rows(monkeypatch, 3)
+        walked = self.walked_rows(monkeypatch)
         ds = ingest_csv(f, ["a", "b"])
         assert (ds.kept, ds.reasons) == (7, {"non_numeric": 1})
         assert walked == [["1", "2"], ["3", "4"], ["x", "2"],
@@ -997,21 +992,51 @@ class TestIngest:
         f = tmp_path / "quoted.csv"
         f.write_text('a,b\n1,2\n1,2\n3,"4\n"\n5,6\n7,8\n',
                      encoding="utf-8")
-        walked = self.walked_rows(monkeypatch, 2)
+        walked = self.walked_rows(monkeypatch)
         ds = ingest_csv(f, ["a", "b"])
         assert ds.columns["b"].tolist() == [2.0, 2.0, 4.0, 6.0, 8.0]
         assert walked == [["1", "2"], ["1", "2"], ["3", "4\n"], ["5", "6"],
                           ["7", "8"]]
 
-    def test_blank_chunks_raise_no_warning(self, tmp_path, monkeypatch):
+    def test_blank_lines_in_a_walk_raise_no_warning(self, tmp_path,
+                                                    monkeypatch):
+        # runs of blank LF, CRLF and CR lines, in a body that is walked
         f = tmp_path / "blank.csv"
-        f.write_text("a,b\n1,2\n" + "\n" * 4 + "\r\n\r" + "3,4\n",
-                     encoding="utf-8")
-        monkeypatch.setattr(cli, "INGEST_CHUNK_ROWS", 2)
+        f.write_text("a,b\n1,2\n" + "\n" * 4 + "\r\n\r" + "3,4\n"
+                     + "\r\n" * 3 + "\r" * 3 + "x,5\n", encoding="utf-8")
+        walked = self.walked_rows(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ds = ingest_csv(f, ["a", "b"])
-        assert (ds.kept, ds.dropped) == (2, 0)
+        assert walked == [["1", "2"], ["3", "4"], ["x", "5"]]
+        assert (ds.kept, ds.dropped) == (2, 1)
+
+    def test_a_long_walk_matches_the_rowwise_loop(self):
+        # 9000 walked rows, with a bad row of each kind at rows 8191-8193
+        # and one at the end
+        rows = [f"{i * 0.37!r},{i % 7},{-i}" for i in range(9000)]
+        rows[8191:8194] = ["NA,1,2", "3,,4", "5"]
+        rows[-1] = "6,abc,7"
+        text = "\n".join(["a,b,c"] + rows) + "\n"
+        for columns in (["a", "b"], ["c", "a"], ["b"]):
+            assert_ingest_matches_rowwise(text, columns)
+
+    def test_a_walk_holds_no_list_of_rows(self, tmp_path):
+        # one NA cell sends 1e5 rows to the walk; its peak stays near the
+        # fromiter table and its column copies, twice the kept values
+        rows = [f"{i * 0.37!r},{i % 31},{i % 5}" for i in range(100_000)]
+        rows[50_000] = "NA,1,2"
+        f = tmp_path / "walk.csv"
+        f.write_text("\n".join(["a,b,c"] + rows) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(f, ["a", "b"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ds.kept, ds.reasons) == (99_999, {"non_numeric": 1})
+        kept_bytes = sum(col.nbytes for col in ds.columns.values())
+        assert peak < 2.5 * kept_bytes
 
     def test_drop_reasons_counted(self, tmp_path):
         f = tmp_path / "messy.csv"

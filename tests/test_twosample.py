@@ -231,6 +231,11 @@ class TestWilcoxon:
         assert wilcoxon(x, y).w > 0
         assert wilcoxon(x, -y).w < 0
 
+    def test_constant_response_degenerate(self):
+        # zero mid-rank variance: no standardized mid-rank exists
+        with pytest.raises(DegenerateScale, match="response is constant"):
+            wilcoxon(np.array([0.0, 1.0, 0.0, 1.0]), np.full(4, 2.0))
+
 
 class TestWilcoxonCells:
     """The (atom, group) count table against the per-row sums."""
