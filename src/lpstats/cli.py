@@ -50,7 +50,7 @@ MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
 # Those of an integral body, which `_loadtxt_body` reads as int64.
-_INT_BYTES = b"0123456789,+ \t\r"
+_INT_BYTES = b"0123456789,+- \t\r"
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
@@ -121,7 +121,7 @@ def _body_lines(fb):
     lines, data, last, deleted = 0, False, b"\n", _INT_BYTES
     while block := fb.read(1 << 20):
         rest = block.translate(None, deleted)
-        if rest != b"\n" * len(rest):  # a '-', '.', 'e' or 'E', or worse
+        if rest != b"\n" * len(rest):  # a '.', 'e' or 'E', or worse
             deleted = _FIELD_BYTES
             rest = rest.translate(None, deleted)
             if rest != b"\n" * len(rest):  # a byte no field may hold
@@ -168,14 +168,14 @@ def _loadtxt_body(p, idx):
     parses several times faster than float, and returned as int64 for
     `ingest_csv` to convert column by column. int64 to float64 rounds to
     nearest even, as a correctly rounded float() of the same decimal
-    integer does, so the columns have the bits of a float read. '-' is
-    not integral: "-0" reads as the int 0 but as the float -0.0. On these
-    bytes int64 refuses what float refuses and also integers of 2**63 or
-    more; such a table is walked, with no float read tried. Some numpy
-    releases from 1.23 on parse such an integer as a float instead and
-    cast it to int64 in C, which is undefined past 2**63, with only a
-    DeprecationWarning; made an error here, that warning makes loadtxt
-    raise ValueError.
+    integer does, so the columns have the bits of a float read once
+    `ingest_csv` adds 0.0, which makes the float -0.0 of "-0" the int's 0.
+    On these bytes int64 refuses what float refuses and also integers of
+    2**63 or more or below -2**63; such a table is walked, with no float
+    read tried. Some numpy releases from 1.23 on parse such an integer as
+    a float instead and cast it to int64 in C, which is undefined outside
+    the int64 range, with only a DeprecationWarning; made an error here,
+    that warning makes loadtxt raise ValueError.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -228,9 +228,9 @@ def ingest_csv(path, columns) -> Dataset:
     the kept values, holding no Python list of rows. Both paths give the
     same columns, bit for bit, and the same drop counts; only the csv
     module refuses a field longer than `csv.field_size_limit()`. Each path
-    gives a (len(columns), rows) table, and each column is one
-    `astype(float)` of its row: a cast of an int64 row or a contiguous
-    copy of a float one.
+    gives a (len(columns), rows) table, and each column is its row plus
+    0.0: a cast of an int64 row or a contiguous copy of a float one, in
+    which a zero of either sign reads as +0.0.
     """
     p = Path(path)
     if not p.is_file():
@@ -257,7 +257,7 @@ def ingest_csv(path, columns) -> Dataset:
     if kept == 0:
         raise EmptyAfterFilter(unusable)
     return Dataset(
-        columns={name: table[j].astype(float)
+        columns={name: table[j] + 0.0
                  for j, name in enumerate(columns)},
         source=str(path), kept=kept, dropped=sum(reasons.values()),
         reasons=reasons,
@@ -560,6 +560,19 @@ def _positive_int_to(limit):
     return positive_int
 
 
+def _finite_from(low, strict=False):
+    """argparse type: a finite float, at least `low` (above it if strict)."""
+    def finite_float(text):
+        v = float(text)
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError("must be finite")
+        if v < low or (strict and v == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {low:g}")
+        return v
+    return finite_float
+
+
 def _prob_list(text):
     try:
         ps = [float(t) for t in text.split(",") if t.strip()]
@@ -645,12 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_twosample)
 
     p = subs.add_parser("bayes-update", help="conjugate-normal belief update")
-    p.add_argument("--prior-n", type=float, required=True)
-    p.add_argument("--prior-mean", type=float, required=True)
-    p.add_argument("--prior-var", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--var", type=float, required=True)
+    p.add_argument("--prior-n", type=_finite_from(0.0, strict=True),
+                   required=True)
+    p.add_argument("--prior-mean", type=_finite_from(-math.inf),
+                   required=True)
+    p.add_argument("--prior-var", type=_finite_from(0.0), required=True)
+    p.add_argument("--n", type=_finite_from(1.0), required=True)
+    p.add_argument("--mean", type=_finite_from(-math.inf), required=True)
+    p.add_argument("--var", type=_finite_from(0.0), required=True)
     p.set_defaults(handler=cmd_bayes_update)
 
     for p in subs.choices.values():  # the envelope's options

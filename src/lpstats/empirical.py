@@ -44,8 +44,8 @@ class Sample:
     Stores the distinct values in increasing order together with their
     probability masses (multiplicity / n), the right-continuous CDF, the
     mid-distribution values at the atoms, and the original observation
-    sequence so that paired analyses can align rows. Mean and variance use
-    the divide-by-n convention throughout.
+    sequence so that paired analyses can align rows. A zero is stored as
+    +0.0. Mean and variance use the divide-by-n convention throughout.
 
     Instances are immutable; the underlying arrays are marked read-only.
     Use :func:`make_sample` to construct one.
@@ -155,14 +155,10 @@ def _counted(obs: np.ndarray):
     """(values, counts, atom_index) of integer data by a counting sort.
 
     Returns None unless every value is an integer of magnitude below 2**53
-    spanning a range below 4 n, and no zero carries a sign bit (np.unique
-    may keep -0.0 as the atom; the count would give +0.0). The cheap range
-    test comes first.
+    spanning a range below 4 n. The cheap range test comes first.
     """
     lo, hi = obs.min(), obs.max()
     if not (hi - lo < 4 * obs.size and max(-lo, hi) < 2.0 ** 53):
-        return None
-    if lo <= 0.0 <= hi and np.any(np.signbit(obs[obs == 0.0])):
         return None
     if not np.array_equal(obs, np.rint(obs)):
         return None
@@ -182,14 +178,16 @@ def _pair_counts(a, b, ra: int, rb: int) -> np.ndarray:
 def make_sample(data) -> Sample:
     """Build a :class:`Sample` from a sequence of finite reals.
 
-    Integer data on a range below 4 n are counted in O(n) by `np.bincount`
-    (see `_counted`); everything else is sorted by `np.unique`. Both give
-    the same arrays, bit for bit.
+    A zero is stored as +0.0, whatever its sign, so that the atoms depend
+    only on the multiset of values, not on row order. Integer data on a
+    range below 4 n are counted in O(n) by `np.bincount` (see `_counted`);
+    everything else is sorted by `np.unique`. Both give the same arrays,
+    bit for bit.
 
     Raises EmptyInput on an empty sequence and NonFiniteValue (with the
     offending position) if a NaN or infinity sneaks in.
     """
-    obs = _finite(data).copy()
+    obs = _finite(data) + 0.0  # a copy, with -0.0 read as 0.0
     if obs.size == 0:
         raise EmptyInput("need at least one observation")
     counted = _counted(obs)

@@ -173,12 +173,15 @@ def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
 
 
 def _split_binary(x_obs, y_obs):
-    """Group a finite response by a binary label: (labels, x01, y)."""
+    """Group a finite response by a binary label: (labels, x01, y).
+
+    A zero label of either sign is read as +0.0.
+    """
     x = np.asarray(x_obs).ravel()
     y = np.asarray(y_obs, dtype=float).ravel()
     if x.size != y.size:
         raise LengthMismatch(x.size, y.size)
-    x, y = (_finite(x) if x.dtype.kind == "f" else x), _finite(y)
+    x, y = (_finite(x) + 0.0 if x.dtype.kind == "f" else x), _finite(y)
     labels = np.unique(x)
     if labels.size != 2:
         raise SingleGroup(
@@ -357,6 +360,8 @@ def bayes_normal_update(prior: BayesNormalState,
         raise DomainError("prior pseudo-count must be positive")
     if data.n < 1:
         raise DomainError("data summary must hold at least one observation")
+    if prior.v < 0.0 or data.v < 0.0:
+        raise DomainError("variances must be non-negative")
     comb = combine(GroupSummary(n=prior.n_eff, m=prior.m, v=prior.v), data)
     return BayesNormalState(n_eff=comb.n, m=comb.m, v=comb.v)
 

@@ -40,7 +40,10 @@ test "$code" -eq 3
 # whole as int64; its copy with one cell written as 7.0 is read whole as
 # float, and must give the same bytes. Both are counted by make_sample;
 # depend, regress and cquantile sum over their atoms and cells, and
-# twosample over the (atom, group) cells of y and the 0/1 column g.
+# twosample over the (atom, group) cells of y and the 0/1 column g. So
+# are the negated copies of both, where each 0 is written as -0: the
+# signed integers are read whole as int64, and with one cell written as
+# -7.0 as float, and each zero of either is read as +0.0.
 python3 - "$tmp" <<'PY'
 import random
 import sys
@@ -53,11 +56,16 @@ ints = [f"{rng.randrange(34)},{rng.randrange(37)},{rng.randrange(2)}"
         for _ in range(20000)]
 ints[10000] = "7," + ints[10000].split(",", 1)[1]
 dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
+neg = [",".join("-" + f for f in row.split(",")) for row in ints]
+negdot = neg[:10000] + ["-7.0," + neg[10000].split(",", 1)[1]] + neg[10001:]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
-                         ("int.csv", ints, "\n"), ("dot.csv", dot, "\n")):
-    head = "x,y,g" if name in ("int.csv", "dot.csv") else "x,y"
+                         ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
+                         ("neg.csv", neg, "\n"),
+                         ("negdot.csv", negdot, "\n")):
+    head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
+                             "drop.csv") else "x,y,g"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
         fh.write(end.join([head, *lines]) + end)
 PY
@@ -73,6 +81,9 @@ for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y"; do
 done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
     "cquantile --x x --y y" "twosample --y y --group g"; do
-    lpstats $cmd --format csv --data "$tmp/int.csv" > "$tmp/int.out"
-    lpstats $cmd --format csv --data "$tmp/dot.csv" | cmp - "$tmp/int.out"
+    for pair in "int dot" "neg negdot"; do
+        set -- $pair
+        lpstats $cmd --format csv --data "$tmp/$1.csv" > "$tmp/$1.out"
+        lpstats $cmd --format csv --data "$tmp/$2.csv" | cmp - "$tmp/$1.out"
+    done
 done

@@ -11,6 +11,7 @@ one and account for every field that moved.
 """
 
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -284,6 +285,21 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--p: probabilities share a column label" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--prior-n", "nan"), ("--prior-n", "0"), ("--prior-n", "-1"),
+        ("--prior-mean", "inf"), ("--prior-var", "-1"), ("--n", "0.5"),
+        ("--n", "-inf"), ("--mean", "nan"), ("--var", "-1e-300"),
+        ("--var", "x"),
+    ])
+    def test_bad_bayes_update_value_is_usage_error(self, flag, value,
+                                                   capsys):
+        argv = list(GOLDEN_CASES["bayes_update.json"])
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestProbabilityBound:
@@ -626,7 +642,8 @@ def ingest_rowwise(path, columns):
                 drop("empty_field")
                 continue
             try:
-                values = [float(f) for f in fields]
+                # a zero of either sign is read as +0.0
+                values = [float(f) + 0.0 for f in fields]
             except ValueError:
                 drop("non_numeric")
                 continue
@@ -647,7 +664,11 @@ FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
           "0x1", '"7"', '" 8 "', '"9,5"', '""', '"a""b"',
           # where np.loadtxt's reading could part from csv.reader + float()
           "#", "1#2", "+3", ".5", "5.", "\uff11", "1 2", "4.9e-324",
-          "1.7976931348623159e308", '"1\n2"', '"3\r\n"']
+          "1.7976931348623159e308", '"1\n2"', '"3\r\n"',
+          # signed integers, which make a body integral, and the int64
+          # range's floor
+          "-3", "-00", "-9223372036854775808", "-9223372036854775809",
+          "- 1", "--1", "+-1", "1-"]
 
 
 @st.composite
@@ -727,21 +748,23 @@ def assert_ingest_matches_rowwise(text, columns):
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
                         max_size=3, unique=True)
 
-# where float64 rounds, and where int64 ends: 2**63 is not an int64
-EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63]
+# where float64 rounds, and where int64 ends: 2**63 and -2**63 - 1 are
+# not int64s
+EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
 
 
 @st.composite
 def integral_csvs(draw):
     """CSV text under an a,b,c header, in the bytes of an integral body.
 
-    Rows of 3 fields, each an integer with an optional '+', leading zeros
-    and padding of spaces and tabs; up to two blank lines put in. Every
+    Rows of 3 fields, each an integer with an optional '+' or '-', leading
+    zeros and padding of spaces and tabs; up to two blank lines put in. Every
     line ends in the same drawn LF or CRLF, and the last one may have none.
     """
     pad = st.sampled_from(["", " ", "\t", " \t"])
     field = st.tuples(
-        pad, st.sampled_from(["", "+"]), st.sampled_from(["", "0", "007"]),
+        pad, st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "007"]),
         st.one_of(st.integers(0, 999), st.sampled_from(EDGE_INTS)), pad,
     ).map(lambda t: "".join(map(str, t)))
     rows = draw(st.lists(st.lists(field, min_size=3, max_size=3)
@@ -805,10 +828,11 @@ class TestIngest:
 
     @settings(deadline=None, max_examples=200)
     @example(text="a,b,c\n1,2,9223372036854775808\n", columns=["a"])
+    @example(text="a,b,c\n-1,-0,-9223372036854775809\n", columns=["b"])
     @given(text=integral_csvs(), columns=COLUMN_LISTS)
     def test_integral_ingest_matches_the_rowwise_loop(self, text, columns):
-        # Each body makes one int64 read; one with a field of 2**63 or more
-        # fails it and is walked.
+        # Each body makes one int64 read; one with a field of 2**63 or more,
+        # or below -2**63, fails it and is walked.
         with pytest.MonkeyPatch.context() as mp:
             calls = record_loadtxt(mp)
             assert_ingest_matches_rowwise(text, columns)
@@ -821,18 +845,20 @@ class TestIngest:
         # A CLI run ignores DeprecationWarning, so a loadtxt that reads
         # 2**63 via a float would give INT64_MIN, unless ingest makes that
         # warning an error.
-        f = tmp_path / "t.csv"
-        f.write_text("a,b\n1,2\n3,9223372036854775808\n", encoding="utf-8")
-        cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         calls = record_loadtxt(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            ds = ingest_csv(f, ["a", "b"])
-        assert calls == [(str(f), np.int64)]
-        assert (ds.kept, ds.dropped) == (kept, dropped) == (2, 0)
-        for name in cols:
-            assert ds.columns[name].tobytes() == cols[name].tobytes()
+        f = tmp_path / "t.csv"
+        for big in ("9223372036854775808", "-9223372036854775809"):
+            f.write_text(f"a,b\n1,2\n3,{big}\n", encoding="utf-8")
+            cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                ds = ingest_csv(f, ["a", "b"])
+            assert calls == [(str(f), np.int64)]
+            calls.clear()
+            assert (ds.kept, ds.dropped) == (kept, dropped) == (2, 0)
+            for name in cols:
+                assert ds.columns[name].tobytes() == cols[name].tobytes()
 
     def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
         def walk(*args):
@@ -842,12 +868,12 @@ class TestIngest:
         # with one row per line there are no empty lines to count
         monkeypatch.setattr(cli, "_empty_lines", walk)
         calls = record_loadtxt(monkeypatch)
-        # an integral body is read as int64; "-0", which int64 would read
-        # as 0, keeps a body float
+        # an integral body, signed or not, is read as int64; "-0" is read
+        # as +0.0 either way
         for rows, dtype, a, b in (
                 (["1,2", "-3.5e1, 4"], float, [1.0, -35.0], [2.0, 4.0]),
                 (["1,2", "+35,\t04"], np.int64, [1.0, 35.0], [2.0, 4.0]),
-                (["1,-0", "35,4"], float, [1.0, 35.0], [-0.0, 4.0])):
+                (["1,-0", "35,4"], np.int64, [1.0, 35.0], [0.0, 4.0])):
             for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
                 f = tmp_path / name
                 f.write_bytes(end.join(["a,b", *rows * 4, ""])
@@ -898,15 +924,16 @@ class TestIngest:
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
             assert cli._body_lines(io.BytesIO(ends)) is None
-        # the integral flag: a '-', '.', 'e' or 'E' anywhere clears it,
-        # also one only in the second 1 MiB block
+        # the integral flag: a '-' keeps it; a '.', 'e' or 'E' anywhere
+        # clears it, also one only in the second 1 MiB block
         head = line * ((1 << 20) // len(line))
         assert len(head) == 1 << 20
-        for cell in (b"-2", b"-0", b"2.", b"2e0", b"2E0"):
+        for cell, integral in ((b"-2", True), (b"-0", True), (b"2.", False),
+                               (b"2e0", False), (b"2E0", False)):
             for body in (cell + b",2\n" + head, head + cell + b",2\n" + line,
                          b"1,2\r\n3," + cell):
                 assert cli._body_lines(io.BytesIO(body)) == (
-                    body.count(b"\n") + (not body.endswith(b"\n")), False)
+                    body.count(b"\n") + (not body.endswith(b"\n")), integral)
 
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
                                                    monkeypatch):
@@ -1078,3 +1105,61 @@ class TestIngest:
         assert code == 0
         doc = json.loads(text)
         assert any("dropped" in w for w in doc["warnings"])
+
+
+# each zero in a signed tied table is written one of four ways
+ZEROS = ["0", "-0", "0.0", "-0.0"]
+
+
+@st.composite
+def signed_tied_tables(draw):
+    """Rows of x, y and a label g, and a shuffle of rows of equal value.
+
+    x and y hold integers in -2..2 and g holds 0 or 1, each zero spelt as
+    one of `ZEROS`. The shuffle trades rows that are equal as numbers, so
+    it moves which spelling of a zero comes first and nothing else.
+    """
+    cell = st.sampled_from(["-2", "-1", "1", "2", *ZEROS])
+    label = st.sampled_from(["1", *ZEROS])
+    rows = draw(st.lists(st.tuples(cell, cell, label), min_size=6,
+                         max_size=20))
+    alike = {}
+    for i, row in enumerate(rows):
+        alike.setdefault(tuple(map(float, row)), []).append(i)
+    shuffled = list(rows)
+    for where in alike.values():
+        for i, j in zip(where, draw(st.permutations(where))):
+            shuffled[i] = rows[j]
+    return [",".join(r) for r in rows], [",".join(r) for r in shuffled]
+
+
+DATA_COMMANDS = [
+    ["describe", "--col", "x"],
+    ["depend", "--x", "x", "--y", "y"],
+    ["regress", "--x", "x", "--y", "y"],
+    ["cquantile", "--x", "x", "--y", "y"],
+    ["fit", "--col", "y", "--g", "normal"],
+    ["twosample", "--y", "y", "--group", "g"],
+]
+
+
+class TestSignOfZero:
+    """Every zero is read as +0.0, so no output depends on how a zero is
+    written or on which spelling of it comes first."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(signed_tied_tables())
+    def test_a_shuffle_of_equal_rows_prints_the_same_bytes(self, tables):
+        # A free shuffle would also reorder the row sums of statistics
+        # such as twosample's r, whose round-off prints where the exact
+        # value is 0.
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "t.csv"
+            for rows in tables:
+                f.write_text("\n".join(["x,y,g", *rows, ""]),
+                             encoding="utf-8")
+                with contextlib.redirect_stderr(io.StringIO()):
+                    outputs.append([run_cli([*argv, "--data", str(f)])
+                                    for argv in DATA_COMMANDS])
+        assert outputs[0] == outputs[1]

@@ -383,6 +383,8 @@ def loop_curves(mod, us, ps):
         k = np.minimum(np.searchsorted(cum, ps, side="left"), sy.r - 1)
         level = (sy.cdf[k] - sy.masses[k]
                  + (ps - (cum[k] - step[k])) / density[k])
+        # round-off divided by a floored density must not leave atom k
+        level = np.clip(level, sy.cdf[k] - sy.masses[k], sy.cdf[k])
         clipped.append(raw < 1e-6)
         means.append(float(step @ sy.values))
         levels.append(np.clip(level, np.finfo(float).tiny,
@@ -432,6 +434,10 @@ class TestPolynomialCurves:
 
     @settings(deadline=None, max_examples=300)
     @given(curve_models(), st.lists(open_unit, min_size=1, max_size=6))
+    # p = 0.5 meets the right end of Y's atom 1, floored to 1e-6 at
+    # u = 6/7; unclipped, the reference level left that atom by 2.3e-11
+    @example(fit_copula([0, 0, 1, 0, 0, 0, 1], [0, 1, 1, 2, 0, 2, -1],
+                        order=3, rule="none"), [0.5])
     def test_matches_the_per_slice_loop(self, mod, ps):
         ps = np.array(ps)
         us = mod.sx.fmid

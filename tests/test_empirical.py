@@ -335,8 +335,25 @@ class TestCountingSample:
         [-2.0, -0.0, 3.0, -0.0],
     ])
     def test_negative_zero_keeps_its_sign(self, obs):
-        assert _counted(np.array(obs)) is None
-        self.assert_same(make_sample(obs), unique_sample(obs))
+        # no zero keeps a sign: each is stored, and counted, as +0.0
+        s = make_sample(obs)
+        assert not np.signbit(s.values[s.values == 0.0]).any()
+        unsigned = np.array(obs) + 0.0
+        assert s.obs.tobytes() == unsigned.tobytes()
+        assert _counted(unsigned) is not None
+        self.assert_same(s, unique_sample(unsigned))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 3.0]),
+                    max_size=12), st.data())
+    def test_a_permutation_gives_the_same_atoms(self, values, data):
+        # the atoms depend on the multiset of values, not on which of its
+        # zeros comes first; a 0.5 sends the column to np.unique
+        obs = values + [0.0, -0.0]
+        a = make_sample(obs)
+        b = make_sample(data.draw(st.permutations(obs)))
+        for name in ("values", "counts", "masses"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_positive_zero_is_counted(self):
         obs = np.array([-3.0, 0.0, 0.0, 2.0])

@@ -401,6 +401,10 @@ class TestBayesNormal:
         with pytest.raises(DomainError):
             bayes_normal_update(BayesNormalState(1.0, 0.0, 1.0),
                                 GroupSummary(0.5, 0.0, 0.0))
+        for prior_v, data_v in ((-1.0, 0.0), (1.0, -1e-300)):
+            with pytest.raises(DomainError):
+                bayes_normal_update(BayesNormalState(1.0, 0.0, prior_v),
+                                    GroupSummary(1.0, 0.0, data_v))
 
 
 class TestAnalyze:
@@ -425,6 +429,13 @@ class TestAnalyze:
         b = analyze(1.0 - x, y)
         assert_allclose(a.t, -b.t, rtol=1e-12)
         assert_allclose(a.w, -b.w, rtol=1e-12)
+
+    def test_a_zero_label_is_unsigned(self):
+        # whichever zero comes first, the label is +0.0
+        y = np.arange(6.0)
+        for x in ([-0.0, 0.0, 1.0] * 2, [0.0, -0.0, 1.0] * 2):
+            labels = analyze(x, y, m=2).labels
+            assert np.array(labels).tobytes() == np.array([0.0, 1.0]).tobytes()
 
     def test_density_is_the_direct_fit(self):
         rng = np.random.default_rng(96)
