@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
                         make_sample, mid_quantile)
-from .errors import DomainError
+from .errors import DomainError, OrderOutOfRange
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -504,18 +504,16 @@ def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
-    yields an empty selection and a flat curve. When x has r atoms with
-    r**2 <= n, y is first summed per atom by `np.bincount`, and the cross
-    moments come from those r sums.
+    yields an empty selection and a flat curve. y is first summed per atom
+    of x by `np.bincount`, in O(n + r), and the cross moments come from
+    those r sums. An order m below 1 raises OrderOutOfRange.
     """
     x, y = _paired(x_obs, y_obs)
     m = bx.max_order if m is None else min(int(m), bx.max_order)
-    ax = bx.source.atom_at(x)
-    if bx.source.r ** 2 <= y.size:
-        sums = np.bincount(ax, weights=y, minlength=bx.source.r)
-        coefficients = bx.table[:m] @ sums / y.size
-    else:
-        coefficients = bx.table[:m, ax] @ y / y.size
+    if m < 1:
+        raise OrderOutOfRange("order must be at least 1")
+    sums = np.bincount(bx.source.atom_at(x), weights=y, minlength=bx.source.r)
+    coefficients = bx.table[:m] @ sums / y.size
     y_sd = float(y.std())
     if y_sd > 0.0:
         selected = select_significant(coefficients / y_sd, y.size, rule=rule)

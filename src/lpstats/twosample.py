@@ -26,7 +26,7 @@ import numpy as np
 
 from .copula import _step_density
 from .empirical import (Sample, _finite, _pair_counts, _scalar_or_array,
-                        make_sample, mid_ranks)
+                        make_sample)
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, SingleGroup)
 from .lp import _pearson, select_significant
@@ -227,7 +227,9 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     Ties need no correction: the mid-rank variance (1 - sum p^3)/12
     absorbs them; a constant response, whose mid-rank variance is zero,
     raises DegenerateScale. z_stat scales by sqrt(n), or sqrt(n - 1) when
-    small_sample is set.
+    small_sample is set. All three statistics are summed over the counts
+    of (response atom, group) pairs, in O(n + r_y), so none depends on
+    row order.
     """
     _, x01, y = _split_binary(x_obs, y_obs)
     return _wilcoxon(x01, make_sample(y), small_sample)
@@ -236,30 +238,22 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
 def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
     """`wilcoxon` on a split sample, given the response's Sample.
 
-    When 2 r_y <= n the sums run over the r_y x 2 table of (response atom,
-    group) counts, otherwise over the n rows. The two agree to round-off.
+    The sums run over the r_y x 2 table of (response atom, group) counts,
+    at every r_y.
     """
     n = sy.n
     v_mid = sy.mid_rank_variance
     if v_mid <= 0:
         raise DegenerateScale("the response is constant")
+    cells = _pair_counts(sy.atom_index, x01.astype(np.intp), sy.r, 2)
+    n1 = int(cells[:, 1].sum())
+    tau = n1 / n
     # t1x: the indicator's standardized mid-rank, in closed form from its
     # masses
-    if 2 * sy.r <= n:
-        cells = _pair_counts(sy.atom_index, x01.astype(np.intp), sy.r, 2)
-        n1 = int(cells[:, 1].sum())
-        tau = n1 / n
-        t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
-        t1y = (sy.fmid - 0.5) / math.sqrt(v_mid)
-        w = float(t1y @ cells @ t1x / n)
-        m1 = float(sy.fmid @ cells[:, 1] / n1)
-    else:
-        tau = float(x01.mean())
-        t1x = (x01 - tau) / math.sqrt(tau * (1.0 - tau))
-        ry = mid_ranks(sy)
-        t1y = (ry - 0.5) / math.sqrt(v_mid)
-        w = float(np.mean(t1x * t1y))
-        m1 = float(ry[x01 == 1.0].mean())
+    t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
+    t1y = (sy.fmid - 0.5) / math.sqrt(v_mid)
+    w = float(t1y @ cells @ t1x / n)
+    m1 = float(sy.fmid @ cells[:, 1] / n1)
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
     scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
     return WilcoxonResult(w=w, z_stat=scale * w, w_direct=w_direct,

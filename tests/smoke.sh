@@ -43,7 +43,10 @@ test "$code" -eq 3
 # twosample over the (atom, group) cells of y and the 0/1 column g. So
 # are the negated copies of both, where each 0 is written as -0: the
 # signed integers are read whole as int64, and with one cell written as
-# -7.0 as float, and each zero of either is read as +0.0.
+# -7.0 as float, and each zero of either is read as +0.0. The clean
+# table with a 0/1 column g taken from the row index, and its CRLF copy,
+# must give the same twosample bytes: its untied x sums over the
+# (atom, group) cells as tied columns do.
 python3 - "$tmp" <<'PY'
 import random
 import sys
@@ -58,12 +61,14 @@ ints[10000] = "7," + ints[10000].split(",", 1)[1]
 dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
 neg = [",".join("-" + f for f in row.split(",")) for row in ints]
 negdot = neg[:10000] + ["-7.0," + neg[10000].split(",", 1)[1]] + neg[10001:]
+grp = [f"{row},{i % 3 == 0:d}" for i, row in enumerate(rows)]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
                          ("neg.csv", neg, "\n"),
-                         ("negdot.csv", negdot, "\n")):
+                         ("negdot.csv", negdot, "\n"),
+                         ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n")):
     head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
                              "drop.csv") else "x,y,g"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
@@ -87,3 +92,7 @@ for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
         lpstats $cmd --format csv --data "$tmp/$2.csv" | cmp - "$tmp/$1.out"
     done
 done
+lpstats twosample --y x --group g --format csv --data "$tmp/grp.csv" \
+    > "$tmp/grp.out"
+lpstats twosample --y x --group g --format csv --data "$tmp/grpcrlf.csv" \
+    | cmp - "$tmp/grp.out"

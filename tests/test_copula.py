@@ -31,7 +31,7 @@ from lpstats import (
 from lpstats import copula as cpmod
 from lpstats.cli import MAX_ORDER
 from lpstats.copula import _slice_levels
-from lpstats.errors import DomainError
+from lpstats.errors import DomainError, OrderOutOfRange
 from lpstats.scores import ScoreBasis
 
 from conftest import random_sample_values, search_only
@@ -769,6 +769,14 @@ class TestDrawCounts:
                 simulate(-1)
 
 
+def assert_near_the_gather(got, b, x, y):
+    """Coefficients within round-off of the per-row gather mean(y T_j(x))."""
+    t = b.table[:got.size, b.source.atom_index]
+    # round-off is relative to the sum of absolute terms, E|y T_j|
+    assert np.all(np.abs(got - t @ y / y.size)
+                  <= 1e-13 * (np.abs(t) @ np.abs(y) / y.size))
+
+
 class TestSeriesRegression:
     def test_recovers_function_in_score_span(self):
         rng = np.random.default_rng(74)
@@ -818,29 +826,57 @@ class TestSeriesRegression:
         assert_array_equal(fit.predict(s.values), ref_curve)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 30), st.integers(0, 500), st.integers(1, 8),
-           st.integers(0, 2 ** 32 - 1))
-    def test_atom_sums_equal_the_observation_gather(self, r, extra, m, seed):
+    @given(st.integers(2, 30), st.integers(0, 900), st.booleans(),
+           st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_atom_sums_equal_the_observation_gather(self, r, extra, untied,
+                                                    m, seed):
         rng = np.random.default_rng(seed)
-        n = r * r + extra
-        x = rng.integers(0, r, n).astype(float)
-        x[:r] = np.arange(r)
+        n = r + extra
+        if untied:
+            x = rng.standard_normal(n)
+        else:
+            x = rng.integers(0, r, n).astype(float)
+            x[:r] = np.arange(r)
         y = x + rng.standard_normal(n)
         s = make_sample(x)
-        b = build_score_basis(s, min(m, r - 1))
+        b = build_score_basis(s, min(m, s.r - 1))
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
             got = series_regression(x, y, b, rule="none").coefficients
         assert count.called
-        t = b.table[:, s.atom_index]
-        # round-off is relative to the sum of absolute terms, E|y T_j|
-        assert np.all(np.abs(got - t @ y / n)
-                      <= 1e-13 * (np.abs(t) @ np.abs(y) / n))
+        assert_near_the_gather(got, b, x, y)
 
-    def test_bundled_table_is_gathered(self, age, gag):
+    def test_bundled_table_is_summed_per_atom(self, age, gag):
         b = build_score_basis(make_sample(age), 4)
+        assert b.source.r ** 2 > age.size
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            series_regression(age, gag, b)
-        assert not count.called
+            got = series_regression(age, gag, b).coefficients
+        assert count.called
+        assert_near_the_gather(got, b, age, gag)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 400), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_a_row_shuffle_keeps_the_bits(self, n, untied, seed):
+        # an atom of untied x holds one y, and sums of integers are exact,
+        # so row order cannot reach the per-atom sums
+        rng = np.random.default_rng(seed)
+        x = random_sample_values(rng, n, tied=not untied)
+        y = (rng.standard_normal(n) if untied
+             else rng.integers(-50, 50, n).astype(float))
+        s = make_sample(x)
+        assume(s.r > 1)
+        b = build_score_basis(s, min(4, s.r - 1))
+        p = rng.permutation(n)
+        got = series_regression(x, y, b).coefficients
+        shuffled = series_regression(x[p], y[p], b).coefficients
+        assert got.tobytes() == shuffled.tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_order_below_one_is_refused(self, m):
+        x = np.arange(20.0)
+        b = build_score_basis(make_sample(x), 4)
+        for y in (x ** 2, np.full(20, 3.5)):
+            with pytest.raises(OrderOutOfRange, match="at least 1"):
+                series_regression(x, y, b, m=m)
 
     def test_prediction_between_atoms_is_a_step(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])

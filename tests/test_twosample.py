@@ -237,6 +237,18 @@ class TestWilcoxon:
             wilcoxon(np.array([0.0, 1.0, 0.0, 1.0]), np.full(4, 2.0))
 
 
+def row_wilcoxon(x01, sy):
+    """w and w_direct by the per-row formulas, from the mid-ranks."""
+    tau = x01.mean()
+    ry = mid_ranks(sy)
+    v_mid = sy.mid_rank_variance
+    w = np.mean((x01 - tau) * (ry - 0.5)) / math.sqrt(
+        tau * (1.0 - tau) * v_mid)
+    w_direct = (ry[x01 == 1.0].mean() - 0.5) * math.sqrt(
+        tau / ((1.0 - tau) * v_mid))
+    return w, w_direct
+
+
 class TestWilcoxonCells:
     """The (atom, group) count table against the per-row sums."""
 
@@ -254,19 +266,13 @@ class TestWilcoxonCells:
         assume(0 < x01.sum() < n and sy.r > 1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
             got = tsmod._wilcoxon(x01, sy, small)
-        assert count.called == (2 * sy.r <= n)
-        tau = x01.mean()
-        ry = mid_ranks(sy)
-        v_mid = sy.mid_rank_variance
-        w = np.mean((x01 - tau) * (ry - 0.5)) / math.sqrt(
-            tau * (1.0 - tau) * v_mid)
-        w_direct = (ry[x01 == 1.0].mean() - 0.5) * math.sqrt(
-            tau / ((1.0 - tau) * v_mid))
+        assert count.called
+        w, w_direct = row_wilcoxon(x01, sy)
         assert_allclose([got.w, got.w_direct, got.z_stat / got.scale],
                         [w, w_direct, w], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
-    def test_rows_where_cells_outnumber_them(self, table, age, gag):
+    def test_cells_where_they_outnumber_rows(self, table, age, gag):
         if table == "bundled":
             x01, y = (age > np.median(age)).astype(float), gag
         else:
@@ -274,9 +280,30 @@ class TestWilcoxonCells:
             y = rng.standard_normal(2000)
             x01 = (rng.random(2000) < 0.4).astype(float)
         sy = make_sample(y)
+        assert 2 * sy.r > sy.n
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            tsmod._wilcoxon(x01, sy, False)
-        assert not count.called
+            got = tsmod._wilcoxon(x01, sy, False)
+        assert count.called
+        assert_allclose([got.w, got.w_direct], row_wilcoxon(x01, sy),
+                        rtol=0, atol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 400), st.booleans(), st.floats(0.05, 0.95),
+           st.integers(0, 2 ** 32 - 1))
+    def test_a_row_shuffle_keeps_the_bits(self, n, tied, share, seed):
+        # the sums run over integer cell counts, which row order cannot reach
+        rng = np.random.default_rng(seed)
+        y = random_sample_values(rng, n, tied)
+        x = (rng.random(n) < share).astype(float)
+        assume(0 < x.sum() < n and np.unique(y).size > 1)
+        p = rng.permutation(n)
+        assert wilcoxon(x, y) == wilcoxon(x[p], y[p])
+        try:
+            rep = analyze(x, y)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            return
+        shuffled = analyze(x[p], y[p])
+        assert (rep.w, rep.z_stat) == (shuffled.w, shuffled.z_stat)
 
 
 class TestTwoSampleDensity:
@@ -532,8 +559,8 @@ class TestTwoSampleIdentities:
     def test_analyze_and_wilcoxon_agree_on_half_steps(self, ks, labels,
                                                       data):
         # a response on a 0.5 grid with no integer on it is sorted by
-        # np.unique, not counted; analyze and wilcoxon share its Sample's
-        # path, cell table or rows
+        # np.unique, not counted; analyze and wilcoxon share its Sample
+        # and its cell table
         y = np.array(ks) * 0.5 + 0.25
         pick = data.draw(st.lists(st.booleans(), min_size=y.size,
                                   max_size=y.size))
