@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, _pair_counts, _paired, make_sample, mid_ranks
+from .empirical import Sample, _pair_counts, _paired, make_sample
 from .errors import DegenerateScale, DomainError, OrderOutOfRange
 from .scores import ScoreBasis, _check_order
 
@@ -105,12 +105,8 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
 
     The requested order m is clipped per margin to what the basis
     supports, so heavily tied variables give fewer rows or columns rather
-    than failing. Selection and LPINFOR are filled in immediately.
-
-    When r_x * r_y <= n the expectation is taken over the contingency
-    table of atom pairs, Tx N Ty' / n with N counted by `np.bincount`, in
-    O(n + m r_x r_y); otherwise both score tables are gathered per
-    observation. The two sums differ only by round-off.
+    than failing. Selection and LPINFOR are filled in immediately. The
+    expectation is one `_pair_mean` of the two score tables.
     """
     x, y = _paired(x_obs, y_obs)
     m = int(m)
@@ -118,12 +114,7 @@ def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
         raise OrderOutOfRange("order must be at least 1")
     tx = bx.table[: min(m, bx.max_order)]
     ty = by.table[: min(m, by.max_order)]
-    ax, ay = bx.source.atom_at(x), by.source.atom_at(y)
-    rx, ry = bx.source.r, by.source.r
-    if rx * ry <= x.size:
-        entries = tx @ _pair_counts(ax, ay, rx, ry) @ ty.T / x.size
-    else:
-        entries = tx[:, ax] @ ty[:, ay].T / x.size
+    entries = _pair_mean(tx, bx.source.atom_at(x), ty, by.source.atom_at(y))
     selected = select_significant(entries, x.size, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
     return LPComomentMatrix(entries=entries, n=int(x.size),
@@ -137,8 +128,11 @@ def select_significant(coefficients, n: int, rule: str = "aic") -> np.ndarray:
     position) and the prefix maximizing sum(c^2) - k * penalty is kept,
     where the per-term penalty is 2/n for "aic" and log(n)/n for "bic".
     Rule "none" keeps everything. Returns a boolean mask of the input's
-    shape; the empty prefix wins when nothing clears the penalty.
+    shape; the empty prefix wins when nothing clears the penalty. A
+    sample size n below 1 raises DomainError.
     """
+    if n < 1:
+        raise DomainError(f"sample size must be at least 1, got {n}")
     c = np.asarray(coefficients, dtype=float)
     if rule == "none":
         return np.ones(c.shape, dtype=bool)
@@ -163,12 +157,22 @@ def lpinfor(matrix: LPComomentMatrix) -> float:
     return matrix.lpinfor
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa = a.std()
-    sb = b.std()
-    if sa <= 0.0 or sb <= 0.0:
-        raise DegenerateScale("zero variance in correlation input")
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+def _pair_mean(fa, a, fb, b) -> np.ndarray:
+    """E[fa(A) fb(B)'] = fa N fb' / n over the paired atom indices a, b.
+
+    fa and fb hold one row per function over each margin's atoms; N is the
+    r_a x r_b table of atom-pair counts, counted by `_pair_counts` when
+    r_a * r_b <= n. Otherwise each row of the coarser margin is summed per
+    atom of the finer one by `np.bincount`, so on an untied finer margin
+    the sums do not depend on row order.
+    """
+    ra, rb = fa.shape[1], fb.shape[1]
+    if ra * rb <= a.size:
+        return fa @ _pair_counts(a, b, ra, rb) @ fb.T / a.size
+    if ra < rb:
+        return _pair_mean(fb, b, fa, a).T
+    sums = [np.bincount(a, weights=row[b], minlength=ra) for row in fb]
+    return fa @ np.transpose(sums) / a.size
 
 
 def _standardized(s: Sample) -> np.ndarray:
@@ -188,12 +192,8 @@ def correlations(x_obs, y_obs) -> CorrelationReport:
     mid-rank transforms; unlike the classical Spearman it needs no tie
     correction terms. The Gini pair correlates each raw variable with the
     other's mid-ranks. Either argument may be a Sample, whose observations
-    and atoms are then used as they are.
-
-    When r_x * r_y <= n the four are one 2 x 2 product over the r_x x r_y
-    table of atom-pair counts, of each margin's standardized values and
-    mid-ranks; otherwise they are taken over the n rows. The two agree to
-    round-off.
+    and atoms are then used as they are. The four are one 2 x 2
+    `_pair_mean` of each margin's standardized values and mid-ranks.
     """
     x, y = _paired(*(a.obs if isinstance(a, Sample) else a
                      for a in (x_obs, y_obs)))
@@ -201,21 +201,11 @@ def correlations(x_obs, y_obs) -> CorrelationReport:
         raise DegenerateScale("need at least two paired observations")
     sx, sy = (a if isinstance(a, Sample) else make_sample(v)
               for a, v in ((x_obs, x), (y_obs, y)))
-    if sx.r * sy.r <= x.size:
-        cells = _pair_counts(sx.atom_index, sy.atom_index, sx.r, sy.r)
-        (pearson, gini_xy), (gini_yx, spearman) = (
-            _standardized(sx) @ cells @ _standardized(sy).T / x.size)
-        return CorrelationReport(pearson=float(pearson),
-                                 spearman_mid=float(spearman),
-                                 gini_xy=float(gini_xy),
-                                 gini_yx=float(gini_yx))
-    ux, uy = mid_ranks(sx), mid_ranks(sy)
-    return CorrelationReport(
-        pearson=_pearson(x, y),
-        spearman_mid=_pearson(ux, uy),
-        gini_xy=_pearson(x, uy),
-        gini_yx=_pearson(ux, y),
-    )
+    (pearson, gini_xy), (gini_yx, spearman) = _pair_mean(
+        _standardized(sx), sx.atom_index, _standardized(sy), sy.atom_index)
+    return CorrelationReport(pearson=float(pearson),
+                             spearman_mid=float(spearman),
+                             gini_xy=float(gini_xy), gini_yx=float(gini_yx))
 
 
 def lhermite_normality(s: Sample) -> LHermiteResult:

@@ -29,7 +29,7 @@ from .empirical import (Sample, _finite, _pair_counts, _scalar_or_array,
                         make_sample)
 from .errors import (DegenerateScale, DomainError, EmptyInput,
                      LengthMismatch, SingleGroup)
-from .lp import _pearson, select_significant
+from .lp import select_significant
 from .scores import ScoreBasis, build_score_basis
 
 __all__ = [
@@ -202,6 +202,13 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     _, x01, y = _split_binary(x_obs, y_obs)
     return _correlation_stats(x01, y, group_summary(y[x01 == 0.0]),
                               group_summary(y[x01 == 1.0]))
+
+
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    sa, sb = a.std(), b.std()
+    if sa <= 0.0 or sb <= 0.0:
+        raise DegenerateScale("zero variance in correlation input")
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
 def _correlation_stats(x01, y, g0: GroupSummary,

@@ -46,7 +46,10 @@ test "$code" -eq 3
 # -7.0 as float, and each zero of either is read as +0.0. The clean
 # table with a 0/1 column g taken from the row index, and its CRLF copy,
 # must give the same twosample bytes: its untied x sums over the
-# (atom, group) cells as tied columns do.
+# (atom, group) cells as tied columns do. The clean table's rows in
+# reverse order must give the same depend bytes, with x and y either
+# way round: the comoments and correlations of untied x and 33-valued y
+# are summed per atom of x, which row order cannot reach.
 python3 - "$tmp" <<'PY'
 import random
 import sys
@@ -68,9 +71,10 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
                          ("neg.csv", neg, "\n"),
                          ("negdot.csv", negdot, "\n"),
-                         ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n")):
+                         ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n"),
+                         ("rev.csv", rows[::-1], "\n")):
     head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
-                             "drop.csv") else "x,y,g"
+                             "drop.csv", "rev.csv") else "x,y,g"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
         fh.write(end.join([head, *lines]) + end)
 PY
@@ -96,3 +100,7 @@ lpstats twosample --y x --group g --format csv --data "$tmp/grp.csv" \
     > "$tmp/grp.out"
 lpstats twosample --y x --group g --format csv --data "$tmp/grpcrlf.csv" \
     | cmp - "$tmp/grp.out"
+for cmd in "depend --x x --y y" "depend --x y --y x"; do
+    lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/fwd.out"
+    lpstats $cmd --format csv --data "$tmp/rev.csv" | cmp - "$tmp/fwd.out"
+done

@@ -21,7 +21,7 @@ from lpstats import (
 )
 from lpstats.empirical import mid_ranks
 from lpstats.errors import DegenerateScale, LengthMismatch
-from lpstats.lp import _pearson
+from lpstats.twosample import _pearson
 
 from conftest import random_sample_values, search_only
 
@@ -29,6 +29,18 @@ from conftest import random_sample_values, search_only
 def basis_for(x, m=4):
     s = make_sample(x)
     return s, build_score_basis(s, min(m, s.r - 1))
+
+
+def assert_near_the_gather(got, x, y, bx, by, m):
+    """Comoments within 1e-13 of the per-observation gather, on its scale."""
+    tx = bx.table[:m, bx.source.atom_at(x)]
+    ty = by.table[:m, by.source.atom_at(y)]
+    want = tx @ ty.T / x.size
+    # round-off is relative to the sum of absolute terms, E|T_j T_k|,
+    # not to the entry: an entry can cancel to 0 on independent cells
+    scale = np.max(np.abs(tx) @ np.abs(ty).T / x.size)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 class TestLPMoments:
@@ -215,39 +227,55 @@ class TestLPComoments:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 400),
            st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-    def test_cell_table_equals_the_observation_gather(self, rx, ry, extra,
-                                                      m, seed):
+    def test_cell_table_equals_the_observation_gather(self, rx, ry, n, m,
+                                                      seed):
+        # n from max(rx, ry) up covers n < rx * ry, where per-atom sums run
         rng = np.random.default_rng(seed)
-        n = rx * ry + extra
+        n += max(rx, ry)
         x = rng.integers(0, rx, n).astype(float)
         y = (x + rng.integers(0, ry, n) * rng.integers(0, 2, n)) % ry
         x[:rx], y[:ry] = np.arange(rx), np.arange(ry)  # every atom occurs
-        sx, bx = basis_for(x, m)
-        sy, by = basis_for(y, m)
+        _, bx = basis_for(x, m)
+        _, by = basis_for(y, m)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
             got = lp_comoments(x, y, bx, by, m).entries
         assert count.called
-        tx, ty = bx.table[:m, sx.atom_index], by.table[:m, sy.atom_index]
-        want = tx @ ty.T / n
-        # round-off is relative to the sum of absolute terms, E|T_j T_k|,
-        # not to the entry: an entry can cancel to 0 on independent cells
-        scale = np.max(np.abs(tx) @ np.abs(ty).T / n)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert_near_the_gather(got, x, y, bx, by, m)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
-    def test_gathers_where_cells_outnumber_rows(self, table, age, gag):
+    def test_atom_sums_where_cells_outnumber_rows(self, table, age, gag):
         if table == "bundled":
             x, y = age, gag
         else:
             rng = np.random.default_rng(34)
             x = rng.standard_normal(2000)
             y = x + rng.standard_normal(2000)
-        _, bx = basis_for(x)
-        _, by = basis_for(y)
+        sx, bx = basis_for(x)
+        sy, by = basis_for(y)
+        assert sx.r * sy.r > x.size
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            lp_comoments(x, y, bx, by)
-        assert not count.called
+            got = lp_comoments(x, y, bx, by).entries
+        assert any("weights" in c.kwargs for c in count.call_args_list)
+        assert_near_the_gather(got, x, y, bx, by, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 400), st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_a_row_shuffle_keeps_the_bits(self, n, x_tied, y_tied, seed):
+        # an untied margin holds one row per atom, so no sum follows row order
+        assume(not (x_tied and y_tied))
+        rng = np.random.default_rng(seed)
+        x = random_sample_values(rng, n, x_tied)
+        y = random_sample_values(rng, n, y_tied)
+        y = y if y_tied else y + x
+        assume(np.unique(x).size > 1 and np.unique(y).size > 1)
+        p = rng.permutation(n)
+        for a, b in ((x, y), (y, x)):
+            _, ba = basis_for(a)
+            _, bb = basis_for(b)
+            assert (lp_comoments(a, b, ba, bb).entries.tobytes()
+                    == lp_comoments(a[p], b[p], ba, bb).entries.tobytes())
+            assert correlations(a, b) == correlations(a[p], b[p])
 
     def test_lpinfor_is_squared_sum_of_selected(self):
         rng = np.random.default_rng(29)
@@ -260,6 +288,15 @@ class TestLPComoments:
                         float(np.sum(mat.entries[mat.selected] ** 2)),
                         rtol=1e-14)
         assert_allclose(mat.lpinfor, lpinfor(mat), rtol=0)
+
+
+def assert_near_the_row_formulas(got, x, y, sx, sy):
+    """The report within 1e-13 of the four per-row Pearson formulas."""
+    ux, uy = mid_ranks(sx), mid_ranks(sy)
+    want = [_pearson(x, y), _pearson(ux, uy), _pearson(x, uy),
+            _pearson(ux, y)]
+    assert_allclose([got.pearson, got.spearman_mid, got.gini_xy,
+                     got.gini_yx], want, rtol=0, atol=1e-13)
 
 
 class TestCorrelations:
@@ -312,15 +349,11 @@ class TestCorrelations:
         assume(sx.r > 1 and sy.r > 1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
             got = correlations(sx, sy)
-        assert count.called == (sx.r * sy.r <= n)
-        ux, uy = mid_ranks(sx), mid_ranks(sy)
-        want = [_pearson(x, y), _pearson(ux, uy), _pearson(x, uy),
-                _pearson(ux, y)]
-        assert_allclose([got.pearson, got.spearman_mid, got.gini_xy,
-                         got.gini_yx], want, rtol=0, atol=1e-13)
+        assert count.called
+        assert_near_the_row_formulas(got, x, y, sx, sy)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
-    def test_rows_where_cells_outnumber_them(self, table, age, gag):
+    def test_atom_sums_where_cells_outnumber_rows(self, table, age, gag):
         if table == "bundled":
             x, y = age, gag
         else:
@@ -328,9 +361,11 @@ class TestCorrelations:
             x = rng.standard_normal(2000)
             y = x + rng.standard_normal(2000)
         sx, sy = make_sample(x), make_sample(y)
+        assert sx.r * sy.r > x.size
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            correlations(sx, sy)
-        assert not count.called
+            got = correlations(sx, sy)
+        assert any("weights" in c.kwargs for c in count.call_args_list)
+        assert_near_the_row_formulas(got, x, y, sx, sy)
 
     def test_gini_pair_is_asymmetric_in_general(self):
         rng = np.random.default_rng(32)

@@ -13,7 +13,7 @@ from lpstats import (GroupSummary, build_score_basis, correlations,
                      select_significant, uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError, OrderOutOfRange
-from lpstats.lp import _pearson
+from lpstats.twosample import _pearson
 
 SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
 BASIS = build_score_basis(SAMPLE, 2)
@@ -54,6 +54,12 @@ CASES = {
     "unknown-selection-rule": (
         lambda: select_significant([0.5], 10, rule="x"), DomainError,
         "unknown selection rule 'x'"),
+    "selection-aic-n-zero": (
+        lambda: select_significant([0.5], 0), DomainError,
+        "sample size must be at least 1, got 0"),
+    "selection-bic-n-negative": (
+        lambda: select_significant([0.5], -3, rule="bic"), DomainError,
+        "sample size must be at least 1, got -3"),
     "correlations-one-pair": (lambda: correlations([1.0], [2.0]),
                               DegenerateScale, "at least two paired"),
     "pearson-constant-column": (
