@@ -161,9 +161,11 @@ def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
 
     t_core = (M2 - M1) sqrt(tau1 tau2 / Vpool) needs no sample-size
     inflation; the classical statistic is sqrt(n - 2) t_core against
-    Student's t with n - 2 degrees of freedom.
+    Student's t with n - 2 degrees of freedom; n < 2 raises DomainError.
     """
     comb = combine(g1, g2)
+    if comb.n < 2.0:
+        raise DomainError(f"group counts must sum to at least 2, got {comb.n}")
     if comb.vpool <= 0.0:
         raise DegenerateScale("pooled variance is zero")
     t_core = (g2.m - g1.m) * math.sqrt(comb.tau1 * comb.tau2 / comb.vpool)
@@ -172,10 +174,11 @@ def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
                     df=comb.n - 2.0)
 
 
-def _split_binary(x_obs, y_obs):
-    """Group a finite response by a binary label: (labels, x01, y).
+def _split_cells(x_obs, y_obs):
+    """Count a finite response by a binary label: (labels, sy, cells).
 
-    A zero label of either sign is read as +0.0.
+    `cells` is the r_y x 2 table of (response atom, group) counts, column
+    1 the higher label. A zero label of either sign is read as +0.0.
     """
     x = np.asarray(x_obs).ravel()
     y = np.asarray(y_obs, dtype=float).ravel()
@@ -187,42 +190,49 @@ def _split_binary(x_obs, y_obs):
         raise SingleGroup(
             f"grouping variable must take exactly two values, got {labels.size}"
         )
-    return labels, (x == labels[1]).astype(float), y
+    sy = make_sample(y)
+    group = (x == labels[1]).astype(np.intp)
+    return labels, sy, _pair_counts(sy.atom_index, group, sy.r, 2)
+
+
+def _group_summaries(sy: Sample, cells):
+    """GroupSummary of each label's responses, summed over its counts."""
+    for counts in cells.T:
+        n = float(counts.sum())
+        m = float(sy.values @ counts / n)
+        v = (sy.values - m) ** 2 @ counts / n
+        yield GroupSummary(n=n, m=m, v=float(v))
+
+
+def _label_mean(f, cells, n: int, tau: float) -> float:
+    """E[f(Y) T_1(X)] over the cells, T_1 the standardized 0/1 label."""
+    t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
+    return float(f @ cells @ t1x / n)
 
 
 def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     """Point-biserial correlation of a binary label with the response.
 
-    Verifies the algebra linking it to the group means and the pooled
-    variance: r = (M1 - M0) sqrt(tau (1 - tau) / V) and
-    t_core = r / sqrt(1 - r^2), each to 1e-12 relative; the returned flag
-    reports whether both held. r = +-1 or a zero pooled variance leaves t
-    undefined and raises DegenerateScale.
+    r and the group summaries are summed over the (response atom, group)
+    count table, not over rows. Verifies r = (M1 - M0) sqrt(tau (1 - tau)
+    / V) and t_core = r / sqrt(1 - r^2), each to 1e-12 relative; the flag
+    reports whether both held. A zero pooled variance (a constant response
+    too) or r = +-1 leaves t undefined and raises DegenerateScale.
     """
-    _, x01, y = _split_binary(x_obs, y_obs)
-    return _correlation_stats(x01, y, group_summary(y[x01 == 0.0]),
-                              group_summary(y[x01 == 1.0]))
+    _, sy, cells = _split_cells(x_obs, y_obs)
+    return _correlation_stats(sy, cells, *_group_summaries(sy, cells))
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = a.std(), b.std()
-    if sa <= 0.0 or sb <= 0.0:
-        raise DegenerateScale("zero variance in correlation input")
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-
-
-def _correlation_stats(x01, y, g0: GroupSummary,
+def _correlation_stats(sy: Sample, cells, g0: GroupSummary,
                        g1: GroupSummary) -> CorrelationStats:
-    """`correlation_stats` on a split sample and its two group summaries."""
-    r = _pearson(x01, y)
-    tau = float(x01.mean())
-    m0, m1 = g0.m, g1.m
-    v = float(y.var())
-    r_groups = (m1 - m0) * math.sqrt(tau * (1.0 - tau) / v)
+    """`correlation_stats` on a count table and its two group summaries."""
+    t_pool = student_t(g0, g1).t_core  # refuses a zero pooled variance
+    tau = g1.n / sy.n
+    r = _label_mean((sy.values - sy.mean) / sy.sd, cells, sy.n, tau)
+    r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / sy.var)
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")
     t = r / math.sqrt(1.0 - r ** 2)
-    t_pool = student_t(g0, g1).t_core
     ok = (abs(r - r_groups) <= 1e-12 * max(1.0, abs(r))
           and abs(t - t_pool) <= 1e-12 * max(1.0, abs(t)))
     return CorrelationStats(r=r, r2=r ** 2, t=t, vpool_identity_ok=bool(ok))
@@ -238,28 +248,19 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     of (response atom, group) pairs, in O(n + r_y), so none depends on
     row order.
     """
-    _, x01, y = _split_binary(x_obs, y_obs)
-    return _wilcoxon(x01, make_sample(y), small_sample)
+    _, sy, cells = _split_cells(x_obs, y_obs)
+    return _wilcoxon(sy, cells, small_sample)
 
 
-def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
-    """`wilcoxon` on a split sample, given the response's Sample.
-
-    The sums run over the r_y x 2 table of (response atom, group) counts,
-    at every r_y.
-    """
+def _wilcoxon(sy: Sample, cells, small_sample: bool) -> WilcoxonResult:
+    """`wilcoxon` on the response's Sample and its count table."""
     n = sy.n
     v_mid = sy.mid_rank_variance
     if v_mid <= 0:
         raise DegenerateScale("the response is constant")
-    cells = _pair_counts(sy.atom_index, x01.astype(np.intp), sy.r, 2)
     n1 = int(cells[:, 1].sum())
     tau = n1 / n
-    # t1x: the indicator's standardized mid-rank, in closed form from its
-    # masses
-    t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
-    t1y = (sy.fmid - 0.5) / math.sqrt(v_mid)
-    w = float(t1y @ cells @ t1x / n)
+    w = _label_mean((sy.fmid - 0.5) / math.sqrt(v_mid), cells, n, tau)
     m1 = float(sy.fmid @ cells[:, 1] / n1)
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
     scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
@@ -271,20 +272,20 @@ def _wilcoxon(x01, sy: Sample, small_sample: bool) -> WilcoxonResult:
 class TwoSampleDensity:
     """Comparison density of group 1's responses inside the pooled sample.
 
-    c[k-1] = E[T_k(Y; pooled) | group 1] are the slice coefficients;
-    lp1k = sqrt(tau / (1 - tau)) c are the matching LP(1, k) comoments
-    (the high-order Wilcoxon statistics), and selection runs on that
-    scale. `atom_density` is the clipped, renormalized density over the
-    pooled atoms, the object classification consumes, and `mass` (at
-    least 1) what it was divided by. `group` is the 0/1 indicator of the
-    higher label, in `sy.obs` order.
+    c[k-1] = E[T_k(Y; pooled) | group 1] are the slice coefficients,
+    summed over group 1's column of `cells`, the r_y x 2 table of
+    (response atom, group) counts; lp1k = sqrt(tau / (1 - tau)) c are the
+    matching LP(1, k) comoments (the high-order Wilcoxon statistics), and
+    selection runs on that scale. `atom_density` is the clipped,
+    renormalized density over the pooled atoms, the object classification
+    consumes, and `mass` (at least 1) what it was divided by.
     """
 
     sy: Sample
     by: ScoreBasis
     tau: float
     labels: tuple
-    group: np.ndarray
+    cells: np.ndarray
     c: np.ndarray
     lp1k: np.ndarray
     selected: np.ndarray
@@ -295,16 +296,16 @@ class TwoSampleDensity:
 def two_sample_comp_density(x_obs, y_obs, m: int = 4,
                             rule: str = "aic") -> TwoSampleDensity:
     """Fit d(v) = 1 + sum_k C_k S_k(v; Y) for the group-1 responses."""
-    labels, x01, y = _split_binary(x_obs, y_obs)
-    sy = make_sample(y)
+    labels, sy, cells = _split_cells(x_obs, y_obs)
     by = build_score_basis(sy, m)
-    c = by.table[:, sy.atom_index[x01 == 1.0]].mean(axis=1)
-    tau = float(x01.mean())
+    n1 = int(cells[:, 1].sum())
+    c = by.table @ cells[:, 1] / n1
+    tau = n1 / sy.n
     lp1k = math.sqrt(tau / (1.0 - tau)) * c
     selected = select_significant(lp1k, sy.n, rule=rule)
     _, density, mass = _step_density(sy, by.table, c * selected)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
-                            labels=tuple(labels.tolist()), group=x01,
+                            labels=tuple(labels.tolist()), cells=cells,
                             c=c, lp1k=lp1k, selected=selected,
                             atom_density=density, mass=mass)
 
@@ -391,17 +392,16 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     """Full two-sample report for a response and a binary label.
 
     Groups are ordered by sorted label, so positive r, t, and w all mean
-    the higher label goes with larger responses. `identities_ok` verifies
-    r^2 = t^2 / (1 + t^2) and Vpool = V (1 - r^2) at 1e-12.
+    the higher label goes with larger responses. The group summaries, r
+    and w are read from the density fit's count table. `identities_ok`
+    verifies r^2 = t^2 / (1 + t^2) and Vpool = V (1 - r^2) at 1e-12.
     """
     dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
-    x01, y = dens.group, dens.sy.obs
-    g1 = group_summary(y[x01 == 0.0])
-    g2 = group_summary(y[x01 == 1.0])
+    g1, g2 = _group_summaries(dens.sy, dens.cells)
     comb = combine(g1, g2)
     st = student_t(g1, g2)
-    cs = _correlation_stats(x01, y, g1, g2)
-    wr = _wilcoxon(x01, dens.sy, small_sample)
+    cs = _correlation_stats(dens.sy, dens.cells, g1, g2)
+    wr = _wilcoxon(dens.sy, dens.cells, small_sample)
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))

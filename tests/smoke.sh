@@ -46,14 +46,22 @@ test "$code" -eq 3
 # -7.0 as float, and each zero of either is read as +0.0. The clean
 # table with a 0/1 column g taken from the row index, and its CRLF copy,
 # must give the same twosample bytes: its untied x sums over the
-# (atom, group) cells as tied columns do. The clean table's rows in
-# reverse order must give the same depend bytes, with x and y either
-# way round: the comoments and correlations of untied x and 33-valued y
-# are summed per atom of x, which row order cannot reach.
+# (atom, group) cells as tied columns do. That table's rows in reverse
+# order, under the same file name in a sibling directory, must give the
+# same full twosample JSON (means, r, t and w included), with untied x or
+# 33-valued y as the response: every number is summed over the (atom,
+# group) count table. The per-row group sums this replaced gave the same
+# bytes on this table too, so the check guards the count table rather
+# than proving it. The clean table's rows in reverse order must give the
+# same depend bytes, with x and y either way round: the comoments and
+# correlations of untied x and 33-valued y are summed per atom of x,
+# which row order cannot reach.
 python3 - "$tmp" <<'PY'
+import os
 import random
 import sys
 
+os.mkdir(f"{sys.argv[1]}/rev")
 rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
@@ -72,6 +80,7 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("neg.csv", neg, "\n"),
                          ("negdot.csv", negdot, "\n"),
                          ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n"),
+                         ("rev/grp.csv", grp[::-1], "\n"),
                          ("rev.csv", rows[::-1], "\n")):
     head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
                              "drop.csv", "rev.csv") else "x,y,g"
@@ -100,6 +109,12 @@ lpstats twosample --y x --group g --format csv --data "$tmp/grp.csv" \
     > "$tmp/grp.out"
 lpstats twosample --y x --group g --format csv --data "$tmp/grpcrlf.csv" \
     | cmp - "$tmp/grp.out"
+for col in x y; do
+    (cd "$tmp" && lpstats twosample --y $col --group g --data grp.csv) \
+        > "$tmp/fwd.json"
+    (cd "$tmp/rev" && lpstats twosample --y $col --group g --data grp.csv) \
+        | cmp - "$tmp/fwd.json"
+done
 for cmd in "depend --x x --y y" "depend --x y --y x"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/fwd.out"
     lpstats $cmd --format csv --data "$tmp/rev.csv" | cmp - "$tmp/fwd.out"

@@ -6,14 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from lpstats import (GroupSummary, build_score_basis, correlations,
-                     exponential_reference, fit_reference, l2_fit,
-                     lhermite_normality, lp_comoments, make_sample,
+from lpstats import (GroupSummary, build_score_basis, correlation_stats,
+                     correlations, exponential_reference, fit_reference,
+                     l2_fit, lhermite_normality, lp_comoments, make_sample,
                      mid_clt_approx, normal_reference, recursive_update,
-                     select_significant, uniform_reference)
+                     select_significant, student_t, uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError, OrderOutOfRange
-from lpstats.twosample import _pearson
 
 SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
 BASIS = build_score_basis(SAMPLE, 2)
@@ -63,8 +62,12 @@ CASES = {
     "correlations-one-pair": (lambda: correlations([1.0], [2.0]),
                               DegenerateScale, "at least two paired"),
     "pearson-constant-column": (
-        lambda: _pearson(np.ones(3), np.arange(3.0)), DegenerateScale,
-        "zero variance in correlation input"),
+        lambda: correlation_stats(np.arange(3.0) % 2, np.ones(3)),
+        DegenerateScale, "pooled variance is zero"),
+    "student-t-counts-below-two": (
+        lambda: student_t(GroupSummary(0.5, 0.0, 1.0),
+                          GroupSummary(0.5, 1.0, 1.0)),
+        DomainError, "group counts must sum to at least 2, got 1.0"),
     "lhermite-constant-sample": (
         lambda: lhermite_normality(make_sample([2.0, 2.0, 2.0])),
         DegenerateScale, "sample standard deviation is zero"),

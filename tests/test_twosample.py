@@ -1,6 +1,7 @@
 """Two-sample pooling identities, rank statistics and Bayes updates."""
 
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -166,7 +167,8 @@ class TestCorrelationStats:
             assert_allclose(cs.t, st.t_core, rtol=1e-11)
 
     def test_separated_groups_degenerate(self):
-        # within-group variance vanishes, so |r| = 1 and no t exists
+        # within-group variance vanishes, so |r| = 1 and no t exists;
+        # student_t refuses the zero pooled variance first
         from lpstats.errors import DegenerateScale
         x = np.array([0.0, 0.0, 1.0, 1.0])
         y = np.array([0.0, 0.0, 5.0, 5.0])
@@ -265,7 +267,7 @@ class TestWilcoxonCells:
         sy = make_sample(y)
         assume(0 < x01.sum() < n and sy.r > 1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = tsmod._wilcoxon(x01, sy, small)
+            got = tsmod._wilcoxon(*tsmod._split_cells(x01, y)[1:], small)
         assert count.called
         w, w_direct = row_wilcoxon(x01, sy)
         assert_allclose([got.w, got.w_direct, got.z_stat / got.scale],
@@ -282,7 +284,7 @@ class TestWilcoxonCells:
         sy = make_sample(y)
         assert 2 * sy.r > sy.n
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = tsmod._wilcoxon(x01, sy, False)
+            got = tsmod._wilcoxon(*tsmod._split_cells(x01, y)[1:], False)
         assert count.called
         assert_allclose([got.w, got.w_direct], row_wilcoxon(x01, sy),
                         rtol=0, atol=1e-13)
@@ -339,16 +341,17 @@ class TestTwoSampleDensity:
            tied=st.booleans(), share=st.floats(0.05, 0.95))
     def test_group_one_coefficients_equal_the_full_gather(self, seed, n,
                                                           tied, share):
-        # c is taken from group 1's atoms alone; it must keep the bits of
-        # the mean over the full (m x n) gather, boolean-indexed
+        # c is summed over group 1's column of (atom, group) counts; it
+        # must stay within 1e-13 of the mean over the (m x n1) gather, on
+        # the scale of the mean absolute score
         rng = np.random.default_rng(seed)
         y = random_sample_values(rng, n, tied)
         x = (rng.random(n) < share).astype(float)
         assume(0 < x.sum() < n and np.unique(y).size > 1)
         dens = two_sample_comp_density(x, y)
-        full = dens.by.table[:, dens.sy.atom_index]
-        want = full[:, dens.group == 1.0].mean(axis=1)
-        assert dens.c.tobytes() == want.tobytes()
+        gather = dens.by.table[:, dens.sy.atom_index[x == 1.0]]
+        scale = np.max(np.abs(gather).mean(axis=1))
+        assert np.max(np.abs(dens.c - gather.mean(axis=1))) <= 1e-13 * scale
 
 
 class TestClassify:
@@ -434,6 +437,18 @@ class TestBayesNormal:
                                     GroupSummary(1.0, 0.0, data_v))
 
 
+def report_bits(rep):
+    """Every number of an analyze report, as bytes."""
+    dens = rep.density
+    scalars = [*astuple(rep.g1), *astuple(rep.g2), *astuple(rep.combined),
+               rep.r, rep.r2, rep.t, rep.t_scaled, rep.w, rep.z_stat,
+               dens.tau, dens.mass]
+    arrays = (scalars, rep.high_order_w, dens.c, dens.lp1k, dens.selected,
+              dens.atom_density)
+    return ([np.asarray(a).tobytes() for a in arrays]
+            + [rep.labels, rep.identities_ok])
+
+
 class TestAnalyze:
     def test_full_report_coherent(self):
         rng = np.random.default_rng(94)
@@ -474,11 +489,11 @@ class TestAnalyze:
         assert_array_equal(got.by.table, want.by.table)
         assert (got.tau, got.labels, got.mass) == (want.tau, want.labels,
                                                    want.mass)
-        for name in ("c", "lp1k", "selected", "atom_density"):
+        for name in ("cells", "c", "lp1k", "selected", "atom_density"):
             assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_sorts_the_response_once(self, monkeypatch):
-        counts = {"_split_binary": 0, "make_sample": 0,
+        counts = {"_split_cells": 0, "make_sample": 0, "_pair_counts": 0,
                   "two_sample_comp_density": 0}
         for name in counts:
             original = getattr(tsmod, name)
@@ -490,11 +505,28 @@ class TestAnalyze:
             monkeypatch.setattr(tsmod, name, counted)
         rng = np.random.default_rng(97)
         analyze(rng.integers(0, 2, 40), rng.integers(0, 5, 40))
-        # analyze reads the split from the density fit, which builds the
-        # only Sample of the response; the 0/1 indicator's mid-ranks need
-        # no Sample
-        assert counts == {"_split_binary": 1, "make_sample": 1,
-                          "two_sample_comp_density": 1}
+        # analyze reads the count table from the density fit, which builds
+        # the only Sample of the response and counts the only (atom,
+        # group) table; the 0/1 indicator's mid-ranks need no Sample
+        assert counts == {"_split_cells": 1, "make_sample": 1,
+                          "_pair_counts": 1, "two_sample_comp_density": 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 400), st.booleans(), st.floats(0.05, 0.95),
+           st.integers(0, 2 ** 32 - 1))
+    def test_a_row_shuffle_keeps_every_bit(self, n, tied, share, seed):
+        # every number of the report is summed over the (atom, group)
+        # counts, which row order cannot reach
+        rng = np.random.default_rng(seed)
+        y = random_sample_values(rng, n, tied)
+        x = (rng.random(n) < share).astype(float)
+        assume(0 < x.sum() < n and np.unique(y).size > 1)
+        try:
+            rep = analyze(x, y)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        p = rng.permutation(n)
+        assert report_bits(analyze(x[p], y[p])) == report_bits(rep)
 
 
 class TestNonFiniteResponse:
@@ -542,9 +574,13 @@ class TestTwoSampleIdentities:
             rep = analyze(x, y, small_sample=small)
         except DegenerateScale:  # |r| = 1 or a zero pooled variance
             assume(False)
+        # summed over the count table, the group summaries stay within
+        # round-off of the per-row ones
         x01 = (x == np.unique(x)[1])
-        assert (rep.g1, rep.g2) == (group_summary(y[~x01]),
-                                    group_summary(y[x01]))
+        for got, want in ((rep.g1, group_summary(y[~x01])),
+                          (rep.g2, group_summary(y[x01]))):
+            assert got.n == want.n
+            assert_allclose([got.m, got.v], [want.m, want.v], rtol=1e-12)
         assert rep.combined == combine(rep.g1, rep.g2)
         tt = student_t(rep.g1, rep.g2)
         assert (rep.t, rep.t_scaled) == (tt.t_core, tt.t_scaled)
