@@ -29,8 +29,8 @@ from .copula import (CopulaModel, ConditionalSlice, RegressionFit,
                      simulate_conditional, series_regression)
 from .twosample import (GroupSummary, CombineResult, StudentT,
                         CorrelationStats, WilcoxonResult, TwoSampleDensity,
-                        ScoreFeatures, TwoSampleReport, BayesNormalState,
-                        group_summary, combine, recursive_update, student_t,
+                        ScoreFeatures, TwoSampleReport, group_summary,
+                        combine, recursive_update, student_t,
                         correlation_stats, wilcoxon, two_sample_comp_density,
                         classify, logistic_score_features,
                         bayes_normal_update, analyze)

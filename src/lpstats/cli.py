@@ -40,7 +40,7 @@ from .errors import (EmptyAfterFilter, FileNotFound, InputError,
 from .lp import correlations, lhermite_normality, lp_moments
 from .scores import build_score_basis
 
-__all__ = ["Dataset", "ingest_csv", "main"]
+__all__ = ["ingest_csv", "main"]
 
 SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
@@ -57,19 +57,6 @@ _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 # Default --data: names the bundled table without its install path, so the
 # echoed arguments are the same on every machine.
 BUNDLED_DATA = "bundled:gagurine.csv"
-
-
-class Dataset:
-    """Named numeric columns of equal length plus a parse report."""
-
-    __slots__ = ("columns", "source", "kept", "dropped", "reasons")
-
-    def __init__(self, columns, source, kept, dropped, reasons):
-        self.columns = columns
-        self.source = source
-        self.kept = kept
-        self.dropped = dropped
-        self.reasons = reasons
 
 
 def _row_problem(row, idx):
@@ -209,13 +196,15 @@ def _loadtxt_body(p, idx):
     return table.T
 
 
-def ingest_csv(path, columns) -> Dataset:
+def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
-    The file needs a header row; unknown column names report the
-    available ones. Rows with short length, empty fields, or non-numeric
-    entries (NaN and infinities included) in the requested columns are
-    dropped and counted by reason; blank lines are skipped uncounted.
+    Returns (values, reasons): one float array per requested name, in the
+    order asked, so a name asked twice gives two equal arrays, and the
+    count of dropped rows by reason. The file needs a header row; unknown
+    names report the available ones. Rows with short length, empty
+    fields, or non-numeric entries (NaN and infinities included) in the
+    requested columns are dropped; blank lines are skipped uncounted.
 
     The header goes through csv.reader. A body made only of digits,
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
@@ -253,15 +242,9 @@ def ingest_csv(path, columns) -> Dataset:
         if table is None:
             table = np.fromiter(_walk(csv.reader(fh), idx, reasons),
                                 float).reshape(-1, len(idx)).T
-    kept = table.shape[1]
-    if kept == 0:
+    if table.shape[1] == 0:
         raise EmptyAfterFilter(unusable)
-    return Dataset(
-        columns={name: table[j] + 0.0
-                 for j, name in enumerate(columns)},
-        source=str(path), kept=kept, dropped=sum(reasons.values()),
-        reasons=reasons,
-    )
+    return [row + 0.0 for row in table], reasons
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +330,20 @@ def _grid_u(n: int) -> np.ndarray:
     return (np.arange(int(n)) + 0.5) / int(n)
 
 
-def _load(args, names):
+def _load(args, *names):
+    """The arrays of the named columns, in order, and the drop warnings."""
     path = fixture_path() if args.data == BUNDLED_DATA else args.data
-    ds = ingest_csv(path, names)
+    values, reasons = ingest_csv(path, list(names))
     warnings = []
-    if ds.dropped:
-        detail = ", ".join(f"{k}: {v}" for k, v in sorted(ds.reasons.items()))
-        warnings.append(f"dropped {ds.dropped} rows ({detail})")
-    return ds, warnings
+    if reasons:
+        detail = ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items()))
+        warnings.append(f"dropped {sum(reasons.values())} rows ({detail})")
+    return values, warnings
 
 
 def cmd_describe(args):
-    ds, warnings = _load(args, [args.col])
-    s = make_sample(ds.columns[args.col])
+    (col,), warnings = _load(args, args.col)
+    s = make_sample(col)
     b = build_score_basis(s, args.order)
     mom = lp_moments(s, b)
     q = quartile_summary(s)
@@ -388,8 +372,7 @@ def cmd_describe(args):
 
 
 def cmd_depend(args):
-    ds, warnings = _load(args, [args.x, args.y])
-    x, y = ds.columns[args.x], ds.columns[args.y]
+    (x, y), warnings = _load(args, args.x, args.y)
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
     cor = correlations(mod.sx, mod.sy)
     grid = _grid_u(args.grid)
@@ -420,8 +403,7 @@ def cmd_depend(args):
 
 
 def cmd_regress(args):
-    ds, warnings = _load(args, [args.x, args.y])
-    x, y = ds.columns[args.x], ds.columns[args.y]
+    (x, y), warnings = _load(args, args.x, args.y)
     sx = make_sample(x)
     bx = build_score_basis(sx, args.order)
     fit = cpmod.series_regression(x, y, bx, rule=args.select)
@@ -438,8 +420,7 @@ def cmd_regress(args):
 
 
 def cmd_cquantile(args):
-    ds, warnings = _load(args, [args.x, args.y])
-    x, y = ds.columns[args.x], ds.columns[args.y]
+    (x, y), warnings = _load(args, args.x, args.y)
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
     us = mod.sx.fmid
     means, table = cpmod.quantile_curves(mod, us, args.p)
@@ -461,8 +442,8 @@ def cmd_cquantile(args):
 
 
 def cmd_fit(args):
-    ds, warnings = _load(args, [args.col])
-    s = make_sample(ds.columns[args.col])
+    (col,), warnings = _load(args, args.col)
+    s = make_sample(col)
     g = cdmod.fit_reference(args.g, s)
     mod = cdmod.maxent_fit(cdmod.l2_fit(s, g, args.order, rule=args.select))
     grid = _grid_u(args.grid)
@@ -498,8 +479,7 @@ def cmd_fit(args):
 
 
 def cmd_twosample(args):
-    ds, warnings = _load(args, [args.y, args.group])
-    y, grp = ds.columns[args.y], ds.columns[args.group]
+    (y, grp), warnings = _load(args, args.y, args.group)
     rep = tsmod.analyze(grp, y, m=args.order, rule=args.select,
                         small_sample=args.small_sample)
     dens = rep.density
@@ -532,13 +512,13 @@ def cmd_twosample(args):
 
 
 def cmd_bayes_update(args):
-    prior = tsmod.BayesNormalState(n_eff=args.prior_n, m=args.prior_mean,
-                                   v=args.prior_var)
+    prior = tsmod.GroupSummary(n=args.prior_n, m=args.prior_mean,
+                               v=args.prior_var)
     data = tsmod.GroupSummary(n=args.n, m=args.mean, v=args.var)
     post = tsmod.bayes_normal_update(prior, data)
-    posterior = {"n_eff": post.n_eff, "mean": post.m, "var": post.v}
+    posterior = {"n_eff": post.n, "mean": post.m, "var": post.v}
     payload = {
-        "prior": {"n_eff": prior.n_eff, "mean": prior.m, "var": prior.v},
+        "prior": {"n_eff": prior.n, "mean": prior.m, "var": prior.v},
         "data": {"n": data.n, "mean": data.m, "var": data.v},
         "posterior": posterior,
     }

@@ -23,7 +23,8 @@ from functools import cache, partial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .empirical import Sample, _scalar_or_array, _unit_open, quantile
+from .empirical import (Sample, _finite_params, _scalar_or_array, _unit_open,
+                        quantile)
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
                      IllConditioned, NonConvergence, UnboundedDensity)
 from .lp import select_significant
@@ -109,6 +110,7 @@ class ReferenceDistribution:
 
 def normal_reference(mu: float, sigma: float) -> ReferenceDistribution:
     from scipy.special import ndtr, ndtri  # deferred: slow to import
+    _finite_params(mu=mu, sigma=sigma)
     if sigma <= 0.0:
         raise DegenerateScale("sigma must be positive")
 
@@ -126,6 +128,7 @@ def normal_reference(mu: float, sigma: float) -> ReferenceDistribution:
 
 
 def exponential_reference(rate: float) -> ReferenceDistribution:
+    _finite_params(rate=rate)
     if rate <= 0.0:
         raise DegenerateScale("rate must be positive")
 
@@ -142,6 +145,7 @@ def exponential_reference(rate: float) -> ReferenceDistribution:
 
 
 def uniform_reference(a: float, b: float) -> ReferenceDistribution:
+    _finite_params(a=a, b=b)
     if not b > a:
         raise DegenerateScale("need a < b")
 

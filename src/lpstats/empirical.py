@@ -318,6 +318,14 @@ def mid_clt_approx(mean: float, sd: float, x):
     1e-15 on the real line).
     """
     from scipy.special import ndtr  # deferred: slow to import
+    _finite_params(mean=mean, sd=sd)
     if sd <= 0.0:
         raise DegenerateScale("sd must be positive")
     return ndtr((x - mean) / sd)
+
+
+def _finite_params(**params):
+    """Raise DomainError naming the first parameter that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

@@ -13,8 +13,9 @@ statistic is r / sqrt(1 - r^2) times sqrt(n - 2), and replacing the
 response by its mid-ranks turns the same correlation into the Wilcoxon
 statistic, which is also the (1, 1) LP comoment of (group, response).
 The recursive mean/variance update and the conjugate-normal Bayes update
-are the n2 = 1 and prior-as-pseudo-sample special cases of the pooling
-formulas.
+are `combine` of a one-point group and of a prior, a `GroupSummary` of
+pseudo-count n; `combine` refuses non-finite fields, non-positive counts
+and negative variances, so every pooled update is checked in one place.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "TwoSampleDensity",
     "ScoreFeatures",
     "TwoSampleReport",
-    "BayesNormalState",
     "group_summary",
     "combine",
     "recursive_update",
@@ -107,15 +107,6 @@ class WilcoxonResult:
     scale: float
 
 
-@dataclass(frozen=True)
-class BayesNormalState:
-    """Normal mean/variance belief encoded as a pseudo-sample."""
-
-    n_eff: float
-    m: float
-    v: float
-
-
 def group_summary(obs) -> GroupSummary:
     arr = _finite(obs)
     if arr.size == 0:
@@ -125,9 +116,17 @@ def group_summary(obs) -> GroupSummary:
 
 
 def combine(g1: GroupSummary, g2: GroupSummary) -> CombineResult:
-    """Exact mean/variance of the concatenation of two summarized groups."""
+    """Exact mean/variance of the concatenation of two summarized groups.
+
+    Raises DomainError when a field is not finite, a count is not
+    positive or a variance is negative.
+    """
+    if not all(map(math.isfinite, (g1.n, g1.m, g1.v, g2.n, g2.m, g2.v))):
+        raise DomainError("group summaries must be finite")
     if g1.n <= 0 or g2.n <= 0:
         raise DomainError("group counts must be positive")
+    if g1.v < 0.0 or g2.v < 0.0:
+        raise DomainError("variances must be non-negative")
     n = g1.n + g2.n
     tau1 = g1.n / n
     tau2 = g2.n / n
@@ -140,20 +139,15 @@ def combine(g1: GroupSummary, g2: GroupSummary) -> CombineResult:
 def recursive_update(state: GroupSummary, y: float) -> GroupSummary:
     """Fold one observation into a running mean/variance summary.
 
-    The variance update V_n = ((n-1)/n) V_{n-1} + ((n-1)/n^2) (y - M)^2
-    is `combine` with a single-point second group; n V_n accumulates the
-    weighted squared innovations (y_k - M_{k-1})^2 (k-1)/k.
+    `combine` with the one-point group (1, y, 0): its variance is
+    V_n = ((n-1)/n) V_{n-1} + ((n-1)/n^2) (y - M)^2, so n V_n accumulates
+    the weighted squared innovations (y_k - M_{k-1})^2 (k-1)/k. A
+    non-finite y raises DomainError there.
     """
     if state.n < 1:
         raise DomainError("state must summarize at least one observation")
-    y = float(y)
-    n = state.n + 1.0
-    delta = y - state.m
-    return GroupSummary(
-        n=n,
-        m=state.m + delta / n,
-        v=(state.n / n) * state.v + (state.n / n ** 2) * delta ** 2,
-    )
+    comb = combine(state, GroupSummary(n=1.0, m=float(y), v=0.0))
+    return GroupSummary(n=comb.n, m=comb.m, v=comb.v)
 
 
 def student_t(g1: GroupSummary, g2: GroupSummary) -> StudentT:
@@ -220,13 +214,14 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     too) or r = +-1 leaves t undefined and raises DegenerateScale.
     """
     _, sy, cells = _split_cells(x_obs, y_obs)
-    return _correlation_stats(sy, cells, *_group_summaries(sy, cells))
+    g0, g1 = _group_summaries(sy, cells)
+    # student_t refuses a zero pooled variance before any division here
+    return _correlation_stats(sy, cells, g0, g1, student_t(g0, g1).t_core)
 
 
-def _correlation_stats(sy: Sample, cells, g0: GroupSummary,
-                       g1: GroupSummary) -> CorrelationStats:
-    """`correlation_stats` on a count table and its two group summaries."""
-    t_pool = student_t(g0, g1).t_core  # refuses a zero pooled variance
+def _correlation_stats(sy: Sample, cells, g0: GroupSummary, g1: GroupSummary,
+                       t_pool: float) -> CorrelationStats:
+    """`correlation_stats` given the group summaries and their pooled t."""
     tau = g1.n / sy.n
     r = _label_mean((sy.values - sy.mean) / sy.sd, cells, sy.n, tau)
     r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / sy.var)
@@ -349,23 +344,21 @@ def logistic_score_features(x_obs, y_obs, m: int = 4,
                          columns=model.by.table[ks][:, model.sy.atom_index].T)
 
 
-def bayes_normal_update(prior: BayesNormalState,
-                        data: GroupSummary) -> BayesNormalState:
+def bayes_normal_update(prior: GroupSummary,
+                        data: GroupSummary) -> GroupSummary:
     """Conjugate-normal belief update as a pooling operation.
 
-    The prior acts as a pseudo-sample of size n_eff; pooling it with the
-    data reproduces the textbook posterior mean
-    (n_eff m_prior + n m_data) / (n_eff + n) and keeps the variance
-    bookkeeping exact.
+    The prior is a pseudo-sample whose n is its pseudo-count n0; `combine`
+    of it with the data gives the textbook posterior mean
+    (n0 m_prior + n m_data) / (n0 + n) and keeps the variance bookkeeping
+    exact. `combine` refuses non-finite fields and negative variances.
     """
-    if prior.n_eff <= 0.0:
+    if prior.n <= 0.0:
         raise DomainError("prior pseudo-count must be positive")
     if data.n < 1:
         raise DomainError("data summary must hold at least one observation")
-    if prior.v < 0.0 or data.v < 0.0:
-        raise DomainError("variances must be non-negative")
-    comb = combine(GroupSummary(n=prior.n_eff, m=prior.m, v=prior.v), data)
-    return BayesNormalState(n_eff=comb.n, m=comb.m, v=comb.v)
+    comb = combine(prior, data)
+    return GroupSummary(n=comb.n, m=comb.m, v=comb.v)
 
 
 @dataclass(frozen=True)
@@ -400,7 +393,7 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     g1, g2 = _group_summaries(dens.sy, dens.cells)
     comb = combine(g1, g2)
     st = student_t(g1, g2)
-    cs = _correlation_stats(dens.sy, dens.cells, g1, g2)
+    cs = _correlation_stats(dens.sy, dens.cells, g1, g2, st.t_core)
     wr = _wilcoxon(dens.sy, dens.cells, small_sample)
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))

@@ -15,8 +15,8 @@ from lpstats.empirical import Sample
 @pytest.fixture(scope="session")
 def gag_data():
     """Both fixture columns as float arrays, loaded once per session."""
-    ds = ingest_csv(fixture_path(), ["Age", "GAG"])
-    return ds.columns["Age"], ds.columns["GAG"]
+    values, _ = ingest_csv(fixture_path(), ["Age", "GAG"])
+    return tuple(values)
 
 
 @pytest.fixture(scope="session")

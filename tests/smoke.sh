@@ -2,6 +2,8 @@
 # Smoke test of the installed `lpstats` console script: each command must
 # print the bytes of its golden, the refusals must exit 2 or 3, and copies
 # of a table, read whole or walked row by row, must give the same bytes.
+# One column named twice must reach depend as two equal columns; that
+# check passed too when ingest returned its columns by name, not in order.
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
@@ -16,6 +18,7 @@ lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
 # the golden echoes --data as given, so run from tests/
 (cd tests && lpstats twosample --y response --group group \
     --data data/clinic.csv | cmp - golden/twosample.json)
+test "$(lpstats depend --x GAG --y GAG --format csv | sed -n 2p)" = 1,1,1,true
 lpstats cquantile --x Age --y GAG --order 30 --select none > /dev/null
 lpstats fit --col GAG --g normal --order 8 > /dev/null
 code=0

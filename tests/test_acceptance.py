@@ -19,7 +19,6 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, ttest_ind
 
 from lpstats import (
-    BayesNormalState,
     GroupSummary,
     bayes_normal_update,
     build_score_basis,
@@ -433,7 +432,7 @@ def test_c11_bayes_update():
         n = float(rng.integers(1, 50))
         mbar = float(rng.normal())
         vbar = float(rng.uniform(0.0, 4.0))
-        post = bayes_normal_update(BayesNormalState(n0, m0, v0),
+        post = bayes_normal_update(GroupSummary(n0, m0, v0),
                                    GroupSummary(n, mbar, vbar))
         oracle = (n0 * m0 + n * mbar) / (n0 + n)
         worst_mean = max(worst_mean, abs(post.m - oracle))
@@ -443,16 +442,16 @@ def test_c11_bayes_update():
     worst_batch = 0.0
     for _ in range(200):
         y = rng.standard_normal(int(rng.integers(2, 26)))
-        prior = BayesNormalState(float(rng.uniform(0.5, 10.0)),
-                                 float(rng.normal()),
-                                 float(rng.uniform(0.1, 2.0)))
+        prior = GroupSummary(float(rng.uniform(0.5, 10.0)),
+                             float(rng.normal()),
+                             float(rng.uniform(0.1, 2.0)))
         batch = bayes_normal_update(prior, group_summary(y))
         seq = prior
         for value in y:
             seq = bayes_normal_update(seq, GroupSummary(1.0, float(value),
                                                         0.0))
         worst_batch = max(worst_batch, abs(seq.m - batch.m),
-                          abs(seq.v - batch.v), abs(seq.n_eff - batch.n_eff))
+                          abs(seq.v - batch.v), abs(seq.n - batch.n))
     if worst_batch > 1e-12:
         failures.append(f"batch vs sequential differ by {worst_batch:.2e} "
                         f"(> 1e-12)")

@@ -615,7 +615,7 @@ class TestRenderCsv:
 def ingest_rowwise(path, columns):
     """The row-by-row ingest loop that the columnar one replaced.
 
-    Returns (columns, kept, dropped, reasons), or None where ingest_csv
+    Returns (values, reasons) as ingest_csv does, or None where ingest_csv
     raises EmptyAfterFilter.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -623,12 +623,9 @@ def ingest_rowwise(path, columns):
         header = [h.strip() for h in next(reader)]
         idx = [header.index(name) for name in columns]
         out = [[] for _ in columns]
-        dropped = 0
         reasons = {}
 
         def drop(reason):
-            nonlocal dropped
-            dropped += 1
             reasons[reason] = reasons.get(reason, 0) + 1
 
         for row in reader:
@@ -652,11 +649,19 @@ def ingest_rowwise(path, columns):
                 continue
             for slot, v in zip(out, values):
                 slot.append(v)
-    kept = len(out[0]) if out else 0
-    if kept == 0:
+    if not out or not out[0]:
         return None
-    return ({name: np.array(vals) for name, vals in zip(columns, out)},
-            kept, dropped, reasons)
+    return [np.array(vals) for vals in out], reasons
+
+
+def assert_same_ingest(got, want):
+    """Equal drop counts by reason, and equal columns in dtype and bytes."""
+    (values, reasons), (want_values, want_reasons) = got, want
+    assert reasons == want_reasons
+    assert len(values) == len(want_values)
+    for col, want_col in zip(values, want_values):
+        assert col.dtype == want_col.dtype
+        assert col.tobytes() == want_col.tobytes()
 
 
 FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
@@ -736,13 +741,8 @@ def assert_ingest_matches_rowwise(text, columns):
             with pytest.raises(EmptyAfterFilter):
                 ingest_csv(f, columns)
             return
-        ds = ingest_csv(f, columns)
-    cols, kept, dropped, reasons = want
-    assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
-    assert list(ds.columns) == list(cols)
-    for name in columns:
-        assert ds.columns[name].dtype == cols[name].dtype
-        assert ds.columns[name].tobytes() == cols[name].tobytes()
+        got = ingest_csv(f, columns)
+    assert_same_ingest(got, want)
 
 
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
@@ -850,15 +850,14 @@ class TestIngest:
         f = tmp_path / "t.csv"
         for big in ("9223372036854775808", "-9223372036854775809"):
             f.write_text(f"a,b\n1,2\n3,{big}\n", encoding="utf-8")
-            cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
+            want = ingest_rowwise(f, ["a", "b"])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
-                ds = ingest_csv(f, ["a", "b"])
+                values, reasons = ingest_csv(f, ["a", "b"])
             assert calls == [(str(f), np.int64)]
             calls.clear()
-            assert (ds.kept, ds.dropped) == (kept, dropped) == (2, 0)
-            for name in cols:
-                assert ds.columns[name].tobytes() == cols[name].tobytes()
+            assert (values[0].size, reasons) == (2, {})
+            assert_same_ingest((values, reasons), want)
 
     def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
         def walk(*args):
@@ -878,12 +877,12 @@ class TestIngest:
                 f = tmp_path / name
                 f.write_bytes(end.join(["a,b", *rows * 4, ""])
                               .encode("utf-8"))
-                ds = ingest_csv(f, ["b", "a"])
+                (got_b, got_a), reasons = ingest_csv(f, ["b", "a"])
                 assert calls == [(str(f), dtype)]
                 calls.clear()
-                assert ds.columns["a"].tobytes() == np.array(a * 4).tobytes()
-                assert ds.columns["b"].tobytes() == np.array(b * 4).tobytes()
-                assert (ds.kept, ds.dropped) == (8, 0)
+                assert got_a.tobytes() == np.array(a * 4).tobytes()
+                assert got_b.tobytes() == np.array(b * 4).tobytes()
+                assert (got_b.size, reasons) == (8, {})
 
     @pytest.mark.parametrize("body", [
         "1,2\n\n-3.5e1, 4\n\n\n5,6\n7,8\n",
@@ -899,13 +898,10 @@ class TestIngest:
 
         calls = record_loadtxt(monkeypatch)
         monkeypatch.setattr(cli, "_row_problem", walk)
-        ds = ingest_csv(f, ["b", "a"])
+        got = ingest_csv(f, ["b", "a"])
         assert calls == [(str(f), float)]
-        cols, kept, dropped, reasons = want
-        assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
-        assert kept == 4
-        for name in cols:
-            assert ds.columns[name].tobytes() == cols[name].tobytes()
+        assert_same_ingest(got, want)
+        assert want[0][0].size == 4
 
     def test_body_lines_counts_lfs_and_refuses_other_bytes(self):
         # an empty line whose two LFs straddle the 1 MiB block edge
@@ -952,12 +948,12 @@ class TestIngest:
             raise AssertionError("the body was read whole")
 
         monkeypatch.setattr(np, "loadtxt", whole_read)
-        ds = ingest_csv(f, ["1"])
-        assert ds.columns["1"].tolist() == [2.0] + [4.0] * 8
-        assert ds.columns["1"].tobytes() == want[0]["1"].tobytes()
-        ds = ingest_csv(g, ["4"])
-        assert ds.columns["4"].tolist() == [7.0]
-        assert ds.columns["4"].tobytes() == want_quoted[0]["4"].tobytes()
+        (got,), _ = ingest_csv(f, ["1"])
+        assert got.tolist() == [2.0] + [4.0] * 8
+        assert got.tobytes() == want[0][0].tobytes()
+        (got,), _ = ingest_csv(g, ["4"])
+        assert got.tolist() == [7.0]
+        assert got.tobytes() == want_quoted[0][0].tobytes()
 
     def test_no_requested_column_is_empty_after_a_whole_read(
             self, tmp_path, monkeypatch):
@@ -980,11 +976,8 @@ class TestIngest:
         # np.loadtxt would gunzip a path ending in .gz and fail
         f = tmp_path / "t.csv.gz"
         f.write_text("a,b\n" + "1,2\n3,4\n" * 4, encoding="utf-8")
-        ds = ingest_csv(f, ["a", "b"])
-        cols, kept, dropped, reasons = ingest_rowwise(f, ["a", "b"])
-        assert (ds.kept, ds.dropped, ds.reasons) == (kept, dropped, reasons)
-        for name in cols:
-            assert ds.columns[name].tobytes() == cols[name].tobytes()
+        assert_same_ingest(ingest_csv(f, ["a", "b"]),
+                           ingest_rowwise(f, ["a", "b"]))
 
     @staticmethod
     def walked_rows(monkeypatch):
@@ -1007,8 +1000,8 @@ class TestIngest:
         f.write_text("a,b\n1,2\n\n3,4\nx,2\n" + "5,6\n" * 4 + "\n7,8\n",
                      encoding="utf-8")
         walked = self.walked_rows(monkeypatch)
-        ds = ingest_csv(f, ["a", "b"])
-        assert (ds.kept, ds.reasons) == (7, {"non_numeric": 1})
+        values, reasons = ingest_csv(f, ["a", "b"])
+        assert (values[0].size, reasons) == (7, {"non_numeric": 1})
         assert walked == [["1", "2"], ["3", "4"], ["x", "2"],
                           *[["5", "6"]] * 4, ["7", "8"]]
 
@@ -1020,8 +1013,8 @@ class TestIngest:
         f.write_text('a,b\n1,2\n1,2\n3,"4\n"\n5,6\n7,8\n',
                      encoding="utf-8")
         walked = self.walked_rows(monkeypatch)
-        ds = ingest_csv(f, ["a", "b"])
-        assert ds.columns["b"].tolist() == [2.0, 2.0, 4.0, 6.0, 8.0]
+        (_, b), _ = ingest_csv(f, ["a", "b"])
+        assert b.tolist() == [2.0, 2.0, 4.0, 6.0, 8.0]
         assert walked == [["1", "2"], ["1", "2"], ["3", "4\n"], ["5", "6"],
                           ["7", "8"]]
 
@@ -1034,9 +1027,9 @@ class TestIngest:
         walked = self.walked_rows(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ds = ingest_csv(f, ["a", "b"])
+            values, reasons = ingest_csv(f, ["a", "b"])
         assert walked == [["1", "2"], ["3", "4"], ["x", "5"]]
-        assert (ds.kept, ds.dropped) == (2, 1)
+        assert (values[0].size, sum(reasons.values())) == (2, 1)
 
     def test_a_long_walk_matches_the_rowwise_loop(self):
         # 9000 walked rows, with a bad row of each kind at rows 8191-8193
@@ -1057,12 +1050,12 @@ class TestIngest:
         f.write_text("\n".join(["a,b,c"] + rows) + "\n", encoding="utf-8")
         tracemalloc.start()
         try:
-            ds = ingest_csv(f, ["a", "b"])
+            values, reasons = ingest_csv(f, ["a", "b"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (ds.kept, ds.reasons) == (99_999, {"non_numeric": 1})
-        kept_bytes = sum(col.nbytes for col in ds.columns.values())
+        assert (values[0].size, reasons) == (99_999, {"non_numeric": 1})
+        kept_bytes = sum(col.nbytes for col in values)
         assert peak < 2.5 * kept_bytes
 
     def test_drop_reasons_counted(self, tmp_path):
@@ -1071,17 +1064,27 @@ class TestIngest:
             "a,b\n1,2\n3\n4,\n5,abc\n6,nan\n7,inf\n8,9\n",
             encoding="utf-8",
         )
-        ds = ingest_csv(f, ["a", "b"])
-        assert ds.kept == 2
-        assert ds.dropped == 5
-        assert ds.reasons == {"short_row": 1, "empty_field": 1,
-                              "non_numeric": 3}
+        values, reasons = ingest_csv(f, ["a", "b"])
+        assert values[0].size == 2
+        assert sum(reasons.values()) == 5
+        assert reasons == {"short_row": 1, "empty_field": 1,
+                           "non_numeric": 3}
 
     def test_bom_and_padded_headers(self, tmp_path):
         f = tmp_path / "bom.csv"
         f.write_bytes("﻿ a , b\n1,2\n".encode("utf-8"))
-        ds = ingest_csv(f, ["a", "b"])
-        assert ds.columns["a"].tolist() == [1.0]
+        (a, _), _ = ingest_csv(f, ["a", "b"])
+        assert a.tolist() == [1.0]
+
+    @pytest.mark.parametrize("body", ["1,2\n3,4\n", "1,2\nx,4\n5,6\n"],
+                             ids=["whole", "walked"])
+    def test_a_name_asked_twice_gives_two_equal_arrays(self, tmp_path, body):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n" + body, encoding="utf-8")
+        values, reasons = ingest_csv(f, ["b", "a", "b"])
+        assert_same_ingest((values, reasons),
+                           ingest_rowwise(f, ["b", "a", "b"]))
+        assert values[0].tobytes() == values[2].tobytes()
 
     def test_all_rows_dropped(self, tmp_path):
         f = tmp_path / "junk.csv"

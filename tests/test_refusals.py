@@ -6,14 +6,16 @@ import io
 import numpy as np
 import pytest
 
-from lpstats import (GroupSummary, build_score_basis, correlation_stats,
-                     correlations, exponential_reference, fit_reference,
-                     l2_fit, lhermite_normality, lp_comoments, make_sample,
-                     mid_clt_approx, normal_reference, recursive_update,
-                     select_significant, student_t, uniform_reference)
+from lpstats import (GroupSummary, build_score_basis, combine,
+                     correlation_stats, correlations, exponential_reference,
+                     fit_reference, l2_fit, lhermite_normality,
+                     lp_comoments, make_sample, mid_clt_approx,
+                     normal_reference, recursive_update, select_significant,
+                     student_t, uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError, OrderOutOfRange
 
+NAN, INF = float("nan"), float("inf")
 SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
 BASIS = build_score_basis(SAMPLE, 2)
 
@@ -76,6 +78,38 @@ CASES = {
     "recursive-update-empty-state": (
         lambda: recursive_update(GroupSummary(n=0.0, m=0.0, v=0.0), 1.0),
         DomainError, "at least one observation"),
+    "combine-nan-count": (
+        lambda: combine(GroupSummary(NAN, 0.0, 1.0), GroupSummary(2, 1, 1)),
+        DomainError, "group summaries must be finite"),
+    "combine-infinite-mean": (
+        lambda: combine(GroupSummary(2, INF, 1.0), GroupSummary(2, 1, 1)),
+        DomainError, "group summaries must be finite"),
+    "combine-nan-variance": (
+        lambda: combine(GroupSummary(2, 0.0, 1.0), GroupSummary(2, 1, NAN)),
+        DomainError, "group summaries must be finite"),
+    "combine-negative-variance": (
+        lambda: combine(GroupSummary(2, 0.0, -1.0), GroupSummary(2, 1, 1)),
+        DomainError, "variances must be non-negative"),
+    "recursive-update-nan-y": (
+        lambda: recursive_update(GroupSummary(3.0, 1.0, 1.0), NAN),
+        DomainError, "group summaries must be finite"),
+    "student-t-infinite-variance": (
+        lambda: student_t(GroupSummary(2, 0.0, INF), GroupSummary(2, 1, 1)),
+        DomainError, "group summaries must be finite"),
+    "normal-nan-mu": (lambda: normal_reference(NAN, 1.0), DomainError,
+                      "mu must be finite, got nan"),
+    "normal-infinite-sigma": (lambda: normal_reference(0.0, INF),
+                              DomainError, "sigma must be finite, got inf"),
+    "exponential-infinite-rate": (lambda: exponential_reference(INF),
+                                  DomainError, "rate must be finite"),
+    "uniform-nan-a": (lambda: uniform_reference(NAN, 1.0), DomainError,
+                      "a must be finite, got nan"),
+    "uniform-infinite-b": (lambda: uniform_reference(0.0, INF), DomainError,
+                           "b must be finite, got inf"),
+    "mid-clt-nan-mean": (lambda: mid_clt_approx(NAN, 1.0, 0.0), DomainError,
+                         "mean must be finite, got nan"),
+    "mid-clt-infinite-sd": (lambda: mid_clt_approx(0.0, INF, 0.0),
+                            DomainError, "sd must be finite, got inf"),
 }
 
 

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import ttest_ind
 
 from lpstats import (
-    BayesNormalState,
     GroupSummary,
     analyze,
     bayes_normal_update,
@@ -392,9 +391,9 @@ class TestClassify:
 
 class TestBayesNormal:
     def test_textbook_hand_case(self):
-        prior = BayesNormalState(n_eff=4.0, m=0.0, v=1.0)
+        prior = GroupSummary(n=4.0, m=0.0, v=1.0)
         post = bayes_normal_update(prior, GroupSummary(4.0, 2.0, 1.0))
-        assert post.n_eff == 8.0
+        assert post.n == 8.0
         assert_allclose(post.m, 1.0)
         assert_allclose(post.v, 2.0)
 
@@ -406,7 +405,7 @@ class TestBayesNormal:
             n = float(rng.integers(1, 50))
             mbar = float(rng.normal())
             post = bayes_normal_update(
-                BayesNormalState(n_eff=n0, m=m0, v=1.0),
+                GroupSummary(n=n0, m=m0, v=1.0),
                 GroupSummary(n, mbar, float(rng.uniform(0.0, 3.0))))
             assert_allclose(post.m, (n0 * m0 + n * mbar) / (n0 + n),
                             rtol=1e-13)
@@ -414,7 +413,7 @@ class TestBayesNormal:
     def test_batch_equals_sequential(self):
         rng = np.random.default_rng(93)
         y = rng.standard_normal(30)
-        prior = BayesNormalState(n_eff=2.0, m=0.5, v=1.5)
+        prior = GroupSummary(n=2.0, m=0.5, v=1.5)
         batch = bayes_normal_update(prior, group_summary(y))
         seq = prior
         for value in y:
@@ -422,18 +421,18 @@ class TestBayesNormal:
                                                         0.0))
         assert_allclose(seq.m, batch.m, rtol=1e-12)
         assert_allclose(seq.v, batch.v, rtol=1e-12)
-        assert seq.n_eff == batch.n_eff
+        assert seq.n == batch.n
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            bayes_normal_update(BayesNormalState(0.0, 0.0, 1.0),
+            bayes_normal_update(GroupSummary(0.0, 0.0, 1.0),
                                 GroupSummary(1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
-            bayes_normal_update(BayesNormalState(1.0, 0.0, 1.0),
+            bayes_normal_update(GroupSummary(1.0, 0.0, 1.0),
                                 GroupSummary(0.5, 0.0, 0.0))
         for prior_v, data_v in ((-1.0, 0.0), (1.0, -1e-300)):
             with pytest.raises(DomainError):
-                bayes_normal_update(BayesNormalState(1.0, 0.0, prior_v),
+                bayes_normal_update(GroupSummary(1.0, 0.0, prior_v),
                                     GroupSummary(1.0, 0.0, data_v))
 
 
@@ -494,7 +493,8 @@ class TestAnalyze:
 
     def test_sorts_the_response_once(self, monkeypatch):
         counts = {"_split_cells": 0, "make_sample": 0, "_pair_counts": 0,
-                  "two_sample_comp_density": 0}
+                  "two_sample_comp_density": 0, "student_t": 0,
+                  "combine": 0}
         for name in counts:
             original = getattr(tsmod, name)
 
@@ -507,9 +507,11 @@ class TestAnalyze:
         analyze(rng.integers(0, 2, 40), rng.integers(0, 5, 40))
         # analyze reads the count table from the density fit, which builds
         # the only Sample of the response and counts the only (atom,
-        # group) table; the 0/1 indicator's mid-ranks need no Sample
+        # group) table; the 0/1 indicator's mid-ranks need no Sample. The
+        # pooled t is taken once; combine runs for the report and in it
         assert counts == {"_split_cells": 1, "make_sample": 1,
-                          "_pair_counts": 1, "two_sample_comp_density": 1}
+                          "_pair_counts": 1, "two_sample_comp_density": 1,
+                          "student_t": 1, "combine": 2}
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 400), st.booleans(), st.floats(0.05, 0.95),
