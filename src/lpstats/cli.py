@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,8 @@ from . import twosample as tsmod
 from .datasets import fixture_path
 from .empirical import (informative_quantile, make_sample, mid_quantile,
                         quartile_summary)
-from .errors import (EmptyAfterFilter, FileNotFound, InputError,
-                     LPStatsError, MissingColumn)
+from .errors import (EmptyAfterFilter, FileNotFound, FloatingPointFault,
+                     InputError, LPStatsError, MissingColumn)
 from .lp import correlations, lhermite_normality, lp_moments
 from .scores import build_score_basis
 
@@ -49,8 +48,16 @@ MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
-# Those of an integral body, which `_loadtxt_body` reads as int64.
-_INT_BYTES = b"0123456789,+- \t\r"
+# Those of a body that `_IntBody` may parse: digits, ',' and '-', and a CR
+# it takes only before an LF.
+_INT_BYTES = b"0123456789,-\r"
+# Bytes read from a body at a time: each block is scanned, and parsed while
+# the body is integral, as it is read, so that only a few blocks of memory
+# are held at once.
+_BLOCK = 1 << 16
+# Bound on the header line, and on a line the integral parse carries over
+# from one block to the next.
+_LINE_CAP = 1 << 20
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
 
@@ -93,39 +100,131 @@ def _walk(rows, idx, reasons):
             yield from got
 
 
-def _body_lines(fb):
-    """The LFs left in binary file `fb` and whether it is integral, or None.
+class _IntBody:
+    """The requested fields of an integral body as int64, fed block by block.
 
-    A body is integral when it holds only `_INT_BYTES` and LFs. One
-    translate per 1 MiB block deletes `_INT_BYTES`; the first block that
-    this leaves more than LFs in ends the integral body, and a second
-    translate of the rest, and one translate of every later block, delete
-    `_FIELD_BYTES`. What is left must be LFs, and its length is the
-    block's count. None for a byte no field may hold, and for a body made
-    only of line ends, which np.loadtxt would warn holds no data. No block
-    outlives its iteration.
+    The whole lines a block completes are parsed at once in numpy, and its
+    partial last line is carried into the next block. The body is integral
+    while each line holds the first line's count of fields, split by ','
+    and ended by LF or CRLF, each field is digits after an optional '-',
+    and each requested field has 1 to 18 digits. So |value| < 10**18 <
+    2**63, and int64 to float64 rounds to nearest even, as a correctly
+    rounded float() of the same decimal integer does. Anything else, a
+    blank line, an empty requested field or a line longer than
+    `_LINE_CAP` included, sets `parts` to None, and the body is read as a
+    float one is.
+    """
+
+    def __init__(self, idx):
+        self.idx, self.fields, self.parts = list(idx), None, []
+        self.carry = b"\n"  # the LF before the first line: a sentinel
+
+    def feed(self, block, lines):
+        """Parse the `lines` whole lines that `block` completes."""
+        buf = self.carry + block
+        cut = buf.rfind(b"\n") + 1
+        self.carry = buf[cut - 1:]
+        if lines:
+            if self.fields is None:
+                self.fields = buf.count(b",", 1, buf.index(b"\n", 1)) + 1
+            part = self._parse(np.frombuffer(buf, np.uint8, cut), lines,
+                               b"-" in buf, b"\r" in buf)
+            self.parts = None if part is None else self.parts + [part]
+        if len(self.carry) > _LINE_CAP:
+            self.parts = None
+
+    def _parse(self, b, rows, signed, crlf):
+        """The (len(idx), rows) int64 fields of `b`, or None.
+
+        `b` holds `rows` whole lines, each after the LF that ends the one
+        before; `signed` and `crlf` say whether it may hold a '-' or a CR.
+        """
+        fields = self.fields
+        # a '-' only leads a field, and a CR only ends a line
+        head, tail = b[:-1], b[1:]
+        if signed and ((tail == 45) & (head != 44) & (head != 10)).any():
+            return None
+        if crlf and ((head == 13) & (tail != 10)).any():
+            return None
+        seps = np.flatnonzero((b == 44) | (b == 10))
+        # an LF at every `fields`-th end, and no other: each line holds
+        # `fields` - 1 commas
+        if (seps.size != rows * fields + 1
+                or not (b[seps[fields::fields]] == 10).all()
+                or any(i >= fields for i in self.idx)):
+            return None
+        # each requested field is the bytes after `prev`, a ',' or LF, up
+        # to `end`, one (rows, len(idx)) table of positions each
+        prev = seps[:-1].reshape(rows, fields)[:, self.idx]
+        end = seps[1:].reshape(rows, fields)[:, self.idx]
+        if crlf:
+            end -= b[end - 1] == 13
+        digit = b[end - 1] - 48
+        if digit.max(initial=0) > 9:  # an empty field, or a '-' alone
+            return None
+        width = end - prev - 1
+        if signed:
+            neg = b[prev + 1] == 45
+            width -= neg
+        top = width.max(initial=1)
+        if top > 18:
+            return None
+        if top > 1:  # a field of one digit has its `prev` or '-' there
+            digit += 10 * (np.maximum(b[end - 2], 48) - 48)
+        value = digit.astype(np.int64)
+        for j in range(2, top):
+            # past a field's first digit, `prev` is read: a digit of 0
+            digit = np.maximum(b[np.maximum(end - 1 - j, prev)], 48) - 48
+            value += 10 ** j * digit.astype(np.int64)
+        if signed:
+            value = np.where(neg, -value, value)
+        return value.T
+
+    def table(self):
+        """The (len(idx), rows) int64 table of the body, or None."""
+        if self.parts is not None and self.carry != b"\n":
+            self.feed(b"\n", 1)
+        return np.concatenate(self.parts, axis=1) if self.parts else None
+
+
+def _body_lines(fb, idx):
+    """The LFs left in binary file `fb` and its integral table, or None.
+
+    Each `_BLOCK` block is read once. One translate deletes `_INT_BYTES`;
+    while this leaves only LFs, their count is the block's and the block
+    is fed to an `_IntBody`, which parses the requested columns `idx`. The
+    first block that it leaves more in ends the integral parse, and a
+    second translate of the rest, and one translate of every later block,
+    delete `_FIELD_BYTES`. What is left must be LFs, and its length is the
+    block's count. The table is the `_IntBody`'s, None for a body it
+    refuses. The whole result is None for a byte no field may hold, and
+    for a body made only of line ends, which np.loadtxt would warn holds
+    no data. No block outlives its iteration.
     """
     lines, data, last, deleted = 0, False, b"\n", _INT_BYTES
-    while block := fb.read(1 << 20):
+    ints = _IntBody(idx)
+    while block := fb.read(_BLOCK):
         rest = block.translate(None, deleted)
-        if rest != b"\n" * len(rest):  # a '.', 'e' or 'E', or worse
-            deleted = _FIELD_BYTES
+        if rest != b"\n" * len(rest):  # a '+', '.', space or tab, or worse
+            deleted, ints.parts = _FIELD_BYTES, None
             rest = rest.translate(None, deleted)
             if rest != b"\n" * len(rest):  # a byte no field may hold
                 return None
+        elif ints.parts is not None:
+            ints.feed(block, len(rest))
         lines += len(rest)
         data = data or bool(block.strip(b"\r\n"))
         last = block[-1:]
     if not data:
         return None
     # a last line with no final newline counts too
-    return lines + (last != b"\n"), deleted is _INT_BYTES
+    return lines + (last != b"\n"), ints.table()
 
 
 def _empty_lines(fb):
     """Empty lines left in binary file `fb`, read from just after an LF."""
     empty, last = 0, b"\n"
-    while block := fb.read(1 << 20):
+    while block := fb.read(_BLOCK):
         text = last + block
         ends = np.frombuffer(text, np.uint8) == ord("\n")
         empty += np.count_nonzero(ends[1:] & ends[:-1])
@@ -134,64 +233,52 @@ def _empty_lines(fb):
 
 
 def _loadtxt_body(p, idx):
-    """The body's requested fields by one np.loadtxt over path `p`, or None.
+    """The body's requested fields, parsed whole, or None.
 
-    np.loadtxt reads a path in blocks in C; given lines or a file object it
-    iterates in Python. It is tried when `p` has no suffix np.loadtxt
-    decompresses, the header line ends in LF within 1 MiB with no CR
-    before its line end, and the body after it holds only `_FIELD_BYTES`
-    and LFs (`_body_lines`; so a quoted header spanning lines is refused).
-    np.loadtxt on a path and csv.reader on a `newline=""` handle both end
-    a line at CR, LF and CRLF.
+    The body is read only when `p` has no suffix np.loadtxt decompresses,
+    the header line ends in LF within `_LINE_CAP` with no CR before its
+    line end, and the body after it holds only `_FIELD_BYTES` and LFs
+    (`_body_lines`; so a quoted header spanning lines is refused). An
+    integral body (`_IntBody`) is parsed as it is scanned and returned as
+    int64, for `ingest_csv` to convert column by column; it makes no
+    np.loadtxt call.
 
-    np.loadtxt skips empty lines and raises on whitespace-only ones. So
-    the result is kept when every value is finite and it has one row per
-    LF, or, counting the empty lines only in that case, one per LF that
-    ends a nonempty line; a loadtxt that skipped any other line, or split
-    one at a bare CR, fails that count. None wherever loadtxt rejects a
-    field.
-
-    An integral body (`_body_lines`) is read with dtype int64, which numpy
-    parses several times faster than float, and returned as int64 for
-    `ingest_csv` to convert column by column. int64 to float64 rounds to
-    nearest even, as a correctly rounded float() of the same decimal
-    integer does, so the columns have the bits of a float read once
-    `ingest_csv` adds 0.0, which makes the float -0.0 of "-0" the int's 0.
-    On these bytes int64 refuses what float refuses and also integers of
-    2**63 or more or below -2**63; such a table is walked, with no float
-    read tried. Some numpy releases from 1.23 on parse such an integer as
-    a float instead and cast it to int64 in C, which is undefined outside
-    the int64 range, with only a DeprecationWarning; made an error here,
-    that warning makes loadtxt raise ValueError.
+    Any other body is read by one float np.loadtxt over path `p`, which
+    reads a path in blocks in C (given lines or a file object it iterates
+    in Python). np.loadtxt on a path and csv.reader on a `newline=""`
+    handle both end a line at CR, LF and CRLF. np.loadtxt skips empty
+    lines and raises on whitespace-only ones. So the result is kept when
+    every value is finite and it has one row per LF, or, counting the
+    empty lines only in that case, one per LF that ends a nonempty line; a
+    loadtxt that skipped any other line, or split one at a bare CR, fails
+    that count. None wherever loadtxt rejects a field.
     """
     if p.suffix in _COMPRESSED:
         return None
     with p.open("rb") as fb:
         # bounded, so a file with bare-CR line ends is not read in one piece
-        head = fb.readline(1 << 20)
+        head = fb.readline(_LINE_CAP)
         # a CR inside a quoted header name would make np.loadtxt, but not
         # csv.reader, read the rest of the header as a row
         if not head.endswith(b"\n") or b"\r" in head[:-2]:
             return None
-        scan = _body_lines(fb)
+        scan = _body_lines(fb, idx)
         if scan is None:
             return None
-        lines, integral = scan
+        lines, table = scan
+        if table is not None:
+            return table
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("error", ".*integer via a float",
-                                        DeprecationWarning)
-                table = np.loadtxt(os.fspath(p), delimiter=",",
-                                   usecols=idx, comments=None, ndmin=2,
-                                   skiprows=1, encoding="utf-8-sig",
-                                   dtype=np.int64 if integral else float)
+            table = np.loadtxt(os.fspath(p), delimiter=",", usecols=idx,
+                               comments=None, ndmin=2, skiprows=1,
+                               encoding="utf-8-sig")
         except ValueError:  # UnicodeDecodeError included
             return None
         if len(table) != lines:
             fb.seek(len(head))
             if len(table) + _empty_lines(fb) != lines:
                 return None
-    if not integral and not np.isfinite(table).all():
+    if not np.isfinite(table).all():
         return None
     return table.T
 
@@ -208,18 +295,19 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
 
     The header goes through csv.reader. A body made only of digits,
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
-    included, is read whole by one np.loadtxt over the path (see
-    `_loadtxt_body`), which makes no Python string per line; deciding to
-    try takes one pass over each 1 MiB block. The same pass finds whether
-    the body is integral, which that read then parses as int64. Where the
-    read is not tried or cannot vouch for every row, csv.reader,
-    `_row_problem` and float() walk the body, and one np.fromiter takes
-    the kept values, holding no Python list of rows. Both paths give the
-    same columns, bit for bit, and the same drop counts; only the csv
-    module refuses a field longer than `csv.field_size_limit()`. Each path
-    gives a (len(columns), rows) table, and each column is its row plus
-    0.0: a cast of an int64 row or a contiguous copy of a float one, in
-    which a zero of either sign reads as +0.0.
+    included, is read whole, with no Python string per line (see
+    `_loadtxt_body`); deciding to try takes one pass over each `_BLOCK`
+    block. An integral body, digits, ',' and a leading '-' in lines of
+    equal field counts, is parsed in numpy in that same pass (`_IntBody`);
+    any other is read by one float np.loadtxt over the path. Where neither
+    read can vouch for every row, csv.reader, `_row_problem` and float()
+    walk the body, and one np.fromiter takes the kept values, holding no
+    Python list of rows. All paths give the same columns, bit for bit,
+    and the same drop counts; only the csv module refuses a field longer
+    than `csv.field_size_limit()`. Each path gives a (len(columns), rows)
+    table, and each column is its row plus 0.0: a cast of an int64 row or
+    a contiguous copy of a float one, in which a zero of either sign reads
+    as +0.0.
     """
     p = Path(path)
     if not p.is_file():
@@ -666,10 +754,32 @@ def _echo_args(args) -> dict:
     return echo
 
 
+def _run(args):
+    """The handler's (payload, warnings, csv_view).
+
+    A floating-point overflow, division by zero or invalid operation
+    raises FloatingPointFault, rather than carrying an inf or NaN on with a
+    warning; underflow to zero or a subnormal stays silent. numpy's error
+    state is set for the handler's call only.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise",
+                         under="ignore"):
+            return args.handler(args)
+    except FloatingPointError as exc:
+        raise FloatingPointFault(f"floating-point {exc}") from None
+
+
+def _unexpected(exc) -> int:
+    """Report an error that no lpstats class names: a computation failure."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, warnings, csv_view = args.handler(args)
+        payload, warnings, csv_view = _run(args)
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": {
@@ -694,8 +804,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # e.g. LinAlgError: still a computation failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _unexpected(exc)
     return 0
 
 

@@ -83,6 +83,11 @@ class NonConvergence(LPStatsError):
         )
 
 
+class FloatingPointFault(LPStatsError):
+    """A floating-point overflow, division by zero or invalid operation in
+    a CLI command; the message names the numpy operation."""
+
+
 class IllConditioned(LPStatsError):
     """Linear algebra inside a solver failed beyond recovery."""
 

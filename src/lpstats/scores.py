@@ -52,13 +52,14 @@ class ScoreBasis:
 
     `table` has shape (max_order, r): row j - 1 holds T_j at the sample's
     distinct values. Zero mean and orthonormality hold under the empirical
-    masses; `mean_error` and `gram_error` record the achieved deviations.
-    `truncated` is set when a requested order was dropped because the
-    corresponding power of T_1 was numerically dependent on lower orders.
+    masses; `mean_error` and `gram_error` compute the achieved deviations
+    from the table when read. `truncated` is set when a requested order
+    was dropped because the corresponding power of T_1 was numerically
+    dependent on lower orders.
     """
 
     __slots__ = ("source", "max_order", "requested_order", "table",
-                 "truncated", "mean_error", "gram_error")
+                 "truncated")
 
     def __init__(self, source, requested_order, table, truncated):
         self.source = source
@@ -66,15 +67,20 @@ class ScoreBasis:
         self.table = table
         self.max_order = int(table.shape[0])
         self.truncated = bool(truncated)
-        p = source.masses
-        means = table @ p
-        gram = (table * p) @ table.T
-        self.mean_error = float(np.max(np.abs(means))) if self.max_order else 0.0
-        self.gram_error = (
-            float(np.max(np.abs(gram - np.eye(self.max_order))))
-            if self.max_order else 0.0
-        )
         table.setflags(write=False)
+
+    @property
+    def mean_error(self) -> float:
+        """The largest |E[T_j]| under the sample's masses."""
+        means = self.table @ self.source.masses
+        return float(np.max(np.abs(means))) if self.max_order else 0.0
+
+    @property
+    def gram_error(self) -> float:
+        """The largest |E[T_j T_k] - [j == k]| under the sample's masses."""
+        gram = (self.table * self.source.masses) @ self.table.T
+        return (float(np.max(np.abs(gram - np.eye(self.max_order))))
+                if self.max_order else 0.0)
 
     def __repr__(self):
         flag = ", truncated" if self.truncated else ""

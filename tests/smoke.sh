@@ -39,14 +39,16 @@ test "$code" -eq 3
 # copy with blank lines and its CRLF copy. All must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and
 # describe, depend and regress must give for it the bytes of the copy
-# without that row. A table of integers is read
-# whole as int64; its copy with one cell written as 7.0 is read whole as
-# float, and must give the same bytes. Both are counted by make_sample;
+# without that row. A table of integers, and its CRLF copy, are parsed
+# whole by the integral reader, with no np.loadtxt call; its copy with
+# one cell written as 7.0 is read whole by the float np.loadtxt. All
+# three must give the same bytes. They are counted by make_sample;
 # depend, regress and cquantile sum over their atoms and cells, and
 # twosample over the (atom, group) cells of y and the 0/1 column g. So
-# are the negated copies of both, where each 0 is written as -0: the
-# signed integers are read whole as int64, and with one cell written as
-# -7.0 as float, and each zero of either is read as +0.0. The clean
+# are the negated copies of the first and the third, where each 0 is
+# written as -0: the signed integers are parsed by the integral reader,
+# and with one cell written as -7.0 read as float, and each zero of
+# either is read as +0.0. The clean
 # table with a 0/1 column g taken from the row index, and its CRLF copy,
 # must give the same twosample bytes: its untied x sums over the
 # (atom, group) cells as tied columns do. That table's rows in reverse
@@ -80,6 +82,7 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
+                         ("intcrlf.csv", ints, "\r\n"),
                          ("neg.csv", neg, "\n"),
                          ("negdot.csv", negdot, "\n"),
                          ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n"),
@@ -102,7 +105,7 @@ for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y"; do
 done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
     "cquantile --x x --y y" "twosample --y y --group g"; do
-    for pair in "int dot" "neg negdot"; do
+    for pair in "int dot" "int intcrlf" "neg negdot"; do
         set -- $pair
         lpstats $cmd --format csv --data "$tmp/$1.csv" > "$tmp/$1.out"
         lpstats $cmd --format csv --data "$tmp/$2.csv" | cmp - "$tmp/$1.out"

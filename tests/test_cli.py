@@ -17,6 +17,7 @@ import inspect
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -670,8 +671,8 @@ FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
           # where np.loadtxt's reading could part from csv.reader + float()
           "#", "1#2", "+3", ".5", "5.", "\uff11", "1 2", "4.9e-324",
           "1.7976931348623159e308", '"1\n2"', '"3\r\n"',
-          # signed integers, which make a body integral, and the int64
-          # range's floor
+          # signed integers, which the integral reader takes, and
+          # fields past its 18 digits
           "-3", "-00", "-9223372036854775808", "-9223372036854775809",
           "- 1", "--1", "+-1", "1-"]
 
@@ -748,9 +749,11 @@ def assert_ingest_matches_rowwise(text, columns):
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
                         max_size=3, unique=True)
 
-# where float64 rounds, and where int64 ends: 2**63 and -2**63 - 1 are
-# not int64s
-EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+# where float64 rounds, and where the integral reader's 18 digits end:
+# 10**18 - 1 is its widest field; 10**18, 2**63 and wider are read as
+# float() reads them
+EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, 10**17, 10**18 - 1, 10**18,
+             2**63 - 1, 2**63, 2**63 + 1]
 
 
 @st.composite
@@ -788,24 +791,64 @@ def record_loadtxt(monkeypatch):
     return calls
 
 
-def loadtxt_via_float(*args, loadtxt=np.loadtxt, **kwargs):
-    """np.loadtxt as numpy releases from 1.23 on read a field that int64
-    cannot hold: parsed as a float, cast in C (to INT64_MIN on x86), with a
-    DeprecationWarning that loadtxt raises as ValueError if it is an error.
+INT_FIELD = re.compile(r"-?[0-9]{1,18}")
+
+
+def read_as_integers(text, columns):
+    """Whether the integral reader takes the body of CSV text under an
+    a,b,c header, with no np.loadtxt call.
+
+    It does when the body is lines of ',' separated fields, each ended by
+    LF or CRLF (the last may have none), every line with the first line's
+    field count, every field digits after an optional '-', and every
+    requested field 1 to 18 digits.
     """
-    try:
-        return loadtxt(*args, **kwargs)
-    except ValueError:
-        if kwargs.get("dtype") is not np.int64:
-            raise
-    try:
-        warnings.warn("loadtxt(): Parsing an integer via a float is "
-                      "deprecated.", DeprecationWarning)
-    except DeprecationWarning as e:
-        raise ValueError("could not convert string to int64") from e
-    table = loadtxt(*args, **{**kwargs, "dtype": float})
-    table[table >= 2.0**63] = -2.0**63
-    return table.astype(np.int64)
+    body = text.split("\n", 1)[1]
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = [line.removesuffix("\r").split(",") for line in lines]
+    idx = ["abc".index(name) for name in columns]
+    return (bool(rows) and all(len(row) == len(rows[0]) for row in rows)
+            and all(re.fullmatch(r"-?[0-9]*", f) for row in rows for f in row)
+            and all(i < len(row) and INT_FIELD.fullmatch(row[i])
+                    for row in rows for i in idx))
+
+
+@st.composite
+def int_reader_csvs(draw):
+    """CSV text under an a,b,c header, near the integral reader's bounds.
+
+    Fields are integers, unsigned or '-'-signed, with leading zeros, or
+    of 18, 19 or more digits, 2**63 included. Most rows have 3 fields;
+    up to three odd lines are put in: a ragged row of 2 or 4, a row with
+    one empty field or one '-' out of place, or a blank line. Each line
+    ends in LF or CRLF, one row now and then in a bare CR, and the last
+    line may have no end.
+    """
+    field = st.tuples(
+        st.sampled_from(["", "-"]), st.sampled_from(["", "0", "007"]),
+        st.one_of(st.integers(0, 999), st.sampled_from(EDGE_INTS)),
+    ).map(lambda t: "".join(map(str, t)))
+    fields = st.lists(field, min_size=3, max_size=3)
+
+    def put(row, i, new):
+        return ",".join(row[:i] + [new] + row[i + 1:])
+
+    odd = st.one_of(
+        st.lists(field, min_size=2, max_size=4).map(",".join),
+        st.builds(put, fields, st.integers(0, 2),
+                  st.sampled_from(["", "-", "--1", "1-", "1-2"])),
+        st.just(""))
+    rows = draw(st.lists(fields.map(",".join), min_size=1, max_size=10))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+        ends[draw(st.integers(1, len(rows) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(["a,b,c"] + rows, ends))
+    return text.removesuffix(ends[-1]) if draw(st.booleans()) else text
 
 
 class TestIngest:
@@ -831,33 +874,59 @@ class TestIngest:
     @example(text="a,b,c\n-1,-0,-9223372036854775809\n", columns=["b"])
     @given(text=integral_csvs(), columns=COLUMN_LISTS)
     def test_integral_ingest_matches_the_rowwise_loop(self, text, columns):
-        # Each body makes one int64 read; one with a field of 2**63 or more,
-        # or below -2**63, fails it and is walked.
+        # A body with no '+', space, tab or blank line, whose requested
+        # fields have at most 18 digits, is parsed with no np.loadtxt
+        # call; any other makes one float read.
         with pytest.MonkeyPatch.context() as mp:
             calls = record_loadtxt(mp)
             assert_ingest_matches_rowwise(text, columns)
-        assert [dtype for _, dtype in calls] == [np.int64]
+        want = [] if read_as_integers(text, columns) else [float]
+        assert [dtype for _, dtype in calls] == want
 
-    @pytest.mark.parametrize("loadtxt", [np.loadtxt, loadtxt_via_float],
-                             ids=["numpy", "via-float"])
-    def test_an_int64_overflow_is_walked(self, tmp_path, monkeypatch,
-                                         loadtxt):
-        # A CLI run ignores DeprecationWarning, so a loadtxt that reads
-        # 2**63 via a float would give INT64_MIN, unless ingest makes that
-        # warning an error.
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+    @settings(deadline=None, max_examples=400)
+    @example(text="a,b,c\n1,2,3\r\n-0,-00,4", columns=["a", "b"],
+             block=1)
+    @example(text=f"a,b,c\n{10**18 - 1},-{10**18 - 1},{2**63}\n",
+             columns=["c", "b", "a"], block=5)
+    # as many ends as 3 rows of 3, in rows of 3, 2 and 4
+    @example(text="a,b,c\n1,2,3\n4,5\n6,7,8,9\n", columns=["a", "c"],
+             block=64)
+    # a '-' inside a field that is not requested, and a bare CR
+    @example(text="a,b,c\n1,2,3\n4,1-2,5\n", columns=["a"], block=7)
+    @example(text="a,b,c\n1,2,3\r4,5,6\n", columns=["c"], block=64)
+    @given(text=int_reader_csvs(), columns=COLUMN_LISTS,
+           block=st.integers(1, 64))
+    def test_block_by_block_ingest_matches_the_rowwise_loop(
+            self, text, columns, block):
+        # Blocks of 1 to 64 bytes put line ends, CRLFs and fields across
+        # block edges.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK", block)
+            calls = record_loadtxt(mp)
+            assert_ingest_matches_rowwise(text, columns)
+        read_whole = text.split("\n", 1)[1].strip("\r\n")
+        want = [] if read_as_integers(text, columns) or not read_whole \
+            else [float]
+        assert [dtype for _, dtype in calls] == want
+
+    def test_a_field_past_18_digits_is_read_as_float(self, tmp_path,
+                                                      monkeypatch):
+        # 2**63 and -2**63 - 1 are read as float() reads them, by the one
+        # float np.loadtxt call, with no walk
+        def walk(*args):
+            raise AssertionError("the row walk was taken")
+
         calls = record_loadtxt(monkeypatch)
+        monkeypatch.setattr(cli, "_row_problem", walk)
         f = tmp_path / "t.csv"
         for big in ("9223372036854775808", "-9223372036854775809"):
             f.write_text(f"a,b\n1,2\n3,{big}\n", encoding="utf-8")
-            want = ingest_rowwise(f, ["a", "b"])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                values, reasons = ingest_csv(f, ["a", "b"])
-            assert calls == [(str(f), np.int64)]
+            values, reasons = ingest_csv(f, ["a", "b"])
+            assert calls == [(str(f), float)]
             calls.clear()
-            assert (values[0].size, reasons) == (2, {})
-            assert_same_ingest((values, reasons), want)
+            assert values[1].tolist() == [2.0, float(big)]
+            assert_same_ingest((values, reasons),
+                               ingest_rowwise(f, ["a", "b"]))
 
     def test_a_clean_body_is_read_whole(self, tmp_path, monkeypatch):
         def walk(*args):
@@ -867,18 +936,20 @@ class TestIngest:
         # with one row per line there are no empty lines to count
         monkeypatch.setattr(cli, "_empty_lines", walk)
         calls = record_loadtxt(monkeypatch)
-        # an integral body, signed or not, is read as int64; "-0" is read
-        # as +0.0 either way
-        for rows, dtype, a, b in (
-                (["1,2", "-3.5e1, 4"], float, [1.0, -35.0], [2.0, 4.0]),
-                (["1,2", "+35,\t04"], np.int64, [1.0, 35.0], [2.0, 4.0]),
-                (["1,-0", "35,4"], np.int64, [1.0, 35.0], [0.0, 4.0])):
+        # a '+', space or tab takes the float read, as a '.' or 'e' does;
+        # digits and a leading '-' take the integral reader, with no
+        # np.loadtxt call; "-0" is read as +0.0 either way
+        for rows, want, a, b in (
+                (["1,2", "-3.5e1, 4"], [float], [1.0, -35.0], [2.0, 4.0]),
+                (["1,2", "+35,\t04"], [float], [1.0, 35.0], [2.0, 4.0]),
+                (["1,2", "35, 4"], [float], [1.0, 35.0], [2.0, 4.0]),
+                (["1,-0", "35,4"], [], [1.0, 35.0], [0.0, 4.0])):
             for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
                 f = tmp_path / name
                 f.write_bytes(end.join(["a,b", *rows * 4, ""])
                               .encode("utf-8"))
                 (got_b, got_a), reasons = ingest_csv(f, ["b", "a"])
-                assert calls == [(str(f), dtype)]
+                assert calls == [(str(f), dtype) for dtype in want]
                 calls.clear()
                 assert got_a.tobytes() == np.array(a * 4).tobytes()
                 assert got_b.tobytes() == np.array(b * 4).tobytes()
@@ -904,31 +975,35 @@ class TestIngest:
         assert want[0][0].size == 4
 
     def test_body_lines_counts_lfs_and_refuses_other_bytes(self):
-        # an empty line whose two LFs straddle the 1 MiB block edge
-        line = b"1,2\n"
-        pad = ((1 << 20) - 1 - line.index(b"\n")) % len(line)
-        body = (b"0" * pad + line * ((1 << 20) // len(line)) + b"\n"
-                + line * 3)
-        assert body[(1 << 20) - 1:(1 << 20) + 1] == b"\n\n"
-        assert cli._body_lines(io.BytesIO(body)) == (body.count(b"\n"), True)
+        def scan(body):
+            got = cli._body_lines(io.BytesIO(body), [0, 1])
+            return got and (got[0], got[1] is not None)
+
+        # an empty line whose two LFs straddle a block edge
+        size, line = cli._BLOCK, b"1,2\n"
+        pad = (size - 1 - line.index(b"\n")) % len(line)
+        body = b"0" * pad + line * (size // len(line)) + b"\n" + line * 3
+        assert body[size - 1:size + 1] == b"\n\n"
+        assert scan(body) == (body.count(b"\n"), False)
         assert cli._empty_lines(io.BytesIO(body)) == 1
-        assert cli._body_lines(io.BytesIO(b"1,2\n\n3,4")) == (3, True)
-        # a CRLF integer body stays integral
-        assert cli._body_lines(io.BytesIO(b"1,2\r\n3,4\r\n")) == (2, True)
+        assert scan(b"1,2\n\n3,4") == (3, False)
+        # a CRLF integer body is parsed
+        assert scan(b"1,2\r\n3,4\r\n") == (2, True)
         for bad in (b"1,2\n3,a\n", b'1,"2"\r\n', b"1.5,2\n3,a\n"):
-            assert cli._body_lines(io.BytesIO(bad)) is None
+            assert cli._body_lines(io.BytesIO(bad), [0, 1]) is None
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
-            assert cli._body_lines(io.BytesIO(ends)) is None
-        # the integral flag: a '-' keeps it; a '.', 'e' or 'E' anywhere
-        # clears it, also one only in the second 1 MiB block
-        head = line * ((1 << 20) // len(line))
-        assert len(head) == 1 << 20
+            assert cli._body_lines(io.BytesIO(ends), [0, 1]) is None
+        # the table: a leading '-' keeps it; a '.', 'e', 'E' or '+'
+        # anywhere clears it, also one only in the second block
+        head = line * (size // len(line))
+        assert len(head) == size
         for cell, integral in ((b"-2", True), (b"-0", True), (b"2.", False),
-                               (b"2e0", False), (b"2E0", False)):
+                               (b"2e0", False), (b"2E0", False),
+                               (b"+2", False)):
             for body in (cell + b",2\n" + head, head + cell + b",2\n" + line,
                          b"1,2\r\n3," + cell):
-                assert cli._body_lines(io.BytesIO(body)) == (
+                assert scan(body) == (
                     body.count(b"\n") + (not body.endswith(b"\n")), integral)
 
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
@@ -1166,3 +1241,72 @@ class TestSignOfZero:
                     outputs.append([run_cli([*argv, "--data", str(f)])
                                     for argv in DATA_COMMANDS])
         assert outputs[0] == outputs[1]
+
+
+@st.composite
+def scaled_tables(draw):
+    """CSV text of a small dependent table x, y, g, its columns scaled by
+    powers of ten from 10**-300 to 10**300."""
+    n = draw(st.integers(2, 30))
+    cells = st.lists(st.integers(0, draw(st.integers(1, 10))), min_size=n,
+                     max_size=n)
+    x, noise = draw(cells), draw(cells)
+    g = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sx, sy = (10.0 ** draw(st.integers(-300, 300)) for _ in "xy")
+    rows = [f"{a * sx!r},{(a + b) * sy!r},{c}"
+            for a, b, c in zip(x, noise, g)]
+    return "\n".join(["x,y,g", *rows, ""])
+
+
+BIG_Y = "x,y,g\n1,1e200,0\n2,3e200,1\n3,-2e200,0\n4,5e199,1\n5,1.5e200,1\n"
+
+
+class TestFloatingPointFaults:
+    """A floating-point fault in a command is a named refusal (exit 3),
+    not a number printed after a numpy warning."""
+
+    @settings(deadline=None, max_examples=60)
+    @example(text=BIG_Y, order=4)
+    @given(text=scaled_tables(), order=st.integers(1, 8))
+    def test_every_run_succeeds_quietly_or_refuses_by_name(self, text,
+                                                            order):
+        unexpected = []
+
+        def spy(exc):
+            unexpected.append(exc)
+            return 3
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_unexpected", spy)
+            f = Path(tmp) / "t.csv"
+            f.write_text(text, encoding="utf-8")
+            for argv in DATA_COMMANDS:
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as seen, \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code, _ = run_cli([*argv, "--data", str(f),
+                                       "--order", str(order)])
+                # numpy reports a floating-point fault as a RuntimeWarning
+                assert [w for w in seen
+                        if issubclass(w.category, RuntimeWarning)] == []
+                assert unexpected == []
+                assert code == 0 or (code in (2, 3)
+                                     and err.getvalue().startswith("error: "))
+
+    def test_an_overflow_is_refused_and_numpy_state_restored(self,
+                                                             tmp_path):
+        # y of order 1e200 overflows the square in each variance of y
+        f = tmp_path / "big.csv"
+        f.write_text(BIG_Y, encoding="utf-8")
+        before = np.geterr()
+        for argv in [["describe", "--col", "y"], *DATA_COMMANDS[1:]]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run_cli([*argv, "--data", str(f)])
+            assert (code, out) == (3, "")
+            assert err.getvalue() == (
+                "error: floating-point overflow encountered in square\n")
+            assert np.geterr() == before
+        assert issubclass(cli.FloatingPointFault, LPStatsError)
