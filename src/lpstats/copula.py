@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
                         make_sample, mid_quantile)
-from .errors import DomainError, OrderOutOfRange
+from .errors import OrderOutOfRange
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -38,7 +38,6 @@ __all__ = [
     "conditional_quantile",
     "quantile_curves",
     "slice_modes",
-    "simulate_conditional",
     "series_regression",
 ]
 
@@ -173,13 +172,14 @@ def _slice_levels(sy: Sample, sl: ConditionalSlice, ps):
     return _atom_level(sy, k, (ps - (cum[k] - mass[k])) / sl.density[k])
 
 
-def conditional_quantile(mod: CopulaModel, u: float, p: float) -> float:
+def conditional_quantile(mod: CopulaModel, u: float, p):
     """Conditional quantile of Y given X = Q(u; X) at probability p.
 
     The slice CDF is piecewise linear and strictly increasing in v (the
     clipped density is positive), so it inverts exactly to a level, which
-    the mid-quantile of Y then maps back to the data scale. Fully
-    deterministic; no simulation involved.
+    the mid-quantile of Y then maps back to the data scale. A scalar p
+    gives a float, an array of p an array. Seeded uniform p give seeded
+    draws of Y given X = Q(u; X), by inverse-CDF sampling.
     """
     p = _unit_open(p, "quantile probability")
     sl = conditional_slice(mod, u)
@@ -459,21 +459,6 @@ def slice_modes(mod: CopulaModel, u: float):
     padded = np.concatenate(([-np.inf], vals, [-np.inf]))
     peak = (vals > padded[:-2]) & (vals > padded[2:])
     return int(peak.sum()), locs[peak].tolist()
-
-
-def simulate_conditional(mod: CopulaModel, u: float, count: int,
-                         seed) -> np.ndarray:
-    """Seeded draws of Y given X = Q(u; X), by inverse-CDF sampling.
-
-    Uniform probabilities go through the exact inverse of the slice CDF
-    (`_slice_levels`) and then the mid-quantile of Y; deterministic for a
-    fixed seed.
-    """
-    if count < 0:
-        raise DomainError(f"draw count {count} is negative")
-    sl = conditional_slice(mod, u)
-    ps = np.random.default_rng(seed).random(int(count))
-    return mid_quantile(mod.sy, _slice_levels(mod.sy, sl, ps))
 
 
 @dataclass(frozen=True)

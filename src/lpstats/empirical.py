@@ -33,7 +33,6 @@ __all__ = [
     "mid_quantile",
     "quartile_summary",
     "informative_quantile",
-    "standardize",
     "mid_clt_approx",
 ]
 
@@ -196,7 +195,7 @@ def make_sample(data) -> Sample:
     values, atom_index, counts = np.unique(
         obs, return_inverse=True, return_counts=True
     )
-    return Sample(obs, values, counts, atom_index.astype(np.intp))
+    return Sample(obs, values, counts, atom_index.astype(np.intp, copy=False))
 
 
 def _scalar_or_array(pos):
@@ -297,14 +296,6 @@ def informative_quantile(s: Sample, u):
     if summ.dq <= 0.0:
         raise DegenerateScale("quartile deviation is zero")
     return (mid_quantile(s, u) - summ.mq) / summ.dq
-
-
-@_scalar_or_array(1)
-def standardize(s: Sample, x):
-    """Map x to (x - mean) / sd using the sample's own moments."""
-    if s.sd <= 0.0:
-        raise DegenerateScale("sample standard deviation is zero")
-    return (x - s.mean) / s.sd
 
 
 @_scalar_or_array(2)

@@ -30,7 +30,6 @@ __all__ = [
     "lp_comoments",
     "correlations",
     "select_significant",
-    "lpinfor",
     "lhermite_normality",
 ]
 
@@ -150,11 +149,6 @@ def select_significant(coefficients, n: int, rule: str = "aic") -> np.ndarray:
     mask = np.zeros(flat.size, dtype=bool)
     mask[order[:keep]] = True
     return mask.reshape(c.shape)
-
-
-def lpinfor(matrix: LPComomentMatrix) -> float:
-    """Squared sum of the selected comoments, as stored by `lp_comoments`."""
-    return matrix.lpinfor
 
 
 def _pair_mean(fa, a, fb, b) -> np.ndarray:

@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .empirical import Sample, _scalar_or_array, _unit_open
+from .empirical import Sample, _scalar_or_array
 from .errors import DegenerateSample, DomainError, OrderOutOfRange
 
-__all__ = ["ScoreBasis", "legendre_eval", "build_score_basis",
-           "eval_score", "score_quantile"]
+__all__ = ["ScoreBasis", "legendre_eval", "build_score_basis"]
 
 # A power of T_1 whose residual after projection drops below this fraction
 # of its pre-projection norm is numerically dependent on the lower orders;
@@ -138,27 +137,3 @@ def _check_order(b: ScoreBasis, j: int) -> int:
         )
     return j
 
-
-@_scalar_or_array(2)
-def eval_score(b: ScoreBasis, j: int, x):
-    """T_j at arbitrary real x by step extension.
-
-    On an atom this is the table entry; between atoms the value at the
-    largest atom below x is used (scores are rank functions, so no
-    interpolation); below the support the first atom's value applies.
-    """
-    j = _check_order(b, j)
-    return b.table[j - 1][b.source.atom_at(x)]
-
-
-@_scalar_or_array(2)
-def score_quantile(b: ScoreBasis, j: int, u):
-    """S_j(u) = T_j(Q(u)), piecewise constant on the atom intervals.
-
-    Q is the left-continuous quantile, so u in the interval
-    (F(x_{i-1}), F(x_i)] picks atom i. Levels must lie in (0, 1]; as with
-    `quantile`, u = 1 maps to the top atom.
-    """
-    j = _check_order(b, j)
-    _unit_open(u, "quantile level", closed_right=True)
-    return b.table[j - 1][b.source.atom_at_level(u)]

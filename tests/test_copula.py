@@ -23,7 +23,6 @@ from lpstats import (
     make_sample,
     quantile_curves,
     series_regression,
-    simulate_conditional,
     simulate_skew_g,
     slice_modes,
     two_sample_comp_density,
@@ -237,6 +236,46 @@ class TestConditionalQuantile:
         mod = fit_copula(np.arange(15.0), np.arange(15.0))
         with pytest.raises(DomainError):
             conditional_quantile(mod, 0.5, 0.0)
+
+    def test_an_array_of_p_gives_the_bytes_of_scalar_calls(self):
+        mod = fit_copula(np.arange(50.0), np.arange(50.0) ** 2)
+        ps = np.random.default_rng(1).random(200)
+        draws = conditional_quantile(mod, 0.6, ps)
+        assert draws.shape == ps.shape
+        assert draws.tobytes() == np.array(
+            [conditional_quantile(mod, 0.6, p) for p in ps]).tobytes()
+
+    def test_seeded_draws_live_on_y_support(self):
+        rng = np.random.default_rng(73)
+        x = random_sample_values(rng, 80)
+        y = random_sample_values(rng, 80)
+        mod = fit_copula(x, y)
+        draws = conditional_quantile(mod, 0.3,
+                                     np.random.default_rng(5).random(300))
+        assert draws.size == 300
+        lo, hi = mod.sy.values[0], mod.sy.values[-1]
+        assert np.all((draws >= lo) & (draws <= hi))
+
+    def test_seeded_draw_frequencies_match_the_slice_masses(self):
+        # Inverse-CDF draws: the mid-quantile maps each atom's level
+        # interval (cdf_j - mass_j, cdf_j] onto the values up to its upper
+        # edge Qmid(cdf_j), so counting draws between edges counts the
+        # levels drawn per atom. Each atom's frequency lies within 5
+        # binomial standard errors of its slice mass.
+        rng = np.random.default_rng(75)
+        x = rng.integers(0, 8, 400).astype(float)
+        y = x + rng.integers(0, 4, 400)
+        mod = fit_copula(x, y)
+        count = 40_000
+        for u in (0.1, 0.5, 0.9):
+            mass = mod.sy.masses * conditional_slice(mod, u).density
+            draws = conditional_quantile(
+                mod, u, np.random.default_rng(8).random(count))
+            edges = cpmod.mid_quantile(mod.sy, mod.sy.cdf[:-1])
+            freq = np.bincount(np.searchsorted(edges, draws, side="left"),
+                               minlength=mod.sy.r) / count
+            se = np.sqrt(mass * (1.0 - mass) / count)
+            assert np.all(np.abs(freq - mass) <= 5.0 * se), (u, freq, mass)
 
 
 @st.composite
@@ -706,67 +745,21 @@ class TestSliceModes:
             assert c >= 1
 
 
-class TestSimulateConditional:
-    def test_draws_live_on_y_support(self):
-        rng = np.random.default_rng(73)
-        x = random_sample_values(rng, 80)
-        y = random_sample_values(rng, 80)
-        mod = fit_copula(x, y)
-        draws = simulate_conditional(mod, 0.3, 300, seed=5)
-        assert draws.size == 300
-        lo, hi = mod.sy.values[0], mod.sy.values[-1]
-        assert np.all((draws >= lo) & (draws <= hi))
-
-    def test_seeded_determinism(self):
-        mod = fit_copula(np.arange(50.0), np.arange(50.0) ** 2)
-        a = simulate_conditional(mod, 0.6, 200, seed=1)
-        b = simulate_conditional(mod, 0.6, 200, seed=1)
-        assert_allclose(a, b, rtol=0)
-
-    def test_atom_frequencies_match_the_slice_masses(self):
-        # Draws are seeded. The mid-quantile maps each atom's level interval
-        # (cdf_j - mass_j, cdf_j] onto the values up to its upper edge
-        # Qmid(cdf_j), so counting draws between edges counts the levels
-        # drawn per atom. Each atom's frequency lies within 5 binomial
-        # standard errors of its slice mass.
-        rng = np.random.default_rng(75)
-        x = rng.integers(0, 8, 400).astype(float)
-        y = x + rng.integers(0, 4, 400)
-        mod = fit_copula(x, y)
-        count = 40_000
-        for u in (0.1, 0.5, 0.9):
-            mass = mod.sy.masses * conditional_slice(mod, u).density
-            draws = simulate_conditional(mod, u, count, seed=8)
-            edges = cpmod.mid_quantile(mod.sy, mod.sy.cdf[:-1])
-            freq = np.bincount(np.searchsorted(edges, draws, side="left"),
-                               minlength=mod.sy.r) / count
-            se = np.sqrt(mass * (1.0 - mass) / count)
-            assert np.all(np.abs(freq - mass) <= 5.0 * se), (u, freq, mass)
-
-
 class TestDrawCounts:
-    """Both simulators treat a draw count the same way."""
+    """How `simulate_skew_g` treats a draw count."""
 
     @pytest.fixture(scope="class")
-    def simulators(self):
-        rng = np.random.default_rng(76)
-        x = random_sample_values(rng, 80)
-        y = random_sample_values(rng, 80)
-        cop = fit_copula(x, y)
-        s = make_sample(y)
-        cd = l2_fit(s, fit_reference("normal", s))
-        return [lambda count: simulate_conditional(cop, 0.4, count, seed=3),
-                lambda count: simulate_skew_g(cd, count, seed=3)]
+    def density(self):
+        s = make_sample(random_sample_values(np.random.default_rng(76), 80))
+        return l2_fit(s, fit_reference("normal", s))
 
-    def test_zero_draws_are_an_empty_float_array(self, simulators):
-        for simulate in simulators:
-            draws = simulate(0)
-            assert draws.shape == (0,) and draws.dtype == float
+    def test_zero_draws_are_an_empty_float_array(self, density):
+        draws = simulate_skew_g(density, 0, seed=3)
+        assert draws.shape == (0,) and draws.dtype == float
 
-    def test_a_negative_count_is_a_domain_error(self, simulators):
-        for simulate in simulators:
-            with pytest.raises(DomainError, match="-1"):
-                simulate(-1)
+    def test_a_negative_count_is_a_domain_error(self, density):
+        with pytest.raises(DomainError, match="-1"):
+            simulate_skew_g(density, -1, seed=3)
 
 
 def assert_near_the_gather(got, b, x, y):

@@ -17,7 +17,6 @@ from lpstats import (
     classify,
     correlation_stats,
     correlations,
-    eval_score,
     fit_copula,
     informative_quantile,
     lp_comoments,
@@ -29,7 +28,6 @@ from lpstats import (
     quantile,
     quartile_summary,
     series_regression,
-    standardize,
     two_sample_comp_density,
     wilcoxon,
 )
@@ -134,7 +132,6 @@ class TestAtomLookups:
 VALUE_LOOKUPS = {
     "mid_distribution": lambda m, v: mid_distribution(m["s"], v),
     "step_cdf": lambda m, v: m["s"].step_cdf(v),
-    "eval_score": lambda m, v: eval_score(m["basis"], 1, v),
     "predict": lambda m, v: m["fit"].predict(v),
     "classify": lambda m, v: classify(m["density"], v),
 }
@@ -476,21 +473,6 @@ class TestQuartiles:
         s = make_sample([5.0, 5.0, 5.0])
         with pytest.raises(DegenerateScale):
             informative_quantile(s, 0.5)
-
-
-class TestStandardize:
-    def test_zero_mean_unit_sd(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(100) * 3.0 + 7.0
-        s = make_sample(x)
-        z = standardize(s, x)
-        assert_allclose(z.mean(), 0.0, atol=1e-13)
-        assert_allclose(z.std(), 1.0, rtol=1e-13)
-
-    def test_constant_rejected(self):
-        s = make_sample([2.0, 2.0])
-        with pytest.raises(DegenerateScale):
-            standardize(s, 2.0)
 
 
 class TestMidCltApprox:

@@ -16,12 +16,11 @@ from lpstats import (
     lhermite_normality,
     lp_comoments,
     lp_moments,
-    lpinfor,
     make_sample,
     select_significant,
 )
 from lpstats.empirical import mid_ranks
-from lpstats.errors import DegenerateScale, LengthMismatch
+from lpstats.errors import DegenerateScale, LengthMismatch, OrderOutOfRange
 
 from conftest import random_sample_values, search_only
 
@@ -104,6 +103,13 @@ class TestLPMoments:
         sc = make_sample([5.0, 5.0])
         with pytest.raises(DegenerateScale):
             lp_moments(sc, b)
+
+    def test_order_bounds(self):
+        s = make_sample([1.0, 2.0, 3.0])
+        b = build_score_basis(s, 2)
+        for m in (0, 3):
+            with pytest.raises(OrderOutOfRange, match=f"order {m} outside"):
+                lp_moments(s, b, m)
 
 
 class TestSelectSignificant:
@@ -284,10 +290,9 @@ class TestLPComoments:
         _, bx = basis_for(x)
         _, by = basis_for(y)
         mat = lp_comoments(x, y, bx, by)
-        assert_allclose(lpinfor(mat),
+        assert_allclose(mat.lpinfor,
                         float(np.sum(mat.entries[mat.selected] ** 2)),
                         rtol=1e-14)
-        assert_allclose(mat.lpinfor, lpinfor(mat), rtol=0)
 
 
 def _pearson(a, b):

@@ -20,7 +20,6 @@ from lpstats import (
     empirical_reference,
     eval_copula,
     eval_density,
-    eval_score,
     exponential_reference,
     fit_copula,
     l2_fit,
@@ -33,12 +32,9 @@ from lpstats import (
     normal_reference,
     quantile,
     quantile_curves,
-    score_quantile,
     series_regression,
-    simulate_conditional,
     skew_g_density,
     slice_modes,
-    standardize,
     two_sample_comp_density,
     uniform_reference,
 )
@@ -60,11 +56,8 @@ ADAPTED = {
     "mid_distribution": (lambda a: mid_distribution(_s, a), None),
     "quantile": (lambda a: quantile(_s, a), 0.0),
     "mid_quantile": (lambda a: mid_quantile(_s, a), 1.0),
-    "standardize": (lambda a: standardize(_s, a), None),
     "mid_clt_approx": (lambda a: mid_clt_approx(0.0, 1.0, a), None),
     "legendre_eval": (lambda a: legendre_eval(3, a), None),
-    "eval_score": (lambda a: eval_score(_b, 2, a), None),
-    "score_quantile": (lambda a: score_quantile(_b, 2, a), 0.0),
     "ReferenceDistribution.cdf": (_g.cdf, None),
     "ReferenceDistribution.quantile": (_g.quantile, 1.0),
     "ReferenceDistribution.pdf": (_g.pdf, None),
@@ -73,6 +66,8 @@ ADAPTED = {
     "eval_density": (lambda a: eval_density(_comp, a), 1.5),
     "skew_g_density": (lambda a: skew_g_density(_comp, a), None),
     "conditional_density": (lambda a: conditional_density(_cop, 0.3, a), 1.0),
+    "conditional_quantile": (
+        lambda a: conditional_quantile(_cop, 0.3, a), 1.0),
     "RegressionFit.predict": (_reg.predict, None),
     "classify": (lambda a: classify(_two, a), None),
 }
@@ -110,7 +105,6 @@ def test_out_of_domain_raises_for_every_shape(name):
 LEVEL_TAKING = {
     "quantile": lambda a: quantile(_s, a),
     "mid_quantile": lambda a: mid_quantile(_s, a),
-    "score_quantile": lambda a: score_quantile(_b, 2, a),
     "normal_reference.quantile": _g.quantile,
     "empirical_reference.quantile": empirical_reference(_s).quantile,
     "exponential_reference.quantile": exponential_reference(1.0).quantile,
@@ -131,7 +125,6 @@ U_TAKING = {
     "conditional_mean": lambda u: conditional_mean(_cop, u),
     "conditional_quantile(u)": lambda u: conditional_quantile(_cop, u, 0.5),
     "slice_modes": lambda u: slice_modes(_cop, u),
-    "simulate_conditional": lambda u: simulate_conditional(_cop, u, 5, 0),
 }
 
 

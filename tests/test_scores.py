@@ -10,16 +10,13 @@ from numpy.testing import assert_allclose
 from lpstats import (
     build_score_basis,
     cli,
-    eval_score,
     legendre_eval,
     make_sample,
     mid_ranks,
-    score_quantile,
 )
 from lpstats.errors import (
     DegenerateSample,
     DomainError,
-    OrderOutOfRange,
 )
 
 from conftest import random_sample_values
@@ -178,50 +175,6 @@ class TestBasisConstruction:
         for j in range(1, 5):
             ref = legendre_eval(j, s.fmid)
             assert np.max(np.abs(b.table[j - 1] - ref)) < 0.05
-
-
-class TestEvalScore:
-    def test_step_extension(self):
-        s = make_sample([1.0, 2.0, 4.0])
-        b = build_score_basis(s, 2)
-        # between atoms: value of the largest atom at or below x
-        assert eval_score(b, 1, 3.0) == b.table[0, 1]
-        assert eval_score(b, 1, 2.0) == b.table[0, 1]
-        # beyond the support: clamp to the nearest atom
-        assert eval_score(b, 1, -5.0) == b.table[0, 0]
-        assert eval_score(b, 1, 99.0) == b.table[0, 2]
-
-    def test_vectorized_matches_table_at_atoms(self):
-        rng = np.random.default_rng(14)
-        s = make_sample(random_sample_values(rng, 90))
-        b = build_score_basis(s, min(3, s.r - 1))
-        for j in range(1, b.max_order + 1):
-            assert_allclose(eval_score(b, j, s.values), b.table[j - 1])
-
-    def test_order_bounds(self):
-        s = make_sample([1.0, 2.0, 3.0])
-        b = build_score_basis(s, 2)
-        with pytest.raises(OrderOutOfRange):
-            eval_score(b, 0, 1.0)
-        with pytest.raises(OrderOutOfRange):
-            eval_score(b, 3, 1.0)
-
-
-class TestScoreQuantile:
-    def test_matches_composition_with_quantile(self):
-        rng = np.random.default_rng(15)
-        s = make_sample(random_sample_values(rng, 70))
-        b = build_score_basis(s, 2)
-        u = np.array([0.05, 0.3, 0.5, 0.9, 1.0])
-        from lpstats import quantile
-        assert_allclose(score_quantile(b, 1, u),
-                        eval_score(b, 1, quantile(s, u)))
-
-    def test_domain(self):
-        s = make_sample([1.0, 2.0])
-        b = build_score_basis(s, 1)
-        with pytest.raises(DomainError):
-            score_quantile(b, 1, 0.0)
 
 
 class TestDiagnostics:
