@@ -433,7 +433,7 @@ def cmd_describe(args):
     (col,), warnings = _load(args, args.col)
     s = make_sample(col)
     b = build_score_basis(s, args.order)
-    mom = lp_moments(s, b)
+    mom = lp_moments(b)
     q = quartile_summary(s)
     grid = _grid_u(args.grid)
     lh = lhermite_normality(s)
@@ -550,7 +550,7 @@ def cmd_fit(args):
             "theta0": mod.theta0,
             "theta": mod.theta,
             "iterations": mod.maxent_iterations,
-            # round-off below tol: its later digits depend on BLAS
+            # round-off below MAXENT_TOL: its later digits depend on BLAS
             # summation order, so only two significant digits are emitted
             "residual": float(f"{mod.maxent_residual:.2g}"),
         },
@@ -575,11 +575,11 @@ def cmd_twosample(args):
              "posterior": tsmod.classify(dens, dens.sy.values)}
     payload = {
         "n": y.size,
-        "labels": list(rep.labels),
+        "labels": list(dens.labels),
         "groups": [
-            {"label": rep.labels[0], "n": rep.g1.n, "mean": rep.g1.m,
+            {"label": dens.labels[0], "n": rep.g1.n, "mean": rep.g1.m,
              "var": rep.g1.v},
-            {"label": rep.labels[1], "n": rep.g2.n, "mean": rep.g2.m,
+            {"label": dens.labels[1], "n": rep.g2.n, "mean": rep.g2.m,
              "var": rep.g2.v},
         ],
         "combined": {
@@ -587,11 +587,11 @@ def cmd_twosample(args):
             "tau2": rep.combined.tau2, "mean": rep.combined.m,
             "var": rep.combined.v, "vpool": rep.combined.vpool,
         },
-        "student": {"t_core": rep.t, "t_scaled": rep.t_scaled,
-                    "df": rep.combined.n - 2},
-        "correlation": {"r": rep.r, "r2": rep.r2,
+        "student": {"t_core": rep.student.t_core,
+                    "t_scaled": rep.student.t_scaled, "df": rep.student.df},
+        "correlation": {"r": rep.correlation.r, "r2": rep.correlation.r2,
                         "identities_ok": rep.identities_ok},
-        "wilcoxon": {"w": rep.w, "z": rep.z_stat},
+        "wilcoxon": {"w": rep.wilcoxon.w, "z": rep.wilcoxon.z_stat},
         "high_order": {"c": dens.c, "lp1k": dens.lp1k,
                        "selected": dens.selected},
         "classification": {"prior": dens.tau, **curve},

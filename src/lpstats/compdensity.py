@@ -50,6 +50,9 @@ __all__ = [
 
 QUAD_NODES = 128
 CLIP_FLOOR = 1e-6
+# The stopping rule of `maxent_fit`: residual tolerance and Newton steps.
+MAXENT_TOL = 1e-8
+MAXENT_MAX_ITER = 100
 
 
 @cache
@@ -241,19 +244,19 @@ def l2_fit(s: Sample, g: ReferenceDistribution, m: int = 4,
                             n=s.n, rule=rule)
 
 
-def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
-               max_iter: int = 100) -> CompDensityModel:
+def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
     """Fit the exponential comparison-density model by moment matching.
 
     Solves for theta such that the fitted density exp(theta_0 + sum
     theta_j Leg_j) reproduces the selected L2 coefficients:
     integral Leg_j d(u) du = C_j. Newton iteration on the log-partition
     function with 128-node Gauss-Legendre quadrature; steps are halved
-    until the dual objective decreases (at most 30 times). theta_0
-    normalizes the density on those nodes; at convergence the same rule
-    on each half of [0, 1] integrates it again, and a gap above `tol`
-    raises `IllConditioned`: the targets then lie at the edge of the
-    moment space, where the density spikes between the nodes.
+    until the dual objective decreases (at most 30 times), to a residual
+    below MAXENT_TOL within MAXENT_MAX_ITER steps. theta_0 normalizes the
+    density on those nodes; at convergence the same rule on each half of
+    [0, 1] integrates it again, and a gap above MAXENT_TOL raises
+    `IllConditioned`: the targets then lie at the edge of the moment
+    space, where the density spikes between the nodes.
     """
     ks = np.flatnonzero(mod.selected)
     theta_full = np.zeros(mod.order)
@@ -272,17 +275,17 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
 
     theta = np.zeros(ks.size)
     psi, objective = dual(theta)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAXENT_MAX_ITER + 1):
         probs = wts * np.exp(theta @ leg - psi)
         mom = leg @ probs
         grad = mom - targets
         residual = float(np.max(np.abs(grad)))
-        if residual < tol:
+        if residual < MAXENT_TOL:
             halves = np.concatenate((nodes, nodes + 1.0)) / 2.0
             with np.errstate(over="ignore"):  # an overflow is a gap too
                 mass = float(np.concatenate((wts, wts)) @ np.exp(
                     theta @ _leg_table((ks + 1).tolist(), halves) - psi)) / 2
-            if abs(mass - 1.0) > tol:
+            if abs(mass - 1.0) > MAXENT_TOL:
                 raise IllConditioned(
                     f"maxent density integrates to {mass:.10g} on a finer "
                     f"rule, a normalizer gap of {mass - 1.0:.3e}"
@@ -311,7 +314,7 @@ def maxent_fit(mod: CompDensityModel, tol: float = 1e-8,
         theta = theta - scale * step
         psi, objective = psi_new, objective_new
     probs = wts * np.exp(theta @ leg - psi)
-    raise NonConvergence(np.max(np.abs(leg @ probs - targets)), max_iter)
+    raise NonConvergence(np.max(np.abs(leg @ probs - targets)), iteration)
 
 
 def _l2_series(mod: CompDensityModel, u: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
                         make_sample, mid_quantile)
-from .errors import OrderOutOfRange
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -59,7 +58,6 @@ class CopulaModel:
     bx: ScoreBasis
     by: ScoreBasis
     lpm: LPComomentMatrix
-    order: int
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -90,15 +88,15 @@ def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
     sx, sy = make_sample(x), make_sample(y)
     bx = build_score_basis(sx, order)
     by = build_score_basis(sy, order)
-    lpm = lp_comoments(x, y, bx, by, order, rule=rule)
-    return CopulaModel(sx=sx, sy=sy, bx=bx, by=by, lpm=lpm, order=int(order))
+    lpm = lp_comoments(x, y, bx, by, rule=rule)
+    return CopulaModel(sx=sx, sy=sy, bx=bx, by=by, lpm=lpm)
 
 
-def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
+def eval_copula(mod: CopulaModel, u, v):
     """Copula density series at (u, v), elementwise over broadcast inputs.
 
-    The raw series may be negative; `clipped` floors it at CLIP_FLOOR (no
-    renormalization, the full series already integrates to 1).
+    The raw series, which may be negative; floored at CLIP_FLOOR it needs
+    no renormalization, as the full series already integrates to 1.
     """
     ua = _unit_open(u, "copula arguments")
     va = _unit_open(v, "copula arguments")
@@ -106,10 +104,8 @@ def eval_copula(mod: CopulaModel, u, v, clipped: bool = False):
     uv, vv = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(uv.ravel())]
     sv = mod.by.table[:, mod.by.source.atom_at_level(vv.ravel())]
-    out = 1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
-    if clipped:
-        out = np.maximum(out, CLIP_FLOOR)
-    out = out.reshape(uv.shape)
+    out = (1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
+           ).reshape(uv.shape)
     return float(out.ravel()[0]) if scalar else out
 
 
@@ -483,26 +479,24 @@ class RegressionFit:
         return self.ybar + active @ self.basis.table[:, idx]
 
 
-def series_regression(x_obs, y_obs, bx: ScoreBasis, m: int | None = None,
+def series_regression(x_obs, y_obs, bx: ScoreBasis,
                       rule: str = "aic") -> RegressionFit:
-    """Project y on the orthonormal scores of x.
+    """Project y on every orthonormal score of x in bx.
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
     yields an empty selection and a flat curve. y is first summed per atom
     of x by `np.bincount`, in O(n + r), and the cross moments come from
-    those r sums. An order m below 1 raises OrderOutOfRange.
+    those r sums. A fit of lower order is the fit on the basis built at
+    that order.
     """
     x, y = _paired(x_obs, y_obs)
-    m = bx.max_order if m is None else min(int(m), bx.max_order)
-    if m < 1:
-        raise OrderOutOfRange("order must be at least 1")
     sums = np.bincount(bx.source.atom_at(x), weights=y, minlength=bx.source.r)
-    coefficients = bx.table[:m] @ sums / y.size
+    coefficients = bx.table @ sums / y.size
     y_sd = float(y.std())
     if y_sd > 0.0:
         selected = select_significant(coefficients / y_sd, y.size, rule=rule)
     else:
-        selected = np.zeros(m, dtype=bool)
+        selected = np.zeros(bx.max_order, dtype=bool)
     return RegressionFit(basis=bx, ybar=float(y.mean()), y_sd=y_sd,
                          coefficients=coefficients, selected=selected)

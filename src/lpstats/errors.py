@@ -67,10 +67,6 @@ class DegenerateSample(LPStatsError):
     """The sample has too few distinct values for the operation."""
 
 
-class OrderOutOfRange(LPStatsError):
-    """Score or moment order outside the range of the constructed basis."""
-
-
 class NonConvergence(LPStatsError):
     """Iterative solver hit its iteration cap; carries the last residual."""
 

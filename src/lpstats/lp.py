@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import Sample, _pair_counts, _paired, make_sample
-from .errors import DegenerateScale, DomainError, OrderOutOfRange
-from .scores import ScoreBasis, _check_order
+from .errors import DegenerateScale, DomainError
+from .scores import ScoreBasis
 
 __all__ = [
     "LPMomentVector",
@@ -41,22 +41,21 @@ class LPMomentVector:
     """LP moments LP(1..m; X) plus the tail index.
 
     The tail index is the smallest order whose cumulative squared moments
-    reach the threshold (default .95); None when even the full vector
-    stays below it. The squared sum obeys the Bessel bound sum <= 1.
+    reach TAIL_THRESHOLD; None when even the full vector stays below it.
+    The squared sum obeys the Bessel bound sum <= 1.
     """
 
     moments: np.ndarray
     tail_index: int | None
-    threshold: float = TAIL_THRESHOLD
 
 
 @dataclass(frozen=True)
 class LPComomentMatrix:
     """LP comoments of a pair, with the selection mask and LPINFOR.
 
-    `entries[j-1, k-1]` is LP(j, k; X, Y). The matrix is rectangular when
-    one margin supports fewer orthonormal scores than requested (r - 1
-    scores exist on r atoms). `selected` marks the cells kept by the
+    `entries[j-1, k-1]` is LP(j, k; X, Y) for every score of each basis,
+    so the matrix is rectangular when one margin supports fewer scores
+    (r - 1 exist on r atoms). `selected` marks the cells kept by the
     penalized selection rule; `lpinfor` is the squared sum over them.
     """
 
@@ -83,37 +82,29 @@ class LHermiteResult:
     significant: bool
 
 
-def lp_moments(s: Sample, b: ScoreBasis, m: int | None = None,
-               threshold: float = TAIL_THRESHOLD) -> LPMomentVector:
-    """LP(j; X) = E[Z(X) T_j(X)] for j = 1..m, with the tail index."""
+def lp_moments(b: ScoreBasis) -> LPMomentVector:
+    """LP(j; X) = E[Z(X) T_j(X)] for X = b.source and every order j of b."""
+    s = b.source
     if s.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
-    m = _check_order(b, b.max_order if m is None else m)
-    z = (b.source.values - s.mean) / s.sd
-    moments = (b.table[:m] * b.source.masses) @ z
-    cumulative = np.cumsum(moments ** 2)
-    reached = np.flatnonzero(cumulative >= threshold)
+    moments = (b.table * s.masses) @ ((s.values - s.mean) / s.sd)
+    reached = np.flatnonzero(np.cumsum(moments ** 2) >= TAIL_THRESHOLD)
     tail = int(reached[0]) + 1 if reached.size else None
-    return LPMomentVector(moments=moments, tail_index=tail,
-                          threshold=float(threshold))
+    return LPMomentVector(moments=moments, tail_index=tail)
 
 
 def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
-                 m: int = 4, rule: str = "aic") -> LPComomentMatrix:
+                 rule: str = "aic") -> LPComomentMatrix:
     """LP(j, k; X, Y) = E[T_j(X) T_k(Y)] over the paired observations.
 
-    The requested order m is clipped per margin to what the basis
-    supports, so heavily tied variables give fewer rows or columns rather
+    j and k run over every order of bx and by, so a heavily tied margin,
+    whose basis holds fewer scores, gives fewer rows or columns rather
     than failing. Selection and LPINFOR are filled in immediately. The
     expectation is one `_pair_mean` of the two score tables.
     """
     x, y = _paired(x_obs, y_obs)
-    m = int(m)
-    if m < 1:
-        raise OrderOutOfRange("order must be at least 1")
-    tx = bx.table[: min(m, bx.max_order)]
-    ty = by.table[: min(m, by.max_order)]
-    entries = _pair_mean(tx, bx.source.atom_at(x), ty, by.source.atom_at(y))
+    entries = _pair_mean(bx.table, bx.source.atom_at(x),
+                         by.table, by.source.atom_at(y))
     selected = select_significant(entries, x.size, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
     return LPComomentMatrix(entries=entries, n=int(x.size),

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .empirical import Sample, _scalar_or_array
-from .errors import DegenerateSample, DomainError, OrderOutOfRange
+from .errors import DegenerateSample, DomainError
 
 __all__ = ["ScoreBasis", "legendre_eval", "build_score_basis"]
 
@@ -95,6 +95,10 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
     of t1^k on lower orders is beta_1 ... beta_k T_k, so when that product
     of the recurrence's norms falls below 1e-8 ||t1^k|| the construction
     stops early (the basis is then shorter and flagged `truncated`).
+
+    A row depends only on the rows before it, so the table built at order
+    m is bit for bit the first rows of one built higher on the same sample:
+    the order of an analysis is set here, and its estimators use every row.
     """
     if int(max_order) < 1:
         raise DomainError("max_order must be at least 1")
@@ -127,13 +131,3 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
             break
         v /= beta
     return ScoreBasis(s, max_order, table, truncated)
-
-
-def _check_order(b: ScoreBasis, j: int) -> int:
-    j = int(j)
-    if not 1 <= j <= b.max_order:
-        raise OrderOutOfRange(
-            f"order {j} outside the constructed range 1..{b.max_order}"
-        )
-    return j
-

@@ -84,6 +84,9 @@ class StudentT:
 
 @dataclass(frozen=True)
 class CorrelationStats:
+    """Point-biserial r, r^2 and t; `vpool_identity_ok` checks r against
+    (M1 - M0) sqrt(tau (1 - tau) / V) and t against the pooled t, no Vpool."""
+
     r: float
     r2: float
     t: float
@@ -365,17 +368,12 @@ def bayes_normal_update(prior: GroupSummary,
 class TwoSampleReport:
     """Everything the two-sample pipeline produces, in one record."""
 
-    labels: tuple
     g1: GroupSummary
     g2: GroupSummary
     combined: CombineResult
-    r: float
-    r2: float
-    t: float
-    t_scaled: float
-    w: float
-    z_stat: float
-    high_order_w: np.ndarray
+    student: StudentT
+    correlation: CorrelationStats
+    wilcoxon: WilcoxonResult
     identities_ok: bool
     density: TwoSampleDensity
 
@@ -398,9 +396,7 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))
-    return TwoSampleReport(labels=dens.labels, g1=g1, g2=g2,
-                           combined=comb, r=cs.r, r2=cs.r2, t=st.t_core,
-                           t_scaled=st.t_scaled, w=wr.w, z_stat=wr.z_stat,
-                           high_order_w=dens.lp1k,
+    return TwoSampleReport(g1=g1, g2=g2, combined=comb, student=st,
+                           correlation=cs, wilcoxon=wr,
                            identities_ok=bool(ok and cs.vpool_identity_ok),
                            density=dens)

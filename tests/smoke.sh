@@ -21,6 +21,15 @@ lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
 test "$(lpstats depend --x GAG --y GAG --format csv | sed -n 2p)" = 1,1,1,true
 lpstats cquantile --x Age --y GAG --order 30 --select none > /dev/null
 lpstats fit --col GAG --g normal --order 8 > /dev/null
+# Order 1 is the lowest, and only the score basis sets an order: every
+# command that takes --order must run there.
+for cmd in "describe --col GAG" "depend --x Age --y GAG" \
+    "regress --x Age --y GAG" "cquantile --x Age --y GAG" \
+    "fit --col GAG --g normal"; do
+    lpstats $cmd --order 1 > /dev/null
+done
+(cd tests && lpstats twosample --y response --group group \
+    --data data/clinic.csv --order 1 > /dev/null)
 code=0
 lpstats fit --col GAG --g normal --order 51 || code=$?
 test "$code" -eq 2

@@ -13,7 +13,6 @@ one and account for every field that moved.
 import argparse
 import contextlib
 import csv
-import inspect
 import io
 import json
 import math
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpstats import (cli, fit_reference, fixture_path, l2_fit,
+from lpstats import (cli, compdensity, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
 from lpstats import copula as cpmod
 from lpstats import twosample as tsmod
@@ -182,8 +181,7 @@ class TestFitResidual:
         mod = maxent_fit(l2_fit(s, fit_reference("normal", s), 4,
                                 rule="aic"))
         assert emitted == float(f"{mod.maxent_residual:.2g}")
-        tol = inspect.signature(maxent_fit).parameters["tol"].default
-        assert emitted < tol
+        assert emitted < compdensity.MAXENT_TOL
 
 
 class TestExitCodes:

@@ -30,7 +30,8 @@ from lpstats import (
 from lpstats import copula as cpmod
 from lpstats.cli import MAX_ORDER
 from lpstats.copula import _slice_levels
-from lpstats.errors import DomainError, OrderOutOfRange
+from lpstats.compdensity import CLIP_FLOOR
+from lpstats.errors import DomainError
 from lpstats.scores import ScoreBasis
 
 from conftest import random_sample_values, search_only
@@ -98,11 +99,16 @@ class TestEvalCopula:
             assert eval_copula(mod, u, u) > eval_copula(mod, u, 1.0 - u)
 
     def test_clipped_floor(self):
+        # the raw series dips below the floor on the diagonal of a
+        # decreasing pair; a slice floors it there before it normalizes
         x = np.arange(1.0, 61.0)
         mod = fit_copula(x, -x)
         u = np.linspace(0.05, 0.95, 20)
-        dens = eval_copula(mod, u, u, clipped=True)
-        assert np.all(dens >= 1e-6)
+        assert eval_copula(mod, u, u).min() < CLIP_FLOOR
+        for level in u:
+            sl = conditional_slice(mod, level)
+            assert_array_equal(sl.density,
+                               np.maximum(sl.raw, CLIP_FLOOR) / sl.mass)
 
     def test_domain(self):
         mod = fit_copula(np.arange(10.0), np.arange(10.0))
@@ -865,11 +871,23 @@ class TestSeriesRegression:
 
     @pytest.mark.parametrize("m", [0, -1, -3])
     def test_order_below_one_is_refused(self, m):
+        # a fit takes its basis's order, and no basis is built below 1
+        with pytest.raises(DomainError, match="at least 1"):
+            build_score_basis(make_sample(np.arange(20.0)), m)
+
+    def test_a_low_order_basis_predicts_at_its_sample(self):
+        # the order of the fit is the basis's: an order-2 basis on a sample
+        # that carries 4 gives 2 coefficients, the first 2 of the order-4
+        # fit, and predict reads the same 2 rows
         x = np.arange(20.0)
-        b = build_score_basis(make_sample(x), 4)
-        for y in (x ** 2, np.full(20, 3.5)):
-            with pytest.raises(OrderOutOfRange, match="at least 1"):
-                series_regression(x, y, b, m=m)
+        s = make_sample(x)
+        fit = series_regression(x, x ** 2, build_score_basis(s, 2),
+                                rule="none")
+        full = series_regression(x, x ** 2, build_score_basis(s, 4),
+                                 rule="none")
+        assert fit.coefficients.tobytes() == full.coefficients[:2].tobytes()
+        assert_array_equal(fit.predict(s.values),
+                           fit.ybar + fit.coefficients @ fit.basis.table)
 
     def test_prediction_between_atoms_is_a_step(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])

@@ -19,8 +19,9 @@ from lpstats import (
     make_sample,
     select_significant,
 )
+from lpstats import lp
 from lpstats.empirical import mid_ranks
-from lpstats.errors import DegenerateScale, LengthMismatch, OrderOutOfRange
+from lpstats.errors import DegenerateScale, LengthMismatch
 
 from conftest import random_sample_values, search_only
 
@@ -49,7 +50,7 @@ class TestLPMoments:
         s, b = basis_for(x)
         z = (s.values - s.mean) / s.sd
         expected = float(np.sum(s.masses * z * b.table[0]))
-        vec = lp_moments(s, b)
+        vec = lp_moments(b)
         assert_allclose(vec.moments[0], expected, rtol=1e-13)
 
     def test_bessel_bound(self):
@@ -58,7 +59,7 @@ class TestLPMoments:
             x = random_sample_values(rng, int(rng.integers(6, 200)),
                                      tied=bool(rng.integers(0, 2)))
             s, b = basis_for(x)
-            vec = lp_moments(s, b)
+            vec = lp_moments(b)
             assert np.sum(vec.moments ** 2) <= 1.0 + 1e-12
 
     def test_monotone_map_only_changes_z(self):
@@ -68,15 +69,15 @@ class TestLPMoments:
         x = random_sample_values(rng, 90)
         s1, b1 = basis_for(x)
         s2, b2 = basis_for(4.0 * x - 2.0)
-        assert_allclose(lp_moments(s1, b1).moments,
-                        lp_moments(s2, b2).moments, atol=1e-12)
+        assert_allclose(lp_moments(b1).moments,
+                        lp_moments(b2).moments, atol=1e-12)
 
     def test_tail_index_first_crossing(self):
         # smallest order whose raw cumulative squared moments reach the
         # threshold, counting orders from one; Z is standardized so the
         # cumulative squares estimate explained variance directly
-        s, b = basis_for(np.arange(10.0))
-        vec = lp_moments(s, b, m=3)
+        _, b = basis_for(np.arange(10.0), 3)
+        vec = lp_moments(b)
         cum = np.cumsum(vec.moments ** 2)
         crossed = np.flatnonzero(cum >= 0.95)
         expected = int(crossed[0]) + 1 if crossed.size else None
@@ -86,30 +87,35 @@ class TestLPMoments:
         # equally spaced atoms are the T_1 score itself, so the first
         # moment carries essentially all the variance
         s, b = basis_for(np.arange(50.0))
-        vec = lp_moments(s, b)
+        vec = lp_moments(b)
         assert vec.tail_index == 1
         assert vec.moments[0] ** 2 > 0.95
 
-    def test_tail_index_none_when_threshold_unreachable(self):
+    def test_tail_index_none_when_threshold_unreachable(self, monkeypatch):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(50)
-        s, b = basis_for(x)
-        vec = lp_moments(s, b, threshold=1.0 + 1e-9)
+        _, b = basis_for(x)
+        monkeypatch.setattr(lp, "TAIL_THRESHOLD", 1.0 + 1e-9)
+        vec = lp_moments(b)
         assert vec.tail_index is None
 
     def test_constant_sample_rejected(self):
-        s = make_sample([1.0, 1.0, 2.0])
+        # two atoms carry a basis, but the sd of a subnormal pair underflows
+        s = make_sample([0.0, 5e-324, 5e-324])
         b = build_score_basis(s, 1)
-        sc = make_sample([5.0, 5.0])
         with pytest.raises(DegenerateScale):
-            lp_moments(sc, b)
+            lp_moments(b)
 
     def test_order_bounds(self):
-        s = make_sample([1.0, 2.0, 3.0])
-        b = build_score_basis(s, 2)
-        for m in (0, 3):
-            with pytest.raises(OrderOutOfRange, match=f"order {m} outside"):
-                lp_moments(s, b, m)
+        # the moments run over the basis's orders, which stop at r - 1; a
+        # lower order's moments are, bit for bit, a prefix of a higher one's
+        rng = np.random.default_rng(24)
+        s = make_sample(random_sample_values(rng, 40, tied=True))
+        full = lp_moments(build_score_basis(s, 40)).moments
+        assert full.size == s.r - 1
+        for m in range(1, s.r + 2):
+            got = lp_moments(build_score_basis(s, m)).moments
+            assert got.tobytes() == full[:m].tobytes()
 
 
 class TestSelectSignificant:
@@ -198,7 +204,7 @@ class TestLPComoments:
         y = np.arange(6.0)
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        mat = lp_comoments(x, y, bx, by, m=4)
+        mat = lp_comoments(x, y, bx, by)
         assert mat.entries.shape == (1, 4)
 
     def test_independent_margins_have_small_entries(self):
@@ -244,7 +250,7 @@ class TestLPComoments:
         _, bx = basis_for(x, m)
         _, by = basis_for(y, m)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = lp_comoments(x, y, bx, by, m).entries
+            got = lp_comoments(x, y, bx, by).entries
         assert count.called
         assert_near_the_gather(got, x, y, bx, by, m)
 

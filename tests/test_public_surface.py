@@ -1,6 +1,8 @@
 """The public surface: each name declared once, in its module's __all__."""
 
+import inspect
 import types
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +17,16 @@ LIBRARY = (empirical, scores, lp, compdensity, copula, twosample, datasets)
 # Removed names, each a re-spelling of another public path (see README).
 REMOVED = ("standardize", "lpinfor", "eval_score", "score_quantile",
            "simulate_conditional")
+
+# The parameters of each function whose order is its basis's, and whose
+# other settings are module constants (see README's removed parameters).
+PARAMETERS = {
+    lp.lp_moments: ["b"],
+    lp.lp_comoments: ["x_obs", "y_obs", "bx", "by", "rule"],
+    copula.series_regression: ["x_obs", "y_obs", "bx", "rule"],
+    copula.eval_copula: ["mod", "u", "v"],
+    compdensity.maxent_fit: ["mod"],
+}
 
 
 def test_the_package_exports_the_union_of_the_module_lists():
@@ -36,3 +48,15 @@ def test_every_listed_name_resolves_to_the_package_attribute(module):
 def test_removed_names_are_unreachable(name):
     for module in (lpstats, *LIBRARY, cli, errors):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
+def test_an_order_is_set_only_where_a_basis_is_built(fn):
+    assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+def test_the_order_checks_are_gone():
+    assert not hasattr(errors, "OrderOutOfRange")
+    assert not hasattr(scores, "_check_order")
+    assert "order" not in [f.name for f in fields(copula.CopulaModel)]
+    assert "threshold" not in [f.name for f in fields(lp.LPMomentVector)]

@@ -8,16 +8,14 @@ import pytest
 
 from lpstats import (GroupSummary, build_score_basis, combine,
                      correlation_stats, correlations, exponential_reference,
-                     fit_reference, l2_fit, lhermite_normality,
-                     lp_comoments, make_sample, mid_clt_approx,
-                     normal_reference, recursive_update, select_significant,
-                     student_t, uniform_reference)
+                     fit_reference, l2_fit, lhermite_normality, make_sample,
+                     mid_clt_approx, normal_reference, recursive_update,
+                     select_significant, student_t, uniform_reference)
 from lpstats.cli import main
-from lpstats.errors import DegenerateScale, DomainError, OrderOutOfRange
+from lpstats.errors import DegenerateScale, DomainError
 
 NAN, INF = float("nan"), float("inf")
 SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
-BASIS = build_score_basis(SAMPLE, 2)
 
 
 def cli_exit(*argv):
@@ -49,9 +47,6 @@ CASES = {
         DomainError, "order must be at least 1"),
     "score-basis-order-zero": (lambda: build_score_basis(SAMPLE, 0),
                                DomainError, "max_order must be at least 1"),
-    "comoments-order-zero": (
-        lambda: lp_comoments(SAMPLE.obs, SAMPLE.obs, BASIS, BASIS, m=0),
-        OrderOutOfRange, "order must be at least 1"),
     "unknown-selection-rule": (
         lambda: select_significant([0.5], 10, rule="x"), DomainError,
         "unknown selection rule 'x'"),

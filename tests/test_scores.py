@@ -167,6 +167,23 @@ class TestBasisConstruction:
         assert (b.max_order, b.truncated) == (table.shape[0], truncated)
         assert_allclose(b.table, table, rtol=0, atol=1e-10)
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["tied", "untied",
+                                                       "rounded"]),
+           st.integers(3, 1000), st.integers(1, 30), st.integers(0, 30))
+    def test_a_lower_order_is_a_prefix_bit_for_bit(self, seed, kind, n, m,
+                                                  extra):
+        # so an analysis at order m needs no order of its own: it is the
+        # analysis of the basis built at m
+        rng = np.random.default_rng(seed)
+        x = random_sample_values(rng, n, kind == "tied")
+        s = make_sample(np.round(x, 1) if kind == "rounded" else x)
+        assume(s.r >= 2)
+        small = build_score_basis(s, m).table
+        big = build_score_basis(s, m + extra).table
+        assert small.shape == big[:m].shape
+        assert small.tobytes() == big[:m].tobytes()
+
     def test_legendre_limit_for_continuous_data(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(1500)

@@ -303,8 +303,7 @@ class TestWilcoxonCells:
             rep = analyze(x, y)
         except DegenerateScale:  # |r| = 1 or a zero pooled variance
             return
-        shuffled = analyze(x[p], y[p])
-        assert (rep.w, rep.z_stat) == (shuffled.w, shuffled.z_stat)
+        assert analyze(x[p], y[p]).wilcoxon == rep.wilcoxon
 
 
 class TestTwoSampleDensity:
@@ -440,12 +439,11 @@ def report_bits(rep):
     """Every number of an analyze report, as bytes."""
     dens = rep.density
     scalars = [*astuple(rep.g1), *astuple(rep.g2), *astuple(rep.combined),
-               rep.r, rep.r2, rep.t, rep.t_scaled, rep.w, rep.z_stat,
-               dens.tau, dens.mass]
-    arrays = (scalars, rep.high_order_w, dens.c, dens.lp1k, dens.selected,
-              dens.atom_density)
+               *astuple(rep.student), *astuple(rep.correlation),
+               *astuple(rep.wilcoxon), dens.tau, dens.mass]
+    arrays = (scalars, dens.c, dens.lp1k, dens.selected, dens.atom_density)
     return ([np.asarray(a).tobytes() for a in arrays]
-            + [rep.labels, rep.identities_ok])
+            + [dens.labels, rep.identities_ok])
 
 
 class TestAnalyze:
@@ -455,11 +453,14 @@ class TestAnalyze:
         y2 = rng.standard_normal(90) + 0.8
         x = np.concatenate([np.full(80, 10.0), np.full(90, 20.0)])
         rep = analyze(x, np.concatenate([y1, y2]))
-        assert rep.labels == (10.0, 20.0)
+        assert rep.density.labels == (10.0, 20.0)
         assert rep.identities_ok
-        assert rep.t > 0 and rep.w > 0 and rep.r > 0
-        assert_allclose(rep.r2, rep.r ** 2, rtol=1e-12)
-        assert rep.high_order_w.shape == (4,)
+        assert (rep.student.t_core > 0 and rep.wilcoxon.w > 0
+                and rep.correlation.r > 0)
+        assert_allclose(rep.correlation.r2, rep.correlation.r ** 2,
+                        rtol=1e-12)
+        assert rep.student.df == 168.0
+        assert rep.density.lp1k.shape == (4,)
 
     def test_flipped_labels_flip_signs(self):
         rng = np.random.default_rng(95)
@@ -468,14 +469,14 @@ class TestAnalyze:
         x = np.repeat([0.0, 1.0], 50)
         a = analyze(x, y)
         b = analyze(1.0 - x, y)
-        assert_allclose(a.t, -b.t, rtol=1e-12)
-        assert_allclose(a.w, -b.w, rtol=1e-12)
+        assert_allclose(a.student.t_core, -b.student.t_core, rtol=1e-12)
+        assert_allclose(a.wilcoxon.w, -b.wilcoxon.w, rtol=1e-12)
 
     def test_a_zero_label_is_unsigned(self):
         # whichever zero comes first, the label is +0.0
         y = np.arange(6.0)
         for x in ([-0.0, 0.0, 1.0] * 2, [0.0, -0.0, 1.0] * 2):
-            labels = analyze(x, y, m=2).labels
+            labels = analyze(x, y, m=2).density.labels
             assert np.array(labels).tobytes() == np.array([0.0, 1.0]).tobytes()
 
     def test_density_is_the_direct_fit(self):
@@ -584,12 +585,9 @@ class TestTwoSampleIdentities:
             assert got.n == want.n
             assert_allclose([got.m, got.v], [want.m, want.v], rtol=1e-12)
         assert rep.combined == combine(rep.g1, rep.g2)
-        tt = student_t(rep.g1, rep.g2)
-        assert (rep.t, rep.t_scaled) == (tt.t_core, tt.t_scaled)
-        cs = correlation_stats(x, y)
-        assert (rep.r, rep.r2) == (cs.r, cs.r2)
-        wr = wilcoxon(x, y, small_sample=small)
-        assert (rep.w, rep.z_stat) == (wr.w, wr.z_stat)
+        assert rep.student == student_t(rep.g1, rep.g2)
+        assert rep.correlation == correlation_stats(x, y)
+        assert rep.wilcoxon == wilcoxon(x, y, small_sample=small)
 
     @settings(deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=60),
@@ -608,8 +606,7 @@ class TestTwoSampleIdentities:
             rep = analyze(x, y)
         except DegenerateScale:  # |r| = 1 or a zero pooled variance
             assume(False)
-        wr = wilcoxon(x, y)
-        assert (rep.w, rep.z_stat) == (wr.w, wr.z_stat)
+        assert rep.wilcoxon == wilcoxon(x, y)
 
     @settings(deadline=None)
     @given(tied_two_samples())
@@ -626,8 +623,8 @@ class TestTwoSampleIdentities:
             rep = analyze(*xy)
         except DegenerateScale:
             assume(False)
-        assert math.isclose(rep.w, rep.high_order_w[0], rel_tol=1e-12,
-                            abs_tol=1e-12)
+        assert math.isclose(rep.wilcoxon.w, rep.density.lp1k[0],
+                            rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(deadline=None)
     @given(tied_two_samples())
@@ -636,7 +633,8 @@ class TestTwoSampleIdentities:
             rep = analyze(*xy)
         except DegenerateScale:
             assume(False)
-        assert math.isclose(rep.r2, rep.t ** 2 / (1.0 + rep.t ** 2),
+        t = rep.student.t_core
+        assert math.isclose(rep.correlation.r2, t ** 2 / (1.0 + t ** 2),
                             rel_tol=1e-12, abs_tol=1e-12)
         assert rep.identities_ok
 
