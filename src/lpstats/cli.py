@@ -494,7 +494,7 @@ def cmd_regress(args):
     (x, y), warnings = _load(args, args.x, args.y)
     sx = make_sample(x)
     bx = build_score_basis(sx, args.order)
-    fit = cpmod.series_regression(x, y, bx, rule=args.select)
+    fit = cpmod.series_regression(bx, y, rule=args.select)
     curve = {"x": sx.values, "fitted": fit.predict(sx.values)}
     payload = {
         "n": x.size,

@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .compdensity import CLIP_FLOOR
-from .empirical import (Sample, _paired, _scalar_or_array, _unit_open,
-                        make_sample, mid_quantile)
+from .empirical import (Sample, _finite, _of_length, _scalar_or_array,
+                        _unit_open, make_sample, mid_quantile)
 from .lp import LPComomentMatrix, lp_comoments, select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -84,11 +84,11 @@ class ConditionalSlice:
 
 def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
     """Build margins, score bases, and the selected comoment matrix."""
-    x, y = _paired(x_obs, y_obs)
-    sx, sy = make_sample(x), make_sample(y)
+    y = _of_length(y_obs, np.size(x_obs))
+    sx, sy = make_sample(x_obs), make_sample(y)
     bx = build_score_basis(sx, order)
     by = build_score_basis(sy, order)
-    lpm = lp_comoments(x, y, bx, by, rule=rule)
+    lpm = lp_comoments(bx, by, rule=rule)
     return CopulaModel(sx=sx, sy=sy, bx=bx, by=by, lpm=lpm)
 
 
@@ -479,9 +479,9 @@ class RegressionFit:
         return self.ybar + active @ self.basis.table[:, idx]
 
 
-def series_regression(x_obs, y_obs, bx: ScoreBasis,
+def series_regression(bx: ScoreBasis, y_obs,
                       rule: str = "aic") -> RegressionFit:
-    """Project y on every orthonormal score of x in bx.
+    """Project y, paired with the rows of x = bx.source, on every score in bx.
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
@@ -490,8 +490,8 @@ def series_regression(x_obs, y_obs, bx: ScoreBasis,
     those r sums. A fit of lower order is the fit on the basis built at
     that order.
     """
-    x, y = _paired(x_obs, y_obs)
-    sums = np.bincount(bx.source.atom_at(x), weights=y, minlength=bx.source.r)
+    y = _finite(_of_length(y_obs, bx.source.n))
+    sums = np.bincount(bx.source.atom_index, weights=y, minlength=bx.source.r)
     coefficients = bx.table @ sums / y.size
     y_sd = float(y.std())
     if y_sd > 0.0:

@@ -42,16 +42,17 @@ class Sample:
 
     Stores the distinct values in increasing order together with their
     probability masses (multiplicity / n), the right-continuous CDF, the
-    mid-distribution values at the atoms, and the original observation
-    sequence so that paired analyses can align rows. A zero is stored as
-    +0.0. Mean and variance use the divide-by-n convention throughout.
+    mid-distribution values at the atoms, and `atom_index`, the atom of
+    each observation in row order, so that paired analyses can align rows.
+    A zero is stored as +0.0, so `values[atom_index]` is the observation
+    column with each zero unsigned. Mean and variance use the divide-by-n
+    convention throughout.
 
     Instances are immutable; the underlying arrays are marked read-only.
     Use :func:`make_sample` to construct one.
     """
 
     __slots__ = (
-        "obs",
         "values",
         "counts",
         "masses",
@@ -65,11 +66,10 @@ class Sample:
         "sd",
     )
 
-    def __init__(self, obs, values, counts, atom_index):
-        self.obs = obs
+    def __init__(self, values, counts, atom_index):
         self.values = values
         self.counts = counts
-        self.n = int(obs.size)
+        self.n = int(atom_index.size)
         self.r = int(values.size)
         masses = counts / float(self.n)
         cdf = np.cumsum(masses)
@@ -81,18 +81,18 @@ class Sample:
         self.mean = float(masses @ values)
         self.var = float(masses @ (values - self.mean) ** 2)
         self.sd = math.sqrt(self.var)
-        for arr in (self.obs, self.values, self.counts, self.masses,
+        for arr in (self.values, self.counts, self.masses,
                     self.cdf, self.fmid, self.atom_index):
             arr.setflags(write=False)
 
     def atom_at(self, x):
         """Index of the largest atom not exceeding x; 0 below the support.
 
-        The sample's own `obs` and `values` map to their indices unsearched.
-        +-inf map to the ends; NaN has no place and raises DomainError.
+        The sample's own `values` map to their indices unsearched; any
+        other x, its observations included, is searched (a paired analysis
+        reads `atom_index` instead). +-inf map to the ends; NaN has no
+        place and raises DomainError.
         """
-        if np.shape(x) == self.obs.shape and np.array_equal(x, self.obs):
-            return self.atom_index
         if np.shape(x) == self.values.shape and np.array_equal(x, self.values):
             return np.arange(self.r, dtype=np.intp)
         if np.isnan(x).any():
@@ -142,12 +142,16 @@ def _finite(data) -> np.ndarray:
     return a
 
 
-def _paired(x_obs, y_obs):
-    """Two columns as flat float arrays: lengths checked first, then values."""
-    x, y = (np.asarray(a, dtype=float).ravel() for a in (x_obs, y_obs))
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
-    return _finite(x), _finite(y)
+def _of_length(data, n: int) -> np.ndarray:
+    """`data` as a flat float array; LengthMismatch unless it holds n values.
+
+    No value is read, so a paired intake refuses unequal lengths before
+    `_finite` or `make_sample` names the first NaN or infinity.
+    """
+    a = np.asarray(data, dtype=float).ravel()
+    if a.size != n:
+        raise LengthMismatch(n, a.size)
+    return a
 
 
 def _counted(obs: np.ndarray):
@@ -186,16 +190,16 @@ def make_sample(data) -> Sample:
     Raises EmptyInput on an empty sequence and NonFiniteValue (with the
     offending position) if a NaN or infinity sneaks in.
     """
-    obs = _finite(data) + 0.0  # a copy, with -0.0 read as 0.0
+    obs = _finite(data) + 0.0  # -0.0 read as 0.0
     if obs.size == 0:
         raise EmptyInput("need at least one observation")
     counted = _counted(obs)
     if counted is not None:
-        return Sample(obs, *counted)
+        return Sample(*counted)
     values, atom_index, counts = np.unique(
         obs, return_inverse=True, return_counts=True
     )
-    return Sample(obs, values, counts, atom_index.astype(np.intp, copy=False))
+    return Sample(values, counts, atom_index.astype(np.intp, copy=False))
 
 
 def _scalar_or_array(pos):

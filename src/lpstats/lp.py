@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, _pair_counts, _paired, make_sample
-from .errors import DegenerateScale, DomainError
+from .empirical import Sample, _pair_counts
+from .errors import DegenerateScale, DomainError, LengthMismatch
 from .scores import ScoreBasis
 
 __all__ = [
@@ -93,21 +93,21 @@ def lp_moments(b: ScoreBasis) -> LPMomentVector:
     return LPMomentVector(moments=moments, tail_index=tail)
 
 
-def lp_comoments(x_obs, y_obs, bx: ScoreBasis, by: ScoreBasis,
+def lp_comoments(bx: ScoreBasis, by: ScoreBasis,
                  rule: str = "aic") -> LPComomentMatrix:
-    """LP(j, k; X, Y) = E[T_j(X) T_k(Y)] over the paired observations.
+    """LP(j, k; X, Y) = E[T_j(X) T_k(Y)] over the rows of the two sources.
 
     j and k run over every order of bx and by, so a heavily tied margin,
     whose basis holds fewer scores, gives fewer rows or columns rather
     than failing. Selection and LPINFOR are filled in immediately. The
-    expectation is one `_pair_mean` of the two score tables.
+    expectation is one `_pair_mean` of the score tables at the sources'
+    `atom_index`.
     """
-    x, y = _paired(x_obs, y_obs)
-    entries = _pair_mean(bx.table, bx.source.atom_at(x),
-                         by.table, by.source.atom_at(y))
-    selected = select_significant(entries, x.size, rule=rule)
+    entries = _pair_mean(bx.table, bx.source.atom_index,
+                         by.table, by.source.atom_index)
+    selected = select_significant(entries, bx.source.n, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
-    return LPComomentMatrix(entries=entries, n=int(x.size),
+    return LPComomentMatrix(entries=entries, n=bx.source.n,
                             selected=selected, lpinfor=info, rule=rule)
 
 
@@ -149,8 +149,11 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
     r_a x r_b table of atom-pair counts, counted by `_pair_counts` when
     r_a * r_b <= n. Otherwise each row of the coarser margin is summed per
     atom of the finer one by `np.bincount`, so on an untied finer margin
-    the sums do not depend on row order.
+    the sums do not depend on row order. Index arrays of different
+    lengths raise LengthMismatch.
     """
+    if a.size != b.size:
+        raise LengthMismatch(a.size, b.size)
     ra, rb = fa.shape[1], fb.shape[1]
     if ra * rb <= a.size:
         return fa @ _pair_counts(a, b, ra, rb) @ fb.T / a.size
@@ -170,22 +173,17 @@ def _standardized(s: Sample) -> np.ndarray:
     return centred / sd[:, None]
 
 
-def correlations(x_obs, y_obs) -> CorrelationReport:
+def correlations(sx: Sample, sy: Sample) -> CorrelationReport:
     """Pearson, mid-rank Spearman, and the two Gini correlations.
 
     spearman_mid is E[T_1(X) T_1(Y)], the Pearson correlation of the
     mid-rank transforms; unlike the classical Spearman it needs no tie
     correction terms. The Gini pair correlates each raw variable with the
-    other's mid-ranks. Either argument may be a Sample, whose observations
-    and atoms are then used as they are. The four are one 2 x 2
-    `_pair_mean` of each margin's standardized values and mid-ranks.
+    other's mid-ranks. The four are one 2 x 2 `_pair_mean`, over the two
+    samples' rows, of each margin's standardized values and mid-ranks.
     """
-    x, y = _paired(*(a.obs if isinstance(a, Sample) else a
-                     for a in (x_obs, y_obs)))
-    if x.size < 2:
+    if sx.n < 2:
         raise DegenerateScale("need at least two paired observations")
-    sx, sy = (a if isinstance(a, Sample) else make_sample(v)
-              for a, v in ((x_obs, x), (y_obs, y)))
     (pearson, gini_xy), (gini_yx, spearman) = _pair_mean(
         _standardized(sx), sx.atom_index, _standardized(sy), sy.atom_index)
     return CorrelationReport(pearson=float(pearson),

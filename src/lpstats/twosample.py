@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import _step_density
-from .empirical import (Sample, _finite, _pair_counts, _scalar_or_array,
-                        make_sample)
-from .errors import (DegenerateScale, DomainError, EmptyInput,
-                     LengthMismatch, SingleGroup)
+from .empirical import (Sample, _finite, _of_length, _pair_counts,
+                        _scalar_or_array, make_sample)
+from .errors import DegenerateScale, DomainError, EmptyInput, SingleGroup
 from .lp import select_significant
 from .scores import ScoreBasis, build_score_basis
 
@@ -178,9 +177,7 @@ def _split_cells(x_obs, y_obs):
     1 the higher label. A zero label of either sign is read as +0.0.
     """
     x = np.asarray(x_obs).ravel()
-    y = np.asarray(y_obs, dtype=float).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(x.size, y.size)
+    y = _of_length(y_obs, x.size)
     x, y = (_finite(x) + 0.0 if x.dtype.kind == "f" else x), _finite(y)
     labels = np.unique(x)
     if labels.size != 2:

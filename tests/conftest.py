@@ -51,7 +51,11 @@ def random_sample_values(rng, n, tied=True):
 
 
 def search_only():
-    """Patch `Sample.atom_at` to search even a sample's own observations."""
+    """Patch `Sample.atom_at` to search even a sample's own atoms.
+
+    Indices found so are the reference for a stored `atom_index`: the
+    paired estimators, which read it, give the sums over them, bit for bit.
+    """
     return mock.patch.object(
         Sample, "atom_at", lambda self, x: np.clip(
             np.searchsorted(self.values, x, side="right") - 1, 0, None))

@@ -77,7 +77,7 @@ class TestAtomLookups:
 
     @settings(deadline=None)
     @given(tied_samples(), st.randoms(use_true_random=False))
-    def test_own_observations_and_atoms_skip_the_search(self, s, rnd):
+    def test_own_atoms_skip_the_search(self, s, rnd):
         def searched(x):
             with mock.patch.object(np, "searchsorted",
                                    wraps=np.searchsorted) as search:
@@ -88,22 +88,23 @@ class TestAtomLookups:
             return np.clip(np.searchsorted(s.values, x, side="right") - 1,
                            0, None)
 
-        for own in (s.obs, s.obs.tolist(), s.values):
+        for own in (s.values, s.values.tolist()):
             idx, called = searched(own)
             assert not called
             assert idx.dtype == reference(own).dtype
             assert_array_equal(idx, reference(own))
-        assert searched(s.obs)[0] is s.atom_index
-        # anything else is searched: a reordering, points between atoms
-        # in the observations' shape, a scalar
+        # anything else is searched: the observations (a paired analysis
+        # reads `atom_index`), a reordering, points between atoms in the
+        # observations' shape, a scalar
+        obs = s.values[s.atom_index]
         order = list(range(s.n))
         rnd.shuffle(order)
-        between = s.obs + 0.5 * np.diff(s.values).min(initial=1.0)
-        for x in (s.obs[order], between, s.obs[0]):
+        between = obs + 0.5 * np.diff(s.values).min(initial=1.0)
+        for x in (obs, obs.tolist(), obs[order], between, obs[0]):
             idx, called = searched(x)
-            own = any(np.shape(x) == a.shape and np.array_equal(x, a)
-                      for a in (s.obs, s.values))
+            own = np.shape(x) == s.values.shape and np.array_equal(x, s.values)
             assert called or own
+            assert idx.dtype == reference(x).dtype
             assert_array_equal(idx, reference(x))
 
     @settings(deadline=None)
@@ -148,7 +149,7 @@ class TestNanLookup:
         s = make_sample(x)
         basis = build_score_basis(s, 3)
         return {"s": s, "basis": basis,
-                "fit": series_regression(x, y, basis),
+                "fit": series_regression(basis, y),
                 "density": two_sample_comp_density(
                     (x > np.median(x)).astype(float), y)}
 
@@ -168,20 +169,15 @@ class TestNanLookup:
                            want)
 
 
-_BASIS = build_score_basis(make_sample(np.arange(6.0)), 2)
-
-# Every public function that takes a paired table, as f(x, y). x holds
-# 0/1, which the two-sample functions read as the group label. The int
-# names the column a `Sample` argument holds, which cannot carry a bad
-# value; None means both columns are raw arrays.
+# Every public function that takes a raw column of a paired table, as
+# f(x, y). x holds 0/1, which the two-sample functions read as the group
+# label. The int names the column a score basis is built on first, which
+# cannot carry a bad value; None means both columns are raw arrays.
 PAIRED_ENTRIES = {
     "fit_copula": (fit_copula, None),
-    "lp_comoments": (lambda x, y: lp_comoments(x, y, _BASIS, _BASIS), None),
-    "correlations": (correlations, None),
-    "correlations_sample_x": (
-        lambda x, y: correlations(make_sample(x), y), 0),
-    "series_regression": (lambda x, y: series_regression(x, y, _BASIS),
-                          None),
+    "series_regression": (
+        lambda x, y: series_regression(
+            build_score_basis(make_sample(x), 1), y), 0),
     "two_sample_comp_density": (two_sample_comp_density, None),
     "analyze": (analyze, None),
     "correlation_stats": (correlation_stats, None),
@@ -231,6 +227,25 @@ class TestPairedIntake:
         with pytest.raises(LengthMismatch):
             entry(*cols)
 
+    def test_samples_of_different_n_are_refused(self):
+        # the estimators that read rows from what was built pair them by
+        # position, so a different n is refused, not broadcast
+        sx, sy = make_sample(np.arange(6.0)), make_sample(np.arange(5.0))
+        bx, by = build_score_basis(sx, 2), build_score_basis(sy, 2)
+        for call in (lambda: lp_comoments(bx, by),
+                     lambda: lp_comoments(by, bx),
+                     lambda: correlations(sx, sy),
+                     lambda: correlations(sy, sx)):
+            with pytest.raises(LengthMismatch):
+                call()
+        # a y of the wrong length is refused before its NaN is looked at
+        for y in ([np.nan] * 5, [np.nan] * 7):
+            with pytest.raises(LengthMismatch):
+                series_regression(bx, y)
+        with pytest.raises(NonFiniteValue) as exc:
+            series_regression(bx, [0.0, 1.0, np.nan, 3.0, np.nan, 5.0])
+        assert exc.value.index == 2
+
 
 class TestMakeSample:
     def test_atoms_and_masses(self):
@@ -276,7 +291,7 @@ def unique_sample(obs):
     obs = np.array(obs, dtype=float)
     values, atom_index, counts = np.unique(
         obs, return_inverse=True, return_counts=True)
-    return Sample(obs, values, counts, atom_index.astype(np.intp))
+    return Sample(values, counts, atom_index.astype(np.intp))
 
 
 @st.composite
@@ -336,7 +351,7 @@ class TestCountingSample:
         s = make_sample(obs)
         assert not np.signbit(s.values[s.values == 0.0]).any()
         unsigned = np.array(obs) + 0.0
-        assert s.obs.tobytes() == unsigned.tobytes()
+        assert s.values[s.atom_index].tobytes() == unsigned.tobytes()
         assert _counted(unsigned) is not None
         self.assert_same(s, unique_sample(unsigned))
 

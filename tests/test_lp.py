@@ -18,6 +18,7 @@ from lpstats import (
     lp_moments,
     make_sample,
     select_significant,
+    series_regression,
 )
 from lpstats import lp
 from lpstats.empirical import mid_ranks
@@ -29,6 +30,11 @@ from conftest import random_sample_values, search_only
 def basis_for(x, m=4):
     s = make_sample(x)
     return s, build_score_basis(s, min(m, s.r - 1))
+
+
+def correlations_of(x, y):
+    """The report of two raw columns: `correlations` of their Samples."""
+    return correlations(make_sample(x), make_sample(y))
 
 
 def assert_near_the_gather(got, x, y, bx, by, m):
@@ -172,7 +178,7 @@ class TestLPComoments:
     def test_identity_pair_gives_identity_matrix(self):
         x = np.arange(1.0, 41.0)
         s, b = basis_for(x)
-        mat = lp_comoments(x, x, b, b)
+        mat = lp_comoments(b, b)
         assert_allclose(mat.entries, np.eye(4), atol=1e-9)
 
     def test_swap_transposes(self):
@@ -181,8 +187,8 @@ class TestLPComoments:
         y = random_sample_values(rng, 100)
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        m1 = lp_comoments(x, y, bx, by)
-        m2 = lp_comoments(y, x, by, bx)
+        m1 = lp_comoments(bx, by)
+        m2 = lp_comoments(by, bx)
         assert_allclose(m1.entries, m2.entries.T, atol=1e-13)
 
     def test_rank_invariance(self):
@@ -191,12 +197,12 @@ class TestLPComoments:
         y = rng.standard_normal(80) + 0.5 * x
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        ref = lp_comoments(x, y, bx, by).entries
+        ref = lp_comoments(bx, by).entries
         xt = np.exp(x)
         yt = y ** 3
         _, bxt = basis_for(xt)
         _, byt = basis_for(yt)
-        assert_allclose(lp_comoments(xt, yt, bxt, byt).entries, ref,
+        assert_allclose(lp_comoments(bxt, byt).entries, ref,
                         atol=1e-11)
 
     def test_rectangular_when_margin_is_short(self):
@@ -204,7 +210,7 @@ class TestLPComoments:
         y = np.arange(6.0)
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        mat = lp_comoments(x, y, bx, by)
+        mat = lp_comoments(bx, by)
         assert mat.entries.shape == (1, 4)
 
     def test_independent_margins_have_small_entries(self):
@@ -213,28 +219,50 @@ class TestLPComoments:
         y = rng.standard_normal(4000)
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        mat = lp_comoments(x, y, bx, by)
+        mat = lp_comoments(bx, by)
         # comoments are mean-of-bounded-products, O(1/sqrt(n)) under
         # independence; 6 sigma of 1/sqrt(4000) is about .095
         assert np.max(np.abs(mat.entries)) < 0.095
 
     def test_length_mismatch(self):
-        x = np.arange(5.0)
-        _, bx = basis_for(x)
+        _, bx = basis_for(np.arange(5.0))
+        _, by = basis_for(np.arange(4.0))
         with pytest.raises(LengthMismatch):
-            lp_comoments(x, np.arange(4.0), bx, bx)
+            lp_comoments(bx, by)
 
-    def test_stored_atom_index_gives_the_searched_entries(self):
-        rng = np.random.default_rng(33)
-        for tied in (True, False):
-            x = random_sample_values(rng, 300, tied)
-            y = random_sample_values(rng, 300, tied) + x
-            _, bx = basis_for(x)
-            _, by = basis_for(y)
-            with search_only():
-                ref = lp_comoments(x, y, bx, by)
-            assert_array_equal(lp_comoments(x, y, bx, by).entries,
-                               ref.entries)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 400), st.sampled_from(["tied", "untied", "rounded"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stored_atom_index_gives_the_searched_entries(self, n, table,
+                                                          seed):
+        # the paired estimators read each row's atom from `atom_index`; the
+        # same sums over atoms found by searching each observation are
+        # the same bits
+        rng = np.random.default_rng(seed)
+        if table == "rounded":
+            x = np.round(rng.standard_normal(n), 1)
+            y = x + np.round(rng.standard_normal(n), 1)
+        else:
+            x = random_sample_values(rng, n, table == "tied")
+            y = random_sample_values(rng, n, table == "tied") + x
+        sx, sy = make_sample(x), make_sample(y)
+        assume(sx.r > 1 and sy.r > 1)
+        bx, by = (build_score_basis(s, min(4, s.r - 1)) for s in (sx, sy))
+        with search_only():
+            ix, iy = sx.atom_at(x), sy.atom_at(y)
+        entries = lp._pair_mean(bx.table, ix, by.table, iy)
+        assert lp_comoments(bx, by).entries.tobytes() == entries.tobytes()
+        (pearson, gini_xy), (gini_yx, spearman) = lp._pair_mean(
+            lp._standardized(sx), ix, lp._standardized(sy), iy)
+        assert correlations(sx, sy) == lp.CorrelationReport(
+            pearson=float(pearson), spearman_mid=float(spearman),
+            gini_xy=float(gini_xy), gini_yx=float(gini_yx))
+        sums = np.bincount(ix, weights=y, minlength=sx.r)
+        fit = series_regression(bx, y, rule="none")
+        assert fit.coefficients.tobytes() == (bx.table @ sums / n).tobytes()
+        with search_only():
+            ref_curve = fit.predict(sx.values)
+        assert_array_equal(fit.predict(sx.values), ref_curve)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 400),
@@ -250,7 +278,7 @@ class TestLPComoments:
         _, bx = basis_for(x, m)
         _, by = basis_for(y, m)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = lp_comoments(x, y, bx, by).entries
+            got = lp_comoments(bx, by).entries
         assert count.called
         assert_near_the_gather(got, x, y, bx, by, m)
 
@@ -266,7 +294,7 @@ class TestLPComoments:
         sy, by = basis_for(y)
         assert sx.r * sy.r > x.size
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = lp_comoments(x, y, bx, by).entries
+            got = lp_comoments(bx, by).entries
         assert any("weights" in c.kwargs for c in count.call_args_list)
         assert_near_the_gather(got, x, y, bx, by, 4)
 
@@ -274,7 +302,9 @@ class TestLPComoments:
     @given(st.integers(6, 400), st.booleans(), st.booleans(),
            st.integers(0, 2 ** 32 - 1))
     def test_a_row_shuffle_keeps_the_bits(self, n, x_tied, y_tied, seed):
-        # an untied margin holds one row per atom, so no sum follows row order
+        # an untied margin holds one row per atom, so no sum follows row
+        # order; the shuffled columns' bases are the same bases, bit for
+        # bit, since the atoms depend only on the multiset of a column
         assume(not (x_tied and y_tied))
         rng = np.random.default_rng(seed)
         x = random_sample_values(rng, n, x_tied)
@@ -283,11 +313,11 @@ class TestLPComoments:
         assume(np.unique(x).size > 1 and np.unique(y).size > 1)
         p = rng.permutation(n)
         for a, b in ((x, y), (y, x)):
-            _, ba = basis_for(a)
-            _, bb = basis_for(b)
-            assert (lp_comoments(a, b, ba, bb).entries.tobytes()
-                    == lp_comoments(a[p], b[p], ba, bb).entries.tobytes())
-            assert correlations(a, b) == correlations(a[p], b[p])
+            (sa, ba), (sb, bb) = basis_for(a), basis_for(b)
+            (sap, bap), (sbp, bbp) = basis_for(a[p]), basis_for(b[p])
+            assert (lp_comoments(ba, bb).entries.tobytes()
+                    == lp_comoments(bap, bbp).entries.tobytes())
+            assert correlations(sa, sb) == correlations(sap, sbp)
 
     def test_lpinfor_is_squared_sum_of_selected(self):
         rng = np.random.default_rng(29)
@@ -295,7 +325,7 @@ class TestLPComoments:
         y = x + 0.3 * rng.standard_normal(120)
         _, bx = basis_for(x)
         _, by = basis_for(y)
-        mat = lp_comoments(x, y, bx, by)
+        mat = lp_comoments(bx, by)
         assert_allclose(mat.lpinfor,
                         float(np.sum(mat.entries[mat.selected] ** 2)),
                         rtol=1e-14)
@@ -321,22 +351,22 @@ class TestCorrelations:
         rng = np.random.default_rng(30)
         x = rng.standard_normal(150)
         y = 0.6 * x + rng.standard_normal(150)
-        rep = correlations(x, y)
+        rep = correlations_of(x, y)
         assert_allclose(rep.pearson, np.corrcoef(x, y)[0, 1], rtol=1e-12)
 
     def test_spearman_matches_scipy_without_ties(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal(200)
         y = rng.standard_normal(200) - 0.4 * x
-        rep = correlations(x, y)
+        rep = correlations_of(x, y)
         assert_allclose(rep.spearman_mid, spearmanr(x, y).statistic,
                         rtol=1e-12)
 
     def test_perfect_monotone_dependence(self):
         x = np.arange(1.0, 31.0)
-        rep = correlations(x, x ** 3)
+        rep = correlations_of(x, x ** 3)
         assert_allclose(rep.spearman_mid, 1.0, rtol=1e-13)
-        rep = correlations(x, -x)
+        rep = correlations_of(x, -x)
         assert_allclose(rep.spearman_mid, -1.0, rtol=1e-13)
 
     @settings(max_examples=100, deadline=None)
@@ -352,17 +382,6 @@ class TestCorrelations:
         mod = fit_copula(x, y)
         gap = correlations(mod.sx, mod.sy).spearman_mid - mod.lpm.entries[0, 0]
         assert abs(gap) <= 1e-14
-
-    def test_samples_in_either_position_give_the_same_report(self):
-        rng = np.random.default_rng(34)
-        x = random_sample_values(rng, 200)
-        y = random_sample_values(rng, 200, tied=False) + x
-        ref = correlations(x, y)
-        sx, sy = make_sample(x), make_sample(y)
-        for a, b in ((sx, sy), (sx, y), (x, sy)):
-            assert correlations(a, b) == ref
-        with pytest.raises(LengthMismatch):
-            correlations(sx, y[:-1])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(2, 300),
@@ -402,7 +421,7 @@ class TestCorrelations:
         rng = np.random.default_rng(32)
         x = rng.standard_normal(300)
         y = np.exp(x) + 0.1 * rng.standard_normal(300)
-        rep = correlations(x, y)
+        rep = correlations_of(x, y)
         assert abs(rep.gini_xy - rep.gini_yx) > 1e-4
         for val in (rep.gini_xy, rep.gini_yx):
             assert -1.0 <= val <= 1.0

@@ -22,8 +22,8 @@ REMOVED = ("standardize", "lpinfor", "eval_score", "score_quantile",
 # other settings are module constants (see README's removed parameters).
 PARAMETERS = {
     lp.lp_moments: ["b"],
-    lp.lp_comoments: ["x_obs", "y_obs", "bx", "by", "rule"],
-    copula.series_regression: ["x_obs", "y_obs", "bx", "rule"],
+    lp.lp_comoments: ["bx", "by", "rule"],
+    copula.series_regression: ["bx", "y_obs", "rule"],
     copula.eval_copula: ["mod", "u", "v"],
     compdensity.maxent_fit: ["mod"],
 }
@@ -53,6 +53,15 @@ def test_removed_names_are_unreachable(name):
 @pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
 def test_an_order_is_set_only_where_a_basis_is_built(fn):
     assert list(inspect.signature(fn).parameters) == PARAMETERS[fn]
+
+
+def test_paired_estimators_take_what_was_built():
+    # rows come from the Samples and bases given, so no Sample keeps a
+    # copy of its observations (see README's changed call forms)
+    params = inspect.signature(lp.correlations).parameters
+    assert list(params) == ["sx", "sy"]
+    assert "obs" not in empirical.Sample.__slots__
+    assert not hasattr(empirical.make_sample([1.0, 2.0]), "obs")
 
 
 def test_the_order_checks_are_gone():

@@ -56,8 +56,9 @@ CASES = {
     "selection-bic-n-negative": (
         lambda: select_significant([0.5], -3, rule="bic"), DomainError,
         "sample size must be at least 1, got -3"),
-    "correlations-one-pair": (lambda: correlations([1.0], [2.0]),
-                              DegenerateScale, "at least two paired"),
+    "correlations-one-pair": (
+        lambda: correlations(make_sample([1.0]), make_sample([2.0])),
+        DegenerateScale, "at least two paired"),
     "pearson-constant-column": (
         lambda: correlation_stats(np.arange(3.0) % 2, np.ones(3)),
         DegenerateScale, "pooled variance is zero"),

@@ -48,7 +48,7 @@ _b = build_score_basis(_s, 3)
 _g = normal_reference(0.0, 1.0)
 _comp = maxent_fit(l2_fit(make_sample(_y), normal_reference(0.0, 1.5), 3))
 _cop = fit_copula(_x, _y, order=3)
-_reg = series_regression(_x, _y, _b)
+_reg = series_regression(_b, _y)
 _two = two_sample_comp_density((_y > 0).astype(float), _x)
 
 # name -> (function of the array argument, an out-of-domain value or None)

@@ -485,7 +485,8 @@ class TestAnalyze:
         x = (rng.random(150) < 1.0 / (1.0 + np.exp(4.0 - y))).astype(float)
         got = analyze(x, y, m=3, rule="bic").density
         want = two_sample_comp_density(x, y, m=3, rule="bic")
-        assert_array_equal(got.sy.obs, want.sy.obs)
+        assert_array_equal(got.sy.atom_index, want.sy.atom_index)
+        assert_array_equal(got.sy.values, want.sy.values)
         assert_array_equal(got.by.table, want.by.table)
         assert (got.tau, got.labels, got.mass) == (want.tau, want.labels,
                                                    want.mass)
