@@ -34,7 +34,7 @@ from lpstats.compdensity import CLIP_FLOOR
 from lpstats.errors import DomainError
 from lpstats.scores import ScoreBasis
 
-from conftest import random_sample_values
+from conftest import random_sample_values, search_only
 
 
 def atom_levels(s):
@@ -857,6 +857,23 @@ class TestSeriesRegression:
         got = series_regression(b, y).coefficients
         shuffled = series_regression(bp, y[p]).coefficients
         assert got.tobytes() == shuffled.tobytes()
+
+    def test_stored_atom_index_gives_the_searched_fit(self):
+        # the fit reads x's rows from the basis's `atom_index`; the sums
+        # over atoms found by searching each observation are the same bits
+        rng = np.random.default_rng(76)
+        x = random_sample_values(rng, 300)
+        y = x + rng.standard_normal(300)
+        s = make_sample(x)
+        b = build_score_basis(s, 4)
+        with search_only():
+            ix = s.atom_at(x)
+        fit = series_regression(b, y, rule="none")
+        sums = np.bincount(ix, weights=y, minlength=s.r)
+        assert fit.coefficients.tobytes() == (b.table @ sums / s.n).tobytes()
+        with search_only():
+            ref_curve = fit.predict(s.values)
+        assert_array_equal(fit.predict(s.values), ref_curve)
 
     @pytest.mark.parametrize("m", [0, -1, -3])
     def test_order_below_one_is_refused(self, m):
