@@ -240,7 +240,7 @@ def _loadtxt_body(p, idx):
     line end, and the body after it holds only `_FIELD_BYTES` and LFs
     (`_body_lines`; so a quoted header spanning lines is refused). An
     integral body (`_IntBody`) is parsed as it is scanned and returned as
-    int64, for `ingest_csv` to convert column by column; it makes no
+    int64, whose rows `ingest_csv` returns as they are; it makes no
     np.loadtxt call.
 
     Any other body is read by one float np.loadtxt over path `p`, which
@@ -286,8 +286,8 @@ def _loadtxt_body(p, idx):
 def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     """Parse the requested columns, dropping rows that fail to be numeric.
 
-    Returns (values, reasons): one float array per requested name, in the
-    order asked, so a name asked twice gives two equal arrays, and the
+    Returns (values, reasons): one array per requested name, in the order
+    asked, so a name asked twice gives two equal arrays, and the
     count of dropped rows by reason. The file needs a header row; unknown
     names report the available ones. Rows with short length, empty
     fields, or non-numeric entries (NaN and infinities included) in the
@@ -305,9 +305,11 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     Python list of rows. All paths give the same columns, bit for bit,
     and the same drop counts; only the csv module refuses a field longer
     than `csv.field_size_limit()`. Each path gives a (len(columns), rows)
-    table, and each column is its row plus 0.0: a cast of an int64 row or
-    a contiguous copy of a float one, in which a zero of either sign reads
-    as +0.0.
+    table. An integral body's columns are its int64 rows, so that
+    `make_sample` counts them with no float round trip; their float64
+    casts are the float paths' columns, bit for bit. Any other column is
+    its float row plus 0.0, a contiguous copy in which a zero of either
+    sign reads as +0.0.
     """
     p = Path(path)
     if not p.is_file():
@@ -332,6 +334,8 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
                                 float).reshape(-1, len(idx)).T
     if table.shape[1] == 0:
         raise EmptyAfterFilter(unusable)
+    if table.dtype.kind == "i":
+        return list(table), reasons
     return [row + 0.0 for row in table], reasons
 
 
@@ -568,8 +572,9 @@ def cmd_fit(args):
 
 def cmd_twosample(args):
     (y, grp), warnings = _load(args, args.y, args.group)
-    rep = tsmod.analyze(grp, y, m=args.order, rule=args.select,
-                        small_sample=args.small_sample)
+    # float labels print by %.10g, whichever body they were read from
+    rep = tsmod.analyze(np.asarray(grp, dtype=float), y, m=args.order,
+                        rule=args.select, small_sample=args.small_sample)
     dens = rep.density
     curve = {"y": dens.sy.values, "density": dens.atom_density,
              "posterior": tsmod.classify(dens, dens.sy.values)}

@@ -142,13 +142,29 @@ def _finite(data) -> np.ndarray:
     return a
 
 
+def _flat(data) -> np.ndarray:
+    """`data` as a flat array: an integer array keeps its dtype, any other
+    is cast to float."""
+    a = np.asarray(data)
+    return (a if a.dtype.kind in "iu" else a.astype(float, copy=False)).ravel()
+
+
+def _real(data) -> np.ndarray:
+    """`_flat(data)`, checked by `_finite` when it is float: an integer
+    array holds no NaN or infinity."""
+    a = _flat(data)
+    return a if a.dtype.kind in "iu" else _finite(a)
+
+
 def _of_length(data, n: int) -> np.ndarray:
-    """`data` as a flat float array; LengthMismatch unless it holds n values.
+    """`_flat(data)`; LengthMismatch unless it holds n values.
 
     No value is read, so a paired intake refuses unequal lengths before
-    `_finite` or `make_sample` names the first NaN or infinity.
+    `_finite` or `make_sample` names the first NaN or infinity. An integer
+    column stays integer, so `make_sample` counts it as it is; a caller
+    that needs floats passes it through `_finite`.
     """
-    a = np.asarray(data, dtype=float).ravel()
+    a = _flat(data)
     if a.size != n:
         raise LengthMismatch(n, a.size)
     return a
@@ -158,19 +174,28 @@ def _counted(obs: np.ndarray):
     """(values, counts, atom_index) of integer data by a counting sort.
 
     Returns None unless every value is an integer of magnitude below 2**53
-    spanning a range below 4 n. The cheap range test comes first.
+    spanning a range below 4 n. The cheap range test comes first, on
+    Python ints, so that no int64 extreme wraps. An integer array needs no
+    other test and is counted by its offsets from the minimum; a float one
+    must equal its `rint`, and its offsets are cast. Where every value in
+    the range occurs, the offsets are the atom indices.
     """
-    lo, hi = obs.min(), obs.max()
-    if not (hi - lo < 4 * obs.size and max(-lo, hi) < 2.0 ** 53):
+    lo, hi = int(obs.min()), int(obs.max())
+    if not (hi - lo < 4 * obs.size and max(-lo, hi) < 2 ** 53):
         return None
-    if not np.array_equal(obs, np.rint(obs)):
+    if obs.dtype.kind in "iu":
+        offsets = np.subtract(obs, lo, dtype=np.intp)
+    elif np.array_equal(obs, np.rint(obs)):
+        offsets = (obs - lo).astype(np.intp)
+    else:
         return None
-    offsets = (obs - lo).astype(np.intp)
     counts = np.bincount(offsets)
     present = counts > 0
+    values = np.flatnonzero(present) + float(lo)
+    if values.size == counts.size:
+        return values, counts, offsets
     atom_of_offset = np.cumsum(present, dtype=np.intp) - 1
-    return (np.flatnonzero(present) + lo, counts[present],
-            atom_of_offset[offsets])
+    return values, counts[present], atom_of_offset[offsets]
 
 
 def _pair_counts(a, b, ra: int, rb: int) -> np.ndarray:
@@ -182,22 +207,25 @@ def make_sample(data) -> Sample:
     """Build a :class:`Sample` from a sequence of finite reals.
 
     A zero is stored as +0.0, whatever its sign, so that the atoms depend
-    only on the multiset of values, not on row order. Integer data on a
-    range below 4 n are counted in O(n) by `np.bincount` (see `_counted`);
-    everything else is sorted by `np.unique`. Both give the same arrays,
-    bit for bit.
+    only on the multiset of values, not on row order. An integer array is
+    read as it is, any other as float. Integer values on a range below
+    4 n are counted in O(n) by `np.bincount` (see `_counted`), an integer
+    array with no float round trip; everything else is cast to float and
+    sorted by `np.unique`. So an integer array and its float64 cast give
+    the same Sample, bit for bit, by either path.
 
     Raises EmptyInput on an empty sequence and NonFiniteValue (with the
     offending position) if a NaN or infinity sneaks in.
     """
-    obs = _finite(data) + 0.0  # -0.0 read as 0.0
+    obs = _real(data)
     if obs.size == 0:
         raise EmptyInput("need at least one observation")
     counted = _counted(obs)
     if counted is not None:
         return Sample(*counted)
     values, atom_index, counts = np.unique(
-        obs, return_inverse=True, return_counts=True
+        np.add(obs, 0.0, dtype=float),  # -0.0 read as 0.0
+        return_inverse=True, return_counts=True
     )
     return Sample(values, counts, atom_index.astype(np.intp, copy=False))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import _step_density
-from .empirical import (Sample, _finite, _of_length, _pair_counts,
+from .empirical import (Sample, _finite, _of_length, _pair_counts, _real,
                         _scalar_or_array, make_sample)
 from .errors import DegenerateScale, DomainError, EmptyInput, SingleGroup
 from .lp import select_significant
@@ -178,8 +178,10 @@ def _split_cells(x_obs, y_obs):
     """
     x = np.asarray(x_obs).ravel()
     y = _of_length(y_obs, x.size)
-    x, y = (_finite(x) + 0.0 if x.dtype.kind == "f" else x), _finite(y)
+    x, y = (_finite(x) if x.dtype.kind == "f" else x), _real(y)
     labels = np.unique(x)
+    if labels.dtype.kind == "f":
+        labels += 0.0  # -0.0 read as 0.0; x == labels[1] ignores signs
     if labels.size != 2:
         raise SingleGroup(
             f"grouping variable must take exactly two values, got {labels.size}"

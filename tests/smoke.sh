@@ -49,15 +49,16 @@ test "$code" -eq 3
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and
 # describe, depend and regress must give for it the bytes of the copy
 # without that row. A table of integers, and its CRLF copy, are parsed
-# whole by the integral reader, with no np.loadtxt call; its copy with
-# one cell written as 7.0 is read whole by the float np.loadtxt. All
-# three must give the same bytes. They are counted by make_sample;
-# depend, regress and cquantile sum over their atoms and cells, and
-# twosample over the (atom, group) cells of y and the 0/1 column g. So
-# are the negated copies of the first and the third, where each 0 is
-# written as -0: the signed integers are parsed by the integral reader,
-# and with one cell written as -7.0 read as float, and each zero of
-# either is read as +0.0. The clean
+# whole by the integral reader, with no np.loadtxt call, into int64
+# columns; its copy with one cell written as 7.0 is read whole by the
+# float np.loadtxt. All three must give the same bytes. They are counted
+# by make_sample, int64 columns with no float round trip; depend,
+# regress and cquantile sum over their atoms and cells, fit over its
+# atoms, and twosample over the (atom, group) cells of y and the 0/1
+# column g. So are the negated copies of the first and the third, where
+# each 0 is written as -0: the signed integers are parsed by the
+# integral reader, and with one cell written as -7.0 read as float, and
+# each zero of either is read as +0.0. The clean
 # table with a 0/1 column g taken from the row index, and its CRLF copy,
 # must give the same twosample bytes: its untied x sums over the
 # (atom, group) cells as tied columns do. That table's rows in reverse
@@ -69,13 +70,16 @@ test "$code" -eq 3
 # than proving it. The clean table's rows in reverse order must give the
 # same depend bytes, with x and y either way round: the comoments and
 # correlations of untied x and 33-valued y are summed per atom of x,
-# which row order cannot reach.
+# which row order cannot reach. The integral table with its g written as
+# 11-digit labels, and its copy with each label ending in .0, must give
+# the same twosample JSON: the labels print by %.10g from either.
 python3 - "$tmp" <<'PY'
 import os
 import random
 import sys
 
-os.mkdir(f"{sys.argv[1]}/rev")
+for sub in ("rev", "lab", "labdot"):
+    os.mkdir(f"{sys.argv[1]}/{sub}")
 rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
@@ -87,6 +91,8 @@ dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
 neg = [",".join("-" + f for f in row.split(",")) for row in ints]
 negdot = neg[:10000] + ["-7.0," + neg[10000].split(",", 1)[1]] + neg[10001:]
 grp = [f"{row},{i % 3 == 0:d}" for i, row in enumerate(rows)]
+lab = [row[:-1] + ("98765432109" if row[-1] == "1" else "12345678901")
+       for row in ints]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
@@ -96,7 +102,9 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("negdot.csv", negdot, "\n"),
                          ("grp.csv", grp, "\n"), ("grpcrlf.csv", grp, "\r\n"),
                          ("rev/grp.csv", grp[::-1], "\n"),
-                         ("rev.csv", rows[::-1], "\n")):
+                         ("rev.csv", rows[::-1], "\n"),
+                         ("lab/t.csv", lab, "\n"),
+                         ("labdot/t.csv", [f"{row}.0" for row in lab], "\n")):
     head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
                              "drop.csv", "rev.csv") else "x,y,g"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
@@ -113,7 +121,8 @@ for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/na.csv" | cmp - "$tmp/drop.out"
 done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
-    "cquantile --x x --y y" "twosample --y y --group g"; do
+    "cquantile --x x --y y" "fit --col x --g normal" \
+    "twosample --y y --group g"; do
     for pair in "int dot" "int intcrlf" "neg negdot"; do
         set -- $pair
         lpstats $cmd --format csv --data "$tmp/$1.csv" > "$tmp/$1.out"
@@ -134,3 +143,8 @@ for cmd in "depend --x x --y y" "depend --x y --y x"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/fwd.out"
     lpstats $cmd --format csv --data "$tmp/rev.csv" | cmp - "$tmp/fwd.out"
 done
+(cd "$tmp/lab" && lpstats twosample --y y --group g --data t.csv) \
+    > "$tmp/lab.json"
+grep -q '"labels":\[1.23456789e+10,9.876543211e+10\]' "$tmp/lab.json"
+(cd "$tmp/labdot" && lpstats twosample --y y --group g --data t.csv) \
+    | cmp - "$tmp/lab.json"

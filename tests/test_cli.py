@@ -653,14 +653,20 @@ def ingest_rowwise(path, columns):
     return [np.array(vals) for vals in out], reasons
 
 
-def assert_same_ingest(got, want):
-    """Equal drop counts by reason, and equal columns in dtype and bytes."""
+def assert_same_ingest(got, want, dtype=np.float64):
+    """Equal drop counts by reason, and columns of `dtype` whose float64
+    casts equal the row walk's float64 columns in bytes.
+
+    An integral body gives int64 columns, which a float64 cast rounds as
+    float() rounds their text; any other gives float64 columns, equal to
+    the walk's in dtype and bytes.
+    """
     (values, reasons), (want_values, want_reasons) = got, want
     assert reasons == want_reasons
     assert len(values) == len(want_values)
     for col, want_col in zip(values, want_values):
-        assert col.dtype == want_col.dtype
-        assert col.tobytes() == want_col.tobytes()
+        assert (col.dtype, want_col.dtype) == (dtype, np.float64)
+        assert col.astype(np.float64).tobytes() == want_col.tobytes()
 
 
 FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
@@ -741,7 +747,8 @@ def assert_ingest_matches_rowwise(text, columns):
                 ingest_csv(f, columns)
             return
         got = ingest_csv(f, columns)
-    assert_same_ingest(got, want)
+    integral = read_as_integers(text, columns)
+    assert_same_ingest(got, want, np.int64 if integral else np.float64)
 
 
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
@@ -796,12 +803,15 @@ def read_as_integers(text, columns):
     """Whether the integral reader takes the body of CSV text under an
     a,b,c header, with no np.loadtxt call.
 
-    It does when the body is lines of ',' separated fields, each ended by
-    LF or CRLF (the last may have none), every line with the first line's
-    field count, every field digits after an optional '-', and every
-    requested field 1 to 18 digits.
+    It does when the header line ends in LF, with no CR before its CRLF,
+    and the body is lines of ',' separated fields, each ended by LF or
+    CRLF (the last may have none), every line with the first line's field
+    count, every field digits after an optional '-', and every requested
+    field 1 to 18 digits.
     """
-    body = text.split("\n", 1)[1]
+    head, lf, body = text.partition("\n")
+    if not lf or "\r" in head.removesuffix("\r"):
+        return False
     lines = body.split("\n")
     if not lines[-1]:
         lines.pop()
@@ -936,7 +946,8 @@ class TestIngest:
         calls = record_loadtxt(monkeypatch)
         # a '+', space or tab takes the float read, as a '.' or 'e' does;
         # digits and a leading '-' take the integral reader, with no
-        # np.loadtxt call; "-0" is read as +0.0 either way
+        # np.loadtxt call, and give int64 columns; "-0" is read as a zero
+        # whose float64 cast is +0.0
         for rows, want, a, b in (
                 (["1,2", "-3.5e1, 4"], [float], [1.0, -35.0], [2.0, 4.0]),
                 (["1,2", "+35,\t04"], [float], [1.0, 35.0], [2.0, 4.0]),
@@ -949,8 +960,12 @@ class TestIngest:
                 (got_b, got_a), reasons = ingest_csv(f, ["b", "a"])
                 assert calls == [(str(f), dtype) for dtype in want]
                 calls.clear()
-                assert got_a.tobytes() == np.array(a * 4).tobytes()
-                assert got_b.tobytes() == np.array(b * 4).tobytes()
+                dtype = np.float64 if want else np.int64
+                assert got_a.dtype == got_b.dtype == dtype
+                assert (got_a.astype(np.float64).tobytes()
+                        == np.array(a * 4).tobytes())
+                assert (got_b.astype(np.float64).tobytes()
+                        == np.array(b * 4).tobytes())
                 assert (got_b.size, reasons) == (8, {})
 
     @pytest.mark.parametrize("body", [
@@ -1149,14 +1164,16 @@ class TestIngest:
         (a, _), _ = ingest_csv(f, ["a", "b"])
         assert a.tolist() == [1.0]
 
-    @pytest.mark.parametrize("body", ["1,2\n3,4\n", "1,2\nx,4\n5,6\n"],
+    @pytest.mark.parametrize("body, dtype", [("1,2\n3,4\n", np.int64),
+                                             ("1,2\nx,4\n5,6\n", np.float64)],
                              ids=["whole", "walked"])
-    def test_a_name_asked_twice_gives_two_equal_arrays(self, tmp_path, body):
+    def test_a_name_asked_twice_gives_two_equal_arrays(self, tmp_path, body,
+                                                       dtype):
         f = tmp_path / "t.csv"
         f.write_text("a,b\n" + body, encoding="utf-8")
         values, reasons = ingest_csv(f, ["b", "a", "b"])
         assert_same_ingest((values, reasons),
-                           ingest_rowwise(f, ["b", "a", "b"]))
+                           ingest_rowwise(f, ["b", "a", "b"]), dtype)
         assert values[0].tobytes() == values[2].tobytes()
 
     def test_all_rows_dropped(self, tmp_path):

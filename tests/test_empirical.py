@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
@@ -317,6 +317,34 @@ def integer_tables(draw):
     return obs
 
 
+@st.composite
+def integer_arrays(draw):
+    """int8, int32, int64 and uint8 arrays on both sides of the gates.
+
+    The span hi - lo is 0 (one distinct value), below n with every value
+    in range present or not, at the bound 4 n - 1, at 4 n or past it, or
+    the dtype's whole range; lo may sit at the dtype's ends, at zero, or,
+    in int64, so that an end has magnitude 2**53 - 1, 2**53 or 2**53 + 1.
+    """
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8]))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    n = draw(st.integers(1, 64))
+    span = 0 if n == 1 else min(high - low, draw(st.sampled_from(
+        [0, 1, n - 1, n, 4 * n - 1, 4 * n, 4 * n + 1, high - low])))
+    ends = [low, 0, high - span]
+    if dtype is np.int64:
+        ends += [e - span for e in (2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1)]
+        ends += [-2 ** 53 - 1, -2 ** 53, -2 ** 53 + 1]
+    lo = draw(st.one_of(st.integers(low, high - span), st.sampled_from(
+        [e for e in ends if low <= e <= high - span])))
+    dense = span < n and draw(st.booleans())
+    base = list(range(span + 1)) if dense else sorted({0, span})
+    rest = draw(st.lists(st.integers(0, span), min_size=n - len(base),
+                         max_size=n - len(base)))
+    offsets = draw(st.permutations(base + rest))
+    return (lo + np.array(offsets, dtype=object)).astype(dtype)
+
+
 class TestCountingSample:
     """Integers counted by bincount give the np.unique Sample, bit for bit."""
 
@@ -366,6 +394,26 @@ class TestCountingSample:
         b = make_sample(data.draw(st.permutations(obs)))
         for name in ("values", "counts", "masses"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    # int8's whole range, inside 4 n: an offset from lo past 127
+    @example(np.array([-128, 127] * 32, dtype=np.int8))
+    @given(integer_arrays())
+    def test_an_integer_array_gives_its_float_casts_sample(self, obs):
+        # counted with no float round trip, or sorted after the cast; the
+        # gates hold for both or for neither
+        floats = obs.astype(float)
+        assert (_counted(obs) is None) == (_counted(floats) is None)
+        self.assert_same(make_sample(obs), make_sample(floats))
+
+    @pytest.mark.parametrize("obs", [[-2 ** 63, 2 ** 63 - 1], [-2 ** 63]])
+    def test_int64_extremes_are_sorted_not_wrapped(self, obs):
+        # as numpy int64 scalars, hi - lo and -lo wrap and would pass the
+        # range test
+        obs = np.array(obs)
+        assert obs.dtype == np.int64
+        assert _counted(obs) is None
+        self.assert_same(make_sample(obs), make_sample(obs.astype(float)))
 
     def test_positive_zero_is_counted(self):
         obs = np.array([-3.0, 0.0, 0.0, 2.0])
