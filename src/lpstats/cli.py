@@ -37,13 +37,12 @@ from .empirical import (informative_quantile, make_sample, mid_quantile,
 from .errors import (EmptyAfterFilter, FileNotFound, FloatingPointFault,
                      InputError, LPStatsError, MissingColumn)
 from .lp import correlations, lhermite_normality, lp_moments
-from .scores import build_score_basis
+from .scores import MAX_ORDER, build_score_basis
 
 __all__ = ["ingest_csv", "main"]
 
 SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
-MAX_ORDER = 50  # bound on --order: a basis of order m holds m x r scores
 # The bytes a body read whole by np.loadtxt may hold besides LFs: those of
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.

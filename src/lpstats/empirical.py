@@ -199,8 +199,14 @@ def _counted(obs: np.ndarray):
 
 
 def _pair_counts(a, b, ra: int, rb: int) -> np.ndarray:
-    """(ra x rb) table of how often each pair (a[t], b[t]) of indices occurs."""
-    return np.bincount(a * rb + b, minlength=ra * rb).reshape(ra, rb)
+    """(ra x rb) table of how often each pair (a[t], b[t]) of indices occurs.
+
+    `b` may be bool. The cell codes a[t] rb + b[t] are summed in place, so
+    one n-length array is held.
+    """
+    cells = a * rb
+    cells += b
+    return np.bincount(cells, minlength=ra * rb).reshape(ra, rb)
 
 
 def make_sample(data) -> Sample:

@@ -11,8 +11,8 @@ mid-rank
 polynomials of degree 1..m in T_1 are orthonormalized under the empirical
 measure by the three-term recurrence. For tie-free samples of growing size
 these custom scores converge to the Legendre family; on small or heavily
-tied supports they adapt to whatever the data can carry (at most r - 1
-functions on r atoms).
+tied supports they adapt to whatever the data can carry: r - 1 functions
+on r atoms, every one of them built, up to `MAX_ORDER`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from .errors import DegenerateSample, DomainError
 
 __all__ = ["ScoreBasis", "legendre_eval", "build_score_basis"]
 
-# A power of T_1 whose residual after projection drops below this fraction
-# of its pre-projection norm is numerically dependent on the lower orders;
-# the basis is truncated there and flagged.
-_RANK_TOL = 1e-8
+MAX_ORDER = 50  # bound on an order: a basis of order m holds m x r scores
 
 
 @_scalar_or_array(1)
@@ -52,20 +49,17 @@ class ScoreBasis:
     `table` has shape (max_order, r): row j - 1 holds T_j at the sample's
     distinct values. Zero mean and orthonormality hold under the empirical
     masses; `mean_error` and `gram_error` compute the achieved deviations
-    from the table when read. `truncated` is set when a requested order
-    was dropped because the corresponding power of T_1 was numerically
-    dependent on lower orders.
+    from the table when read. `max_order` is below `requested_order` only
+    where the request passed r - 1 or `MAX_ORDER`.
     """
 
-    __slots__ = ("source", "max_order", "requested_order", "table",
-                 "truncated")
+    __slots__ = ("source", "max_order", "requested_order", "table")
 
-    def __init__(self, source, requested_order, table, truncated):
+    def __init__(self, source, requested_order, table):
         self.source = source
         self.requested_order = int(requested_order)
         self.table = table
         self.max_order = int(table.shape[0])
-        self.truncated = bool(truncated)
         table.setflags(write=False)
 
     @property
@@ -82,8 +76,7 @@ class ScoreBasis:
                 if self.max_order else 0.0)
 
     def __repr__(self):
-        flag = ", truncated" if self.truncated else ""
-        return f"ScoreBasis(order={self.max_order}, r={self.source.r}{flag})"
+        return f"ScoreBasis(order={self.max_order}, r={self.source.r})"
 
 
 def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
@@ -91,10 +84,10 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
 
     T_k is t1 T_{k-1} less its projections on T_{k-1}, T_{k-2} and 1 (the
     three-term recurrence), re-orthogonalized once against all earlier
-    rows, masses as weights; the order is clipped to r - 1. The residual
-    of t1^k on lower orders is beta_1 ... beta_k T_k, so when that product
-    of the recurrence's norms falls below 1e-8 ||t1^k|| the construction
-    stops early (the basis is then shorter and flagged `truncated`).
+    rows, masses as weights. The order is clipped to r - 1 and to
+    `MAX_ORDER`, and every order up to that is built: the recurrence with
+    its re-orthogonalization stays accurate up to r - 1, however heavily
+    the sample is tied.
 
     A row depends only on the rows before it, so the table built at order
     m is bit for bit the first rows of one built higher on the same sample:
@@ -104,17 +97,10 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
         raise DomainError("max_order must be at least 1")
     if s.r < 2:
         raise DegenerateSample("need at least two distinct values")
-    m = min(int(max_order), s.r - 1)
     p = s.masses
     t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
-    top = np.max(np.abs(t1))
-    # top^k >= ||t1^k|| >= top^k / sqrt(n), and the monic residual is at
-    # most 2 (top / 2)^k (Chebyshev), so the rule stops by order `cap`
-    cap = 2 + int(np.log2(np.sqrt(s.n) / _RANK_TOL))
-    table = np.empty((min(m, cap), s.r))
+    table = np.empty((min(int(max_order), s.r - 1, MAX_ORDER), s.r))
     pv = np.empty(s.r)
-    monic = 1.0
-    truncated = m > cap
     for k in range(len(table)):
         v = table[k]
         np.multiply(t1, table[k - 1] if k else 1.0, out=v)
@@ -123,11 +109,5 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
             v -= pv.sum()
             v -= (lower @ pv) @ lower
         np.multiply(p, v, out=pv)
-        beta = np.sqrt(pv @ v)
-        monic *= beta
-        if (monic < _RANK_TOL * top ** (k + 1)
-                and monic < _RANK_TOL * np.sqrt(p @ t1 ** (2 * k + 2))):
-            table, truncated = table[:k], True
-            break
-        v /= beta
-    return ScoreBasis(s, max_order, table, truncated)
+        v /= np.sqrt(pv @ v)
+    return ScoreBasis(s, max_order, table)

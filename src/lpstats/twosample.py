@@ -187,8 +187,7 @@ def _split_cells(x_obs, y_obs):
             f"grouping variable must take exactly two values, got {labels.size}"
         )
     sy = make_sample(y)
-    group = (x == labels[1]).astype(np.intp)
-    return labels, sy, _pair_counts(sy.atom_index, group, sy.r, 2)
+    return labels, sy, _pair_counts(sy.atom_index, x == labels[1], sy.r, 2)
 
 
 def _group_summaries(sy: Sample, cells):

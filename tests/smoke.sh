@@ -44,6 +44,15 @@ printf 'y\n1\n1\n1\n1\n1\n1\n1\n1\n2\n2\n' > "$tmp/two.csv"
 code=0
 lpstats fit --col y --g normal --order 6 --data "$tmp/two.csv" || code=$?
 test "$code" -eq 3
+# 814 zeros, then 1, 2, 3 and 4: the score basis holds every order up to
+# r - 1, however heavy the tie, so describe prints four LP moments and no
+# warning.
+python3 -c 'print("v", *[0] * 814, 1, 2, 3, 4, sep="\n")' > "$tmp/zeros.csv"
+lpstats describe --col v --order 4 --data "$tmp/zeros.csv" > "$tmp/zeros.json"
+grep -q '"warnings":\[\]' "$tmp/zeros.json"
+python3 -c 'import json, sys
+assert len(json.load(sys.stdin)["payload"]["lp_moments"]) == 4' \
+    < "$tmp/zeros.json"
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
 # copy with blank lines and its CRLF copy. All must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and

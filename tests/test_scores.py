@@ -1,5 +1,7 @@
 """Orthonormal score construction and the shifted Legendre limit."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from lpstats import (
     build_score_basis,
-    cli,
     legendre_eval,
     make_sample,
     mid_ranks,
@@ -18,6 +19,7 @@ from lpstats.errors import (
     DegenerateSample,
     DomainError,
 )
+from lpstats.scores import MAX_ORDER
 
 from conftest import random_sample_values
 
@@ -28,11 +30,12 @@ def weighted_gram(basis, masses):
 
 
 def gram_schmidt_reference(s, max_order):
-    """Modified Gram-Schmidt on the powers of T_1: (table, truncated).
+    """Modified Gram-Schmidt on the powers of T_1.
 
-    Two passes per power, masses as weights; a power whose residual norm
-    falls below 1e-8 of its own norm ends the basis. `build_score_basis`
-    reaches the same spaces by the three-term recurrence.
+    Two passes per power, masses as weights. A power whose residual norm
+    falls below 1e-8 of its own norm ends the table, as the powers carry
+    no reference past it. `build_score_basis` reaches the same spaces by
+    the three-term recurrence.
     """
     p = s.masses
     t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
@@ -46,9 +49,60 @@ def gram_schmidt_reference(s, max_order):
                 v = v - np.sum(p * v * w) * w
         nrm = np.sqrt(np.sum(p * v * v))
         if nrm < 1e-8 * pre:
-            return np.array(rows).reshape(-1, s.r), True
+            break
         rows.append(v / nrm)
-    return np.array(rows).reshape(-1, s.r), False
+    return np.array(rows).reshape(-1, s.r)
+
+
+def decimal_reference(s, max_order, digits=60):
+    """The recurrence of `build_score_basis` in `digits`-digit decimals.
+
+    Orthonormal polynomials in Fmid under the masses, from the Sample's own
+    float `fmid` and `masses`, each converted exactly: x T_{k-1} less its
+    three-term projections, then one pass against every earlier row. The
+    scores are the same functions of Fmid as those of the standardized
+    mid-rank. Without that pass a 60-digit build lost every digit on
+    samples with two heavy ends. Returns rows 1..max_order as floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = [Decimal(float(v)) for v in s.masses]
+        x = [Decimal(float(v)) for v in s.fmid]
+        rows = [[1 / sum(p).sqrt()] * s.r]
+        beta = Decimal(0)
+        for k in range(max_order):
+            cur, prev = rows[-1], rows[-2] if k else [Decimal(0)] * s.r
+            alpha = sum(pi * xi * ci * ci for pi, xi, ci in zip(p, x, cur))
+            v = [(xi - alpha) * ci - beta * qi
+                 for xi, ci, qi in zip(x, cur, prev)]
+            for row in rows:
+                d = sum(pi * vi * wi for pi, vi, wi in zip(p, v, row))
+                v = [vi - d * wi for vi, wi in zip(v, row)]
+            beta = sum(pi * vi * vi for pi, vi in zip(p, v)).sqrt()
+            rows.append([vi / beta for vi in v])
+        return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+@st.composite
+def heavy_tie_counts(draw):
+    """Atom counts of heavily tied samples with r <= 40 atoms.
+
+    One atom of up to 2e5 among counts of 1..6, two such heavy ends, or
+    counts falling geometrically from up to 2e5 (ratio 0.3..0.95, at least
+    1 each): under the masses the powers of T_1 are far from independent.
+    """
+    r = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["atom", "ends", "geometric"]))
+    if kind == "geometric":
+        top = draw(st.integers(1, 200_000))
+        q = draw(st.floats(0.3, 0.95))
+        return np.maximum(1, np.round(top * q ** np.arange(r))).astype(int)
+    counts = np.array(draw(st.lists(st.integers(1, 6), min_size=r,
+                                    max_size=r)))
+    for i in ([0, r - 1] if kind == "ends"
+              else [draw(st.integers(0, r - 1))]):
+        counts[i] = draw(st.integers(1, 200_000))
+    return counts
 
 
 class TestLegendreEval:
@@ -72,14 +126,14 @@ class TestLegendreEval:
                 assert_allclose(ip, 1.0 if j == k else 0.0, atol=1e-13)
 
     def test_order_cap(self):
-        # no cap above: orthonormal up to the CLI's highest order, under
-        # the 128-node rule, which is exact to degree 255
+        # no cap above: orthonormal up to the highest order, under the
+        # 128-node rule, which is exact to degree 255
         nodes, w = leggauss(128)
         u = 0.5 * (nodes + 1.0)
         table = np.array([legendre_eval(j, u)
-                          for j in range(cli.MAX_ORDER + 1)])
+                          for j in range(MAX_ORDER + 1)])
         assert_allclose((table * (0.5 * w)) @ table.T,
-                        np.eye(cli.MAX_ORDER + 1), rtol=0, atol=1e-12)
+                        np.eye(MAX_ORDER + 1), rtol=0, atol=1e-12)
         with pytest.raises(DomainError):
             legendre_eval(-1, 0.3)
 
@@ -118,29 +172,37 @@ class TestBasisConstruction:
         b = build_score_basis(s, 6)
         assert b.max_order == 2
         assert b.requested_order == 6
-        # the hard cap is not a numerical failure
-        assert not b.truncated
 
-    def test_rank_deficiency_truncates_with_flag(self):
+    def test_one_heavy_atom_builds_every_order(self):
         # one atom carries almost all the mass: under the sample weights
-        # the powers of T_1 collapse and Gram-Schmidt must stop early
+        # the powers of T_1 are nearly dependent, but the recurrence never
+        # forms them and builds every order to r - 1
         x = np.repeat(np.arange(13.0), [200000] + [1] * 12)
         b = build_score_basis(make_sample(x), 12)
-        assert b.truncated
-        assert b.max_order < 12
-        # what survives is still orthonormal
+        assert b.max_order == 12
         assert b.gram_error < 1e-10
 
     def test_order_far_above_what_the_data_carries(self):
-        # ||t1^k|| >= max|t1|^k / sqrt(n) and the monic residual is at most
-        # 2 (max|t1| / 2)^k, so no basis passes order 2 + log2(1e8 sqrt(n));
-        # a request far beyond it reserves no rows past that order
+        # a request far beyond MAX_ORDER reserves no rows past it
         s = make_sample(np.random.default_rng(17).standard_normal(100_000))
         b = build_score_basis(s, 10**6)
-        table, truncated = gram_schmidt_reference(s, 40)
-        assert b.truncated and truncated
-        assert b.max_order == table.shape[0] < 2 + np.log2(1e8 * np.sqrt(s.n))
+        assert (b.max_order, b.requested_order) == (MAX_ORDER, 10**6)
+        assert b.table.shape == (MAX_ORDER, s.r)
         assert b.gram_error < 1e-10
+
+    @settings(deadline=None, max_examples=100)
+    @given(heavy_tie_counts())
+    def test_every_order_matches_a_60_digit_build(self, counts):
+        # the recurrence with its re-orthogonalization pass is accurate at
+        # every order to r - 1 on heavy ties. Over 10000 random draws of
+        # this kind, 3000 of them geometric counts on 30..40 atoms, the
+        # largest gap was 5.4e-11 of the row's largest score
+        s = make_sample(np.repeat(np.arange(counts.size), counts))
+        b = build_score_basis(s, MAX_ORDER)
+        assert b.max_order == s.r - 1
+        ref = decimal_reference(s, b.max_order)
+        gap = np.max(np.abs(b.table - ref), axis=1)
+        assert np.all(gap <= 1e-10 * np.max(np.abs(ref), axis=1))
 
     def test_single_atom_rejected(self):
         with pytest.raises(DegenerateSample):
@@ -163,8 +225,8 @@ class TestBasisConstruction:
                                              tied))
         assume(s.r >= 2)
         b = build_score_basis(s, order)
-        table, truncated = gram_schmidt_reference(s, order)
-        assert (b.max_order, b.truncated) == (table.shape[0], truncated)
+        table = gram_schmidt_reference(s, order)
+        assert b.max_order == table.shape[0]
         assert_allclose(b.table, table, rtol=0, atol=1e-10)
 
     @settings(deadline=None, max_examples=200)
@@ -206,18 +268,14 @@ class TestDiagnostics:
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=16),
            st.integers(0, 15), st.integers(1, 200_000), st.integers(1, 12))
-    def test_tied_bases_are_orthonormal_and_flag_dropped_orders(
+    def test_tied_bases_are_orthonormal_to_full_order(
             self, counts, heavy, weight, order):
         # one atom may carry most of the mass, which makes high powers of
-        # T_1 numerically dependent on the lower ones
+        # T_1 numerically dependent on the lower ones; every order is
+        # still built
         counts[heavy % len(counts)] = weight
         s = make_sample(np.repeat(np.arange(len(counts), dtype=float), counts))
         b = build_score_basis(s, order)
+        assert b.max_order == min(order, s.r - 1)
         assert b.gram_error < 1e-10
         assert b.mean_error < 1e-10
-        assert b.truncated == (b.max_order < min(order, s.r - 1))
-        # near the rank limit the two constructions differ in the last
-        # digits (up to about 5e-6 here, both orthonormal), but they keep
-        # and drop the same orders
-        table, truncated = gram_schmidt_reference(s, order)
-        assert (b.max_order, b.truncated) == (table.shape[0], truncated)
