@@ -66,13 +66,6 @@ def _gauss01():
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _leg_table(orders, u):
-    """Rows of Leg_j(u) for the requested orders (iterable of ints)."""
-    u = np.asarray(u, dtype=float)
-    return np.array([legendre_eval(j, u) for j in orders]) if len(orders) \
-        else np.empty((0, u.size))
-
-
 class ReferenceDistribution:
     """A reference model G with evaluable cdf, quantile, and density.
 
@@ -237,7 +230,7 @@ def l2_fit(s: Sample, g: ReferenceDistribution, m: int = 4,
     if m < 1:
         raise DomainError("order must be at least 1")
     u_atoms = np.clip(np.asarray(g.cdf(s.values), dtype=float), 0.0, 1.0)
-    table = _leg_table(range(1, m + 1), u_atoms)
+    table = legendre_eval(range(1, m + 1), u_atoms)
     c = table @ s.masses
     selected = select_significant(c, s.n, rule=rule)
     return CompDensityModel(g=g, order=m, c=c, selected=selected,
@@ -265,7 +258,7 @@ def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
                        maxent_residual=0.0, maxent_iterations=0)
     targets = mod.c[ks]
     nodes, wts = _gauss01()
-    leg = _leg_table((ks + 1).tolist(), nodes)
+    leg = legendre_eval(ks + 1, nodes)
 
     def dual(theta):
         score = theta @ leg
@@ -284,7 +277,7 @@ def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
             halves = np.concatenate((nodes, nodes + 1.0)) / 2.0
             with np.errstate(over="ignore"):  # an overflow is a gap too
                 mass = float(np.concatenate((wts, wts)) @ np.exp(
-                    theta @ _leg_table((ks + 1).tolist(), halves) - psi)) / 2
+                    theta @ legendre_eval(ks + 1, halves) - psi)) / 2
             if abs(mass - 1.0) > MAXENT_TOL:
                 raise IllConditioned(
                     f"maxent density integrates to {mass:.10g} on a finer "
@@ -319,7 +312,7 @@ def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
 
 def _l2_series(mod: CompDensityModel, u: np.ndarray) -> np.ndarray:
     ks = np.flatnonzero(mod.selected)
-    return 1.0 + mod.c[ks] @ _leg_table((ks + 1).tolist(), u)
+    return 1.0 + mod.c[ks] @ legendre_eval(ks + 1, u)
 
 
 @_scalar_or_array(1)
@@ -343,7 +336,7 @@ def eval_density(mod: CompDensityModel, u, flavor: str = "maxent"):
             raise FlavorNotFitted("run maxent_fit first")
         ks = np.flatnonzero(mod.theta)
         return np.exp(mod.theta0
-                      + mod.theta[ks] @ _leg_table((ks + 1).tolist(), u))
+                      + mod.theta[ks] @ legendre_eval(ks + 1, u))
     raise DomainError(f"unknown flavor {flavor!r}")
 
 

@@ -239,8 +239,8 @@ def make_sample(data) -> Sample:
 def _scalar_or_array(pos):
     """Decorate a function that maps its argument `pos` elementwise.
 
-    The function receives that argument as a flat float array. Its result
-    takes the argument's shape, and is a Python float for a 0-d argument.
+    The function receives that argument as a flat float array. Its shape
+    replaces the last axis of the result; a 0-d result is a Python float.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[pos]
@@ -252,7 +252,8 @@ def _scalar_or_array(pos):
             a = np.asarray(where[key], dtype=float)
             where[key] = a.ravel()
             out = fn(*args, **kwargs)
-            return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+            out = out.reshape(out.shape[:-1] + a.shape)
+            return float(out) if out.ndim == 0 else out
         return wrapper
     return decorate
 

@@ -29,18 +29,23 @@ MAX_ORDER = 50  # bound on an order: a basis of order m holds m x r scores
 
 
 @_scalar_or_array(1)
-def legendre_eval(j: int, u):
-    """Orthonormal shifted Legendre polynomial Leg_j on [0, 1].
+def legendre_eval(j, u):
+    """Orthonormal shifted Legendre polynomials Leg_j on [0, 1].
 
     Leg_0 = 1, Leg_1(u) = sqrt(12) (u - 0.5), and generally
     Leg_j = sqrt(2j + 1) P_j(2u - 1) with P_j the classical Legendre
     polynomial, evaluated by numpy's `legvander` (the stable three-term
-    recurrence).
+    recurrence). A sequence of orders `j` gives a new C-ordered row per
+    order from one recurrence, each row that order's value bit for bit.
     """
-    j = int(j)
-    if j < 0:
+    orders = np.asarray(j, dtype=int)
+    if np.any(orders < 0):
         raise DomainError("order must be nonnegative")
-    return legvander(2.0 * u - 1.0, j)[:, j] * np.sqrt(2.0 * j + 1.0)
+    vander = legvander(2.0 * u - 1.0, int(orders.max(initial=0))).T
+    rows = np.empty(orders.shape + u.shape)  # new and C-ordered
+    np.take(vander, orders, 0, rows, "clip")  # "raise" would buffer rows
+    rows *= np.sqrt(2.0 * orders + 1.0)[..., None]
+    return rows
 
 
 class ScoreBasis:

@@ -3,6 +3,7 @@
 import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ class TestL2Fit:
         s = make_sample(np.arange(30.0))
         mod = l2_fit(s, uniform_reference(0.0, 30.0), m=20)
         assert mod.c.shape == mod.selected.shape == (20,)
+
+    @pytest.mark.parametrize("m", [1, 4, 20, 50])
+    def test_one_legendre_table_per_fit(self, m, monkeypatch):
+        spy = mock.Mock(wraps=compdensity.legendre_eval)
+        monkeypatch.setattr(compdensity, "legendre_eval", spy)
+        s = make_sample(np.arange(60.0) % 7)
+        l2_fit(s, normal_reference(3.0, 2.0), m=m)
+        assert spy.call_count == 1
 
     def test_parseval_ties_gof_to_quadrature(self):
         rng = np.random.default_rng(44)

@@ -817,6 +817,25 @@ class TestSeriesRegression:
         assert_allclose(fit.coefficients[1], 0.0, atol=1e-10)
         assert_allclose(fit.coefficients[2], -0.7, atol=1e-10)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24),
+           st.integers(2, 300))
+    def test_full_order_fit_is_the_mean_of_y_on_each_atom(self, seed, r, n):
+        # E[Y | X] = E[Y | F(X; X)]: at order r - 1 the scores and the
+        # constant span every function of x's atoms
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.full(r, rng.uniform(0.05, 2.0)))
+        x = rng.choice(r, n, p=w).astype(float)
+        y = np.round(np.sin(x) + rng.standard_normal(n), 1) * 10.0 ** (
+            rng.integers(-3, 4))
+        s = make_sample(x)
+        assume(s.r > 1)
+        fit = series_regression(build_score_basis(s, MAX_ORDER), y,
+                                rule="none")
+        means = np.bincount(s.atom_index, weights=y) / s.counts
+        gap = np.max(np.abs(fit.predict(s.values) - means))
+        assert gap <= 1e-12 * np.max(np.abs(y))
+
     def test_constant_response(self):
         x = np.arange(20.0)
         s = make_sample(x)

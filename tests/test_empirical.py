@@ -462,12 +462,27 @@ class TestMidDistribution:
                         rtol=1e-14)
 
 
+@st.composite
+def heavily_tied_samples(draw):
+    """Up to 300 draws on at most 12 atoms, with Dirichlet masses.
+
+    The atoms are integers, which `make_sample` counts, or normal draws of
+    any scale, which it sorts.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.integers(1, 12))
+    w = rng.dirichlet(np.full(r, rng.uniform(0.05, 2.0)))
+    atoms = (np.arange(r) - 3.0 if draw(st.booleans()) else
+             np.sort(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), r)))
+    return make_sample(atoms[rng.choice(r, draw(st.integers(1, 300)), p=w)])
+
+
 class TestQuantile:
-    def test_inverts_cdf_at_atoms(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            s = make_sample(random_sample_values(rng, 80))
-            assert_allclose(quantile(s, s.cdf), s.values, rtol=0)
+    @settings(deadline=None, max_examples=100)
+    @given(heavily_tied_samples())
+    def test_inverts_cdf_at_atoms(self, s):
+        # Q(F(x)) = x at every atom, bit for bit
+        assert quantile(s, s.cdf).tobytes() == s.values.tobytes()
 
     def test_left_continuous_steps(self):
         s = make_sample([1.0, 2.0, 2.0, 4.0])  # cdf .25, .75, 1
@@ -486,11 +501,11 @@ class TestQuantile:
 
 
 class TestMidQuantile:
-    def test_round_trip_through_mid_distribution(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            s = make_sample(random_sample_values(rng, 60))
-            assert_allclose(mid_quantile(s, s.fmid), s.values, rtol=1e-14)
+    @settings(deadline=None, max_examples=100)
+    @given(heavily_tied_samples())
+    def test_round_trip_through_mid_distribution(self, s):
+        # Qmid(Fmid(x)) = x at every atom, bit for bit
+        assert mid_quantile(s, s.fmid).tobytes() == s.values.tobytes()
 
     def test_linear_between_knots(self):
         # atoms 0 and 1 with equal mass: Fmid knots .25 and .75

@@ -1,5 +1,6 @@
 """LP moments, comoments, selection, LPINFOR and the dependence report."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -361,6 +362,21 @@ class TestCorrelations:
         rep = correlations_of(x, y)
         assert_allclose(rep.spearman_mid, spearmanr(x, y).statistic,
                         rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 300),
+           st.integers(2, 12), st.integers(2, 12))
+    def test_spearman_matches_scipy_with_ties(self, seed, n, rx, ry):
+        # spearman_mid needs no tie correction: it is scipy's Spearman,
+        # the Pearson correlation of the average ranks, on tied draws too
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, rx, n).astype(float)
+        y = np.where(rng.random(n) < rng.random(), x % ry,
+                     rng.integers(0, ry, n)).astype(float)
+        assume(np.unique(x).size > 1 and np.unique(y).size > 1)
+        rep = correlations_of(x, y)
+        assert math.isclose(rep.spearman_mid, spearmanr(x, y).statistic,
+                            rel_tol=1e-12, abs_tol=1e-14)
 
     def test_perfect_monotone_dependence(self):
         x = np.arange(1.0, 31.0)

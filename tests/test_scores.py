@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from numpy.testing import assert_allclose
 
 from lpstats import (
@@ -136,6 +136,30 @@ class TestLegendreEval:
                         np.eye(MAX_ORDER + 1), rtol=0, atol=1e-12)
         with pytest.raises(DomainError):
             legendre_eval(-1, 0.3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, MAX_ORDER), max_size=12),
+           st.lists(st.floats(0.0, 1.0), max_size=30))
+    def test_each_row_of_a_sequence_is_its_order_bit_for_bit(self, orders,
+                                                             levels):
+        u = np.array([0.0, 1.0] + levels)
+        table = legendre_eval(orders, u)
+        assert table.shape == (len(orders), u.size)
+        assert table.flags.c_contiguous
+        for row, j in zip(table, orders):
+            one = legendre_eval(j, u)
+            assert row.tobytes() == one.tobytes() == (
+                legvander(2.0 * u - 1.0, j)[:, j]
+                * np.sqrt(2.0 * j + 1.0)).tobytes()
+            # a fresh row of its own, not a view into a wider table
+            assert (one if one.base is None else one.base).nbytes == one.nbytes
+
+    def test_sequence_shapes(self):
+        assert legendre_eval([], np.arange(5) / 4).shape == (0, 5)
+        assert legendre_eval([1, 2], 0.5).shape == (2,)
+        assert legendre_eval([1, 2], np.zeros((3, 4))).shape == (2, 3, 4)
+        with pytest.raises(DomainError):
+            legendre_eval([1, -1], 0.3)
 
 
 class TestBasisConstruction:

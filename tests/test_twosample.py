@@ -1,6 +1,7 @@
 """Two-sample pooling identities, rank statistics and Bayes updates."""
 
 import math
+import warnings
 from dataclasses import astuple
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import ttest_ind
+from scipy.stats import mannwhitneyu, norm, ttest_ind
 
 from lpstats import (
     GroupSummary,
@@ -662,3 +663,49 @@ class TestTwoSampleIdentities:
         assert left.n == right.n
         assert math.isclose(left.m, right.m, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(left.v, right.v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def tied_groups(seed, n, r):
+    """Labels 0/1 and a response on r integers, both groups non-empty."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.full(r, rng.uniform(0.2, 2.0)))
+    y = rng.choice(r, n, p=w).astype(float)
+    x = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+    assume(0 < x.sum() < n and np.unique(y).size > 1)
+    return x, y
+
+
+class TestScipyReferences:
+    """The unified statistics against scipy's classical ones, with ties."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 300),
+           st.integers(2, 12))
+    def test_small_sample_z_is_the_tie_corrected_mann_whitney_z(self, seed,
+                                                                n, r):
+        x, y = tied_groups(seed, n, r)
+        high, low = y[x == 1.0], y[x == 0.0]
+        mw = mannwhitneyu(high, low, use_continuity=False,
+                          method="asymptotic")
+        # scipy's two-sided p is 2 sf(|z|); U above its mean is z > 0
+        z = math.copysign(norm.isf(mw.pvalue / 2.0),
+                          mw.statistic - high.size * low.size / 2.0)
+        assume(abs(z) < 8.0)  # beyond, the p-value round trip loses z
+        got = wilcoxon(x, y, small_sample=True).z_stat
+        assert math.isclose(got, z, rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 300),
+           st.integers(2, 12))
+    def test_analyze_t_is_the_pooled_student_t(self, seed, n, r):
+        x, y = tied_groups(seed, n, r)
+        try:
+            rep = analyze(x, y)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        with warnings.catch_warnings():  # scipy warns on a constant group
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = ttest_ind(y[x == 1.0], y[x == 0.0],
+                            equal_var=True).statistic
+        assert math.isclose(rep.student.t_scaled, ref, rel_tol=1e-12,
+                            abs_tol=1e-12)
