@@ -47,15 +47,15 @@ MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
-# Those of a body that `_IntBody` may parse: digits, ',' and '-', and a CR
+# Those of a body that `_int_rows` may parse: digits, ',' and '-', and a CR
 # it takes only before an LF.
 _INT_BYTES = b"0123456789,-\r"
 # Bytes read from a body at a time: each block is scanned, and parsed while
 # the body is integral, as it is read, so that only a few blocks of memory
 # are held at once.
 _BLOCK = 1 << 16
-# Bound on the header line, and on a line the integral parse carries over
-# from one block to the next.
+# Bound on the header line, and on how far a body line is read past the
+# block that starts it.
 _LINE_CAP = 1 << 20
 # Suffixes of files that np.loadtxt, given a path, decompresses.
 _COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
@@ -99,135 +99,135 @@ def _walk(rows, idx, reasons):
             yield from got
 
 
-class _IntBody:
-    """The requested fields of an integral body as int64, fed block by block.
+def _line_blocks(fb, start):
+    """Binary file `fb` from offset `start`, an LF, in blocks of whole lines.
 
-    The whole lines a block completes are parsed at once in numpy, and its
-    partial last line is carried into the next block. The body is integral
-    while each line holds the first line's count of fields, split by ','
-    and ended by LF or CRLF, each field is digits after an optional '-',
-    and each requested field has 1 to 18 digits. So |value| < 10**18 <
-    2**63, and int64 to float64 rounds to nearest even, as a correctly
-    rounded float() of the same decimal integer does. Anything else, a
-    blank line, an empty requested field or a line longer than
-    `_LINE_CAP` included, sets `parts` to None, and the body is read as a
-    float one is.
+    Each block starts at the LF that ends the line before it, the one at
+    `start` for the first, and ends at an LF, so no line end or empty line
+    is split between two blocks. A block is one `_BLOCK` read cut back to
+    its last LF, and the file is rewound to that LF; the read is dropped
+    before the block is yielded. A read that ends no line is finished by
+    one `readline(_LINE_CAP)`. A line that this too leaves open comes in
+    pieces that do not end in LF, each starting with the last byte of the
+    one before. A last line with no LF is given one.
     """
-
-    def __init__(self, idx):
-        self.idx, self.fields, self.parts = list(idx), None, []
-        self.carry = b"\n"  # the LF before the first line: a sentinel
-
-    def feed(self, block, lines):
-        """Parse the `lines` whole lines that `block` completes."""
-        buf = self.carry + block
-        cut = buf.rfind(b"\n") + 1
-        self.carry = buf[cut - 1:]
-        if lines:
-            if self.fields is None:
-                self.fields = buf.count(b",", 1, buf.index(b"\n", 1)) + 1
-            part = self._parse(np.frombuffer(buf, np.uint8, cut), lines,
-                               b"-" in buf, b"\r" in buf)
-            self.parts = None if part is None else self.parts + [part]
-        if len(self.carry) > _LINE_CAP:
-            self.parts = None
-
-    def _parse(self, b, rows, signed, crlf):
-        """The (len(idx), rows) int64 fields of `b`, or None.
-
-        `b` holds `rows` whole lines, each after the LF that ends the one
-        before; `signed` and `crlf` say whether it may hold a '-' or a CR.
-        """
-        fields = self.fields
-        # a '-' only leads a field, and a CR only ends a line
-        head, tail = b[:-1], b[1:]
-        if signed and ((tail == 45) & (head != 44) & (head != 10)).any():
-            return None
-        if crlf and ((head == 13) & (tail != 10)).any():
-            return None
-        seps = np.flatnonzero((b == 44) | (b == 10))
-        # an LF at every `fields`-th end, and no other: each line holds
-        # `fields` - 1 commas
-        if (seps.size != rows * fields + 1
-                or not (b[seps[fields::fields]] == 10).all()
-                or any(i >= fields for i in self.idx)):
-            return None
-        # each requested field is the bytes after `prev`, a ',' or LF, up
-        # to `end`, one (rows, len(idx)) table of positions each
-        prev = seps[:-1].reshape(rows, fields)[:, self.idx]
-        end = seps[1:].reshape(rows, fields)[:, self.idx]
-        if crlf:
-            end -= b[end - 1] == 13
-        digit = b[end - 1] - 48
-        if digit.max(initial=0) > 9:  # an empty field, or a '-' alone
-            return None
-        width = end - prev - 1
-        if signed:
-            neg = b[prev + 1] == 45
-            width -= neg
-        top = width.max(initial=1)
-        if top > 18:
-            return None
-        if top > 1:  # a field of one digit has its `prev` or '-' there
-            digit += 10 * (np.maximum(b[end - 2], 48) - 48)
-        value = digit.astype(np.int64)
-        for j in range(2, top):
-            # past a field's first digit, `prev` is read: a digit of 0
-            digit = np.maximum(b[np.maximum(end - 1 - j, prev)], 48) - 48
-            value += 10 ** j * digit.astype(np.int64)
-        if signed:
-            value = np.where(neg, -value, value)
-        return value.T
-
-    def table(self):
-        """The (len(idx), rows) int64 table of the body, or None."""
-        if self.parts is not None and self.carry != b"\n":
-            self.feed(b"\n", 1)
-        return np.concatenate(self.parts, axis=1) if self.parts else None
-
-
-def _body_lines(fb, idx):
-    """The LFs left in binary file `fb` and its integral table, or None.
-
-    Each `_BLOCK` block is read once. One translate deletes `_INT_BYTES`;
-    while this leaves only LFs, their count is the block's and the block
-    is fed to an `_IntBody`, which parses the requested columns `idx`. The
-    first block that it leaves more in ends the integral parse, and a
-    second translate of the rest, and one translate of every later block,
-    delete `_FIELD_BYTES`. What is left must be LFs, and its length is the
-    block's count. The table is the `_IntBody`'s, None for a body it
-    refuses. The whole result is None for a byte no field may hold, and
-    for a body made only of line ends, which np.loadtxt would warn holds
-    no data. No block outlives its iteration.
-    """
-    lines, data, last, deleted = 0, False, b"\n", _INT_BYTES
-    ints = _IntBody(idx)
+    fb.seek(start)
     while block := fb.read(_BLOCK):
+        cut = block.rfind(b"\n", 1) + 1
+        if cut:
+            fb.seek(cut - 1 - len(block), 1)
+            block = block[:cut]
+        else:
+            more = fb.readline(_LINE_CAP)
+            block += more
+            if not more.endswith(b"\n") and len(more) < _LINE_CAP:
+                if block != b"\n":  # the end of the file
+                    yield block + b"\n"
+                return
+            fb.seek(-1, 1)
+        yield block
+
+
+def _int_rows(block, rows, fields, idx):
+    """The (len(idx), rows) int64 requested fields of a block, or None.
+
+    `block` holds `rows` whole lines after the LF that ends the line
+    before them (`_line_blocks`). They are integral when each holds
+    `fields` fields, split by ',' and ended by LF or CRLF, each field is
+    digits after an optional '-', and each requested field `idx` has 1 to
+    18 digits. So |value| < 10**18 < 2**63, and int64 to float64 rounds to
+    nearest even, as a correctly rounded float() of the same decimal
+    integer does. Anything else, a blank line, an empty requested field or
+    a piece of a line longer than `_LINE_CAP` included, gives None.
+    """
+    if block[-1] != 10:  # a piece of a line longer than `_LINE_CAP`
+        return None
+    signed, crlf = b"-" in block, b"\r" in block
+    b = np.frombuffer(block, np.uint8)
+    # a '-' only leads a field, and a CR only ends a line
+    head, tail = b[:-1], b[1:]
+    if signed and ((tail == 45) & (head != 44) & (head != 10)).any():
+        return None
+    if crlf and ((head == 13) & (tail != 10)).any():
+        return None
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    # an LF at every `fields`-th end, and no other: each line holds
+    # `fields` - 1 commas
+    if (seps.size != rows * fields + 1
+            or not (b[seps[fields::fields]] == 10).all()
+            or any(i >= fields for i in idx)):
+        return None
+    # each requested field is the bytes after `prev`, a ',' or LF, up to
+    # `end`, one (rows, len(idx)) table of positions each
+    prev = seps[:-1].reshape(rows, fields)[:, idx]
+    end = seps[1:].reshape(rows, fields)[:, idx]
+    if crlf:
+        end -= b[end - 1] == 13
+    digit = b[end - 1] - 48
+    if digit.max(initial=0) > 9:  # an empty field, or a '-' alone
+        return None
+    width = end - prev - 1
+    if signed:
+        neg = b[prev + 1] == 45
+        width -= neg
+    top = width.max(initial=1)
+    if top > 18:
+        return None
+    if top > 1:  # a field of one digit has its `prev` or '-' there
+        digit += 10 * (np.maximum(b[end - 2], 48) - 48)
+    value = digit.astype(np.int64)
+    for j in range(2, top):
+        # past a field's first digit, `prev` is read: a digit of 0
+        digit = np.maximum(b[np.maximum(end - 1 - j, prev)], 48) - 48
+        value += 10 ** j * digit.astype(np.int64)
+    if signed:
+        value = np.where(neg, -value, value)
+    return value.T
+
+
+def _body_lines(blocks, idx):
+    """The lines of a body in `blocks` and its integral table, or None.
+
+    Each block of `_line_blocks` is read once. One translate deletes
+    `_INT_BYTES`; while this leaves only LFs, their count, less the LF the
+    block starts with if it does, is its count of lines, and `_int_rows`
+    parses the requested columns `idx`, each line holding the first
+    line's count of fields. The first block that it leaves more in ends
+    the integral parse, and a second translate of the rest, and one
+    translate of every later block, delete `_FIELD_BYTES`. What is left
+    must be LFs. The table is None for a body `_int_rows` refuses. The
+    whole result is None for a byte no field may hold, and for a body
+    made only of line ends, which np.loadtxt would warn holds no data. No
+    block outlives its iteration.
+    """
+    lines, data, deleted, parts, fields = 0, False, _INT_BYTES, [], None
+    for block in blocks:
         rest = block.translate(None, deleted)
         if rest != b"\n" * len(rest):  # a '+', '.', space or tab, or worse
-            deleted, ints.parts = _FIELD_BYTES, None
+            deleted, parts = _FIELD_BYTES, None
             rest = rest.translate(None, deleted)
             if rest != b"\n" * len(rest):  # a byte no field may hold
                 return None
-        elif ints.parts is not None:
-            ints.feed(block, len(rest))
-        lines += len(rest)
+        rows = len(rest) - (block[0] == 10)
+        if parts is not None:
+            if fields is None:  # the first line's; a piece has no LF
+                fields = block.count(b",", 0, block.find(b"\n", 1)) + 1
+            part = _int_rows(block, rows, fields, idx)
+            parts = None if part is None else parts + [part]
+        lines += rows
         data = data or bool(block.strip(b"\r\n"))
-        last = block[-1:]
+        del block, rest  # not held while the next block is read
     if not data:
         return None
-    # a last line with no final newline counts too
-    return lines + (last != b"\n"), ints.table()
+    return lines, np.concatenate(parts, axis=1) if parts else None
 
 
-def _empty_lines(fb):
-    """Empty lines left in binary file `fb`, read from just after an LF."""
-    empty, last = 0, b"\n"
-    while block := fb.read(_BLOCK):
-        text = last + block
-        ends = np.frombuffer(text, np.uint8) == ord("\n")
+def _empty_lines(blocks):
+    """Empty lines in the blocks of `_line_blocks`."""
+    empty = 0
+    for block in blocks:
+        ends = np.frombuffer(block, np.uint8) == ord("\n")
         empty += np.count_nonzero(ends[1:] & ends[:-1])
-        last = text[-1:]
     return empty
 
 
@@ -238,7 +238,7 @@ def _loadtxt_body(p, idx):
     the header line ends in LF within `_LINE_CAP` with no CR before its
     line end, and the body after it holds only `_FIELD_BYTES` and LFs
     (`_body_lines`; so a quoted header spanning lines is refused). An
-    integral body (`_IntBody`) is parsed as it is scanned and returned as
+    integral body (`_int_rows`) is parsed as it is scanned and returned as
     int64, whose rows `ingest_csv` returns as they are; it makes no
     np.loadtxt call.
 
@@ -261,7 +261,7 @@ def _loadtxt_body(p, idx):
         # csv.reader, read the rest of the header as a row
         if not head.endswith(b"\n") or b"\r" in head[:-2]:
             return None
-        scan = _body_lines(fb, idx)
+        scan = _body_lines(_line_blocks(fb, len(head) - 1), idx)
         if scan is None:
             return None
         lines, table = scan
@@ -274,8 +274,8 @@ def _loadtxt_body(p, idx):
         except ValueError:  # UnicodeDecodeError included
             return None
         if len(table) != lines:
-            fb.seek(len(head))
-            if len(table) + _empty_lines(fb) != lines:
+            empty = _empty_lines(_line_blocks(fb, len(head) - 1))
+            if len(table) + empty != lines:
                 return None
     if not np.isfinite(table).all():
         return None
@@ -295,20 +295,20 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     The header goes through csv.reader. A body made only of digits,
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
     included, is read whole, with no Python string per line (see
-    `_loadtxt_body`); deciding to try takes one pass over each `_BLOCK`
-    block. An integral body, digits, ',' and a leading '-' in lines of
-    equal field counts, is parsed in numpy in that same pass (`_IntBody`);
-    any other is read by one float np.loadtxt over the path. Where neither
-    read can vouch for every row, csv.reader, `_row_problem` and float()
-    walk the body, and one np.fromiter takes the kept values, holding no
-    Python list of rows. All paths give the same columns, bit for bit,
-    and the same drop counts; only the csv module refuses a field longer
-    than `csv.field_size_limit()`. Each path gives a (len(columns), rows)
-    table. An integral body's columns are its int64 rows, so that
-    `make_sample` counts them with no float round trip; their float64
-    casts are the float paths' columns, bit for bit. Any other column is
-    its float row plus 0.0, a contiguous copy in which a zero of either
-    sign reads as +0.0.
+    `_loadtxt_body`); deciding to try takes one pass over each block of
+    whole lines (`_line_blocks`). An integral body, digits, ',' and a
+    leading '-' in lines of equal field counts, is parsed in numpy in that
+    same pass (`_int_rows`); any other is read by one float np.loadtxt
+    over the path. Where neither read can vouch for every row, csv.reader,
+    `_row_problem` and float() walk the body, and one np.fromiter takes
+    the kept values, holding no Python list of rows. All paths give the
+    same columns, bit for bit, and the same drop counts; only the csv
+    module refuses a field longer than `csv.field_size_limit()`. Each path
+    gives a (len(columns), rows) table. An integral body's columns are its
+    int64 rows, so that `make_sample` counts them with no float round
+    trip; their float64 casts are the float paths' columns, bit for bit.
+    Any other column is its float row plus 0.0, a contiguous copy in which
+    a zero of either sign reads as +0.0.
     """
     p = Path(path)
     if not p.is_file():
@@ -663,6 +663,9 @@ def _prob_list(text):
 def _add_options(sub, *flags):
     """Add the named shared options to `sub`, each from its one definition."""
     options = {
+        "--col": dict(required=True),
+        "--x": dict(required=True),
+        "--y": dict(required=True),
         "--data": dict(default=BUNDLED_DATA,
                        help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
                             "example table)"),
@@ -690,39 +693,33 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("describe", help="one-variable diagnostics")
-    p.add_argument("--col", required=True)
-    _add_options(p, "--data", "--order", "--grid")
+    _add_options(p, "--col", "--data", "--order", "--grid")
     p.set_defaults(handler=cmd_describe, order=5)
 
     p = subs.add_parser("depend", help="dependence diagnostics of a pair")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _add_options(p, "--data", "--order", "--grid", "--select")
+    _add_options(p, "--x", "--y", "--data", "--order", "--grid", "--select")
     p.set_defaults(handler=cmd_depend, grid=51)
 
     p = subs.add_parser("regress", help="orthogonal series regression")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _add_options(p, "--data", "--order", "--select")
+    _add_options(p, "--x", "--y", "--data", "--order", "--select")
     p.set_defaults(handler=cmd_regress)
 
     p = subs.add_parser("cquantile", help="conditional mean/quantile curves")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    _add_options(p, "--x", "--y")
     p.add_argument("--p", type=_prob_list, default=(.05, .25, .5, .75, .95),
                    help="comma-separated probabilities")
     _add_options(p, "--data", "--order", "--select")
     p.set_defaults(handler=cmd_cquantile)
 
     p = subs.add_parser("fit", help="comparison density against a reference")
-    p.add_argument("--col", required=True)
+    _add_options(p, "--col")
     p.add_argument("--g", choices=["normal", "exponential", "uniform"],
                    required=True)
     _add_options(p, "--data", "--order", "--grid", "--select")
     p.set_defaults(handler=cmd_fit)
 
     p = subs.add_parser("twosample", help="two-group analysis of a response")
-    p.add_argument("--y", required=True)
+    _add_options(p, "--y")
     p.add_argument("--group", required=True)
     p.add_argument("--small-sample", action="store_true",
                    help="scale the Wilcoxon z by sqrt(n-1) instead of sqrt(n)")

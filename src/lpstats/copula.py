@@ -493,7 +493,8 @@ def series_regression(bx: ScoreBasis, y_obs,
     y = _finite(_of_length(y_obs, bx.source.n))
     sums = np.bincount(bx.source.atom_index, weights=y, minlength=bx.source.r)
     coefficients = bx.table @ sums / y.size
-    y_sd = float(y.std())
+    # a constant y has no spread, whatever round-off its std() carries
+    y_sd = float(y.std()) if (y != y[0]).any() else 0.0
     if y_sd > 0.0:
         selected = select_significant(coefficients / y_sd, y.size, rule=rule)
     else:

@@ -113,8 +113,9 @@ def group_summary(obs) -> GroupSummary:
     arr = _finite(obs)
     if arr.size == 0:
         raise EmptyInput("empty group")
-    return GroupSummary(n=float(arr.size), m=float(arr.mean()),
-                        v=float(arr.var()))
+    # a constant group has no spread, whatever round-off its mean carries
+    v = float(arr.var()) if (arr != arr[0]).any() else 0.0
+    return GroupSummary(n=float(arr.size), m=float(arr.mean()), v=v)
 
 
 def combine(g1: GroupSummary, g2: GroupSummary) -> CombineResult:
@@ -191,11 +192,15 @@ def _split_cells(x_obs, y_obs):
 
 
 def _group_summaries(sy: Sample, cells):
-    """GroupSummary of each label's responses, summed over its counts."""
+    """GroupSummary of each label's responses, summed over its counts.
+
+    A group on one atom has v = 0, whatever round-off its mean carries.
+    """
     for counts in cells.T:
         n = float(counts.sum())
         m = float(sy.values @ counts / n)
-        v = (sy.values - m) ** 2 @ counts / n
+        v = ((sy.values - m) ** 2 @ counts / n
+             if np.count_nonzero(counts) > 1 else 0.0)
         yield GroupSummary(n=n, m=m, v=float(v))
 
 

@@ -157,3 +157,37 @@ done
 grep -q '"labels":\[1.23456789e+10,9.876543211e+10\]' "$tmp/lab.json"
 (cd "$tmp/labdot" && lpstats twosample --y y --group g --data t.csv) \
     | cmp - "$tmp/lab.json"
+# A constant response has no spread, whatever round-off its mean carries:
+# regress prints y_sd 0 and selects no cell, and twosample refuses a
+# response constant in each group (7 * a / 7 != a for the first group).
+python3 -c 'print("x,y", *[f"{i % 50},-0.005227484414807474"
+                          for i in range(335)], sep="\n")' > "$tmp/creg.csv"
+lpstats regress --x x --y y --data "$tmp/creg.csv" > "$tmp/creg.json"
+grep -q '"y_sd":0,' "$tmp/creg.json"
+grep -q '"selected":\[false,false,false,false\]' "$tmp/creg.json"
+python3 -c 'print("y,g", *["-0.2924567509650886,0"] * 7,
+                 "-0.007819084623568421,1", sep="\n")' > "$tmp/ctwo.csv"
+code=0
+lpstats twosample --y y --group g --data "$tmp/ctwo.csv" || code=$?
+test "$code" -eq 3
+# An integral table with one unrequested field of 70000 digits, a line
+# longer than a 64 KiB read, must give the bytes of the same table
+# without that column.
+python3 - "$tmp" <<'PY'
+import random
+import sys
+
+rng = random.Random(38)
+rows = [(rng.randrange(31), rng.randrange(33), rng.randrange(9))
+        for _ in range(20000)]
+for name, wide in (("wide.csv", True), ("narrow.csv", False)):
+    with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
+        fh.write("x,y,z\n" if wide else "x,y\n")
+        for i, (x, y, z) in enumerate(rows):
+            big = "9" * 70000 if i == 10000 else str(z)
+            fh.write(f"{x},{y},{big}\n" if wide else f"{x},{y}\n")
+PY
+for cmd in "describe --col x" "depend --x x --y y"; do
+    lpstats $cmd --format csv --data "$tmp/narrow.csv" > "$tmp/narrow.out"
+    lpstats $cmd --format csv --data "$tmp/wide.csv" | cmp - "$tmp/narrow.out"
+done

@@ -734,7 +734,9 @@ def numeric_csvs(draw):
     return end.join(["a,b,c"] + rows) + draw(st.sampled_from([end, ""]))
 
 
-def assert_ingest_matches_rowwise(text, columns):
+def ingest_and_walk(text, columns):
+    """ingest_csv's and the row walk's (values, reasons) of CSV text, or
+    None where the walk keeps no row and ingest_csv raises."""
     # every warning, not only the RuntimeWarning pytest is set to raise:
     # np.loadtxt's "input contained no data" is a UserWarning
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -745,10 +747,15 @@ def assert_ingest_matches_rowwise(text, columns):
         if want is None:
             with pytest.raises(EmptyAfterFilter):
                 ingest_csv(f, columns)
-            return
-        got = ingest_csv(f, columns)
-    integral = read_as_integers(text, columns)
-    assert_same_ingest(got, want, np.int64 if integral else np.float64)
+            return None
+        return ingest_csv(f, columns), want
+
+
+def assert_ingest_matches_rowwise(text, columns):
+    both = ingest_and_walk(text, columns)
+    if both is not None:
+        integral = read_as_integers(text, columns)
+        assert_same_ingest(*both, np.int64 if integral else np.float64)
 
 
 COLUMN_LISTS = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
@@ -893,29 +900,55 @@ class TestIngest:
 
     @settings(deadline=None, max_examples=400)
     @example(text="a,b,c\n1,2,3\r\n-0,-00,4", columns=["a", "b"],
-             block=1)
+             block=1, cap=None)
     @example(text=f"a,b,c\n{10**18 - 1},-{10**18 - 1},{2**63}\n",
-             columns=["c", "b", "a"], block=5)
+             columns=["c", "b", "a"], block=5, cap=None)
     # as many ends as 3 rows of 3, in rows of 3, 2 and 4
     @example(text="a,b,c\n1,2,3\n4,5\n6,7,8,9\n", columns=["a", "c"],
-             block=64)
+             block=64, cap=None)
     # a '-' inside a field that is not requested, and a bare CR
-    @example(text="a,b,c\n1,2,3\n4,1-2,5\n", columns=["a"], block=7)
-    @example(text="a,b,c\n1,2,3\r4,5,6\n", columns=["c"], block=64)
+    @example(text="a,b,c\n1,2,3\n4,1-2,5\n", columns=["a"], block=7,
+             cap=None)
+    @example(text="a,b,c\n1,2,3\r4,5,6\n", columns=["c"], block=64,
+             cap=None)
+    # a last line with no LF, cut into pieces of 6 bytes; its last piece
+    # is the byte the one before it ends with
+    @example(text="a,b,c\n1,2,3\n4,5,123456789012", columns=["a"],
+             block=1, cap=6)
+    # a ragged line whose first 25 bytes, a block and 6 bytes more, are
+    # one piece; the block after it holds as many ends as its 2 lines
+    # would, but starts inside the first of them
+    @example(text="a,b,c\n1,2,3\n" + "1" * 26 + ",4,5,6\n7,8,9\n",
+             columns=["a"], block=20, cap=6)
     @given(text=int_reader_csvs(), columns=COLUMN_LISTS,
-           block=st.integers(1, 64))
+           block=st.integers(1, 64),
+           cap=st.one_of(st.none(), st.integers(4, 64)))
     def test_block_by_block_ingest_matches_the_rowwise_loop(
-            self, text, columns, block):
+            self, text, columns, block, cap):
         # Blocks of 1 to 64 bytes put line ends, CRLFs and fields across
-        # block edges.
+        # block edges. A `_LINE_CAP` of 4 to 64 bytes, the header's bound
+        # too, cuts a line that a block and that many bytes more do not
+        # end into pieces, which end the integral parse.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK", block)
+            if cap is not None:
+                mp.setattr(cli, "_LINE_CAP", cap)
             calls = record_loadtxt(mp)
-            assert_ingest_matches_rowwise(text, columns)
-        read_whole = text.split("\n", 1)[1].strip("\r\n")
-        want = [] if read_as_integers(text, columns) or not read_whole \
-            else [float]
-        assert [dtype for _, dtype in calls] == want
+            both = ingest_and_walk(text, columns)
+        dtypes = [dtype for _, dtype in calls]
+        integral = read_as_integers(text, columns)
+        if cap is None:
+            read_whole = text.split("\n", 1)[1].strip("\r\n")
+            assert dtypes == ([] if integral or not read_whole else [float])
+        else:
+            # int64 columns come only from the integral parse, with no
+            # np.loadtxt call
+            assert dtypes in ([], [float])
+            got_int = both is not None and both[0][0][0].dtype == np.int64
+            assert not got_int or (integral and not dtypes)
+            integral = got_int
+        if both is not None:
+            assert_same_ingest(*both, np.int64 if integral else np.float64)
 
     def test_a_field_past_18_digits_is_read_as_float(self, tmp_path,
                                                       monkeypatch):
@@ -988,8 +1021,11 @@ class TestIngest:
         assert want[0][0].size == 4
 
     def test_body_lines_counts_lfs_and_refuses_other_bytes(self):
+        def blocks(body):  # the body after a header's LF
+            return cli._line_blocks(io.BytesIO(b"\n" + body), 0)
+
         def scan(body):
-            got = cli._body_lines(io.BytesIO(body), [0, 1])
+            got = cli._body_lines(blocks(body), [0, 1])
             return got and (got[0], got[1] is not None)
 
         # an empty line whose two LFs straddle a block edge
@@ -998,15 +1034,15 @@ class TestIngest:
         body = b"0" * pad + line * (size // len(line)) + b"\n" + line * 3
         assert body[size - 1:size + 1] == b"\n\n"
         assert scan(body) == (body.count(b"\n"), False)
-        assert cli._empty_lines(io.BytesIO(body)) == 1
+        assert cli._empty_lines(blocks(body)) == 1
         assert scan(b"1,2\n\n3,4") == (3, False)
         # a CRLF integer body is parsed
         assert scan(b"1,2\r\n3,4\r\n") == (2, True)
         for bad in (b"1,2\n3,a\n", b'1,"2"\r\n', b"1.5,2\n3,a\n"):
-            assert cli._body_lines(io.BytesIO(bad), [0, 1]) is None
+            assert cli._body_lines(blocks(bad), [0, 1]) is None
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
-            assert cli._body_lines(io.BytesIO(ends), [0, 1]) is None
+            assert cli._body_lines(blocks(ends), [0, 1]) is None
         # the table: a leading '-' keeps it; a '.', 'e', 'E' or '+'
         # anywhere clears it, also one only in the second block
         head = line * (size // len(line))

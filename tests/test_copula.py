@@ -836,13 +836,24 @@ class TestSeriesRegression:
         gap = np.max(np.abs(fit.predict(s.values) - means))
         assert gap <= 1e-12 * np.max(np.abs(y))
 
-    def test_constant_response(self):
-        x = np.arange(20.0)
-        s = make_sample(x)
-        b = build_score_basis(s, 3)
-        fit = series_regression(b, np.full(20, 3.5))
+    @settings(deadline=None, max_examples=100)
+    # 20 * 3.5 / 20 is 3.5: a mean with no round-off
+    @example(x=list(range(20)), c=3.5, order=3, rule="aic")
+    @given(x=st.lists(st.integers(-60, 60), min_size=2, max_size=400),
+           c=st.floats(-1e6, 1e6, allow_subnormal=False),
+           order=st.integers(1, 8), rule=st.sampled_from(["aic", "bic",
+                                                          "none"]))
+    def test_constant_response(self, x, c, order, rule):
+        # a constant y has y_sd = 0 exactly, whatever round-off its mean
+        # and std() carry, so no cell is selected and the curve is flat
+        s = make_sample(np.array(x, dtype=float))
+        assume(s.r > 1)
+        fit = series_regression(build_score_basis(s, order),
+                                np.full(s.n, c), rule=rule)
+        assert fit.y_sd == 0.0
         assert not fit.selected.any()
-        assert_allclose(fit.predict([0.0, 10.0, 19.0]), 3.5, rtol=0)
+        assert_array_equal(fit.predict(s.values), fit.ybar)
+        assert fit.ybar == pytest.approx(c, rel=1e-14, abs=0.0)
 
     def test_invariant_under_increasing_x_transform(self):
         rng = np.random.default_rng(75)

@@ -1,5 +1,7 @@
 """Two-sample pooling identities, rank statistics and Bayes updates."""
 
+import contextlib
+import io
 import math
 import warnings
 from dataclasses import astuple
@@ -7,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import mannwhitneyu, norm, ttest_ind
@@ -26,6 +28,7 @@ from lpstats import (
     two_sample_comp_density,
     wilcoxon,
 )
+from lpstats import cli
 from lpstats import twosample as tsmod
 from lpstats.empirical import make_sample, mid_ranks
 from lpstats.errors import (
@@ -182,6 +185,37 @@ class TestCorrelationStats:
         y = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
         with pytest.raises(DegenerateScale, match="pooled variance is zero"):
             correlation_stats(x, y)
+
+    @settings(deadline=None, max_examples=100)
+    # 7 * a / 7 != a: the mean of the first group is not its atom
+    @example(sizes=(7, 1), levels=[-0.2924567509650886, -0.007819084623568421],
+             seed=0)
+    @given(sizes=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+           levels=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                           min_size=2, max_size=2, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_response_constant_in_each_group_is_degenerate(
+            self, tmp_path_factory, sizes, levels, seed):
+        # a group on one atom has v = 0 exactly, whatever round-off its
+        # mean carries, so the pooled t is refused, by the CLI too
+        perm = np.random.default_rng(seed).permutation(sum(sizes))
+        x = np.repeat([0.0, 1.0], sizes)[perm]
+        y = np.repeat(levels, sizes)[perm]
+        for g in (0.0, 1.0):
+            assert group_summary(y[x == g]).v == 0.0
+        for call in (analyze, correlation_stats):
+            with pytest.raises(DegenerateScale,
+                               match="pooled variance is zero"):
+                call(x, y)
+        f = tmp_path_factory.mktemp("twosample") / "t.csv"
+        f.write_text("y,g\n" + "".join(f"{v!r},{g:g}\n"
+                                         for v, g in zip(y.tolist(), x)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["twosample", "--y", "y", "--group", "g",
+                             "--data", str(f)])
+        assert (code, err.getvalue()) == (
+            3, "error: pooled variance is zero\n")
 
     def test_label_handling(self):
         with pytest.raises(SingleGroup):
