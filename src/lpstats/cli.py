@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -465,19 +466,13 @@ def cmd_describe(args):
 def cmd_depend(args):
     (x, y), warnings = _load(args, args.x, args.y)
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
-    cor = correlations(mod.sx, mod.sy)
     grid = _grid_u(args.grid)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     cop = cpmod.eval_copula(mod, uu.ravel(), vv.ravel()).reshape(uu.shape)
     j, k = np.indices(mod.lpm.entries.shape) + 1
     payload = {
         "n": x.size,
-        "correlations": {
-            "pearson": cor.pearson,
-            "spearman_mid": cor.spearman_mid,
-            "gini_xy": cor.gini_xy,
-            "gini_yx": cor.gini_yx,
-        },
+        "correlations": asdict(correlations(mod.lpm)),
         "comoments": {
             "order_x": mod.lpm.entries.shape[0],
             "order_y": mod.lpm.entries.shape[1],
@@ -769,6 +764,8 @@ def _run(args):
             return args.handler(args)
     except FloatingPointError as exc:
         raise FloatingPointFault(f"floating-point {exc}") from None
+    except OverflowError:  # in Python float arithmetic, such as a `**`
+        raise FloatingPointFault("floating-point overflow") from None
 
 
 def _unexpected(exc) -> int:

@@ -485,16 +485,17 @@ def series_regression(bx: ScoreBasis, y_obs,
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
-    yields an empty selection and a flat curve. y is first summed per atom
-    of x by `np.bincount`, in O(n + r), and the cross moments come from
-    those r sums. A fit of lower order is the fit on the basis built at
-    that order.
+    yields +0.0 coefficients, an empty selection and a flat curve. y is
+    first summed per atom of x by `np.bincount`, in O(n + r), and the
+    cross moments come from those r sums. A fit of lower order is the fit
+    on the basis built at that order.
     """
     y = _finite(_of_length(y_obs, bx.source.n))
     sums = np.bincount(bx.source.atom_index, weights=y, minlength=bx.source.r)
-    coefficients = bx.table @ sums / y.size
-    # a constant y has no spread, whatever round-off its std() carries
-    y_sd = float(y.std()) if (y != y[0]).any() else 0.0
+    if (y != y[0]).any():
+        coefficients, y_sd = bx.table @ sums / y.size, float(y.std())
+    else:  # no spread and no cross moment, whatever round-off they carry
+        coefficients, y_sd = np.zeros(bx.max_order), 0.0
     if y_sd > 0.0:
         selected = select_significant(coefficients / y_sd, y.size, rule=rule)
     else:

@@ -81,7 +81,7 @@ class NonConvergence(LPStatsError):
 
 class FloatingPointFault(LPStatsError):
     """A floating-point overflow, division by zero or invalid operation in
-    a CLI command; the message names the numpy operation."""
+    a CLI command; the message names the numpy operation, if numpy's."""
 
 
 class IllConditioned(LPStatsError):

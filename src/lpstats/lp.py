@@ -57,6 +57,8 @@ class LPComomentMatrix:
     so the matrix is rectangular when one margin supports fewer scores
     (r - 1 exist on r atoms). `selected` marks the cells kept by the
     penalized selection rule; `lpinfor` is the squared sum over them.
+    `corner` is the [Z, T_1] x [Z, T_1] block, Z the standardized value,
+    whose cells `correlations` names; None where either sd is 0.
     """
 
     entries: np.ndarray
@@ -64,6 +66,7 @@ class LPComomentMatrix:
     selected: np.ndarray
     lpinfor: float
     rule: str
+    corner: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,9 @@ class LHermiteResult:
 
 def lp_moments(b: ScoreBasis) -> LPMomentVector:
     """LP(j; X) = E[Z(X) T_j(X)] for X = b.source and every order j of b."""
-    s = b.source
-    if s.sd <= 0.0:
+    if b.source.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
-    moments = (b.table * s.masses) @ ((s.values - s.mean) / s.sd)
+    moments = (b.table * b.source.masses) @ b.rows[0]
     reached = np.flatnonzero(np.cumsum(moments ** 2) >= TAIL_THRESHOLD)
     tail = int(reached[0]) + 1 if reached.size else None
     return LPMomentVector(moments=moments, tail_index=tail)
@@ -100,15 +102,17 @@ def lp_comoments(bx: ScoreBasis, by: ScoreBasis,
     j and k run over every order of bx and by, so a heavily tied margin,
     whose basis holds fewer scores, gives fewer rows or columns rather
     than failing. Selection and LPINFOR are filled in immediately. The
-    expectation is one `_pair_mean` of the score tables at the sources'
-    `atom_index`.
+    expectation is one `_pair_mean` of the bases' `rows` [Z, T_1..T_m]:
+    the entries are its [1:, 1:] block and the corner its [:2, :2] block.
     """
-    entries = _pair_mean(bx.table, bx.source.atom_index,
-                         by.table, by.source.atom_index)
+    both = _pair_mean(bx.rows, bx.source.atom_index,
+                      by.rows, by.source.atom_index)
+    entries = both[1:, 1:]
     selected = select_significant(entries, bx.source.n, rule=rule)
     info = float(np.sum(entries[selected] ** 2))
-    return LPComomentMatrix(entries=entries, n=bx.source.n,
-                            selected=selected, lpinfor=info, rule=rule)
+    corner = both[:2, :2] if min(bx.source.sd, by.source.sd) > 0.0 else None
+    return LPComomentMatrix(entries=entries, n=bx.source.n, selected=selected,
+                            lpinfor=info, rule=rule, corner=corner)
 
 
 def select_significant(coefficients, n: int, rule: str = "aic") -> np.ndarray:
@@ -163,29 +167,19 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
     return fa @ np.transpose(sums) / a.size
 
 
-def _standardized(s: Sample) -> np.ndarray:
-    """Values and mid-ranks of the atoms, rows standardized under the masses."""
-    rows = np.stack([s.values, s.fmid])
-    centred = rows - (rows @ s.masses)[:, None]
-    sd = np.sqrt(centred ** 2 @ s.masses)
-    if np.any(sd <= 0.0):
-        raise DegenerateScale("zero variance in correlation input")
-    return centred / sd[:, None]
+def correlations(c: LPComomentMatrix) -> CorrelationReport:
+    """Pearson, mid-rank Spearman, and the two Gini correlations of a pair.
 
-
-def correlations(sx: Sample, sy: Sample) -> CorrelationReport:
-    """Pearson, mid-rank Spearman, and the two Gini correlations.
-
-    spearman_mid is E[T_1(X) T_1(Y)], the Pearson correlation of the
-    mid-rank transforms; unlike the classical Spearman it needs no tie
-    correction terms. The Gini pair correlates each raw variable with the
-    other's mid-ranks. The four are one 2 x 2 `_pair_mean`, over the two
-    samples' rows, of each margin's standardized values and mid-ranks.
+    The four are the corner of the comoment record `c`: Pearson is
+    E[Z(X) Z(Y)] with Z the standardized value, spearman_mid is
+    E[T_1(X) T_1(Y)] = LP(1, 1), the Pearson correlation of the mid-rank
+    transforms (unlike the classical Spearman it needs no tie correction
+    terms), and the Gini pair correlates each raw variable with the
+    other's mid-ranks. A pair with a zero sd raises DegenerateScale.
     """
-    if sx.n < 2:
-        raise DegenerateScale("need at least two paired observations")
-    (pearson, gini_xy), (gini_yx, spearman) = _pair_mean(
-        _standardized(sx), sx.atom_index, _standardized(sy), sy.atom_index)
+    if c.corner is None:
+        raise DegenerateScale("zero variance in correlation input")
+    (pearson, gini_xy), (gini_yx, spearman) = c.corner
     return CorrelationReport(pearson=float(pearson),
                              spearman_mid=float(spearman),
                              gini_xy=float(gini_xy), gini_yx=float(gini_yx))

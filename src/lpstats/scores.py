@@ -51,34 +51,35 @@ def legendre_eval(j, u):
 class ScoreBasis:
     """Orthonormal score functions T_1..T_m of one sample, tabulated.
 
-    `table` has shape (max_order, r): row j - 1 holds T_j at the sample's
-    distinct values. Zero mean and orthonormality hold under the empirical
-    masses; `mean_error` and `gram_error` compute the achieved deviations
-    from the table when read. `max_order` is below `requested_order` only
-    where the request passed r - 1 or `MAX_ORDER`.
+    `rows` has shape (1 + max_order, r): at the sample's distinct values,
+    row 0 holds the standardized value Z (zeros where sd is 0) and row j
+    holds T_j; `table` is the view of rows 1..m. The scores' zero mean and
+    orthonormality hold under the empirical masses; `mean_error` and
+    `gram_error` compute the achieved deviations when read. `max_order`
+    is below `requested_order` only where the request passed r - 1 or
+    `MAX_ORDER`.
     """
 
-    __slots__ = ("source", "max_order", "requested_order", "table")
+    __slots__ = ("source", "max_order", "requested_order", "rows", "table")
 
-    def __init__(self, source, requested_order, table):
+    def __init__(self, source, requested_order, rows):
+        rows.setflags(write=False)
         self.source = source
         self.requested_order = int(requested_order)
-        self.table = table
-        self.max_order = int(table.shape[0])
-        table.setflags(write=False)
+        self.rows = rows
+        self.table = rows[1:]
+        self.max_order = len(self.table)
 
     @property
     def mean_error(self) -> float:
         """The largest |E[T_j]| under the sample's masses."""
-        means = self.table @ self.source.masses
-        return float(np.max(np.abs(means))) if self.max_order else 0.0
+        return float(np.max(np.abs(self.table @ self.source.masses)))
 
     @property
     def gram_error(self) -> float:
         """The largest |E[T_j T_k] - [j == k]| under the sample's masses."""
         gram = (self.table * self.source.masses) @ self.table.T
-        return (float(np.max(np.abs(gram - np.eye(self.max_order))))
-                if self.max_order else 0.0)
+        return float(np.max(np.abs(gram - np.eye(self.max_order))))
 
     def __repr__(self):
         return f"ScoreBasis(order={self.max_order}, r={self.source.r})"
@@ -104,7 +105,9 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
         raise DegenerateSample("need at least two distinct values")
     p = s.masses
     t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
-    table = np.empty((min(int(max_order), s.r - 1, MAX_ORDER), s.r))
+    rows = np.empty((1 + min(int(max_order), s.r - 1, MAX_ORDER), s.r))
+    rows[0] = (s.values - s.mean) / s.sd if s.sd > 0.0 else 0.0
+    table = rows[1:]
     pv = np.empty(s.r)
     for k in range(len(table)):
         v = table[k]
@@ -115,4 +118,4 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
             v -= (lower @ pv) @ lower
         np.multiply(p, v, out=pv)
         v /= np.sqrt(pv @ v)
-    return ScoreBasis(s, max_order, table)
+    return ScoreBasis(s, max_order, rows)

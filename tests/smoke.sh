@@ -19,6 +19,11 @@ lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
 (cd tests && lpstats twosample --y response --group group \
     --data data/clinic.csv | cmp - golden/twosample.json)
 test "$(lpstats depend --x GAG --y GAG --format csv | sed -n 2p)" = 1,1,1,true
+# spearman_mid is LP(1, 1), the first comoment: depend prints one text
+dep=$(lpstats depend --x Age --y GAG)
+sm=$(printf '%s' "$dep" | sed -n 's/.*"spearman_mid":\([^,]*\),.*/\1/p')
+lp11=$(printf '%s' "$dep" | sed -n 's/.*"entries":\[\[\([^],]*\)[],].*/\1/p')
+test -n "$sm" && test "$sm" = "$lp11"
 lpstats cquantile --x Age --y GAG --order 30 --select none > /dev/null
 lpstats fit --col GAG --g normal --order 8 > /dev/null
 # Order 1 is the lowest, and only the score basis sets an order: every
@@ -158,12 +163,14 @@ grep -q '"labels":\[1.23456789e+10,9.876543211e+10\]' "$tmp/lab.json"
 (cd "$tmp/labdot" && lpstats twosample --y y --group g --data t.csv) \
     | cmp - "$tmp/lab.json"
 # A constant response has no spread, whatever round-off its mean carries:
-# regress prints y_sd 0 and selects no cell, and twosample refuses a
-# response constant in each group (7 * a / 7 != a for the first group).
+# regress prints y_sd 0 and +0 coefficients and selects no cell, and
+# twosample refuses a response constant in each group (7 * a / 7 != a for
+# the first group).
 python3 -c 'print("x,y", *[f"{i % 50},-0.005227484414807474"
                           for i in range(335)], sep="\n")' > "$tmp/creg.csv"
 lpstats regress --x x --y y --data "$tmp/creg.csv" > "$tmp/creg.json"
 grep -q '"y_sd":0,' "$tmp/creg.json"
+grep -q '"coefficients":\[0,0,0,0\]' "$tmp/creg.json"
 grep -q '"selected":\[false,false,false,false\]' "$tmp/creg.json"
 python3 -c 'print("y,g", *["-0.2924567509650886,0"] * 7,
                  "-0.007819084623568421,1", sep="\n")' > "$tmp/ctwo.csv"

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from lpstats import (cli, compdensity, fit_reference, fixture_path, l2_fit,
                      make_sample, maxent_fit)
 from lpstats import copula as cpmod
+from lpstats import lp
 from lpstats import twosample as tsmod
 from lpstats.cli import ingest_csv, main
 from lpstats.errors import (
@@ -52,6 +53,11 @@ GOLDEN_CASES = {
     "fit.json": ["fit", "--col", "GAG", "--g", "normal"],
     "twosample.json": ["twosample", "--y", "response", "--group", "group",
                        "--data", "data/clinic.csv"],
+    # y of order 1e-300: its squared deviations underflow, so its sd is 0
+    "cquantile_underflow.json": ["cquantile", "--x", "x", "--y", "y",
+                                 "--data", "data/underflow.csv"],
+    "regress_underflow.json": ["regress", "--x", "x", "--y", "y",
+                               "--data", "data/underflow.csv"],
     "bayes_update.json": ["bayes-update", "--prior-n", "4", "--prior-mean",
                           "0", "--prior-var", "1", "--n", "4", "--mean",
                           "2", "--var", "1"],
@@ -89,6 +95,40 @@ class TestGolden:
         code, _ = run_cli(GOLDEN_CASES["twosample.json"])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("x, y", [("Age", "GAG"), ("GAG", "Age"),
+                                      ("x", "y")])
+    def test_depend_sums_one_pair_table(self, x, y, tmp_path, monkeypatch):
+        # the comoments and the correlations are one `_pair_mean`; with
+        # the coarser margin first it recurses once, to sum per atom of
+        # the finer one, and on a tied pair it counts the pair table once
+        argv = ["depend", "--x", x, "--y", y]
+        if x == "x":  # 7 x 5 atoms on 100 rows
+            f = tmp_path / "tied.csv"
+            f.write_text("x,y\n" + "".join(f"{i % 7},{i * 3 % 5}\n"
+                                            for i in range(100)))
+            argv += ["--data", str(f)]
+        depth, top, counts = [0], [], []
+        pair_mean, pair_counts = lp._pair_mean, lp._pair_counts
+
+        def spy_mean(*args):
+            top.append(depth[0] == 0)
+            depth[0] += 1
+            try:
+                return pair_mean(*args)
+            finally:
+                depth[0] -= 1
+
+        def spy_counts(*args):
+            counts.append(args)
+            return pair_counts(*args)
+
+        monkeypatch.setattr(lp, "_pair_mean", spy_mean)
+        monkeypatch.setattr(lp, "_pair_counts", spy_counts)
+        code, _ = run_cli(argv)
+        assert code == 0
+        assert top == ([True, False] if x == "GAG" else [True])
+        assert len(counts) == (x == "x")
 
     def test_csv_view_available_everywhere(self):
         for name, argv in GOLDEN_CASES.items():
@@ -1345,6 +1385,28 @@ class TestFloatingPointFaults:
                 assert unexpected == []
                 assert code == 0 or (code in (2, 3)
                                      and err.getvalue().startswith("error: "))
+
+    def test_a_spread_that_underflows_is_refused_by_name(self):
+        # the golden table whose y has sd 0: the rank commands print it,
+        # and depend refuses its correlations
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["depend", "--x", "x", "--y", "y",
+                                 "--data", "data/underflow.csv"])
+        assert (code, out) == (3, "")
+        assert err.getvalue() == "error: zero variance in correlation input\n"
+
+    def test_a_python_float_overflow_is_refused_by_name(self, tmp_path):
+        # the pooled variance squares the group means' gap, 2e154, as a
+        # Python float, outside numpy's error state
+        f = tmp_path / "gap.csv"
+        f.write_text("y,g\n0,0\n0,0\n2e154,1\n2e154,1\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["twosample", "--y", "y", "--group", "g",
+                                 "--data", str(f)])
+        assert (code, out) == (3, "")
+        assert err.getvalue() == "error: floating-point overflow\n"
 
     def test_an_overflow_is_refused_and_numpy_state_restored(self,
                                                              tmp_path):

@@ -489,10 +489,10 @@ def curve_models(draw):
         mod = replace(mod, lpm=lpm)
     elif shape in ("zero", "lead"):
         # "zero" clears slice i's whole column, "lead" only its T_1(x)
-        table = mod.bx.table.copy()
-        table[:1 if shape == "lead" else None, i] = 0.0
+        rows = mod.bx.rows.copy()
+        rows[1:2 if shape == "lead" else None, i] = 0.0
         mod = replace(mod, bx=ScoreBasis(mod.sx, mod.bx.requested_order,
-                                         table))
+                                         rows))
     if shape == "lead":
         entries = mod.lpm.entries.copy()
         entries[1:, -draw(st.integers(1, 2)):] = 0.0
@@ -552,20 +552,20 @@ class TestPolynomialCurves:
         x = np.arange(60.0) % 13
         mod = fit_copula(x, (x - 6.0) ** 2 + np.arange(60.0) % 3, order=4,
                          rule="none")
-        table = mod.bx.table.copy()
-        table[:, 2] = 0.0  # slice 2: all-zero weights, a flat series
-        quantile_curves(replace(mod, bx=ScoreBasis(mod.sx, 4, table)),
+        rows = mod.bx.rows.copy()
+        rows[1:, 2] = 0.0  # slice 2: all-zero weights, a flat series
+        quantile_curves(replace(mod, bx=ScoreBasis(mod.sx, 4, rows)),
                         mod.sx.fmid, [0.5])
         assert calls == []
         # only T_1(x) reaches Y's top score, and T_1 vanishes at slice 4:
         # that slice's P_u' loses its leading term, the others keep it
         entries = np.full((4, 4), 0.4)
         entries[1:, 3] = 0.0
-        table = mod.bx.table.copy()
-        table[0, 4] = 0.0
+        rows = mod.bx.rows.copy()
+        rows[1, 4] = 0.0
         lpm = replace(mod.lpm, entries=entries,
                       selected=np.ones((4, 4), dtype=bool))
-        lead = replace(mod, lpm=lpm, bx=ScoreBasis(mod.sx, 4, table))
+        lead = replace(mod, lpm=lpm, bx=ScoreBasis(mod.sx, 4, rows))
         means, _ = quantile_curves(lead, lead.sx.fmid, [0.5])
         for order in (11, 20):
             wide = fit_copula(x, np.arange(60.0), order=order, rule="none")
@@ -844,13 +844,15 @@ class TestSeriesRegression:
            order=st.integers(1, 8), rule=st.sampled_from(["aic", "bic",
                                                           "none"]))
     def test_constant_response(self, x, c, order, rule):
-        # a constant y has y_sd = 0 exactly, whatever round-off its mean
-        # and std() carry, so no cell is selected and the curve is flat
+        # a constant y has y_sd = 0 and +0.0 coefficients exactly, whatever
+        # round-off its mean, std() and sums carry, so no cell is selected
+        # and the curve is flat
         s = make_sample(np.array(x, dtype=float))
         assume(s.r > 1)
         y = np.full(s.n, c)
         fit = series_regression(build_score_basis(s, order), y, rule=rule)
         assert fit.y_sd == 0.0
+        assert fit.coefficients.tobytes() == bytes(8 * fit.basis.max_order)
         assert not fit.selected.any()
         # the mean of y, bit for bit, so 3.5 itself in the example
         assert fit.ybar == y.mean()

@@ -33,9 +33,15 @@ def basis_for(x, m=4):
     return s, build_score_basis(s, min(m, s.r - 1))
 
 
+def report_of(sx, sy):
+    """The report of two Samples: the corner of their order-1 comoments."""
+    return correlations(lp_comoments(build_score_basis(sx, 1),
+                                     build_score_basis(sy, 1)))
+
+
 def correlations_of(x, y):
-    """The report of two raw columns: `correlations` of their Samples."""
-    return correlations(make_sample(x), make_sample(y))
+    """The report of two raw columns."""
+    return report_of(make_sample(x), make_sample(y))
 
 
 def assert_near_the_gather(got, x, y, bx, by, m):
@@ -251,11 +257,11 @@ class TestLPComoments:
         bx, by = (build_score_basis(s, min(4, s.r - 1)) for s in (sx, sy))
         with search_only():
             ix, iy = sx.atom_at(x), sy.atom_at(y)
-        entries = lp._pair_mean(bx.table, ix, by.table, iy)
-        assert lp_comoments(bx, by).entries.tobytes() == entries.tobytes()
-        (pearson, gini_xy), (gini_yx, spearman) = lp._pair_mean(
-            lp._standardized(sx), ix, lp._standardized(sy), iy)
-        assert correlations(sx, sy) == lp.CorrelationReport(
+        both = lp._pair_mean(bx.rows, ix, by.rows, iy)
+        c = lp_comoments(bx, by)
+        assert c.entries.tobytes() == both[1:, 1:].tobytes()
+        (pearson, gini_xy), (gini_yx, spearman) = both[:2, :2]
+        assert correlations(c) == lp.CorrelationReport(
             pearson=float(pearson), spearman_mid=float(spearman),
             gini_xy=float(gini_xy), gini_yx=float(gini_yx))
         sums = np.bincount(ix, weights=y, minlength=sx.r)
@@ -318,7 +324,8 @@ class TestLPComoments:
             (sap, bap), (sbp, bbp) = basis_for(a[p]), basis_for(b[p])
             assert (lp_comoments(ba, bb).entries.tobytes()
                     == lp_comoments(bap, bbp).entries.tobytes())
-            assert correlations(sa, sb) == correlations(sap, sbp)
+            assert (correlations(lp_comoments(ba, bb))
+                    == correlations(lp_comoments(bap, bbp)))
 
     def test_lpinfor_is_squared_sum_of_selected(self):
         rng = np.random.default_rng(29)
@@ -388,16 +395,29 @@ class TestCorrelations:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 3000), st.booleans(), st.integers(0, 2 ** 32 - 1))
     def test_spearman_mid_is_the_first_comoment(self, n, tied, seed):
-        # both are E[T_1(X) T_1(Y)], the paper's Spearman_mid = LP(1, 1),
-        # summed by different routes; the worst gap over 4800 random tied,
-        # rounded and continuous tables (n 6-3000, order 4) was 2.0e-15
+        # both are E[T_1(X) T_1(Y)], the paper's Spearman_mid = LP(1, 1)
         rng = np.random.default_rng(seed)
         x = random_sample_values(rng, n, tied)
         y = random_sample_values(rng, n, tied) + rng.integers(0, 2) * x
         assume(np.unique(x).size > 1 and np.unique(y).size > 1)
         mod = fit_copula(x, y)
-        gap = correlations(mod.sx, mod.sy).spearman_mid - mod.lpm.entries[0, 0]
+        gap = correlations(mod.lpm).spearman_mid - mod.lpm.entries[0, 0]
         assert abs(gap) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 12), st.integers(2, 400),
+           st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_spearman_mid_is_the_first_comoment_bit_for_bit(self, rx, ry, n,
+                                                            m, seed):
+        # one `_pair_mean` sums both: spearman_mid is the cell LP(1, 1)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, rx, n).astype(float)
+        y = (x + rng.integers(0, ry, n) * rng.integers(0, 2, n)) % ry
+        sx, sy = make_sample(x), make_sample(y)
+        assume(sx.r > 1 and sy.r > 1)
+        c = lp_comoments(build_score_basis(sx, m), build_score_basis(sy, m))
+        got = correlations(c).spearman_mid
+        assert np.float64(got).tobytes() == c.entries[0, 0].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(2, 300),
@@ -414,7 +434,7 @@ class TestCorrelations:
         sx, sy = make_sample(x), make_sample(y)
         assume(sx.r > 1 and sy.r > 1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = correlations(sx, sy)
+            got = report_of(sx, sy)
         assert count.called
         assert_near_the_row_formulas(got, x, y, sx, sy)
 
@@ -429,7 +449,7 @@ class TestCorrelations:
         sx, sy = make_sample(x), make_sample(y)
         assert sx.r * sy.r > x.size
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = correlations(sx, sy)
+            got = report_of(sx, sy)
         assert any("weights" in c.kwargs for c in count.call_args_list)
         assert_near_the_row_formulas(got, x, y, sx, sy)
 

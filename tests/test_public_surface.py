@@ -59,7 +59,7 @@ def test_paired_estimators_take_what_was_built():
     # rows come from the Samples and bases given, so no Sample keeps a
     # copy of its observations (see README's changed call forms)
     params = inspect.signature(lp.correlations).parameters
-    assert list(params) == ["sx", "sy"]
+    assert list(params) == ["c"]
     assert "obs" not in empirical.Sample.__slots__
     assert not hasattr(empirical.make_sample([1.0, 2.0]), "obs")
 

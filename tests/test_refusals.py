@@ -8,9 +8,10 @@ import pytest
 
 from lpstats import (GroupSummary, build_score_basis, combine,
                      correlation_stats, correlations, exponential_reference,
-                     fit_reference, l2_fit, lhermite_normality, make_sample,
-                     mid_clt_approx, normal_reference, recursive_update,
-                     select_significant, student_t, uniform_reference)
+                     fit_reference, l2_fit, lhermite_normality, lp_comoments,
+                     make_sample, mid_clt_approx, normal_reference,
+                     recursive_update, select_significant, student_t,
+                     uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError
 
@@ -56,9 +57,11 @@ CASES = {
     "selection-bic-n-negative": (
         lambda: select_significant([0.5], -3, rule="bic"), DomainError,
         "sample size must be at least 1, got -3"),
-    "correlations-one-pair": (
-        lambda: correlations(make_sample([1.0]), make_sample([2.0])),
-        DegenerateScale, "at least two paired"),
+    "correlations-zero-spread": (
+        lambda: correlations(lp_comoments(
+            build_score_basis(make_sample(np.arange(5.0)), 1),
+            build_score_basis(make_sample(np.arange(5.0) * 1e-300), 1))),
+        DegenerateScale, "zero variance in correlation input"),
     "pearson-constant-column": (
         lambda: correlation_stats(np.arange(3.0) % 2, np.ones(3)),
         DegenerateScale, "pooled variance is zero"),

@@ -177,6 +177,20 @@ class TestBasisConstruction:
         expected = (u - 0.5) / np.sqrt(s.mid_rank_variance)
         assert_allclose(b.table[0], expected, rtol=1e-12)
 
+    def test_row_zero_is_the_standardized_value(self):
+        # Z sits above the scores in one read-only array, and `table` is a
+        # contiguous view of the scores; a spread that underflows (sd 0)
+        # leaves a zero row
+        s = make_sample([3.0, 1.0, 4.0, 1.0, 5.0])
+        b = build_score_basis(s, 3)
+        assert b.rows.shape == (4, s.r) and not b.rows.flags.writeable
+        assert b.rows[0].tobytes() == ((s.values - s.mean) / s.sd).tobytes()
+        assert b.table.flags.c_contiguous and not b.table.flags.writeable
+        assert np.shares_memory(b.table, b.rows[1:])
+        tiny = build_score_basis(make_sample(np.arange(5.0) * 1e-300), 2)
+        assert tiny.source.sd == 0.0
+        assert tiny.rows[0].tobytes() == bytes(8 * 5)
+
     def test_orthonormal_under_sample_weights(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
