@@ -11,7 +11,8 @@ quantities: the point-biserial correlation r of the group indicator with
 the response satisfies r^2 = tau1 tau2 (M2 - M1)^2 / V, the pooled t
 statistic is r / sqrt(1 - r^2) times sqrt(n - 2), and replacing the
 response by its mid-ranks turns the same correlation into the Wilcoxon
-statistic, which is also the (1, 1) LP comoment of (group, response).
+statistic, which is also the (1, 1) LP comoment of (group, response):
+r, w and LP(1, k) are one LP row, summed once by `two_sample_comp_density`.
 The recursive mean/variance update and the conjugate-normal Bayes update
 are `combine` of a one-point group and of a prior, a `GroupSummary` of
 pseudo-count n; `combine` refuses non-finite fields, non-positive counts
@@ -175,7 +176,8 @@ def _split_cells(x_obs, y_obs):
     """Count a finite response by a binary label: (labels, sy, cells).
 
     `cells` is the r_y x 2 table of (response atom, group) counts, column
-    1 the higher label. A zero label of either sign is read as +0.0.
+    1 the higher label. A zero label of either sign is read as +0.0. A
+    constant response raises DegenerateScale: it has no scores to fit.
     """
     x = np.asarray(x_obs).ravel()
     y = _of_length(y_obs, x.size)
@@ -188,6 +190,8 @@ def _split_cells(x_obs, y_obs):
             f"grouping variable must take exactly two values, got {labels.size}"
         )
     sy = make_sample(y)
+    if sy.r < 2:
+        raise DegenerateScale("the response is constant")
     return labels, sy, _pair_counts(sy.atom_index, x == labels[1], sy.r, 2)
 
 
@@ -204,33 +208,26 @@ def _group_summaries(sy: Sample, cells):
         yield GroupSummary(n=n, m=m, v=float(v))
 
 
-def _label_mean(f, cells, n: int, tau: float) -> float:
-    """E[f(Y) T_1(X)] over the cells, T_1 the standardized 0/1 label."""
-    t1x = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
-    return float(f @ cells @ t1x / n)
-
-
 def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     """Point-biserial correlation of a binary label with the response.
 
-    r and the group summaries are summed over the (response atom, group)
-    count table, not over rows. Verifies r = (M1 - M0) sqrt(tau (1 - tau)
-    / V) and t_core = r / sqrt(1 - r^2), each to 1e-12 relative; the flag
-    reports whether both held. A zero pooled variance (a constant response
-    too) or r = +-1 leaves t undefined and raises DegenerateScale.
+    r is the order-1 fit's `TwoSampleDensity.r`, and the group summaries
+    are summed over the same (response atom, group) count table. Verifies
+    r = (M1 - M0) sqrt(tau (1 - tau) / V) and t_core = r / sqrt(1 - r^2),
+    each to 1e-12 relative; the flag reports whether both held. A constant
+    response, zero pooled variance or r = +-1 raises DegenerateScale.
     """
-    _, sy, cells = _split_cells(x_obs, y_obs)
-    g0, g1 = _group_summaries(sy, cells)
+    dens = two_sample_comp_density(x_obs, y_obs, 1, "none")
+    g0, g1 = _group_summaries(dens.sy, dens.cells)
     # student_t refuses a zero pooled variance before any division here
-    return _correlation_stats(sy, cells, g0, g1, student_t(g0, g1).t_core)
+    return _correlation_stats(dens, g0, g1, student_t(g0, g1).t_core)
 
 
-def _correlation_stats(sy: Sample, cells, g0: GroupSummary, g1: GroupSummary,
-                       t_pool: float) -> CorrelationStats:
-    """`correlation_stats` given the group summaries and their pooled t."""
-    tau = g1.n / sy.n
-    r = _label_mean((sy.values - sy.mean) / sy.sd, cells, sy.n, tau)
-    r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / sy.var)
+def _correlation_stats(dens: TwoSampleDensity, g0: GroupSummary,
+                       g1: GroupSummary, t_pool: float) -> CorrelationStats:
+    """`correlation_stats` given the fit, its group summaries and pooled t."""
+    tau, r = dens.tau, dens.r
+    r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / dens.sy.var)
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")
     t = r / math.sqrt(1.0 - r ** 2)
@@ -242,27 +239,23 @@ def _correlation_stats(sy: Sample, cells, g0: GroupSummary, g1: GroupSummary,
 def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     """Wilcoxon statistic as the (1, 1) LP comoment of (label, response).
 
-    Ties need no correction: the mid-rank variance (1 - sum p^3)/12
-    absorbs them; a constant response, whose mid-rank variance is zero,
+    w is `lp1k[0]` of the order-1 fit. Ties need no correction: the
+    mid-rank variance (1 - sum p^3)/12 absorbs them; a constant response
     raises DegenerateScale. z_stat scales by sqrt(n), or sqrt(n - 1) when
     small_sample is set. All three statistics are summed over the counts
     of (response atom, group) pairs, in O(n + r_y), so none depends on
     row order.
     """
-    _, sy, cells = _split_cells(x_obs, y_obs)
-    return _wilcoxon(sy, cells, small_sample)
+    return _wilcoxon(two_sample_comp_density(x_obs, y_obs, 1, "none"),
+                     small_sample)
 
 
-def _wilcoxon(sy: Sample, cells, small_sample: bool) -> WilcoxonResult:
-    """`wilcoxon` on the response's Sample and its count table."""
-    n = sy.n
+def _wilcoxon(dens: TwoSampleDensity, small_sample: bool) -> WilcoxonResult:
+    """`wilcoxon` read from a comparison-density fit of any order."""
+    sy, n, tau = dens.sy, dens.sy.n, dens.tau
+    w = float(dens.lp1k[0])
+    m1 = float(sy.fmid @ dens.cells[:, 1] / int(dens.cells[:, 1].sum()))
     v_mid = sy.mid_rank_variance
-    if v_mid <= 0:
-        raise DegenerateScale("the response is constant")
-    n1 = int(cells[:, 1].sum())
-    tau = n1 / n
-    w = _label_mean((sy.fmid - 0.5) / math.sqrt(v_mid), cells, n, tau)
-    m1 = float(sy.fmid @ cells[:, 1] / n1)
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
     scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
     return WilcoxonResult(w=w, z_stat=scale * w, w_direct=w_direct,
@@ -275,11 +268,13 @@ class TwoSampleDensity:
 
     c[k-1] = E[T_k(Y; pooled) | group 1] are the slice coefficients,
     summed over group 1's column of `cells`, the r_y x 2 table of
-    (response atom, group) counts; lp1k = sqrt(tau / (1 - tau)) c are the
-    matching LP(1, k) comoments (the high-order Wilcoxon statistics), and
-    selection runs on that scale. `atom_density` is the clipped,
-    renormalized density over the pooled atoms, the object classification
-    consumes, and `mass` (at least 1) what it was divided by.
+    (response atom, group) counts. Over the same table, one LP row
+    E[T_1(G) f(Y)], G the 0/1 label and f each row [Z, T_1..T_m] of
+    `by.rows`, gives the point-biserial r and lp1k, the LP(1, k) comoments
+    (the high-order Wilcoxon statistics) on which selection runs.
+    `atom_density` is the clipped, renormalized density over the pooled
+    atoms, the object classification consumes, and `mass` (at least 1)
+    what it was divided by.
     """
 
     sy: Sample
@@ -288,6 +283,7 @@ class TwoSampleDensity:
     labels: tuple
     cells: np.ndarray
     c: np.ndarray
+    r: float
     lp1k: np.ndarray
     selected: np.ndarray
     atom_density: np.ndarray
@@ -302,13 +298,16 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     n1 = int(cells[:, 1].sum())
     c = by.table @ cells[:, 1] / n1
     tau = n1 / sy.n
-    lp1k = math.sqrt(tau / (1.0 - tau)) * c
-    selected = select_significant(lp1k, sy.n, rule=rule)
+    # Z(G) = T_1(G) for a 0/1 G; one pairwise sum per row, the same at any m
+    t1g = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
+    v = cells @ t1g / sy.n
+    row = np.array([np.add.reduce(f * v) for f in by.rows])
+    selected = select_significant(row[1:], sy.n, rule=rule)
     _, density, mass = _step_density(sy, by.table, c * selected)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
                             labels=tuple(labels.tolist()), cells=cells,
-                            c=c, lp1k=lp1k, selected=selected,
-                            atom_density=density, mass=mass)
+                            c=c, r=float(row[0]), lp1k=row[1:],
+                            selected=selected, atom_density=density, mass=mass)
 
 
 @_scalar_or_array(1)
@@ -394,8 +393,8 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     g1, g2 = _group_summaries(dens.sy, dens.cells)
     comb = combine(g1, g2)
     st = student_t(g1, g2)
-    cs = _correlation_stats(dens.sy, dens.cells, g1, g2, st.t_core)
-    wr = _wilcoxon(dens.sy, dens.cells, small_sample)
+    cs = _correlation_stats(dens, g1, g2, st.t_core)
+    wr = _wilcoxon(dens, small_sample)
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,29 @@ def random_sample_values(rng, n, tied=True):
         support = rng.integers(2, 12)
         return rng.integers(0, support, size=n).astype(float)
     return rng.standard_normal(n)
+
+
+def decimal_scores(p, x, max_order):
+    """The recurrence of `build_score_basis` in the current decimal context.
+
+    Orthonormal polynomials of degree 1..max_order in x under the masses p,
+    both lists of Decimals: x T_{k-1} less its three-term projections, then
+    one pass against every earlier row. Without that pass a 60-digit build
+    lost every digit on samples with two heavy ends. Returns the rows as
+    lists of Decimals.
+    """
+    rows = [[1 / sum(p).sqrt()] * len(p)]
+    beta = Decimal(0)
+    for k in range(max_order):
+        cur, prev = rows[-1], rows[-2] if k else [Decimal(0)] * len(p)
+        alpha = sum(pi * xi * ci * ci for pi, xi, ci in zip(p, x, cur))
+        v = [(xi - alpha) * ci - beta * qi for xi, ci, qi in zip(x, cur, prev)]
+        for row in rows:
+            d = sum(pi * vi * wi for pi, vi, wi in zip(p, v, row))
+            v = [vi - d * wi for vi, wi in zip(v, row)]
+        beta = sum(pi * vi * vi for pi, vi in zip(p, v)).sqrt()
+        rows.append([vi / beta for vi in v])
+    return rows[1:]
 
 
 def search_only():

@@ -250,14 +250,14 @@ class TestExitCodes:
 
     def test_constant_twosample_response_names_the_cause(self, tmp_path,
                                                          capsys):
-        # the density fit comes first, so the score basis refuses the
-        # single atom before the t statistic meets a zero pooled variance
+        # the count table refuses the single atom before the score basis
+        # or the t statistic sees it
         f = tmp_path / "const.csv"
         f.write_text("y,g\n1,0\n1,1\n1,0\n1,1\n", encoding="utf-8")
         code, _ = run_cli(["twosample", "--y", "y", "--group", "g",
                            "--data", str(f)])
         assert code == 3
-        assert "need at least two distinct values" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the response is constant\n"
 
     @pytest.mark.parametrize("content", [b"\xff\xfe\n",
                                          b"x,y\n1,\xff\xfe\n"])

@@ -21,7 +21,7 @@ from lpstats.errors import (
 )
 from lpstats.scores import MAX_ORDER
 
-from conftest import random_sample_values
+from conftest import decimal_scores, random_sample_values
 
 
 def weighted_gram(basis, masses):
@@ -55,32 +55,17 @@ def gram_schmidt_reference(s, max_order):
 
 
 def decimal_reference(s, max_order, digits=60):
-    """The recurrence of `build_score_basis` in `digits`-digit decimals.
+    """`decimal_scores` in `digits`-digit decimals of the Sample's own float
+    `fmid` and `masses`, each converted exactly.
 
-    Orthonormal polynomials in Fmid under the masses, from the Sample's own
-    float `fmid` and `masses`, each converted exactly: x T_{k-1} less its
-    three-term projections, then one pass against every earlier row. The
-    scores are the same functions of Fmid as those of the standardized
-    mid-rank. Without that pass a 60-digit build lost every digit on
-    samples with two heavy ends. Returns rows 1..max_order as floats.
+    The scores are the same functions of Fmid as those of the standardized
+    mid-rank. Returns rows 1..max_order as floats.
     """
     with localcontext() as ctx:
         ctx.prec = digits
-        p = [Decimal(float(v)) for v in s.masses]
-        x = [Decimal(float(v)) for v in s.fmid]
-        rows = [[1 / sum(p).sqrt()] * s.r]
-        beta = Decimal(0)
-        for k in range(max_order):
-            cur, prev = rows[-1], rows[-2] if k else [Decimal(0)] * s.r
-            alpha = sum(pi * xi * ci * ci for pi, xi, ci in zip(p, x, cur))
-            v = [(xi - alpha) * ci - beta * qi
-                 for xi, ci, qi in zip(x, cur, prev)]
-            for row in rows:
-                d = sum(pi * vi * wi for pi, vi, wi in zip(p, v, row))
-                v = [vi - d * wi for vi, wi in zip(v, row)]
-            beta = sum(pi * vi * vi for pi, vi in zip(p, v)).sqrt()
-            rows.append([vi / beta for vi in v])
-        return np.array([[float(v) for v in row] for row in rows[1:]])
+        rows = decimal_scores([Decimal(float(v)) for v in s.masses],
+                              [Decimal(float(v)) for v in s.fmid], max_order)
+        return np.array([[float(v) for v in row] for row in rows])
 
 
 @st.composite

@@ -5,6 +5,8 @@ import io
 import math
 import warnings
 from dataclasses import astuple
+from decimal import Decimal, localcontext
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -40,7 +42,7 @@ from lpstats.errors import (
     SingleGroup,
 )
 
-from conftest import random_sample_values
+from conftest import decimal_scores, random_sample_values
 
 
 def random_groups(rng, n_max=60):
@@ -301,7 +303,8 @@ class TestWilcoxonCells:
         sy = make_sample(y)
         assume(0 < x01.sum() < n and sy.r > 1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = tsmod._wilcoxon(*tsmod._split_cells(x01, y)[1:], small)
+            got = tsmod._wilcoxon(
+                two_sample_comp_density(x01, y, 1, "none"), small)
         assert count.called
         w, w_direct = row_wilcoxon(x01, sy)
         assert_allclose([got.w, got.w_direct, got.z_stat / got.scale],
@@ -318,7 +321,8 @@ class TestWilcoxonCells:
         sy = make_sample(y)
         assert 2 * sy.r > sy.n
         with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
-            got = tsmod._wilcoxon(*tsmod._split_cells(x01, y)[1:], False)
+            got = tsmod._wilcoxon(
+                two_sample_comp_density(x01, y, 1, "none"), False)
         assert count.called
         assert_allclose([got.w, got.w_direct], row_wilcoxon(x01, sy),
                         rtol=0, atol=1e-13)
@@ -551,13 +555,18 @@ class TestAnalyze:
                           "student_t": 1, "combine": 2}
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(6, 400), st.booleans(), st.floats(0.05, 0.95),
-           st.integers(0, 2 ** 32 - 1))
-    def test_a_row_shuffle_keeps_every_bit(self, n, tied, share, seed):
+    @given(st.integers(6, 400), st.sampled_from(["tied", "untied", "spread"]),
+           st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
+    def test_a_row_shuffle_keeps_every_bit(self, n, kind, share, seed):
         # every number of the report is summed over the (atom, group)
-        # counts, which row order cannot reach
+        # counts, which row order cannot reach. "spread" has r_y > n / 2
+        # and both groups on three heavy atoms: there a sum per atom over
+        # the rows, as `lp._pair_mean` takes it, would follow row order
         rng = np.random.default_rng(seed)
-        y = random_sample_values(rng, n, tied)
+        y = (np.concatenate([np.arange(n // 2 + 1.0),
+                             rng.integers(0, 3, n - n // 2 - 1)])
+             if kind == "spread" else random_sample_values(rng, n,
+                                                           kind == "tied"))
         x = (rng.random(n) < share).astype(float)
         assume(0 < x.sum() < n and np.unique(y).size > 1)
         try:
@@ -625,6 +634,20 @@ class TestTwoSampleIdentities:
         assert rep.correlation == correlation_stats(x, y)
         assert rep.wilcoxon == wilcoxon(x, y, small_sample=small)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 800),
+           st.integers(2, 400), st.integers(1, 8), st.booleans())
+    def test_every_order_reads_the_order_one_row(self, seed, n, r, m, small):
+        # r and w come from rows 0 and 1 of the LP row, each summed on its
+        # own, so an order-m report gives the order-1 functions' bits
+        x, y = tied_groups(seed, n, r)
+        try:
+            rep = analyze(x, y, m, small_sample=small)
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        assert rep.correlation == correlation_stats(x, y)
+        assert rep.wilcoxon == wilcoxon(x, y, small_sample=small)
+
     @settings(deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=60),
            st.sampled_from([(-2.0, 3.5), ("a", "b")]), st.data())
@@ -654,13 +677,14 @@ class TestTwoSampleIdentities:
     @settings(deadline=None)
     @given(tied_two_samples())
     def test_wilcoxon_is_the_first_high_order_comoment(self, xy):
-        # Wilcoxon = LP(1, 1): w is lp1k[0] of the comparison density
+        # Wilcoxon = LP(1, 1) and r = E[T_1(G) Z(Y)]: both are read from
+        # the density's one LP row
         try:
             rep = analyze(*xy)
         except DegenerateScale:
             assume(False)
-        assert math.isclose(rep.wilcoxon.w, rep.density.lp1k[0],
-                            rel_tol=1e-12, abs_tol=1e-12)
+        assert rep.wilcoxon.w == rep.density.lp1k[0]
+        assert rep.correlation.r == rep.density.r
 
     @settings(deadline=None)
     @given(tied_two_samples())
@@ -743,3 +767,96 @@ class TestScipyReferences:
                             equal_var=True).statistic
         assert math.isclose(rep.student.t_scaled, ref, rel_tol=1e-12,
                             abs_tol=1e-12)
+
+
+def exact_two_sample(values, cells, m, digits=60):
+    """What `twosample` prints of a count table, in `digits`-digit decimals.
+
+    `values` are the response atoms, ascending, each read exactly, and
+    `cells` their integer counts by group (columns 0 and 1). Each number
+    is taken from its definition: each group's mean and population
+    variance, the pooled t_core (M1 - M0) sqrt(tau (1 - tau) / Vpool), and
+    the LP row E[T_1(G) f(Y)] for f = Z, T_1..T_m, the scores built by
+    `decimal_scores` from the exact masses and mid-distribution. r is the
+    row's Z entry, lp1k the rest, and w = lp1k[0]. Returns floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        y = [Decimal(float(v)) for v in values]
+        cells = [(int(a), int(b)) for a, b in cells]
+        sizes = [sum(c[g] for c in cells) for g in (0, 1)]
+        n = sum(sizes)
+        groups = []
+        for g, size in enumerate(sizes):
+            mean = sum(c[g] * v for c, v in zip(cells, y)) / size
+            groups.append((mean, sum(c[g] * (v - mean) ** 2
+                                     for c, v in zip(cells, y)) / size))
+        (m0, v0), (m1, v1) = groups
+        tau = Decimal(sizes[1]) / n
+        vpool = (sizes[0] * v0 + sizes[1] * v1) / n
+        p = [Decimal(a + b) / n for a, b in cells]
+        fmid = [cum - pi / 2 for cum, pi in zip(accumulate(p), p)]
+        mean = sum(pi * v for pi, v in zip(p, y))
+        sd = sum(pi * (v - mean) ** 2 for pi, v in zip(p, y)).sqrt()
+        scores = decimal_scores(p, fmid, min(m, len(y) - 1))
+        t1g = [(b - tau * (a + b)) / (n * (tau * (1 - tau)).sqrt())
+               for a, b in cells]
+        row = [sum(f * t for f, t in zip(fs, t1g))
+               for fs in [[(v - mean) / sd for v in y], *scores]]
+        return {"g0": (float(m0), float(v0)), "g1": (float(m1), float(v1)),
+                "t_core": float((m1 - m0) * (tau * (1 - tau) / vpool).sqrt()),
+                "r": float(row[0]), "lp1k": [float(v) for v in row[1:]]}
+
+
+@st.composite
+def small_tied_tables(draw):
+    """Atoms of an integer or cent grid, up to 12, and their counts by group.
+
+    Each atom holds 1 to 24 rows and each group at least one, so n <= 288.
+    """
+    r = draw(st.integers(2, 12))
+    atoms = draw(st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=r,
+                          max_size=r, unique=True))
+    values = np.sort(atoms) / draw(st.sampled_from([1, 100]))
+    cells = np.array(draw(st.lists(st.tuples(st.integers(0, 12),
+                                             st.integers(0, 12)),
+                                   min_size=r, max_size=r)))
+    keep = cells.sum(axis=1) > 0
+    assume(keep.sum() > 1 and np.all(cells[keep].sum(axis=0) > 0))
+    return values[keep], cells[keep]
+
+
+class TestExactReference:
+    """The printed report against `exact_two_sample` on small tied tables.
+
+    Each bound is in units of its quantity's scale: big = max |y| for the
+    means, big^2 for the variances, (1 + |t|) big^2 / Vpool for t_core,
+    the conditioning of the pooled variance, and 1 for r, w and LP(1, k),
+    which are correlations. Over 44000 random tables of this kind (r <=
+    12, n <= 288, m <= 8) and 20000 examples of this strategy, the largest
+    gaps were 2.3e-16, 4.2e-16, 1.5e-16, 3.3e-16 for r and w, and 1.1e-15
+    for LP(1, k); each bound is three to seven times that.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_tied_tables(), st.integers(1, 8))
+    def test_the_report_is_near_the_exact_values(self, table, m):
+        values, cells = table
+        y = np.repeat(np.tile(values, 2), cells.T.ravel())
+        x = np.repeat([0.0, 1.0], cells.sum(axis=0))
+        try:
+            rep = analyze(x, y, m, "none")
+        except DegenerateScale:  # |r| = 1 or a zero pooled variance
+            assume(False)
+        exact = exact_two_sample(values, cells, m)
+        big = float(np.max(np.abs(values)))
+        for got, (mean, var) in ((rep.g1, exact["g0"]),
+                                 (rep.g2, exact["g1"])):
+            assert abs(got.m - mean) <= 1e-15 * big
+            assert abs(got.v - var) <= 2e-15 * big ** 2
+        t = exact["t_core"]
+        assert abs(rep.student.t_core - t) <= (
+            1e-15 * (1.0 + abs(t)) * big ** 2 / rep.combined.vpool)
+        assert abs(rep.correlation.r - exact["r"]) <= 1e-15
+        assert abs(rep.wilcoxon.w - exact["lp1k"][0]) <= 1e-15
+        assert_allclose(rep.density.lp1k, exact["lp1k"], rtol=0, atol=4e-15)
