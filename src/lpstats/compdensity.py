@@ -28,7 +28,7 @@ from .empirical import (Sample, _finite_params, _scalar_or_array, _unit_open,
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
                      IllConditioned, NonConvergence, UnboundedDensity)
 from .lp import select_significant
-from .scores import legendre_eval
+from .scores import _row_sums, legendre_eval
 
 __all__ = [
     "ReferenceDistribution",
@@ -231,7 +231,7 @@ def l2_fit(s: Sample, g: ReferenceDistribution, m: int = 4,
         raise DomainError("order must be at least 1")
     u_atoms = np.clip(np.asarray(g.cdf(s.values), dtype=float), 0.0, 1.0)
     table = legendre_eval(range(1, m + 1), u_atoms)
-    c = table @ s.masses
+    c = _row_sums(table, s.masses)
     selected = select_significant(c, s.n, rule=rule)
     return CompDensityModel(g=g, order=m, c=c, selected=selected,
                             n=s.n, rule=rule)

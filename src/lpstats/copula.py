@@ -23,7 +23,7 @@ from .compdensity import CLIP_FLOOR
 from .empirical import (Sample, _finite, _of_length, _scalar_or_array,
                         _unit_open, make_sample, mid_quantile)
 from .lp import LPComomentMatrix, lp_comoments, select_significant
-from .scores import ScoreBasis, build_score_basis
+from .scores import ScoreBasis, _row_sums, build_score_basis
 
 __all__ = [
     "CopulaModel",
@@ -474,9 +474,14 @@ class RegressionFit:
 
     @_scalar_or_array(1)
     def predict(self, x):
+        """The curve at the atom of each x (see `Sample.atom_at`).
+
+        The selected terms are summed over the orders, in order, once per
+        atom, so a point's bits do not depend on what else is asked for.
+        """
         active = self.coefficients * self.selected
-        idx = self.basis.source.atom_at(x)
-        return self.ybar + active @ self.basis.table[:, idx]
+        curve = np.add.reduce(active[:, None] * self.basis.table, axis=0)
+        return self.ybar + curve[self.basis.source.atom_at(x)]
 
 
 def series_regression(bx: ScoreBasis, y_obs,
@@ -485,7 +490,8 @@ def series_regression(bx: ScoreBasis, y_obs,
 
     The constant term handles centering (scores have zero mean), so the
     coefficients are plain cross moments mean(y T_j(x)). A constant y
-    yields +0.0 coefficients, an empty selection and a flat curve. y is
+    yields +0.0 coefficients, an empty selection under any known rule and
+    a flat curve; an unknown rule raises DomainError for every y. y is
     first summed per atom of x by `np.bincount`, in O(n + r), and the
     cross moments come from those r sums. A fit of lower order is the fit
     on the basis built at that order.
@@ -493,12 +499,11 @@ def series_regression(bx: ScoreBasis, y_obs,
     y = _finite(_of_length(y_obs, bx.source.n))
     sums = np.bincount(bx.source.atom_index, weights=y, minlength=bx.source.r)
     if (y != y[0]).any():
-        coefficients, y_sd = bx.table @ sums / y.size, float(y.std())
+        coefficients, y_sd = _row_sums(bx.table, sums) / y.size, float(y.std())
     else:  # no spread and no cross moment, whatever round-off they carry
         coefficients, y_sd = np.zeros(bx.max_order), 0.0
-    if y_sd > 0.0:
-        selected = select_significant(coefficients / y_sd, y.size, rule=rule)
-    else:
-        selected = np.zeros(bx.max_order, dtype=bool)
+    # the rule is checked even where a y with no spread selects nothing
+    selected = select_significant(coefficients / (y_sd or 1.0), y.size,
+                                  rule=rule) & (y_sd > 0.0)
     return RegressionFit(basis=bx, ybar=float(y.mean()), y_sd=y_sd,
                          coefficients=coefficients, selected=selected)

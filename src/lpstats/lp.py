@@ -19,7 +19,7 @@ import numpy as np
 
 from .empirical import Sample, _pair_counts
 from .errors import DegenerateScale, DomainError, LengthMismatch
-from .scores import ScoreBasis
+from .scores import ScoreBasis, _row_sums
 
 __all__ = [
     "LPMomentVector",
@@ -89,7 +89,7 @@ def lp_moments(b: ScoreBasis) -> LPMomentVector:
     """LP(j; X) = E[Z(X) T_j(X)] for X = b.source and every order j of b."""
     if b.source.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
-    moments = (b.table * b.source.masses) @ b.rows[0]
+    moments = _row_sums(b.table, b.source.masses * b.rows[0])
     reached = np.flatnonzero(np.cumsum(moments ** 2) >= TAIL_THRESHOLD)
     tail = int(reached[0]) + 1 if reached.size else None
     return LPMomentVector(moments=moments, tail_index=tail)

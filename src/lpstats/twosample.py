@@ -31,7 +31,7 @@ from .empirical import (Sample, _finite, _of_length, _pair_counts, _real,
                         _scalar_or_array, make_sample)
 from .errors import DegenerateScale, DomainError, EmptyInput, SingleGroup
 from .lp import select_significant
-from .scores import ScoreBasis, build_score_basis
+from .scores import ScoreBasis, _row_sums, build_score_basis
 
 __all__ = [
     "GroupSummary",
@@ -296,12 +296,13 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     labels, sy, cells = _split_cells(x_obs, y_obs)
     by = build_score_basis(sy, m)
     n1 = int(cells[:, 1].sum())
+    # one BLAS product, not `_row_sums`: `classification` keeps its bits
     c = by.table @ cells[:, 1] / n1
     tau = n1 / sy.n
-    # Z(G) = T_1(G) for a 0/1 G; one pairwise sum per row, the same at any m
+    # Z(G) = T_1(G) for a 0/1 G
     t1g = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
     v = cells @ t1g / sy.n
-    row = np.array([np.add.reduce(f * v) for f in by.rows])
+    row = _row_sums(by.rows, v)
     selected = select_significant(row[1:], sy.n, rule=rule)
     _, density, mass = _step_density(sy, by.table, c * selected)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,

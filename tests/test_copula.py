@@ -930,7 +930,8 @@ class TestSeriesRegression:
             ix = s.atom_at(x)
         fit = series_regression(b, y, rule="none")
         sums = np.bincount(ix, weights=y, minlength=s.r)
-        assert fit.coefficients.tobytes() == (b.table @ sums / s.n).tobytes()
+        want = (b.table * sums).sum(axis=1) / s.n
+        assert fit.coefficients.tobytes() == want.tobytes()
         with search_only():
             ref_curve = fit.predict(s.values)
         assert_array_equal(fit.predict(s.values), ref_curve)
@@ -952,8 +953,30 @@ class TestSeriesRegression:
         full = series_regression(build_score_basis(s, 4), x ** 2,
                                  rule="none")
         assert fit.coefficients.tobytes() == full.coefficients[:2].tobytes()
+        terms = fit.coefficients[:, None] * fit.basis.table
         assert_array_equal(fit.predict(s.values),
-                           fit.ybar + fit.coefficients @ fit.basis.table)
+                           fit.ybar + terms.sum(axis=0))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(3, 2000),
+           st.integers(1, 30), st.integers(1, 12))
+    def test_a_point_reads_the_same_curve_however_it_is_asked(
+            self, seed, tied, n, m, k):
+        # the curve is summed over the orders, in order, at every atom: k
+        # points, one point alone, and the sample's own values all read it
+        rng = np.random.default_rng(seed)
+        x = random_sample_values(rng, n, tied)
+        s = make_sample(x)
+        assume(s.r > 1)
+        fit = series_regression(build_score_basis(s, m),
+                                x + rng.standard_normal(n), rule="none")
+        curve = fit.ybar + (fit.coefficients[:, None]
+                            * fit.basis.table).sum(axis=0)
+        assert fit.predict(s.values).tobytes() == curve.tobytes()
+        points = rng.standard_normal(k) * 2.0
+        got = fit.predict(points)
+        assert got.tobytes() == curve[s.atom_at(points)].tobytes()
+        assert [fit.predict(p) for p in points] == got.tolist()
 
     def test_prediction_between_atoms_is_a_step(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])

@@ -10,8 +10,8 @@ from lpstats import (GroupSummary, build_score_basis, combine,
                      correlation_stats, correlations, exponential_reference,
                      fit_reference, l2_fit, lhermite_normality, lp_comoments,
                      make_sample, mid_clt_approx, normal_reference,
-                     recursive_update, select_significant, student_t,
-                     uniform_reference)
+                     recursive_update, select_significant,
+                     series_regression, student_t, uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError
 
@@ -51,6 +51,10 @@ CASES = {
     "unknown-selection-rule": (
         lambda: select_significant([0.5], 10, rule="x"), DomainError,
         "unknown selection rule 'x'"),
+    "regression-unknown-rule-constant-y": (
+        lambda: series_regression(build_score_basis(SAMPLE, 2), np.ones(4),
+                                  rule="bogus"), DomainError,
+        "unknown selection rule 'bogus'"),
     "selection-aic-n-zero": (
         lambda: select_significant([0.5], 0), DomainError,
         "sample size must be at least 1, got 0"),

@@ -11,9 +11,13 @@ from numpy.testing import assert_allclose
 
 from lpstats import (
     build_score_basis,
+    l2_fit,
     legendre_eval,
+    lp_moments,
     make_sample,
     mid_ranks,
+    normal_reference,
+    series_regression,
 )
 from lpstats.errors import (
     DegenerateSample,
@@ -277,6 +281,38 @@ class TestBasisConstruction:
         for j in range(1, 5):
             ref = legendre_eval(j, s.fmid)
             assert np.max(np.abs(b.table[j - 1] - ref)) < 0.05
+
+
+class TestScoreMeans:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(20, 3000),
+           st.integers(1, MAX_ORDER - 1), st.integers(1, MAX_ORDER - 1))
+    def test_a_lower_order_is_a_byte_prefix_of_every_estimate(
+            self, seed, tied, n, a, b):
+        # each score row is summed on its own, so the LP moments, the
+        # regression coefficients and the comparison-density coefficients
+        # at order m are the first m of those at order M, byte for byte,
+        # and the largest |E[T_j]| of the first m rows is at most that of M
+        rng = np.random.default_rng(seed)
+        x = random_sample_values(rng, n, tied)
+        y = x + rng.standard_normal(n)
+        s = make_sample(x)
+        big = min(1 + max(a, b), s.r - 1)
+        small = min(a, b, big - 1)
+        assume(small >= 1)
+        g = normal_reference(s.mean, s.sd)
+
+        def estimates(m):
+            basis = build_score_basis(s, m)
+            return (basis.mean_error, lp_moments(basis).moments,
+                    series_regression(basis, y, rule="none").coefficients,
+                    l2_fit(s, g, m, rule="none").c)
+
+        (lo_error, *low), (hi_error, *high) = estimates(small), estimates(big)
+        assert lo_error <= hi_error
+        for lo, hi in zip(low, high):
+            assert lo.size == small
+            assert hi.tobytes().startswith(lo.tobytes())
 
 
 class TestDiagnostics:
