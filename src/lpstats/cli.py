@@ -48,9 +48,8 @@ MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
-# Those of a body that `_int_rows` may parse: digits, ',' and '-', and a CR
-# it takes only before an LF.
-_INT_BYTES = b"0123456789,-\r"
+# Those of a body that `_int_rows` may parse: digits and ','.
+_INT_BYTES = b"0123456789,"
 # Bytes read from a body at a time: each block is scanned, and parsed while
 # the body is integral, as it is read, so that only a few blocks of memory
 # are held at once.
@@ -133,24 +132,17 @@ def _int_rows(block, rows, fields, idx):
     """The (len(idx), rows) int64 requested fields of a block, or None.
 
     `block` holds `rows` whole lines after the LF that ends the line
-    before them (`_line_blocks`). They are integral when each holds
-    `fields` fields, split by ',' and ended by LF or CRLF, each field is
-    digits after an optional '-', and each requested field `idx` has 1 to
-    18 digits. So |value| < 10**18 < 2**63, and int64 to float64 rounds to
+    before them (`_line_blocks`), in digits, ',' and LFs alone
+    (`_body_lines`). They are integral when each holds `fields` fields,
+    split by ',' and ended by LF, and each requested field `idx` has 1 to
+    18 digits. So value < 10**18 < 2**63, and int64 to float64 rounds to
     nearest even, as a correctly rounded float() of the same decimal
     integer does. Anything else, a blank line, an empty requested field or
     a piece of a line longer than `_LINE_CAP` included, gives None.
     """
     if block[-1] != 10:  # a piece of a line longer than `_LINE_CAP`
         return None
-    signed, crlf = b"-" in block, b"\r" in block
     b = np.frombuffer(block, np.uint8)
-    # a '-' only leads a field, and a CR only ends a line
-    head, tail = b[:-1], b[1:]
-    if signed and ((tail == 45) & (head != 44) & (head != 10)).any():
-        return None
-    if crlf and ((head == 13) & (tail != 10)).any():
-        return None
     seps = np.flatnonzero((b == 44) | (b == 10))
     # an LF at every `fields`-th end, and no other: each line holds
     # `fields` - 1 commas
@@ -162,27 +154,19 @@ def _int_rows(block, rows, fields, idx):
     # `end`, one (rows, len(idx)) table of positions each
     prev = seps[:-1].reshape(rows, fields)[:, idx]
     end = seps[1:].reshape(rows, fields)[:, idx]
-    if crlf:
-        end -= b[end - 1] == 13
     digit = b[end - 1] - 48
-    if digit.max(initial=0) > 9:  # an empty field, or a '-' alone
+    if digit.max(initial=0) > 9:  # an empty field
         return None
-    width = end - prev - 1
-    if signed:
-        neg = b[prev + 1] == 45
-        width -= neg
-    top = width.max(initial=1)
+    top = (end - prev - 1).max(initial=1)
     if top > 18:
         return None
-    if top > 1:  # a field of one digit has its `prev` or '-' there
+    if top > 1:  # a field of one digit has its `prev` there
         digit += 10 * (np.maximum(b[end - 2], 48) - 48)
     value = digit.astype(np.int64)
     for j in range(2, top):
         # past a field's first digit, `prev` is read: a digit of 0
         digit = np.maximum(b[np.maximum(end - 1 - j, prev)], 48) - 48
         value += 10 ** j * digit.astype(np.int64)
-    if signed:
-        value = np.where(neg, -value, value)
     return value.T
 
 
@@ -193,18 +177,18 @@ def _body_lines(blocks, idx):
     `_INT_BYTES`; while this leaves only LFs, their count, less the LF the
     block starts with if it does, is its count of lines, and `_int_rows`
     parses the requested columns `idx`, each line holding the first
-    line's count of fields. The first block that it leaves more in ends
-    the integral parse, and a second translate of the rest, and one
-    translate of every later block, delete `_FIELD_BYTES`. What is left
-    must be LFs. The table is None for a body `_int_rows` refuses. The
-    whole result is None for a byte no field may hold, and for a body
-    made only of line ends, which np.loadtxt would warn holds no data. No
-    block outlives its iteration.
+    line's count of fields. The first block that it leaves more in, a '-'
+    or CR included, ends the integral parse, and a second translate of the
+    rest, and one translate of every later block, delete `_FIELD_BYTES`.
+    What is left must be LFs. The table is None for a body `_int_rows`
+    refuses. The whole result is None for a byte no field may hold, and
+    for a body made only of line ends, which np.loadtxt would warn holds
+    no data. No block outlives its iteration.
     """
     lines, data, deleted, parts, fields = 0, False, _INT_BYTES, [], None
     for block in blocks:
         rest = block.translate(None, deleted)
-        if rest != b"\n" * len(rest):  # a '+', '.', space or tab, or worse
+        if rest != b"\n" * len(rest):  # a '-', '.', CR or space, or worse
             deleted, parts = _FIELD_BYTES, None
             rest = rest.translate(None, deleted)
             if rest != b"\n" * len(rest):  # a byte no field may hold
@@ -297,19 +281,20 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
     included, is read whole, with no Python string per line (see
     `_loadtxt_body`); deciding to try takes one pass over each block of
-    whole lines (`_line_blocks`). An integral body, digits, ',' and a
-    leading '-' in lines of equal field counts, is parsed in numpy in that
-    same pass (`_int_rows`); any other is read by one float np.loadtxt
-    over the path. Where neither read can vouch for every row, csv.reader,
-    `_row_problem` and float() walk the body, and one np.fromiter takes
-    the kept values, holding no Python list of rows. All paths give the
-    same columns, bit for bit, and the same drop counts; only the csv
-    module refuses a field longer than `csv.field_size_limit()`. Each path
-    gives a (len(columns), rows) table. An integral body's columns are its
-    int64 rows, so that `make_sample` counts them with no float round
-    trip; their float64 casts are the float paths' columns, bit for bit.
-    Any other column is its float row plus 0.0, a contiguous copy in which
-    a zero of either sign reads as +0.0.
+    whole lines (`_line_blocks`). An integral body, unsigned digits and
+    ',' in LF-ended lines of equal field counts, is parsed in numpy in
+    that same pass (`_int_rows`); any other, one with a '-' or a CRLF
+    included, is read by one float np.loadtxt over the path. Where
+    neither read can vouch for every row, csv.reader, `_row_problem` and
+    float() walk the body, and one np.fromiter takes the kept values,
+    holding no Python list of rows. All paths give the same columns, bit
+    for bit, and the same drop counts; only the csv module refuses a field
+    longer than `csv.field_size_limit()`. Each path gives a
+    (len(columns), rows) table. An integral body's columns are its int64
+    rows, so that `make_sample` counts them with no float round trip;
+    their float64 casts are the float paths' columns, bit for bit. Any
+    other column is its float row plus 0.0, a contiguous copy in which a
+    zero of either sign reads as +0.0.
     """
     p = Path(path)
     if not p.is_file():
@@ -788,7 +773,10 @@ def main(argv=None) -> int:
             "warnings": warnings,
         }
         if args.format == "csv":
+            # the CSV view has no place for the envelope's warnings
             text = render_csv(*csv_view)
+            for warning in warnings:
+                print(f"warning: {warning}", file=sys.stderr)
         else:
             text = render_json(envelope)
         if args.out:

@@ -422,7 +422,8 @@ def quantile_curves(mod: CopulaModel, us, ps):
     """Conditional mean and quantiles over a grid of conditioning levels.
 
     Returns (means, table) where table[i][j] is the p_j conditional
-    quantile at u_i. All u and p are checked before any work.
+    quantile at u_i, u and p each raveled, so a scalar u gives one row.
+    All u and p are checked before any work.
 
     Every slice is read at once off the polynomial form of Y's scores
     (see `_clip_runs`): prefix sums of the score table give each slice's
@@ -431,7 +432,7 @@ def quantile_curves(mod: CopulaModel, us, ps):
     O(r_y m^2 + r_x m^3 + r_x |p| m log r_y), not O(r_x r_y m), at every
     order. One mid-quantile call maps every level.
     """
-    us = _unit_open(us, "conditioning level")
+    us = np.ravel(_unit_open(us, "conditioning level"))
     ps = np.ravel(_unit_open(ps, "quantile probability"))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(us)]
     weights = su.T @ mod.coefficients

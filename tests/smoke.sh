@@ -62,17 +62,18 @@ assert len(json.load(sys.stdin)["payload"]["lp_moments"]) == 4' \
 # copy with blank lines and its CRLF copy. All must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and
 # describe, depend and regress must give for it the bytes of the copy
-# without that row. A table of integers, and its CRLF copy, are parsed
-# whole by the integral reader, with no np.loadtxt call, into int64
-# columns; its copy with one cell written as 7.0 is read whole by the
-# float np.loadtxt. All three must give the same bytes. They are counted
-# by make_sample, int64 columns with no float round trip; depend,
+# without that row, and write its dropped row to stderr as a warning.
+# A table of unsigned integers in LF-ended lines is parsed whole by the
+# integral reader, with no np.loadtxt call, into int64 columns; its CRLF
+# copy and its copy with one cell written as 7.0 are read whole by the
+# float np.loadtxt. All three must give the same bytes. The int64
+# columns are counted by make_sample with no float round trip; depend,
 # regress and cquantile sum over their atoms and cells, fit over its
 # atoms, and twosample over the (atom, group) cells of y and the 0/1
-# column g. So are the negated copies of the first and the third, where
-# each 0 is written as -0: the signed integers are parsed by the
-# integral reader, and with one cell written as -7.0 read as float, and
-# each zero of either is read as +0.0. The clean
+# column g. So must the negated copies of the first and the third, where
+# each 0 is written as -0: both are read by the float np.loadtxt, the
+# signed integers and the copy with one cell written as -7.0, and each
+# zero of either is read as +0.0. The clean
 # table with a 0/1 column g taken from the row index, and its CRLF copy,
 # must give the same twosample bytes: its untied x sums over the
 # (atom, group) cells as tied columns do. That table's rows in reverse
@@ -132,7 +133,9 @@ for cmd in "describe --col x" "depend --x x --y y"; do
 done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/drop.csv" > "$tmp/drop.out"
-    lpstats $cmd --format csv --data "$tmp/na.csv" | cmp - "$tmp/drop.out"
+    lpstats $cmd --format csv --data "$tmp/na.csv" 2> "$tmp/na.err" \
+        | cmp - "$tmp/drop.out"
+    test "$(cat "$tmp/na.err")" = "warning: dropped 1 rows (non_numeric: 1)"
 done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
     "cquantile --x x --y y" "fit --col x --g normal" \

@@ -183,6 +183,27 @@ class TestEnvelope:
         assert json.loads(text)["warnings"] == [
             "score basis truncated at order 2"]
 
+    def test_csv_output_writes_the_warnings_to_stderr(self, tmp_path,
+                                                      capsys):
+        # the CSV view cannot carry the envelope's warnings; each goes to
+        # stderr, and stdout and the JSON run are as they were
+        f = tmp_path / "na.csv"
+        f.write_text("y\n" + "1\n2\n3\n" * 3 + "NA\n", encoding="utf-8")
+        argv = ["describe", "--col", "y", "--data", str(f), "--order", "5"]
+        code, text = run_cli(argv)
+        assert (code, capsys.readouterr().err) == (0, "")
+        doc = json.loads(text)
+        assert doc["warnings"] == ["dropped 1 rows (non_numeric: 1)",
+                                   "score basis truncated at order 2"]
+        code, text = run_cli(argv + ["--format", "csv"])
+        assert code == 0
+        assert text == cli.render_csv(["u", "qmid", "qiq"], [
+            np.array(doc["payload"]["qiq_grid"][k])
+            for k in ("u", "qmid", "qiq")])
+        assert capsys.readouterr().err == (
+            "warning: dropped 1 rows (non_numeric: 1)\n"
+            "warning: score basis truncated at order 2\n")
+
 
 class TestBundledData:
     def test_default_is_echoed_as_a_token_from_any_cwd(self, monkeypatch,
@@ -578,6 +599,16 @@ class TestRenderJson:
             with pytest.raises(LPStatsError, match="non-finite"):
                 render_elementwise(doc)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_scalar_raises(self, bad):
+        for value in (float(bad), np.float64(bad)):
+            with pytest.raises(LPStatsError, match="non-finite"):
+                cli.render_json({"x": value})
+
+    def test_an_unknown_type_raises(self):
+        with pytest.raises(LPStatsError, match="cannot serialize object"):
+            cli.render_json({"x": [1, object()]})
+
 
 def render_csv_rowwise(name, payload):
     """The row-by-row CSV view and renderer that the columnar ones replaced."""
@@ -715,8 +746,8 @@ FIELDS = ["1", "-2.5", "0", "-0", "3e2", "1e-320", " 4 ", "\t5", "\u20036",
           # where np.loadtxt's reading could part from csv.reader + float()
           "#", "1#2", "+3", ".5", "5.", "\uff11", "1 2", "4.9e-324",
           "1.7976931348623159e308", '"1\n2"', '"3\r\n"',
-          # signed integers, which the integral reader takes, and
-          # fields past its 18 digits
+          # signed integers, which the float read takes, and fields past
+          # the integral reader's 18 digits
           "-3", "-00", "-9223372036854775808", "-9223372036854775809",
           "- 1", "--1", "+-1", "1-"]
 
@@ -843,7 +874,7 @@ def record_loadtxt(monkeypatch):
     return calls
 
 
-INT_FIELD = re.compile(r"-?[0-9]{1,18}")
+INT_FIELD = re.compile(r"[0-9]{1,18}")
 
 
 def read_as_integers(text, columns):
@@ -851,10 +882,10 @@ def read_as_integers(text, columns):
     a,b,c header, with no np.loadtxt call.
 
     It does when the header line ends in LF, with no CR before its CRLF,
-    and the body is lines of ',' separated fields, each ended by LF or
-    CRLF (the last may have none), every line with the first line's field
-    count, every field digits after an optional '-', and every requested
-    field 1 to 18 digits.
+    and the body is lines of ',' separated fields, each ended by LF (the
+    last may have none), every line with the first line's field count,
+    every field unsigned digits, and every requested field 1 to 18
+    digits. A '-' or CR anywhere in the body takes the float read.
     """
     head, lf, body = text.partition("\n")
     if not lf or "\r" in head.removesuffix("\r"):
@@ -862,10 +893,10 @@ def read_as_integers(text, columns):
     lines = body.split("\n")
     if not lines[-1]:
         lines.pop()
-    rows = [line.removesuffix("\r").split(",") for line in lines]
+    rows = [line.split(",") for line in lines]
     idx = ["abc".index(name) for name in columns]
     return (bool(rows) and all(len(row) == len(rows[0]) for row in rows)
-            and all(re.fullmatch(r"-?[0-9]*", f) for row in rows for f in row)
+            and all(re.fullmatch(r"[0-9]*", f) for row in rows for f in row)
             and all(i < len(row) and INT_FIELD.fullmatch(row[i])
                     for row in rows for i in idx))
 
@@ -874,15 +905,16 @@ def read_as_integers(text, columns):
 def int_reader_csvs(draw):
     """CSV text under an a,b,c header, near the integral reader's bounds.
 
-    Fields are integers, unsigned or '-'-signed, with leading zeros, or
-    of 18, 19 or more digits, 2**63 included. Most rows have 3 fields;
-    up to three odd lines are put in: a ragged row of 2 or 4, a row with
-    one empty field or one '-' out of place, or a blank line. Each line
-    ends in LF or CRLF, one row now and then in a bare CR, and the last
-    line may have no end.
+    Fields are unsigned integers, with leading zeros, or of 18, 19 or
+    more digits, 2**63 included. Most rows have 3 fields; up to three odd
+    lines are put in: a ragged row of 2 or 4, a row with one empty field,
+    one '-'-signed field or one '-' out of place, or a blank line. All
+    lines end in LF, or now and then all in CRLF; now and then one line
+    ends in CRLF, and one row in a bare CR. The last line may have no
+    end.
     """
     field = st.tuples(
-        st.sampled_from(["", "-"]), st.sampled_from(["", "0", "007"]),
+        st.sampled_from(["", "0", "007"]),
         st.one_of(st.integers(0, 999), st.sampled_from(EDGE_INTS)),
     ).map(lambda t: "".join(map(str, t)))
     fields = st.lists(field, min_size=3, max_size=3)
@@ -893,13 +925,16 @@ def int_reader_csvs(draw):
     odd = st.one_of(
         st.lists(field, min_size=2, max_size=4).map(",".join),
         st.builds(put, fields, st.integers(0, 2),
-                  st.sampled_from(["", "-", "--1", "1-", "1-2"])),
+                  st.sampled_from(["", "-", "--1", "1-", "1-2", "-0", "-7",
+                                   f"-{10**18 - 1}"])),
         st.just(""))
     rows = draw(st.lists(fields.map(",".join), min_size=1, max_size=10))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         rows.insert(draw(st.integers(0, len(rows))), draw(odd))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
-                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    usual = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    ends = [usual] * (len(rows) + 1)
+    if draw(st.integers(0, 3)) == 0:
+        ends[draw(st.integers(0, len(rows)))] = "\r\n"
     if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
         ends[draw(st.integers(1, len(rows) - 1))] = "\r"
     text = "".join(line + end for line, end in zip(["a,b,c"] + rows, ends))
@@ -929,9 +964,9 @@ class TestIngest:
     @example(text="a,b,c\n-1,-0,-9223372036854775809\n", columns=["b"])
     @given(text=integral_csvs(), columns=COLUMN_LISTS)
     def test_integral_ingest_matches_the_rowwise_loop(self, text, columns):
-        # A body with no '+', space, tab or blank line, whose requested
-        # fields have at most 18 digits, is parsed with no np.loadtxt
-        # call; any other makes one float read.
+        # A body of LF-ended lines with no '-', '+', space, tab, CR or
+        # blank line, whose requested fields have at most 18 digits, is
+        # parsed with no np.loadtxt call; any other makes one float read.
         with pytest.MonkeyPatch.context() as mp:
             calls = record_loadtxt(mp)
             assert_ingest_matches_rowwise(text, columns)
@@ -1017,20 +1052,22 @@ class TestIngest:
         # with one row per line there are no empty lines to count
         monkeypatch.setattr(cli, "_empty_lines", walk)
         calls = record_loadtxt(monkeypatch)
-        # a '+', space or tab takes the float read, as a '.' or 'e' does;
-        # digits and a leading '-' take the integral reader, with no
-        # np.loadtxt call, and give int64 columns; "-0" is read as a zero
-        # whose float64 cast is +0.0
-        for rows, want, a, b in (
-                (["1,2", "-3.5e1, 4"], [float], [1.0, -35.0], [2.0, 4.0]),
-                (["1,2", "+35,\t04"], [float], [1.0, 35.0], [2.0, 4.0]),
-                (["1,2", "35, 4"], [float], [1.0, 35.0], [2.0, 4.0]),
-                (["1,-0", "35,4"], [], [1.0, 35.0], [0.0, 4.0])):
+        # a '-', '+', space, tab or CRLF takes the float read, as a '.'
+        # or 'e' does; unsigned digits in LF-ended lines take the integral
+        # reader, with no np.loadtxt call, and give int64 columns; "-0" is
+        # read as +0.0
+        for rows, integral, a, b in (
+                (["1,2", "-3.5e1, 4"], False, [1.0, -35.0], [2.0, 4.0]),
+                (["1,2", "+35,\t04"], False, [1.0, 35.0], [2.0, 4.0]),
+                (["1,2", "35, 4"], False, [1.0, 35.0], [2.0, 4.0]),
+                (["1,-0", "35,4"], False, [1.0, 35.0], [0.0, 4.0]),
+                (["1,0", "35,04"], True, [1.0, 35.0], [0.0, 4.0])):
             for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
                 f = tmp_path / name
                 f.write_bytes(end.join(["a,b", *rows * 4, ""])
                               .encode("utf-8"))
                 (got_b, got_a), reasons = ingest_csv(f, ["b", "a"])
+                want = [] if integral and end == "\n" else [float]
                 assert calls == [(str(f), dtype) for dtype in want]
                 calls.clear()
                 dtype = np.float64 if want else np.int64
@@ -1076,24 +1113,28 @@ class TestIngest:
         assert scan(body) == (body.count(b"\n"), False)
         assert cli._empty_lines(blocks(body)) == 1
         assert scan(b"1,2\n\n3,4") == (3, False)
-        # a CRLF integer body is parsed
-        assert scan(b"1,2\r\n3,4\r\n") == (2, True)
+        # an LF integer body is parsed, and a CRLF one is left to the
+        # float read
+        assert scan(b"1,2\n3,4\n") == (2, True)
+        assert scan(b"1,2\r\n3,4\r\n") == (2, False)
         for bad in (b"1,2\n3,a\n", b'1,"2"\r\n', b"1.5,2\n3,a\n"):
             assert cli._body_lines(blocks(bad), [0, 1]) is None
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
             assert cli._body_lines(blocks(ends), [0, 1]) is None
-        # the table: a leading '-' keeps it; a '.', 'e', 'E' or '+'
-        # anywhere clears it, also one only in the second block
+        # the table: unsigned digits keep it; a '-', '.', 'e', 'E', '+'
+        # or CR anywhere clears it, also one only in the second block
         head = line * (size // len(line))
         assert len(head) == size
-        for cell, integral in ((b"-2", True), (b"-0", True), (b"2.", False),
+        for cell, integral in ((b"2", True), (b"0", True), (b"-2", False),
+                               (b"-0", False), (b"2.", False),
                                (b"2e0", False), (b"2E0", False),
                                (b"+2", False)):
             for body in (cell + b",2\n" + head, head + cell + b",2\n" + line,
                          b"1,2\r\n3," + cell):
                 assert scan(body) == (
-                    body.count(b"\n") + (not body.endswith(b"\n")), integral)
+                    body.count(b"\n") + (not body.endswith(b"\n")),
+                    integral and b"\r" not in body)
 
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
                                                    monkeypatch):

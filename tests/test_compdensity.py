@@ -213,6 +213,28 @@ class TestMaxent:
             maxent_fit(mod)
         assert "1" in str(exc.value)
 
+    def test_a_singular_newton_system_takes_a_gradient_step(self,
+                                                             monkeypatch):
+        # the first Newton solve fails; that step descends along the
+        # gradient, and the fit converges to the same theta
+        rng = np.random.default_rng(0)
+        s = make_sample(rng.standard_normal(500))
+        base = l2_fit(s, fit_reference("normal", s), 4, rule="none")
+        want = maxent_fit(base)
+        solve, calls = np.linalg.solve, []
+
+        def fails_once(a, b):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_once)
+        got = maxent_fit(base)
+        assert calls == [0, 1, 2]
+        assert got.maxent_iterations == want.maxent_iterations == 3
+        assert_allclose(got.theta, want.theta, rtol=0, atol=1e-7)
+
     def test_solution_is_deterministic(self):
         m1 = self.fit_beta(seed=49)
         m2 = self.fit_beta(seed=49)

@@ -437,6 +437,19 @@ class TestExactSliceInversion:
         with pytest.raises(DomainError, match="conditioning level"):
             quantile_curves(mod, [0.5, 1.0], [0.5])
 
+    def test_curves_ravel_the_levels_as_the_probabilities(self):
+        # a scalar level is one row, and a (1, k) grid gives the k rows
+        # of the 1-D call, bit for bit
+        mod = fit_copula(np.arange(30.0), np.arange(30.0) % 7)
+        ps = [0.1, 0.5, 0.9]
+        for us, want_us in ((0.5, [0.5]), (mod.sx.fmid[None, :], mod.sx.fmid)):
+            got = quantile_curves(mod, us, ps)
+            want = quantile_curves(mod, want_us, ps)
+            assert got[1].shape == (len(got[0]), len(ps))
+            for g, w in zip(got, want):
+                assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+        assert quantile_curves(mod, 0.5, ps)[0].shape == (1,)
+
 
 def loop_curves(mod, us, ps):
     """quantile_curves as one dense slice per u, the way it used to run.

@@ -180,6 +180,16 @@ class TestCorrelationStats:
         with pytest.raises(DegenerateScale):
             correlation_stats(x, y)
 
+    def test_r_of_one_in_rounding_degenerate(self):
+        # one zero moved to 1e-9 gives group 0 a variance, but r rounds to
+        # 1, where t = r / sqrt(1 - r^2) has no value
+        x = np.repeat([0.0, 1.0], 50)
+        y = x.copy()
+        y[0] = 1e-9
+        for call in (analyze, correlation_stats):
+            with pytest.raises(DegenerateScale, match=r"\|r\| = 1"):
+                call(x, y)
+
     def test_zero_pooled_variance_degenerate(self):
         # r rounds to just below 1, but each group is constant: the pooled
         # t is undefined, as student_t says
