@@ -23,6 +23,7 @@ from functools import cache, partial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._normal import ndtr, ndtri
 from .empirical import (Sample, _finite_params, _scalar_or_array, _unit_open,
                         quantile)
 from .errors import (DegenerateScale, DomainError, FlavorNotFitted,
@@ -105,7 +106,6 @@ class ReferenceDistribution:
 
 
 def normal_reference(mu: float, sigma: float) -> ReferenceDistribution:
-    from scipy.special import ndtr, ndtri  # deferred: slow to import
     _finite_params(mu=mu, sigma=sigma)
     if sigma <= 0.0:
         raise DegenerateScale("sigma must be positive")

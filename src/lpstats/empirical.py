@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtr
 from .errors import (DegenerateScale, DomainError, EmptyInput, LengthMismatch,
                      NonFiniteValue)
 
@@ -344,10 +345,9 @@ def mid_clt_approx(mean: float, sd: float, x):
     For a discrete sum S with the given mean and sd this approximates
     Fmid(x; S) rather than the plain CDF, which is what makes it accurate
     at the atoms (the half-mass correction is built into the target).
-    Phi is evaluated with scipy's ndtr (erf based, absolute error below
-    1e-15 on the real line).
+    Phi is a numpy port of the Cephes ndtr that scipy.special wraps (erf
+    based), within 4 ulps of scipy's values on the real line.
     """
-    from scipy.special import ndtr  # deferred: slow to import
     _finite_params(mean=mean, sd=sd)
     if sd <= 0.0:
         raise DegenerateScale("sd must be positive")

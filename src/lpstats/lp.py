@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtri
 from .empirical import Sample, _pair_counts
 from .errors import DegenerateScale, DomainError, LengthMismatch
 from .scores import ScoreBasis, _row_sums
@@ -196,7 +197,6 @@ def lhermite_normality(s: Sample) -> LHermiteResult:
     -log(statistic) exceeds 1/n (a .05-level calibration; meaningful from
     roughly n = 8 up).
     """
-    from scipy.special import ndtri  # deferred: slow to import
     if s.sd <= 0.0:
         raise DegenerateScale("sample standard deviation is zero")
     p = s.masses

@@ -215,7 +215,8 @@ def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     are summed over the same (response atom, group) count table. Verifies
     r = (M1 - M0) sqrt(tau (1 - tau) / V) and t_core = r / sqrt(1 - r^2),
     each to 1e-12 relative; the flag reports whether both held. A constant
-    response, zero pooled variance or r = +-1 raises DegenerateScale.
+    response, zero pooled or response variance or r = +-1 raises
+    DegenerateScale.
     """
     dens = two_sample_comp_density(x_obs, y_obs, 1, "none")
     g0, g1 = _group_summaries(dens.sy, dens.cells)
@@ -227,6 +228,8 @@ def _correlation_stats(dens: TwoSampleDensity, g0: GroupSummary,
                        g1: GroupSummary, t_pool: float) -> CorrelationStats:
     """`correlation_stats` given the fit, its group summaries and pooled t."""
     tau, r = dens.tau, dens.r
+    if dens.sy.var <= 0.0:  # two atoms whose squared gap underflows
+        raise DegenerateScale("the response variance underflows to zero")
     r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / dens.sy.var)
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")

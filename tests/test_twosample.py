@@ -190,6 +190,16 @@ class TestCorrelationStats:
             with pytest.raises(DegenerateScale, match=r"\|r\| = 1"):
                 call(x, y)
 
+    def test_a_response_variance_that_underflows_degenerate(self):
+        # 7e-162 among zeros: its squared gap to the mean underflows in V,
+        # which r_groups divides by, but not in group 0's variance
+        x = np.repeat([0.0, 1.0], [17, 13])
+        y = np.zeros(30)
+        y[16] = 7e-162
+        for call in (analyze, correlation_stats):
+            with pytest.raises(DegenerateScale, match="underflows to zero"):
+                call(x, y)
+
     def test_zero_pooled_variance_degenerate(self):
         # r rounds to just below 1, but each group is constant: the pooled
         # t is undefined, as student_t says
