@@ -13,6 +13,8 @@ statistic is r / sqrt(1 - r^2) times sqrt(n - 2), and replacing the
 response by its mid-ranks turns the same correlation into the Wilcoxon
 statistic, which is also the (1, 1) LP comoment of (group, response):
 r, w and LP(1, k) are one LP row, summed once by `two_sample_comp_density`.
+The comparison density of group 1 is the copula of (group, response)
+sliced at group 1, so its coefficients are that row's LP(1, k) T_1(1).
 The recursive mean/variance update and the conjugate-normal Bayes update
 are `combine` of a one-point group and of a prior, a `GroupSummary` of
 pseudo-count n; `combine` refuses non-finite fields, non-positive counts
@@ -211,32 +213,15 @@ def _group_summaries(sy: Sample, cells):
 def correlation_stats(x_obs, y_obs) -> CorrelationStats:
     """Point-biserial correlation of a binary label with the response.
 
-    r is the order-1 fit's `TwoSampleDensity.r`, and the group summaries
-    are summed over the same (response atom, group) count table. Verifies
+    The `correlation` of `analyze` at order 1: r is the fit's
+    `TwoSampleDensity.r`, and the group summaries are summed over the same
+    (response atom, group) count table. Verifies
     r = (M1 - M0) sqrt(tau (1 - tau) / V) and t_core = r / sqrt(1 - r^2),
     each to 1e-12 relative; the flag reports whether both held. A constant
     response, zero pooled or response variance or r = +-1 raises
     DegenerateScale.
     """
-    dens = two_sample_comp_density(x_obs, y_obs, 1, "none")
-    g0, g1 = _group_summaries(dens.sy, dens.cells)
-    # student_t refuses a zero pooled variance before any division here
-    return _correlation_stats(dens, g0, g1, student_t(g0, g1).t_core)
-
-
-def _correlation_stats(dens: TwoSampleDensity, g0: GroupSummary,
-                       g1: GroupSummary, t_pool: float) -> CorrelationStats:
-    """`correlation_stats` given the fit, its group summaries and pooled t."""
-    tau, r = dens.tau, dens.r
-    if dens.sy.var <= 0.0:  # two atoms whose squared gap underflows
-        raise DegenerateScale("the response variance underflows to zero")
-    r_groups = (g1.m - g0.m) * math.sqrt(tau * (1.0 - tau) / dens.sy.var)
-    if 1.0 - r ** 2 <= 0.0:
-        raise DegenerateScale("|r| = 1 leaves the t form undefined")
-    t = r / math.sqrt(1.0 - r ** 2)
-    ok = (abs(r - r_groups) <= 1e-12 * max(1.0, abs(r))
-          and abs(t - t_pool) <= 1e-12 * max(1.0, abs(t)))
-    return CorrelationStats(r=r, r2=r ** 2, t=t, vpool_identity_ok=bool(ok))
+    return analyze(x_obs, y_obs, 1, "none").correlation
 
 
 def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
@@ -269,12 +254,13 @@ def _wilcoxon(dens: TwoSampleDensity, small_sample: bool) -> WilcoxonResult:
 class TwoSampleDensity:
     """Comparison density of group 1's responses inside the pooled sample.
 
-    c[k-1] = E[T_k(Y; pooled) | group 1] are the slice coefficients,
-    summed over group 1's column of `cells`, the r_y x 2 table of
-    (response atom, group) counts. Over the same table, one LP row
-    E[T_1(G) f(Y)], G the 0/1 label and f each row [Z, T_1..T_m] of
-    `by.rows`, gives the point-biserial r and lp1k, the LP(1, k) comoments
-    (the high-order Wilcoxon statistics) on which selection runs.
+    One LP row E[T_1(G) f(Y)], G the 0/1 label and f each row
+    [Z, T_1..T_m] of `by.rows`, summed over `cells`, the r_y x 2 table of
+    (response atom, group) counts, gives the point-biserial r and lp1k,
+    the LP(1, k) comoments (the high-order Wilcoxon statistics) on which
+    selection runs. The slice coefficients c[k-1] = E[T_k(Y) | group 1]
+    are lp1k T_1(1), T_1(1) = sqrt((1 - tau) / tau), since E[T_k(Y)] = 0;
+    a lower order's c and lp1k are byte prefixes of a higher order's.
     `atom_density` is the clipped, renormalized density over the pooled
     atoms, the object classification consumes, and `mass` (at least 1)
     what it was divided by.
@@ -298,14 +284,13 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     """Fit d(v) = 1 + sum_k C_k S_k(v; Y) for the group-1 responses."""
     labels, sy, cells = _split_cells(x_obs, y_obs)
     by = build_score_basis(sy, m)
-    n1 = int(cells[:, 1].sum())
-    # one BLAS product, not `_row_sums`: `classification` keeps its bits
-    c = by.table @ cells[:, 1] / n1
-    tau = n1 / sy.n
+    tau = int(cells[:, 1].sum()) / sy.n
     # Z(G) = T_1(G) for a 0/1 G
     t1g = (np.array([0.0, 1.0]) - tau) / math.sqrt(tau * (1.0 - tau))
     v = cells @ t1g / sy.n
     row = _row_sums(by.rows, v)
+    # E[T_k(Y) | G = 1] = LP(1, k) T_1(1), since E[T_k(Y)] = 0
+    c = row[1:] * t1g[1]
     selected = select_significant(row[1:], sy.n, rule=rule)
     _, density, mass = _step_density(sy, by.table, c * selected)
     return TwoSampleDensity(sy=sy, by=by, tau=tau,
@@ -391,18 +376,29 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     Groups are ordered by sorted label, so positive r, t, and w all mean
     the higher label goes with larger responses. The group summaries, r
     and w are read from the density fit's count table. `identities_ok`
-    verifies r^2 = t^2 / (1 + t^2) and Vpool = V (1 - r^2) at 1e-12.
+    verifies r^2 = t^2 / (1 + t^2) and Vpool = V (1 - r^2) at 1e-12, with
+    `correlation`'s own checks. A zero pooled or response variance or
+    r = +-1 raises DegenerateScale.
     """
     dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
+    tau, r = dens.tau, dens.r
     g1, g2 = _group_summaries(dens.sy, dens.cells)
     comb = combine(g1, g2)
+    # student_t refuses a zero pooled variance before any division here
     st = student_t(g1, g2)
-    cs = _correlation_stats(dens, g1, g2, st.t_core)
-    wr = _wilcoxon(dens, small_sample)
+    if dens.sy.var <= 0.0:  # two atoms whose squared gap underflows
+        raise DegenerateScale("the response variance underflows to zero")
+    r_groups = (g2.m - g1.m) * math.sqrt(tau * (1.0 - tau) / dens.sy.var)
+    if 1.0 - r ** 2 <= 0.0:
+        raise DegenerateScale("|r| = 1 leaves the t form undefined")
+    t = r / math.sqrt(1.0 - r ** 2)
+    cs_ok = (abs(r - r_groups) <= 1e-12 * max(1.0, abs(r))
+             and abs(t - st.t_core) <= 1e-12 * max(1.0, abs(t)))
+    cs = CorrelationStats(r=r, r2=r ** 2, t=t, vpool_identity_ok=bool(cs_ok))
     ok = (abs(cs.r2 - st.t_core ** 2 / (1.0 + st.t_core ** 2)) <= 1e-12
           and abs(comb.vpool - comb.v * (1.0 - cs.r2))
           <= 1e-12 * max(1.0, comb.v))
     return TwoSampleReport(g1=g1, g2=g2, combined=comb, student=st,
-                           correlation=cs, wilcoxon=wr,
-                           identities_ok=bool(ok and cs.vpool_identity_ok),
-                           density=dens)
+                           correlation=cs,
+                           wilcoxon=_wilcoxon(dens, small_sample),
+                           identities_ok=bool(ok and cs_ok), density=dens)

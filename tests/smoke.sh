@@ -33,8 +33,19 @@ for cmd in "describe --col GAG" "depend --x Age --y GAG" \
     "fit --col GAG --g normal"; do
     lpstats $cmd --order 1 > /dev/null
 done
-(cd tests && lpstats twosample --y response --group group \
-    --data data/clinic.csv --order 1 > /dev/null)
+# c is the slice of the one two-sample LP row, c_k = LP(1, k) T_1(1), so
+# order 1 prints order 4's first c; w is LP(1, 1), the row's first comoment
+ts1=$(cd tests && lpstats twosample --y response --group group \
+    --data data/clinic.csv --order 1)
+ts4=$(cd tests && lpstats twosample --y response --group group \
+    --data data/clinic.csv --order 4)
+c0='s/.*"high_order":{"c":\[\([^],]*\)[],].*/\1/p'
+c1=$(printf '%s' "$ts1" | sed -n "$c0")
+c4=$(printf '%s' "$ts4" | sed -n "$c0")
+test -n "$c1" && test "$c1" = "$c4"
+w=$(printf '%s' "$ts4" | sed -n 's/.*"wilcoxon":{"w":\([^,]*\),.*/\1/p')
+lp1=$(printf '%s' "$ts4" | sed -n 's/.*"lp1k":\[\([^],]*\)[],].*/\1/p')
+test -n "$w" && test "$w" = "$lp1"
 code=0
 lpstats fit --col GAG --g normal --order 51 || code=$?
 test "$code" -eq 2

@@ -18,6 +18,7 @@ from lpstats import (
     mid_ranks,
     normal_reference,
     series_regression,
+    two_sample_comp_density,
 )
 from lpstats.errors import (
     DegenerateSample,
@@ -290,12 +291,14 @@ class TestScoreMeans:
     def test_a_lower_order_is_a_byte_prefix_of_every_estimate(
             self, seed, tied, n, a, b):
         # each score row is summed on its own, so the LP moments, the
-        # regression coefficients and the comparison-density coefficients
-        # at order m are the first m of those at order M, byte for byte,
-        # and the largest |E[T_j]| of the first m rows is at most that of M
+        # regression coefficients, the comparison-density coefficients and
+        # the two-sample slice c and LP(1, k) at order m are the first m of
+        # those at order M, byte for byte, and the largest |E[T_j]| of the
+        # first m rows is at most that of M
         rng = np.random.default_rng(seed)
         x = random_sample_values(rng, n, tied)
         y = x + rng.standard_normal(n)
+        group = rng.permutation(n) < rng.integers(1, n)  # both labels
         s = make_sample(x)
         big = min(1 + max(a, b), s.r - 1)
         small = min(a, b, big - 1)
@@ -304,9 +307,10 @@ class TestScoreMeans:
 
         def estimates(m):
             basis = build_score_basis(s, m)
+            dens = two_sample_comp_density(group, x, m, "none")
             return (basis.mean_error, lp_moments(basis).moments,
                     series_regression(basis, y, rule="none").coefficients,
-                    l2_fit(s, g, m, rule="none").c)
+                    l2_fit(s, g, m, rule="none").c, dens.c, dens.lp1k)
 
         (lo_error, *low), (hi_error, *high) = estimates(small), estimates(big)
         assert lo_error <= hi_error

@@ -798,7 +798,8 @@ def exact_two_sample(values, cells, m, digits=60):
     variance, the pooled t_core (M1 - M0) sqrt(tau (1 - tau) / Vpool), and
     the LP row E[T_1(G) f(Y)] for f = Z, T_1..T_m, the scores built by
     `decimal_scores` from the exact masses and mid-distribution. r is the
-    row's Z entry, lp1k the rest, and w = lp1k[0]. Returns floats.
+    row's Z entry, lp1k the rest, and w = lp1k[0]; c is group 1's mean of
+    each score, sum_a T_k(a) cells_1(a) / n_1. Returns floats.
     """
     with localcontext() as ctx:
         ctx.prec = digits
@@ -825,7 +826,9 @@ def exact_two_sample(values, cells, m, digits=60):
                for fs in [[(v - mean) / sd for v in y], *scores]]
         return {"g0": (float(m0), float(v0)), "g1": (float(m1), float(v1)),
                 "t_core": float((m1 - m0) * (tau * (1 - tau) / vpool).sqrt()),
-                "r": float(row[0]), "lp1k": [float(v) for v in row[1:]]}
+                "r": float(row[0]), "lp1k": [float(v) for v in row[1:]],
+                "c": [float(sum(f * b for f, (_, b) in zip(fs, cells))
+                            / sizes[1]) for fs in scores]}
 
 
 @st.composite
@@ -851,11 +854,13 @@ class TestExactReference:
 
     Each bound is in units of its quantity's scale: big = max |y| for the
     means, big^2 for the variances, (1 + |t|) big^2 / Vpool for t_core,
-    the conditioning of the pooled variance, and 1 for r, w and LP(1, k),
-    which are correlations. Over 44000 random tables of this kind (r <=
-    12, n <= 288, m <= 8) and 20000 examples of this strategy, the largest
-    gaps were 2.3e-16, 4.2e-16, 1.5e-16, 3.3e-16 for r and w, and 1.1e-15
-    for LP(1, k); each bound is three to seven times that.
+    the conditioning of the pooled variance, 1 for r, w and LP(1, k),
+    which are correlations, and max(1, T_1(1)) for c = LP(1, k) T_1(1),
+    T_1(1) = sqrt((1 - tau) / tau). Over 44000 random tables of this kind
+    (r <= 12, n <= 288, m <= 8) and 20000 examples of this strategy, the
+    largest gaps were 2.3e-16, 4.2e-16, 1.5e-16, 3.3e-16 for r and w,
+    1.1e-15 for LP(1, k) and 9.2e-16 for c; each bound is three to seven
+    times that.
     """
 
     @settings(deadline=None, max_examples=200)
@@ -880,3 +885,6 @@ class TestExactReference:
         assert abs(rep.correlation.r - exact["r"]) <= 1e-15
         assert abs(rep.wilcoxon.w - exact["lp1k"][0]) <= 1e-15
         assert_allclose(rep.density.lp1k, exact["lp1k"], rtol=0, atol=4e-15)
+        t1 = math.sqrt((1.0 - rep.density.tau) / rep.density.tau)
+        assert_allclose(rep.density.c, exact["c"], rtol=0,
+                        atol=4e-15 * max(1.0, t1))
