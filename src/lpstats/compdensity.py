@@ -168,8 +168,8 @@ def fit_reference(kind: str, s: Sample) -> ReferenceDistribution:
     """Moment-fit a named reference family to a sample.
 
     normal: (mean, sd); exponential: rate 1/mean (data must have positive
-    mean); uniform: the observed range. Deterministic by construction, no
-    likelihood optimization.
+    mean); uniform: the observed range; no likelihood is optimized. Other
+    kinds raise DomainError (the sample's own is `empirical_reference`).
     """
     if kind == "normal":
         return normal_reference(s.mean, s.sd)
@@ -179,8 +179,6 @@ def fit_reference(kind: str, s: Sample) -> ReferenceDistribution:
         return exponential_reference(1.0 / s.mean)
     if kind == "uniform":
         return uniform_reference(float(s.values[0]), float(s.values[-1]))
-    if kind == "empirical":
-        return empirical_reference(s)
     raise DomainError(f"unknown reference kind {kind!r}")
 
 
@@ -188,18 +186,15 @@ def fit_reference(kind: str, s: Sample) -> ReferenceDistribution:
 class CompDensityModel:
     """Fitted comparison density of a sample against a reference G.
 
-    `c` holds the L2 coefficients C_1..C_m and `selected` the mask chosen
-    by the penalized rule. After `maxent_fit`, `theta` (length m, zeros on
-    unselected orders) and `theta0` describe the exponential model;
-    `maxent_residual` and `maxent_iterations` record the solve.
+    `c` holds the L2 coefficients C_1..C_m, m = `c.size`, and `selected`
+    the mask the penalized rule chose. After `maxent_fit`, `theta` (length
+    m, zeros on unselected orders) and `theta0` describe the exponential
+    model; `maxent_residual` and `maxent_iterations` record the solve.
     """
 
     g: ReferenceDistribution
-    order: int
     c: np.ndarray
     selected: np.ndarray
-    n: int
-    rule: str
     theta: np.ndarray | None = None
     theta0: float | None = None
     maxent_residual: float | None = None
@@ -233,8 +228,7 @@ def l2_fit(s: Sample, g: ReferenceDistribution, m: int = 4,
     table = legendre_eval(range(1, m + 1), u_atoms)
     c = _row_sums(table, s.masses)
     selected = select_significant(c, s.n, rule=rule)
-    return CompDensityModel(g=g, order=m, c=c, selected=selected,
-                            n=s.n, rule=rule)
+    return CompDensityModel(g=g, c=c, selected=selected)
 
 
 def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
@@ -252,7 +246,7 @@ def maxent_fit(mod: CompDensityModel) -> CompDensityModel:
     space, where the density spikes between the nodes.
     """
     ks = np.flatnonzero(mod.selected)
-    theta_full = np.zeros(mod.order)
+    theta_full = np.zeros(mod.c.size)
     if ks.size == 0:
         return replace(mod, theta=theta_full, theta0=0.0,
                        maxent_residual=0.0, maxent_iterations=0)

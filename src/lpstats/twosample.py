@@ -300,20 +300,15 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
 
 
 @_scalar_or_array(1)
-def classify(model: TwoSampleDensity, y, prior: float | None = None):
+def classify(model: TwoSampleDensity, y):
     """Posterior probability of group 1 at response value(s) y.
 
-    posterior = prior * d(v) with v the pooled mid-rank of y; the
-    complementary class uses the mixture complement (1 - prior d) /
-    (1 - prior), so the two posteriors sum to one by construction.
-    Clipping applies only when prior * d exceeds 1.
+    Bayes' theorem: Pr[G = 1 | Y = y] = tau d(v), tau the sample's share
+    of group 1 and v the pooled mid-rank of y; on a saturated fit, group
+    1's share of the atom of y. Clipped only where tau d exceeds 1.
     """
-    if prior is None:
-        prior = model.tau
-    prior = float(prior)
-    if not 0.0 < prior < 1.0:
-        raise DomainError("prior must lie in (0, 1)")
-    return np.clip(prior * model.atom_density[model.sy.atom_at(y)], 0.0, 1.0)
+    d = model.atom_density[model.sy.atom_at(y)]
+    return np.clip(model.tau * d, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ class TestMaxent:
         base = replace(base, selected=np.zeros_like(base.selected))
         mod = maxent_fit(base)
         assert mod.maxent_iterations == 0
-        assert_allclose(mod.theta, np.zeros(base.order), rtol=0)
+        assert_allclose(mod.theta, np.zeros(base.c.size), rtol=0)
         assert_allclose(eval_density(mod, [0.2, 0.8], "maxent"), 1.0)
         for flavor in ("l2", "l2_clipped"):
             assert_allclose(eval_density(base, [0.2, 0.8], flavor), 1.0,
@@ -286,7 +286,7 @@ class TestNormalization:
         assert gap <= 1e-8
         # exp(polynomial) is smooth: at orders 1-8 and |theta| <= 10 the 128
         # nodes alone integrate it to within 4.2e-11 (worst of 15000 draws)
-        if mod.order <= 8 and np.max(np.abs(mod.theta)) <= 10.0:
+        if mod.c.size <= 8 and np.max(np.abs(mod.theta)) <= 10.0:
             assert gap <= 1e-9
 
 

@@ -19,13 +19,15 @@ REMOVED = ("standardize", "lpinfor", "eval_score", "score_quantile",
            "simulate_conditional")
 
 # The parameters of each function whose order is its basis's, and whose
-# other settings are module constants (see README's removed parameters).
+# other settings are module constants or read off the fit (`classify`'s
+# prior is the model's tau; see README's removed parameters).
 PARAMETERS = {
     lp.lp_moments: ["b"],
     lp.lp_comoments: ["bx", "by", "rule"],
     copula.series_regression: ["bx", "y_obs", "rule"],
     copula.eval_copula: ["mod", "u", "v"],
     compdensity.maxent_fit: ["mod"],
+    twosample.classify: ["model", "y"],
 }
 
 
@@ -69,3 +71,10 @@ def test_the_order_checks_are_gone():
     assert not hasattr(scores, "_check_order")
     assert "order" not in [f.name for f in fields(copula.CopulaModel)]
     assert "threshold" not in [f.name for f in fields(lp.LPMomentVector)]
+
+
+def test_no_record_restates_its_fit():
+    # the order is c.size, and n and the rule are the caller's own
+    names = [f.name for f in fields(compdensity.CompDensityModel)]
+    assert not {"order", "n", "rule"} & set(names)
+    assert "n" not in [f.name for f in fields(lp.LPComomentMatrix)]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lpstats import (GroupSummary, build_score_basis, combine,
-                     correlation_stats, correlations, exponential_reference,
-                     fit_reference, l2_fit, lhermite_normality, lp_comoments,
+                     correlation_stats, correlations, empirical_reference,
+                     exponential_reference, fit_reference, l2_fit, lhermite_normality, lp_comoments,
                      make_sample, mid_clt_approx, normal_reference,
                      recursive_update, select_significant,
                      series_regression, student_t, uniform_reference)
@@ -41,8 +41,11 @@ CASES = {
     "uniform-empty-range": (lambda: uniform_reference(1.0, 1.0),
                             DegenerateScale, "need a < b"),
     "empirical-fit-has-no-pdf": (
-        lambda: fit_reference("empirical", SAMPLE).pdf(2.0), DomainError,
+        lambda: empirical_reference(SAMPLE).pdf(2.0), DomainError,
         "reference kind 'empirical' has no density"),
+    "fit-reference-empirical-kind": (
+        lambda: fit_reference("empirical", SAMPLE), DomainError,
+        "unknown reference kind 'empirical'"),
     "l2-fit-order-zero": (
         lambda: l2_fit(SAMPLE, normal_reference(0.0, 1.0), m=0),
         DomainError, "order must be at least 1"),
