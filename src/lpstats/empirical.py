@@ -42,8 +42,9 @@ class Sample:
     """Weighted empirical distribution of one numeric variable.
 
     Stores the distinct values in increasing order together with their
-    probability masses (multiplicity / n), the right-continuous CDF, the
-    mid-distribution values at the atoms, and `atom_index`, the atom of
+    probability masses (multiplicity / n), the right-continuous CDF and
+    the mid-distribution values at the atoms (each the correctly rounded
+    quotient of an exact integer prefix sum), and `atom_index`, the atom of
     each observation in row order, so that paired analyses can align rows.
     A zero is stored as +0.0, so `values[atom_index]` is the observation
     column with each zero unsigned. Mean and variance use the divide-by-n
@@ -73,11 +74,12 @@ class Sample:
         self.n = int(atom_index.size)
         self.r = int(values.size)
         masses = counts / float(self.n)
-        cdf = np.cumsum(masses)
-        cdf[-1] = 1.0  # guard the cumsum round-off at the top
+        # integer prefix sums are exact, so each level is one correctly
+        # rounded division, and the top one is n / n = 1
+        cum = np.cumsum(counts)
         self.masses = masses
-        self.cdf = cdf
-        self.fmid = cdf - 0.5 * masses
+        self.cdf = cum / self.n
+        self.fmid = (2 * cum - counts) / (2 * self.n)
         self.atom_index = atom_index
         self.mean = float(masses @ values)
         self.var = float(masses @ (values - self.mean) ** 2)

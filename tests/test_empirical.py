@@ -1,6 +1,8 @@
 """Mid-distribution, mid-quantile and quartile machinery."""
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -48,6 +50,18 @@ def tied_samples(draw):
     ints = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=40))
     step = draw(st.sampled_from([1.0, 0.25, 0.1]))
     return make_sample(np.array(ints) * step)
+
+
+@st.composite
+def untied_samples(draw):
+    """Up to 5000 normal draws, so nearly every atom holds one row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return make_sample(rng.standard_normal(draw(st.integers(1, 5000))))
+
+
+def exact_levels(s):
+    """Each atom's cdf sum_{i<=k} c_i / n, correctly rounded to a float."""
+    return [float(Fraction(c, s.n)) for c in accumulate(s.counts.tolist())]
 
 
 def probe_values(s):
@@ -256,6 +270,16 @@ class TestMakeSample:
         for _ in range(50):
             s = make_sample(random_sample_values(rng, int(rng.integers(1, 80))))
             assert s.cdf[-1] == 1.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(tied_samples(), untied_samples()))
+    def test_cdf_and_fmid_are_correctly_rounded(self, s):
+        # integer prefix sums, each divided once: no running float sum of
+        # n-th parts, whose drift grows to about n ulps
+        assert s.cdf.tolist() == exact_levels(s)
+        cum = accumulate(s.counts.tolist())
+        assert s.fmid.tolist() == [float(Fraction(2 * c - k, 2 * s.n))
+                                   for c, k in zip(cum, s.counts.tolist())]
 
     def test_moments_match_numpy(self):
         rng = np.random.default_rng(1)
@@ -480,6 +504,20 @@ class TestQuantile:
     def test_inverts_cdf_at_atoms(self, s):
         # Q(F(x)) = x at every atom, bit for bit
         assert quantile(s, s.cdf).tobytes() == s.values.tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(tied_samples(), untied_samples()))
+    def test_inverts_the_exact_levels_at_atoms(self, s):
+        # Q(k / n) = x_k at the correctly rounded level, not only at s.cdf
+        assert quantile(s, exact_levels(s)).tolist() == s.values.tolist()
+
+    def test_inverts_the_exact_levels_on_the_bundled_table(self, age, gag):
+        # 157 of the 314 rows lie at or below Age 4.47 and GAG 10.5, so
+        # F = 1/2 exactly there, and the median is that atom
+        for col, median in ((age, 4.47), (gag, 10.5)):
+            s = make_sample(col)
+            assert quantile(s, exact_levels(s)).tolist() == s.values.tolist()
+            assert quantile(s, 0.5) == median
 
     def test_left_continuous_steps(self):
         s = make_sample([1.0, 2.0, 2.0, 4.0])  # cdf .25, .75, 1
