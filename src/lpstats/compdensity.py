@@ -364,10 +364,12 @@ def simulate_skew_g(mod: CompDensityModel, count: int, seed) -> np.ndarray:
     Proposals come from G itself; a proposal at probability level u is
     accepted when d(u) exceeds C times an independent uniform, with the
     envelope C taken as the density maximum over a 4096-point grid times
-    a 1.001 safety factor.
+    a 1.001 safety factor. A count that is not a finite, non-negative
+    whole number raises DomainError before any draw.
     """
-    if count < 0:
-        raise DomainError(f"draw count {count} is negative")
+    if not (math.isfinite(count) and count >= 0 and count % 1 == 0):
+        raise DomainError(
+            f"draw count {count} is not a non-negative whole number")
     count = int(count)
     flavor = _best_flavor(mod)
     grid = (np.arange(4096) + 0.5) / 4096.0

@@ -7,17 +7,30 @@
 # Run from the repository root: bash -eo pipefail tests/smoke.sh
 set -eo pipefail
 
-lpstats describe --col GAG | cmp - tests/golden/describe.json
-lpstats describe --col GAG --format csv | cmp - tests/golden/describe.csv
-lpstats depend --x Age --y GAG | cmp - tests/golden/depend.json
-lpstats regress --x Age --y GAG | cmp - tests/golden/regress.json
-lpstats cquantile --x Age --y GAG | cmp - tests/golden/cquantile.json
-lpstats fit --col GAG --g normal | cmp - tests/golden/fit.json
-lpstats bayes-update --prior-n 4 --prior-mean 0 --prior-var 1 --n 4 \
-    --mean 2 --var 1 | cmp - tests/golden/bayes_update.json
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+# golden FILE COMMAND...: the command must print FILE's bytes and write
+# nothing to stderr, as output with no warnings does
+golden() {
+    local want=$1
+    shift
+    "$@" 2> "$tmp/golden.err" | cmp - "$want"
+    if test -s "$tmp/golden.err"; then
+        cat "$tmp/golden.err" >&2
+        return 1
+    fi
+}
+golden tests/golden/describe.json lpstats describe --col GAG
+golden tests/golden/describe.csv lpstats describe --col GAG --format csv
+golden tests/golden/depend.json lpstats depend --x Age --y GAG
+golden tests/golden/regress.json lpstats regress --x Age --y GAG
+golden tests/golden/cquantile.json lpstats cquantile --x Age --y GAG
+golden tests/golden/fit.json lpstats fit --col GAG --g normal
+golden tests/golden/bayes_update.json lpstats bayes-update --prior-n 4 \
+    --prior-mean 0 --prior-var 1 --n 4 --mean 2 --var 1
 # the golden echoes --data as given, so run from tests/
-(cd tests && lpstats twosample --y response --group group \
-    --data data/clinic.csv | cmp - golden/twosample.json)
+(cd tests && golden golden/twosample.json lpstats twosample --y response \
+    --group group --data data/clinic.csv)
 test "$(lpstats depend --x GAG --y GAG --format csv | sed -n 2p)" = 1,1,1,true
 # spearman_mid is LP(1, 1), the first comoment: depend prints one text
 dep=$(lpstats depend --x Age --y GAG)
@@ -54,8 +67,6 @@ lpstats describe --col GAG --seed 1 || code=$?
 test "$code" -eq 2
 # Eight 1s and two 2s cannot carry six moments: the maxent density does
 # not integrate to 1, and fit must refuse it.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 printf 'y\n1\n1\n1\n1\n1\n1\n1\n1\n2\n2\n' > "$tmp/two.csv"
 code=0
 lpstats fit --col y --g normal --order 6 --data "$tmp/two.csv" || code=$?

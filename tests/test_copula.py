@@ -809,6 +809,11 @@ class TestDrawCounts:
         with pytest.raises(DomainError, match="-1"):
             simulate_skew_g(density, -1, seed=3)
 
+    def test_a_whole_float_count_is_that_many_draws(self, density):
+        assert_array_equal(simulate_skew_g(density, 3.0, seed=3),
+                           simulate_skew_g(density, 3, seed=3))
+        assert simulate_skew_g(density, 3.0, seed=3).shape == (3,)
+
 
 def assert_near_the_gather(got, b, x, y):
     """Coefficients within round-off of the per-row gather mean(y T_j(x))."""

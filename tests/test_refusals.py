@@ -11,12 +11,19 @@ from lpstats import (GroupSummary, build_score_basis, combine,
                      exponential_reference, fit_reference, l2_fit, lhermite_normality, lp_comoments,
                      make_sample, mid_clt_approx, normal_reference,
                      recursive_update, select_significant,
-                     series_regression, student_t, uniform_reference)
+                     series_regression, simulate_skew_g, student_t,
+                     uniform_reference)
 from lpstats.cli import main
 from lpstats.errors import DegenerateScale, DomainError
 
 NAN, INF = float("nan"), float("inf")
 SAMPLE = make_sample([1.0, 2.0, 2.0, 5.0])
+
+
+def skew_g_draws(count):
+    """`simulate_skew_g` of a fit to SAMPLE, `count` draws."""
+    return simulate_skew_g(l2_fit(SAMPLE, normal_reference(0.0, 1.0)),
+                           count, seed=0)
 
 
 def cli_exit(*argv):
@@ -46,6 +53,13 @@ CASES = {
     "fit-reference-empirical-kind": (
         lambda: fit_reference("empirical", SAMPLE), DomainError,
         "unknown reference kind 'empirical'"),
+    "skew-g-nan-count": (lambda: skew_g_draws(NAN), DomainError,
+                         "draw count nan is not a non-negative whole"),
+    "skew-g-infinite-count": (lambda: skew_g_draws(INF), DomainError,
+                              "draw count inf is not a non-negative whole"),
+    "skew-g-fractional-count": (
+        lambda: skew_g_draws(2.5), DomainError,
+        "draw count 2.5 is not a non-negative whole"),
     "l2-fit-order-zero": (
         lambda: l2_fit(SAMPLE, normal_reference(0.0, 1.0), m=0),
         DomainError, "order must be at least 1"),
