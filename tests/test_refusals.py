@@ -8,7 +8,8 @@ import pytest
 
 from lpstats import (GroupSummary, build_score_basis, combine,
                      correlation_stats, correlations, empirical_reference,
-                     exponential_reference, fit_reference, l2_fit, lhermite_normality, lp_comoments,
+                     exponential_reference, fit_reference, l2_fit,
+                     lhermite_normality, lp_comoments,
                      make_sample, mid_clt_approx, normal_reference,
                      recursive_update, select_significant,
                      series_regression, simulate_skew_g, student_t,
