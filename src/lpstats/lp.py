@@ -151,8 +151,10 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
 
     fa and fb hold one row per function over each margin's atoms; N is the
     r_a x r_b table of atom-pair counts, counted by `_pair_counts` when
-    r_a * r_b <= n. Otherwise each row of the coarser margin is summed per
-    atom of the finer one by `np.bincount`, so on an untied finer margin
+    r_a * r_b <= n. Otherwise each row of fb, the coarser margin, is
+    gathered at b into one reused buffer of n floats and summed per atom
+    of a by `np.bincount` into its row of one (len(fb), r_a) table, and
+    the mean is fa times that table's transpose. On an untied finer margin
     the sums do not depend on row order. Index arrays of different
     lengths raise LengthMismatch.
     """
@@ -163,8 +165,12 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
         return fa @ _pair_counts(a, b, ra, rb) @ fb.T / a.size
     if ra < rb:
         return _pair_mean(fb, b, fa, a).T
-    sums = [np.bincount(a, weights=row[b], minlength=ra) for row in fb]
-    return fa @ np.transpose(sums) / a.size
+    sums = np.empty((len(fb), ra))
+    gathered = np.empty(a.size)
+    for row, out in zip(fb, sums):
+        np.take(row, b, 0, gathered, "clip")  # "raise" would buffer it
+        out[...] = np.bincount(a, weights=gathered, minlength=ra)
+    return fa @ sums.T / a.size
 
 
 def correlations(c: LPComomentMatrix) -> CorrelationReport:

@@ -18,10 +18,12 @@ from lpstats import (
     conditional_mean,
     conditional_quantile,
     conditional_slice,
+    correlations,
     eval_copula,
     fit_copula,
     fit_reference,
     l2_fit,
+    lp_comoments,
     make_sample,
     quantile_curves,
     series_regression,
@@ -1079,3 +1081,105 @@ class TestExactReference:
         scale = big * (1.0 + np.abs(fit.basis.table).sum(axis=0))
         assert np.all(np.abs(fit.predict(s.values) - exact["fitted"])
                       <= 3e-15 * scale)
+
+
+def exact_comoments(x_values, y_values, cells, m, digits=60):
+    """What `depend` prints of the comoments at rule "none", in decimals.
+
+    `x_values` and `y_values` are the atoms of each margin, ascending, each
+    read exactly, and `cells` the r_x x r_y integer counts of each atom
+    pair; every atom holds a row. Each margin's rows are f = Z, T_1..T_m:
+    Z the value less its mean over its population sd, and the scores
+    `decimal_scores` builds from the exact masses and mid-distribution.
+    E[f(X) g(Y)] sums cells(a, b) f(a) g(b) / n. Returns LP(j, k), its
+    [1:, 1:] block, as a list of rows, and the four correlations of its
+    [Z, T_1] corner, as floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        cells = [[int(c) for c in row] for row in cells]
+        n = sum(map(sum, cells))
+        margins = []
+        for values, counts in ((x_values, map(sum, cells)),
+                               (y_values, map(sum, zip(*cells)))):
+            v = [Decimal(float(a)) for a in values]
+            p = [Decimal(c) / n for c in counts]
+            fmid = [cum - pi / 2 for cum, pi in zip(accumulate(p), p)]
+            mean = sum(pi * vi for pi, vi in zip(p, v))
+            sd = sum(pi * (vi - mean) ** 2 for pi, vi in zip(p, v)).sqrt()
+            margins.append([[(vi - mean) / sd for vi in v],
+                            *decimal_scores(p, fmid, min(m, len(v) - 1))])
+        fx, fy = margins
+        both = [[sum(c * f[a] * g[b] for a, row in enumerate(cells)
+                     for b, c in enumerate(row) if c) / n for g in fy]
+                for f in fx]
+        return {"entries": [[float(e) for e in row[1:]] for row in both[1:]],
+                "pearson": float(both[0][0]), "gini_xy": float(both[0][1]),
+                "gini_yx": float(both[1][0]),
+                "spearman_mid": float(both[1][1])}
+
+
+@st.composite
+def small_pair_tables(draw):
+    """Atom-pair counts of two margins of up to 12 atoms each, n <= 300.
+
+    Each margin's atoms are on an integer or cent grid. Each cell holds 0
+    to `cap` rows, with cap r_x r_y <= 300, so a cap of 1 gives
+    r_x r_y > n, where `_pair_mean` sums per atom, and a larger cap mostly
+    r_x r_y <= n, where it sums over the cells. Atoms with no row are
+    dropped. Returns the atoms, the counts and a seed for the row order.
+    """
+    rx, ry = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    cap = draw(st.integers(1, 300 // (rx * ry)))
+    cells = np.array(draw(st.lists(st.integers(0, cap), min_size=rx * ry,
+                                   max_size=rx * ry))).reshape(rx, ry)
+    margins = []
+    for r in (rx, ry):
+        atoms = draw(st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=r,
+                              max_size=r, unique=True))
+        margins.append(np.sort(atoms) / draw(st.sampled_from([1, 100])))
+    kx, ky = cells.sum(axis=1) > 0, cells.sum(axis=0) > 0
+    assume(kx.sum() > 1 and ky.sum() > 1)
+    return (margins[0][kx], margins[1][ky], cells[kx][:, ky],
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def pair_rows(x_values, y_values, cells, seed):
+    """The paired rows of an atom-pair count table, in a shuffled order."""
+    rx, ry = cells.shape
+    x = np.repeat(np.repeat(x_values, ry), cells.ravel())
+    y = np.repeat(np.tile(y_values, rx), cells.ravel())
+    p = np.random.default_rng(seed).permutation(x.size)
+    return x[p], y[p]
+
+
+class TestExactComoments:
+    """What `depend` prints of the comoments against `exact_comoments`.
+
+    LP(j, k) and the four correlations are means of products of unit
+    variance functions, so each bound is absolute. Over 80000 numpy tables
+    (r <= 12 a side, cells as in `small_pair_tables`, but most cells empty
+    in one table of five and one cell of 100 to 199 rows in another,
+    m <= 8) and 20000 examples of this strategy, the largest gaps were
+    5.5e-15 for LP(j, k), on one-heavy-cell tables where the score tables
+    themselves are that far from exact (8.3e-16 on the rest), and 4.4e-16
+    for the correlations; each bound is about four times that. Both
+    orders of the pair are checked, so `_pair_mean`'s transposed call runs
+    wherever the margins differ in r and cells outnumber rows.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_pair_tables(), st.integers(1, 8))
+    def test_the_comoments_are_near_the_exact_values(self, table, m):
+        x_values, y_values, cells, seed = table
+        x, y = pair_rows(x_values, y_values, cells, seed)
+        bx, by = (build_score_basis(make_sample(v), m) for v in (x, y))
+        exact = exact_comoments(x_values, y_values, cells, m)
+        want = np.array(exact["entries"])
+        c = lp_comoments(bx, by, "none")
+        assert_allclose(c.entries, want, rtol=0, atol=2e-14)
+        assert_allclose(lp_comoments(by, bx, "none").entries, want.T,
+                        rtol=0, atol=2e-14)
+        rep = correlations(c)
+        for name in ("pearson", "spearman_mid", "gini_xy", "gini_yx"):
+            assert abs(getattr(rep, name) - exact[name]) <= 2e-15

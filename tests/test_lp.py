@@ -1,6 +1,7 @@
 """LP moments, comoments, selection, LPINFOR and the dependence report."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,21 @@ class TestLPComoments:
             got = lp_comoments(bx, by).entries
         assert any("weights" in c.kwargs for c in count.call_args_list)
         assert_near_the_gather(got, x, y, bx, by, 4)
+
+    def test_atom_sums_hold_one_table(self):
+        # an untied pair is summed per atom into one (k_b, r) table through
+        # one gathered row of n floats; its peak is 8 tables of r floats at
+        # order 4 (k_b = 5), where a list of sums and its copy held 10
+        rng = np.random.default_rng(48)
+        _, bx = basis_for(rng.standard_normal(20_000))
+        _, by = basis_for(rng.standard_normal(20_000))
+        tracemalloc.start()
+        try:
+            lp_comoments(bx, by)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(by.rows) + 4) * by.source.r * 8
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 400), st.booleans(), st.booleans(),
