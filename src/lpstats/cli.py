@@ -467,7 +467,7 @@ def cmd_depend(args):
         "comoments": {
             "order_x": mod.lpm.entries.shape[0],
             "order_y": mod.lpm.entries.shape[1],
-            "rule": mod.lpm.rule,
+            "rule": args.select,
             "entries": mod.lpm.entries,
             "selected": mod.lpm.selected,
             "lpinfor": mod.lpm.lpinfor,
@@ -499,7 +499,7 @@ def cmd_regress(args):
 def cmd_cquantile(args):
     (x, y), warnings = _load(args, args.x, args.y)
     mod = cpmod.fit_copula(x, y, order=args.order, rule=args.select)
-    us = mod.sx.fmid
+    us = mod.bx.source.fmid
     means, table = cpmod.quantile_curves(mod, us, args.p)
     quantiles = {_num(p): table[:, j] for j, p in enumerate(args.p)}
     extreme = []
@@ -509,12 +509,12 @@ def cmd_cquantile(args):
                         "mode_values": where})
     payload = {
         "n": x.size,
-        "curve": {"x": mod.sx.values, "u": us, "mean": means,
+        "curve": {"x": mod.bx.source.values, "u": us, "mean": means,
                   "quantiles": quantiles},
         "extreme_slices": extreme,
     }
     header = ["x", "u", "mean"] + [f"p{k}" for k in quantiles]
-    return payload, warnings, (header, [mod.sx.values, us, means,
+    return payload, warnings, (header, [mod.bx.source.values, us, means,
                                         *quantiles.values()])
 
 
@@ -561,8 +561,8 @@ def cmd_twosample(args):
     rep = tsmod.analyze(np.asarray(grp, dtype=float), y, m=args.order,
                         rule=args.select, small_sample=args.small_sample)
     dens = rep.density
-    curve = {"y": dens.sy.values, "density": dens.atom_density,
-             "posterior": tsmod.classify(dens, dens.sy.values)}
+    curve = {"y": dens.by.source.values, "density": dens.atom_density,
+             "posterior": tsmod.classify(dens, dens.by.source.values)}
     payload = {
         "n": y.size,
         "labels": list(dens.labels),

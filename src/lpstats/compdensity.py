@@ -71,12 +71,12 @@ class ReferenceDistribution:
     """A reference model G with evaluable cdf, quantile, and density.
 
     Use the module constructors (`normal_reference`, ...). `kind` and
-    `params` identify the model for serialization; `has_density` is False
-    for the empirical kind, which supports comparison fitting but not the
-    skew-G density.
+    `params` identify the model for serialization. `pdf` raises
+    DomainError for the empirical kind, which has no density: it supports
+    comparison fitting but not the skew-G density.
     """
 
-    __slots__ = ("kind", "params", "has_density", "_cdf", "_pdf", "_quantile")
+    __slots__ = ("kind", "params", "_cdf", "_pdf", "_quantile")
 
     def __init__(self, kind, params, cdf, quantile, pdf=None):
         self.kind = kind
@@ -84,7 +84,6 @@ class ReferenceDistribution:
         self._cdf = cdf
         self._quantile = quantile
         self._pdf = pdf
-        self.has_density = pdf is not None
 
     @_scalar_or_array(1)
     def cdf(self, x):
@@ -96,7 +95,7 @@ class ReferenceDistribution:
 
     @_scalar_or_array(1)
     def pdf(self, x):
-        if not self.has_density:
+        if self._pdf is None:
             raise DomainError(f"reference kind {self.kind!r} has no density")
         return self._pdf(x)
 

@@ -51,10 +51,11 @@ _CHEB_TO_MONO = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 2, 0],
 
 @dataclass(frozen=True)
 class CopulaModel:
-    """Fitted copula series: two samples, two bases, one comoment matrix."""
+    """Fitted copula series: two bases, one comoment matrix.
 
-    sx: Sample
-    sy: Sample
+    X's sample is `bx.source` and Y's `by.source`.
+    """
+
     bx: ScoreBasis
     by: ScoreBasis
     lpm: LPComomentMatrix
@@ -69,13 +70,13 @@ class CopulaModel:
 class ConditionalSlice:
     """The copula density at fixed u, as a step function in v.
 
-    `weights[k-1]` multiplies S_k(v; Y); `raw` holds the series values on
-    Y's atom intervals, `density` the clipped and renormalized version
-    (integrates to exactly 1 by the step sum), `mass` the pre-normalization
-    integral of the clipped values, at least 1 (see `_step_density`).
+    u is the level given to `conditional_slice`. `weights[k-1]` multiplies
+    S_k(v; Y); `raw` holds the series values on Y's atom intervals,
+    `density` the clipped and renormalized version (integrates to exactly
+    1 by the step sum), `mass` the pre-normalization integral of the
+    clipped values, at least 1 (see `_step_density`).
     """
 
-    u: float
     weights: np.ndarray
     raw: np.ndarray
     density: np.ndarray
@@ -88,8 +89,7 @@ def fit_copula(x_obs, y_obs, order: int = 4, rule: str = "aic") -> CopulaModel:
     sx, sy = make_sample(x_obs), make_sample(y)
     bx = build_score_basis(sx, order)
     by = build_score_basis(sy, order)
-    lpm = lp_comoments(bx, by, rule=rule)
-    return CopulaModel(sx=sx, sy=sy, bx=bx, by=by, lpm=lpm)
+    return CopulaModel(bx=bx, by=by, lpm=lp_comoments(bx, by, rule=rule))
 
 
 def eval_copula(mod: CopulaModel, u, v):
@@ -128,8 +128,8 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     u = float(_unit_open(u, "conditioning level"))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
     weights = mod.coefficients.T @ su
-    raw, density, mass = _step_density(mod.sy, mod.by.table, weights)
-    return ConditionalSlice(u=u, weights=weights, raw=raw, density=density,
+    raw, density, mass = _step_density(mod.by.source, mod.by.table, weights)
+    return ConditionalSlice(weights=weights, raw=raw, density=density,
                             mass=mass)
 
 
@@ -138,13 +138,13 @@ def conditional_density(mod: CopulaModel, u: float, v):
     """Value of the normalized slice at probability level(s) v."""
     sl = conditional_slice(mod, u)
     _unit_open(v, "v")
-    return sl.density[mod.sy.atom_at_level(v)]
+    return sl.density[mod.by.source.atom_at_level(v)]
 
 
 def conditional_mean(mod: CopulaModel, u: float) -> float:
     """E[Y | X = Q(u; X)] by exact step integration of Q(v; Y) d(v)."""
-    sl = conditional_slice(mod, u)
-    return float((mod.sy.masses * sl.density) @ mod.sy.values)
+    sl, sy = conditional_slice(mod, u), mod.by.source
+    return float((sy.masses * sl.density) @ sy.values)
 
 
 def _atom_level(sy: Sample, atom, offset):
@@ -178,8 +178,8 @@ def conditional_quantile(mod: CopulaModel, u: float, p):
     draws of Y given X = Q(u; X), by inverse-CDF sampling.
     """
     p = _unit_open(p, "quantile probability")
-    sl = conditional_slice(mod, u)
-    return mid_quantile(mod.sy, _slice_levels(mod.sy, sl, p))
+    sl, sy = conditional_slice(mod, u), mod.by.source
+    return mid_quantile(sy, _slice_levels(sy, sl, p))
 
 
 def _dot_at(weights, rows, idx):
@@ -438,9 +438,9 @@ def quantile_curves(mod: CopulaModel, us, ps):
     weights = su.T @ mod.coefficients
     used = np.flatnonzero(weights.any(axis=0))
     m = used[-1] + 1 if used.size else 0
-    means, levels = _poly_curves(mod.sy, mod.by.table[:m], weights[:, :m],
-                                 ps)
-    return means, mid_quantile(mod.sy, levels)
+    sy = mod.by.source
+    means, levels = _poly_curves(sy, mod.by.table[:m], weights[:, :m], ps)
+    return means, mid_quantile(sy, levels)
 
 
 def slice_modes(mod: CopulaModel, u: float):
@@ -452,7 +452,7 @@ def slice_modes(mod: CopulaModel, u: float):
     """
     dens = conditional_slice(mod, u).density
     first = np.concatenate(([True], dens[1:] != dens[:-1]))
-    vals, locs = dens[first], mod.sy.values[first]
+    vals, locs = dens[first], mod.by.source.values[first]
     padded = np.concatenate(([-np.inf], vals, [-np.inf]))
     peak = (vals > padded[:-2]) & (vals > padded[2:])
     return int(peak.sum()), locs[peak].tolist()

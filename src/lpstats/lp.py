@@ -56,16 +56,16 @@ class LPComomentMatrix:
 
     `entries[j-1, k-1]` is LP(j, k; X, Y) for every score of each basis,
     so the matrix is rectangular when one margin supports fewer scores
-    (r - 1 exist on r atoms). `selected` marks the cells `rule` keeps at
-    the bases' n; `lpinfor` is the squared sum over them. `corner` is the
-    [Z, T_1] x [Z, T_1] block, Z the standardized value, whose cells
-    `correlations` names; None where either sd is 0.
+    (r - 1 exist on r atoms). `selected` marks the cells that the rule
+    given to `lp_comoments` keeps at the bases' n; `lpinfor` is the
+    squared sum over them. `corner` is the [Z, T_1] x [Z, T_1] block, Z
+    the standardized value, whose cells `correlations` names; None where
+    either sd is 0.
     """
 
     entries: np.ndarray
     selected: np.ndarray
     lpinfor: float
-    rule: str
     corner: np.ndarray | None
 
 
@@ -112,7 +112,7 @@ def lp_comoments(bx: ScoreBasis, by: ScoreBasis,
     info = float(np.sum(entries[selected] ** 2))
     corner = both[:2, :2] if min(bx.source.sd, by.source.sd) > 0.0 else None
     return LPComomentMatrix(entries=entries, selected=selected, lpinfor=info,
-                            rule=rule, corner=corner)
+                            corner=corner)
 
 
 def select_significant(coefficients, n: int, rule: str = "aic") -> np.ndarray:

@@ -56,16 +56,15 @@ class ScoreBasis:
     holds T_j; `table` is the view of rows 1..m. The scores' zero mean and
     orthonormality hold under the empirical masses; `mean_error` and
     `gram_error` compute the achieved deviations when read. `max_order`
-    is below `requested_order` only where the request passed r - 1 or
-    `MAX_ORDER`.
+    is below the order given to `build_score_basis` only where that order
+    passed r - 1 or `MAX_ORDER`.
     """
 
-    __slots__ = ("source", "max_order", "requested_order", "rows", "table")
+    __slots__ = ("source", "max_order", "rows", "table")
 
-    def __init__(self, source, requested_order, rows):
+    def __init__(self, source, rows):
         rows.setflags(write=False)
         self.source = source
-        self.requested_order = int(requested_order)
         self.rows = rows
         self.table = rows[1:]
         self.max_order = len(self.table)
@@ -127,4 +126,4 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
             v -= (lower @ pv) @ lower
         np.multiply(p, v, out=pv)
         v /= np.sqrt(pv @ v)
-    return ScoreBasis(s, max_order, rows)
+    return ScoreBasis(s, rows)

@@ -102,14 +102,13 @@ class WilcoxonResult:
     `w` is the LP(1,1) comoment of the group indicator with the response;
     `w_direct` recomputes it from the group mean of mid-ranks as
     (M1 - .5) sqrt(tau / ((1 - tau) V)), V = (1 - sum p^3)/12, and stays
-    within float noise of `w`. `scale` records the factor used for
-    z_stat (sqrt(n), or sqrt(n - 1) under the small-sample flag).
+    within float noise of `w`. `z_stat` is w times sqrt(n), or times
+    sqrt(n - 1) where the caller set `small_sample`.
     """
 
     w: float
     z_stat: float
     w_direct: float
-    scale: float
 
 
 def group_summary(obs) -> GroupSummary:
@@ -240,33 +239,32 @@ def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
 
 def _wilcoxon(dens: TwoSampleDensity, small_sample: bool) -> WilcoxonResult:
     """`wilcoxon` read from a comparison-density fit of any order."""
-    sy, n, tau = dens.sy, dens.sy.n, dens.tau
+    sy, tau = dens.by.source, dens.tau
     w = float(dens.lp1k[0])
     m1 = float(sy.fmid @ dens.cells[:, 1] / int(dens.cells[:, 1].sum()))
     v_mid = sy.mid_rank_variance
     w_direct = (m1 - 0.5) * math.sqrt(tau / ((1.0 - tau) * v_mid))
-    scale = math.sqrt(n - 1.0) if small_sample else math.sqrt(n)
-    return WilcoxonResult(w=w, z_stat=scale * w, w_direct=w_direct,
-                          scale=scale)
+    scale = math.sqrt(sy.n - 1.0) if small_sample else math.sqrt(sy.n)
+    return WilcoxonResult(w=w, z_stat=scale * w, w_direct=w_direct)
 
 
 @dataclass(frozen=True)
 class TwoSampleDensity:
     """Comparison density of group 1's responses inside the pooled sample.
 
-    One LP row E[T_1(G) f(Y)], G the 0/1 label and f each row
-    [Z, T_1..T_m] of `by.rows`, summed over `cells`, the r_y x 2 table of
-    (response atom, group) counts, gives the point-biserial r and lp1k,
-    the LP(1, k) comoments (the high-order Wilcoxon statistics) on which
-    selection runs. The slice coefficients c[k-1] = E[T_k(Y) | group 1]
-    are lp1k T_1(1), T_1(1) = sqrt((1 - tau) / tau), since E[T_k(Y)] = 0;
-    a lower order's c and lp1k are byte prefixes of a higher order's.
-    `atom_density` is the clipped, renormalized density over the pooled
-    atoms, the object classification consumes, and `mass` (at least 1)
-    what it was divided by.
+    The pooled response sample is `by.source`. One LP row E[T_1(G) f(Y)],
+    G the 0/1 label and f each row [Z, T_1..T_m] of `by.rows`, summed
+    over `cells`, the r_y x 2 table of (response atom, group) counts,
+    gives the point-biserial r and lp1k, the LP(1, k) comoments (the
+    high-order Wilcoxon statistics) on which selection runs. The slice
+    coefficients c[k-1] = E[T_k(Y) | group 1] are lp1k T_1(1),
+    T_1(1) = sqrt((1 - tau) / tau), since E[T_k(Y)] = 0; a lower order's
+    c and lp1k are byte prefixes of a higher order's. `atom_density` is
+    the clipped, renormalized density over the pooled atoms, the object
+    classification consumes, and `mass` (at least 1) what it was divided
+    by.
     """
 
-    sy: Sample
     by: ScoreBasis
     tau: float
     labels: tuple
@@ -293,7 +291,7 @@ def two_sample_comp_density(x_obs, y_obs, m: int = 4,
     c = row[1:] * t1g[1]
     selected = select_significant(row[1:], sy.n, rule=rule)
     _, density, mass = _step_density(sy, by.table, c * selected)
-    return TwoSampleDensity(sy=sy, by=by, tau=tau,
+    return TwoSampleDensity(by=by, tau=tau,
                             labels=tuple(labels.tolist()), cells=cells,
                             c=c, r=float(row[0]), lp1k=row[1:],
                             selected=selected, atom_density=density, mass=mass)
@@ -307,7 +305,7 @@ def classify(model: TwoSampleDensity, y):
     of group 1 and v the pooled mid-rank of y; on a saturated fit, group
     1's share of the atom of y. Clipped only where tau d exceeds 1.
     """
-    d = model.atom_density[model.sy.atom_at(y)]
+    d = model.atom_density[model.by.source.atom_at(y)]
     return np.clip(model.tau * d, 0.0, 1.0)
 
 
@@ -328,9 +326,9 @@ def logistic_score_features(x_obs, y_obs, m: int = 4,
     No regression is fitted here.
     """
     model = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
-    ks = np.flatnonzero(model.selected)
+    ks, b = np.flatnonzero(model.selected), model.by
     return ScoreFeatures(orders=(ks + 1).tolist(),
-                         columns=model.by.table[ks][:, model.sy.atom_index].T)
+                         columns=b.table[ks][:, b.source.atom_index].T)
 
 
 def bayes_normal_update(prior: GroupSummary,
@@ -376,14 +374,14 @@ def analyze(x_obs, y_obs, m: int = 4, rule: str = "aic",
     r = +-1 raises DegenerateScale.
     """
     dens = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
-    tau, r = dens.tau, dens.r
-    g1, g2 = _group_summaries(dens.sy, dens.cells)
+    sy, tau, r = dens.by.source, dens.tau, dens.r
+    g1, g2 = _group_summaries(sy, dens.cells)
     comb = combine(g1, g2)
     # student_t refuses a zero pooled variance before any division here
     st = student_t(g1, g2)
-    if dens.sy.var <= 0.0:  # two atoms whose squared gap underflows
+    if sy.var <= 0.0:  # two atoms whose squared gap underflows
         raise DegenerateScale("the response variance underflows to zero")
-    r_groups = (g2.m - g1.m) * math.sqrt(tau * (1.0 - tau) / dens.sy.var)
+    r_groups = (g2.m - g1.m) * math.sqrt(tau * (1.0 - tau) / sy.var)
     if 1.0 - r ** 2 <= 0.0:
         raise DegenerateScale("|r| = 1 leaves the t form undefined")
     t = r / math.sqrt(1.0 - r ** 2)

@@ -357,25 +357,26 @@ def test_c09_copula_contracts(age, gag):
         models.append(fit_copula(x, y))
     worst_dbl = 0.0
     for mod in models:
-        ux, vy = mod.sx.fmid, mod.sy.fmid
-        grid = eval_copula(mod, ux[:, None], vy[None, :])
-        dbl = float(mod.sx.masses @ grid @ mod.sy.masses)
+        sx, sy = mod.bx.source, mod.by.source
+        grid = eval_copula(mod, sx.fmid[:, None], sy.fmid[None, :])
+        dbl = float(sx.masses @ grid @ sy.masses)
         worst_dbl = max(worst_dbl, abs(dbl - 1.0))
     if worst_dbl > 1e-8:
         failures.append(f"raw double integral off by {worst_dbl:.2e} "
                         f"(> 1e-8)")
     mod = models[0]
+    sx, sy = mod.bx.source, mod.by.source
     worst_slice = max(
-        abs(float(mod.sy.masses @ conditional_slice(mod, float(u)).density)
+        abs(float(sy.masses @ conditional_slice(mod, float(u)).density)
             - 1.0)
         for u in (np.arange(101) + 0.5) / 101.0
     )
     if worst_slice > 1e-8:
         failures.append(f"slice normalization off by {worst_slice:.2e} "
                         f"(> 1e-8)")
-    total = sum(float(mod.sx.masses[i]) * conditional_mean(mod,
-                                                           float(mod.sx.fmid[i]))
-                for i in range(mod.sx.r))
+    total = sum(float(sx.masses[i]) * conditional_mean(mod,
+                                                       float(sx.fmid[i]))
+                for i in range(sx.r))
     if abs(total - gag.mean()) > 2e-3:
         failures.append(
             f"total expectation {total:.5f} vs E[Y] {gag.mean():.5f}, "

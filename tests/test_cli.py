@@ -144,6 +144,31 @@ class TestGolden:
             assert "," in header, name
 
 
+class TestPrintedSettings:
+    """Payload values that the command's own options set."""
+
+    @pytest.mark.parametrize("rule", ["aic", "bic", "none"])
+    def test_depend_prints_its_rule(self, rule):
+        code, text = run_cli(["depend", "--x", "Age", "--y", "GAG",
+                              "--select", rule])
+        assert code == 0
+        assert json.loads(text)["payload"]["comoments"]["rule"] == rule
+
+    def test_small_sample_scales_the_printed_z(self):
+        group, response = np.loadtxt("data/clinic.csv", delimiter=",",
+                                     skiprows=1, unpack=True)
+        want = tsmod.wilcoxon(group, response, small_sample=True).z_stat
+        argv = GOLDEN_CASES["twosample.json"]
+        printed = []
+        for extra in ([], ["--small-sample"]):
+            code, text = run_cli(argv + extra)
+            assert code == 0
+            printed.append(re.search(r'"wilcoxon":\{"w":[^,]*,"z":([^}]*)\}',
+                                     text).group(1))
+        assert printed[1] == cli._num(want)
+        assert printed[0] != printed[1]
+
+
 class TestEnvelope:
     def test_structure(self):
         code, text = run_cli(["describe", "--col", "GAG"])

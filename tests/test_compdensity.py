@@ -95,7 +95,8 @@ class TestReferences:
         s = make_sample([1.0, 2.0, 2.0, 4.0])
         g = empirical_reference(s)
         assert_allclose(g.cdf([0.5, 1.0, 3.0, 4.0]), [0.0, 0.25, 0.75, 1.0])
-        assert not g.has_density
+        with pytest.raises(DomainError):
+            g.pdf(1.0)
 
 
 class TestComparisonDistribution:

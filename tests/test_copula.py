@@ -47,10 +47,10 @@ def atom_levels(s):
 
 def exact_double_integral(mod):
     """Step integral of the raw series over the unit square."""
-    ux = atom_levels(mod.sx)
-    vy = atom_levels(mod.sy)
+    ux = atom_levels(mod.bx.source)
+    vy = atom_levels(mod.by.source)
     grid = eval_copula(mod, ux[:, None], vy[None, :])
-    return float(mod.sx.masses @ grid @ mod.sy.masses)
+    return float(mod.bx.source.masses @ grid @ mod.by.source.masses)
 
 
 def joint_ratio_table(x, y):
@@ -71,8 +71,8 @@ class TestEvalCopula:
         y = x + rng.standard_normal(80)
         mod = fit_copula(x, y)
         u, v = 0.3, 0.7
-        iu = np.searchsorted(mod.sx.cdf, u, side="left")
-        iv = np.searchsorted(mod.sy.cdf, v, side="left")
+        iu = np.searchsorted(mod.bx.source.cdf, u, side="left")
+        iv = np.searchsorted(mod.by.source.cdf, v, side="left")
         manual = 1.0 + mod.bx.table[:, iu] @ mod.coefficients \
             @ mod.by.table[:, iv]
         assert_allclose(eval_copula(mod, u, v), manual, rtol=1e-13)
@@ -154,11 +154,12 @@ class TestBayesFactorization:
         assume(np.unique(x).size > 1 and np.unique(y).size > 1)
         mod = fit_copula(x.astype(float), y.astype(float), order=MAX_ORDER,
                          rule="none")
-        assert mod.bx.max_order == mod.sx.r - 1
-        assert mod.by.max_order == mod.sy.r - 1
-        joint = np.zeros((mod.sx.r, mod.sy.r))
-        np.add.at(joint, (mod.sx.atom_index, mod.sy.atom_index), 1.0 / n)
-        phi2 = np.sum(joint ** 2 / np.outer(mod.sx.masses, mod.sy.masses)) - 1
+        sx, sy = mod.bx.source, mod.by.source
+        assert mod.bx.max_order == sx.r - 1
+        assert mod.by.max_order == sy.r - 1
+        joint = np.zeros((sx.r, sy.r))
+        np.add.at(joint, (sx.atom_index, sy.atom_index), 1.0 / n)
+        phi2 = np.sum(joint ** 2 / np.outer(sx.masses, sy.masses)) - 1
         assert abs(mod.lpm.lpinfor - phi2) <= 1e-13 * (1.0 + phi2)
 
     def test_slice_matches_conditional_pmf(self):
@@ -182,7 +183,7 @@ class TestConditionalSlice:
         mod = fit_copula(x, y)
         for u in (0.05, 0.3, 0.5, 0.7, 0.95):
             sl = conditional_slice(mod, u)
-            assert_allclose(mod.sy.masses @ sl.density, 1.0, rtol=1e-13)
+            assert_allclose(mod.by.source.masses @ sl.density, 1.0, rtol=1e-13)
             assert np.all(sl.density > 0.0)
 
     def test_density_lookup_matches_slice(self):
@@ -191,7 +192,7 @@ class TestConditionalSlice:
         y = x + rng.standard_normal(90)
         mod = fit_copula(x, y)
         sl = conditional_slice(mod, 0.4)
-        v = atom_levels(mod.sy)
+        v = atom_levels(mod.by.source)
         assert_allclose(conditional_density(mod, 0.4, v), sl.density)
 
     def test_domain(self):
@@ -208,8 +209,8 @@ class TestConditionalMean:
         x = rng.standard_normal(150)
         y = 2.0 * x + rng.standard_normal(150)
         mod = fit_copula(x, y)
-        sl = conditional_slice(mod, 0.25)
-        manual = float((mod.sy.masses * sl.density) @ mod.sy.values)
+        sl, sy = conditional_slice(mod, 0.25), mod.by.source
+        manual = float((sy.masses * sl.density) @ sy.values)
         assert_allclose(conditional_mean(mod, 0.25), manual, rtol=0)
 
     def test_tracks_monotone_dependence(self):
@@ -226,7 +227,7 @@ class TestConditionalMean:
         y = rng.standard_normal(2000)
         mod = fit_copula(x, y)
         means = [conditional_mean(mod, u) for u in (0.2, 0.5, 0.8)]
-        assert np.ptp(means) < 0.25 * mod.sy.sd
+        assert np.ptp(means) < 0.25 * mod.by.source.sd
 
 
 class TestConditionalQuantile:
@@ -249,7 +250,7 @@ class TestConditionalQuantile:
         # for a near-flat slice the conditional median sits near the
         # marginal mid-quantile median
         from lpstats import mid_quantile
-        assert abs(q - mid_quantile(mod.sy, 0.5)) < 20.0
+        assert abs(q - mid_quantile(mod.by.source, 0.5)) < 20.0
 
     def test_quantile_curves_agree_with_pointwise(self):
         # the curves come from prefix sums of the score table, the pointwise
@@ -290,7 +291,7 @@ class TestConditionalQuantile:
         draws = conditional_quantile(mod, 0.3,
                                      np.random.default_rng(5).random(300))
         assert draws.size == 300
-        lo, hi = mod.sy.values[0], mod.sy.values[-1]
+        lo, hi = mod.by.source.values[0], mod.by.source.values[-1]
         assert np.all((draws >= lo) & (draws <= hi))
 
     def test_seeded_draw_frequencies_match_the_slice_masses(self):
@@ -305,12 +306,12 @@ class TestConditionalQuantile:
         mod = fit_copula(x, y)
         count = 40_000
         for u in (0.1, 0.5, 0.9):
-            mass = mod.sy.masses * conditional_slice(mod, u).density
+            mass = mod.by.source.masses * conditional_slice(mod, u).density
             draws = conditional_quantile(
                 mod, u, np.random.default_rng(8).random(count))
-            edges = cpmod.mid_quantile(mod.sy, mod.sy.cdf[:-1])
+            edges = cpmod.mid_quantile(mod.by.source, mod.by.source.cdf[:-1])
             freq = np.bincount(np.searchsorted(edges, draws, side="left"),
-                               minlength=mod.sy.r) / count
+                               minlength=mod.by.source.r) / count
             se = np.sqrt(mass * (1.0 - mass) / count)
             assert np.all(np.abs(freq - mass) <= 5.0 * se), (u, freq, mass)
 
@@ -341,10 +342,10 @@ class TestCopulaIdentities:
     @settings(deadline=None)
     @given(tied_models(max_order=8))
     def test_every_slice_sums_to_one_over_the_other_margin(self, mod):
-        grid = eval_copula(mod, atom_levels(mod.sx)[:, None],
-                           atom_levels(mod.sy)[None, :])
-        assert_allclose(grid @ mod.sy.masses, 1.0, rtol=0, atol=1e-12)
-        assert_allclose(mod.sx.masses @ grid, 1.0, rtol=0, atol=1e-12)
+        grid = eval_copula(mod, atom_levels(mod.bx.source)[:, None],
+                           atom_levels(mod.by.source)[None, :])
+        assert_allclose(grid @ mod.by.source.masses, 1.0, rtol=0, atol=1e-12)
+        assert_allclose(mod.bx.source.masses @ grid, 1.0, rtol=0, atol=1e-12)
 
 
 def slice_cdf(sy, density, v):
@@ -373,11 +374,11 @@ class TestExactSliceInversion:
     @given(tied_models(), st.lists(open_unit, min_size=1, max_size=8))
     def test_slice_cdf_at_level_is_p(self, mod, ps):
         ps = np.array(ps)
-        for u in mod.sx.fmid:
+        for u in mod.bx.source.fmid:
             sl = conditional_slice(mod, u)
-            levels = _slice_levels(mod.sy, sl, ps)
+            levels = _slice_levels(mod.by.source, sl, ps)
             assert np.all((levels > 0.0) & (levels < 1.0))
-            got = [slice_cdf(mod.sy, sl.density, v) for v in levels]
+            got = [slice_cdf(mod.by.source, sl.density, v) for v in levels]
             assert_allclose(got, ps, rtol=0, atol=1e-12)
 
     @settings(deadline=None)
@@ -388,33 +389,33 @@ class TestExactSliceInversion:
         # the CDF is so flat that a round-off of ~1e-16 in it moves v by
         # ~1e-10, for the bisection as much as for the exact inverse, so
         # agreement is checked on the CDF scale instead.
-        sl = conditional_slice(mod, u)
-        levels = _slice_levels(mod.sy, sl, np.array(ps))
-        ref = np.array([bisect_level(mod.sy, sl.density, p) for p in ps])
+        sl, sy = conditional_slice(mod, u), mod.by.source
+        levels = _slice_levels(sy, sl, np.array(ps))
+        ref = np.array([bisect_level(sy, sl.density, p) for p in ps])
         gap = np.abs(levels - ref)
-        dens = sl.density[mod.sy.atom_at_level(levels)]
+        dens = sl.density[sy.atom_at_level(levels)]
         assert np.all((gap <= 1e-10) | (gap * dens <= 1e-14))
 
     @settings(deadline=None)
     @given(tied_models(), st.lists(open_unit, min_size=2, max_size=8))
     def test_quantiles_nondecreasing_in_p(self, mod, ps):
-        _, table = quantile_curves(mod, mod.sx.fmid, sorted(ps))
+        _, table = quantile_curves(mod, mod.bx.source.fmid, sorted(ps))
         assert np.all(np.diff(table, axis=1) >= 0.0)
 
     @settings(deadline=None)
     @given(tied_models())
     def test_slices_integrate_to_one(self, mod):
-        for u in mod.sx.fmid:
+        for u in mod.bx.source.fmid:
             sl = conditional_slice(mod, u)
-            assert abs(mod.sy.masses @ sl.density - 1.0) <= 1e-12
+            assert abs(mod.by.source.masses @ sl.density - 1.0) <= 1e-12
 
     def test_levels_near_the_ends_stay_inside_the_support(self):
         x = np.arange(1.0, 41.0)
         mod = fit_copula(x, x ** 2)
         ps = [5e-324, np.nextafter(1.0, 0.0)]
-        _, table = quantile_curves(mod, mod.sx.fmid, ps)
-        assert np.all(table[:, 0] == mod.sy.values[0])
-        assert np.all(table[:, 1] == mod.sy.values[-1])
+        _, table = quantile_curves(mod, mod.bx.source.fmid, ps)
+        assert np.all(table[:, 0] == mod.by.source.values[0])
+        assert np.all(table[:, 1] == mod.by.source.values[-1])
 
     def test_curves_map_all_levels_in_one_call(self, monkeypatch):
         calls = []
@@ -426,7 +427,7 @@ class TestExactSliceInversion:
 
         monkeypatch.setattr(cpmod, "mid_quantile", counting)
         mod = fit_copula(np.arange(30.0), np.arange(30.0) % 7)
-        quantile_curves(mod, mod.sx.fmid, [0.1, 0.5, 0.9])
+        quantile_curves(mod, mod.bx.source.fmid, [0.1, 0.5, 0.9])
         assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
@@ -446,7 +447,8 @@ class TestExactSliceInversion:
         # of the 1-D call, bit for bit
         mod = fit_copula(np.arange(30.0), np.arange(30.0) % 7)
         ps = [0.1, 0.5, 0.9]
-        for us, want_us in ((0.5, [0.5]), (mod.sx.fmid[None, :], mod.sx.fmid)):
+        fmid = mod.bx.source.fmid
+        for us, want_us in ((0.5, [0.5]), (fmid[None, :], fmid)):
             got = quantile_curves(mod, us, ps)
             want = quantile_curves(mod, want_us, ps)
             assert got[1].shape == (len(got[0]), len(ps))
@@ -460,7 +462,7 @@ def loop_curves(mod, us, ps):
 
     Returns the clip masks, means, levels and densities of every slice.
     """
-    sy = mod.sy
+    sy = mod.by.source
     clipped, means, levels, densities = [], [], [], []
     for u in us:
         su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
@@ -494,7 +496,7 @@ def curve_models(draw):
     so that slice's P_u' loses its leading terms while the others keep them.
     """
     mod = draw(tied_models(max_order=MAX_ORDER))
-    i = draw(st.integers(0, mod.sx.r - 1))
+    i = draw(st.integers(0, mod.bx.source.r - 1))
     shape = draw(st.sampled_from(["fit", "tangent", "zero", "lead"]))
     if shape == "tangent":
         low = float(np.min((mod.coefficients.T @ mod.bx.table[:, i])
@@ -508,8 +510,7 @@ def curve_models(draw):
         # "zero" clears slice i's whole column, "lead" only its T_1(x)
         rows = mod.bx.rows.copy()
         rows[1:2 if shape == "lead" else None, i] = 0.0
-        mod = replace(mod, bx=ScoreBasis(mod.sx, mod.bx.requested_order,
-                                         rows))
+        mod = replace(mod, bx=ScoreBasis(mod.bx.source, rows))
     if shape == "lead":
         entries = mod.lpm.entries.copy()
         entries[1:, -draw(st.integers(1, 2)):] = 0.0
@@ -528,8 +529,8 @@ class TestPolynomialCurves:
     @example(fit_copula([0, 0, 1, 0, 0, 0, 1], [0, 1, 1, 2, 0, 2, -1],
                         order=3, rule="none"), [0.5])
     def test_matches_the_per_slice_loop(self, mod, ps):
-        ps = np.array(ps)
-        us = mod.sx.fmid
+        ps, sy = np.array(ps), mod.by.source
+        us = mod.bx.source.fmid
         ref_clip, ref_means, ref_levels, ref_dens = loop_curves(mod, us, ps)
         with mock.patch.object(cpmod, "mid_quantile",
                                wraps=cpmod.mid_quantile) as spy, \
@@ -544,7 +545,7 @@ class TestPolynomialCurves:
         # also compared in probability: by the slice CDF between them.
         gap = np.abs(levels - ref_levels)
         cdf_gap = np.array([
-            [abs(slice_cdf(mod.sy, d, a) - slice_cdf(mod.sy, d, b))
+            [abs(slice_cdf(sy, d, a) - slice_cdf(sy, d, b))
              for a, b in zip(row, ref_row)]
             for d, row, ref_row in zip(ref_dens, levels, ref_levels)])
         assert np.all((gap <= 1e-10) | (cdf_gap <= 1e-14))
@@ -552,8 +553,8 @@ class TestPolynomialCurves:
         weights = mod.bx.table[:, mod.bx.source.atom_at_level(us)].T \
             @ mod.coefficients
         start, stop = cpmod._clip_runs(
-            mod.sy, np.ascontiguousarray(mod.by.table.T), weights)
-        atoms = np.arange(mod.sy.r)
+            sy, np.ascontiguousarray(mod.by.table.T), weights)
+        atoms = np.arange(sy.r)
         runs = ((atoms >= start[..., None]) & (atoms < stop[..., None]))
         assert np.array_equal(runs.any(axis=1), ref_clip)
 
@@ -571,8 +572,8 @@ class TestPolynomialCurves:
                          rule="none")
         rows = mod.bx.rows.copy()
         rows[1:, 2] = 0.0  # slice 2: all-zero weights, a flat series
-        quantile_curves(replace(mod, bx=ScoreBasis(mod.sx, 4, rows)),
-                        mod.sx.fmid, [0.5])
+        quantile_curves(replace(mod, bx=ScoreBasis(mod.bx.source, rows)),
+                        mod.bx.source.fmid, [0.5])
         assert calls == []
         # only T_1(x) reaches Y's top score, and T_1 vanishes at slice 4:
         # that slice's P_u' loses its leading term, the others keep it
@@ -582,14 +583,14 @@ class TestPolynomialCurves:
         rows[1, 4] = 0.0
         lpm = replace(mod.lpm, entries=entries,
                       selected=np.ones((4, 4), dtype=bool))
-        lead = replace(mod, lpm=lpm, bx=ScoreBasis(mod.sx, 4, rows))
-        means, _ = quantile_curves(lead, lead.sx.fmid, [0.5])
+        lead = replace(mod, lpm=lpm, bx=ScoreBasis(mod.bx.source, rows))
+        means, _ = quantile_curves(lead, lead.bx.source.fmid, [0.5])
         for order in (11, 20):
             wide = fit_copula(x, np.arange(60.0), order=order, rule="none")
-            quantile_curves(wide, wide.sx.fmid, [0.5])
+            quantile_curves(wide, wide.bx.source.fmid, [0.5])
         assert calls == []
         # the trimmed slice 4 gets the mean of its dense slice
-        assert_allclose(means[4], loop_curves(lead, lead.sx.fmid[4:5],
+        assert_allclose(means[4], loop_curves(lead, lead.bx.source.fmid[4:5],
                                               [0.5])[1][0], rtol=0, atol=1e-12)
 
     def test_an_empty_grid_gives_empty_curves(self):
@@ -608,9 +609,9 @@ class TestStepDensityMass:
     @settings(deadline=None)
     @given(st.one_of(tied_models(), curve_models()))
     def test_every_slice_sums_to_one_before_the_floor(self, mod):
-        for u in mod.sx.fmid:
+        for u in mod.bx.source.fmid:
             sl = conditional_slice(mod, u)
-            assert abs(mod.sy.masses @ sl.raw - 1.0) <= 1e-12
+            assert abs(mod.by.source.masses @ sl.raw - 1.0) <= 1e-12
             assert sl.mass >= 1.0 - 1e-12
 
     @settings(deadline=None)
@@ -739,7 +740,7 @@ class TestRootStep:
                                wraps=np.linalg.eigvals) as eigvals, \
                 mock.patch.object(cpmod, "_root_real_parts",
                                   wraps=cpmod._root_real_parts) as roots:
-            quantile_curves(mod, mod.sx.fmid, [0.5])
+            quantile_curves(mod, mod.bx.source.fmid, [0.5])
         # from order 2 on, some slice comes near the floor and needs roots
         assert roots.call_count == (order >= 2)
         assert eigvals.call_count == (order == 5)
@@ -766,7 +767,7 @@ class TestSliceModes:
     @given(tied_models(), open_unit)
     def test_matches_the_loop_reference(self, mod, u):
         density = conditional_slice(mod, u).density
-        assert slice_modes(mod, u) == loop_modes(density, mod.sy.values)
+        assert slice_modes(mod, u) == loop_modes(density, mod.by.source.values)
 
     def test_flat_slice_is_unimodal(self):
         rng = np.random.default_rng(72)

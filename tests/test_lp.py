@@ -1,7 +1,11 @@
 """LP moments, comoments, selection, LPINFOR and the dependence report."""
 
+import argparse
+import bisect
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -22,11 +26,12 @@ from lpstats import (
     select_significant,
     series_regression,
 )
-from lpstats import lp
+from lpstats import cli, lp
+from lpstats._normal import ndtri
 from lpstats.empirical import mid_ranks
 from lpstats.errors import DegenerateScale, LengthMismatch
 
-from conftest import random_sample_values, search_only
+from conftest import decimal_scores, random_sample_values, search_only
 
 
 def basis_for(x, m=4):
@@ -510,3 +515,136 @@ class TestLHermiteNormality:
                 continue
             res = lhermite_normality(s)
             assert 0.0 < res.statistic <= 1.0 + 1e-12
+
+
+def exact_describe(values, counts, m, grid, digits=60):
+    """What `describe` prints of a column, in `digits`-digit decimals.
+
+    `values` are the column's atoms, ascending, each read exactly, and
+    `counts` their integer counts. Fmid is the exact mid-distribution.
+    The LP moments E[Z T_j] take Z, the value less its mean over its
+    population sd, against the scores `decimal_scores` builds from the
+    exact masses and Fmid. The mid-quantile interpolates through
+    (Fmid_j, x_j), flat past either end; it is read at the quartiles and
+    at the exact value of each float level (i + 1/2) / grid. The
+    `lhermite` statistic E[Z w] / sd(w) takes w, `ndtri` of the float
+    Fmid, as exact. Returns floats, except `cumulative`, the running sums
+    of the squared moments, and `margin`, -log(statistic) - 1/n, which
+    stay Decimals.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        n = sum(int(c) for c in counts)
+        p = [Decimal(int(c)) / n for c in counts]
+        fmid = [cum - pi / 2 for cum, pi in zip(accumulate(p), p)]
+        x = [Decimal(float(v)) for v in values]
+        mean = sum(pi * xi for pi, xi in zip(p, x))
+        sd = sum(pi * (xi - mean) ** 2 for pi, xi in zip(p, x)).sqrt()
+        z = [(xi - mean) / sd for xi in x]
+        moments = [sum(pi * zi * ti for pi, zi, ti in zip(p, z, row))
+                   for row in decimal_scores(p, fmid, min(m, len(x) - 1))]
+        cumulative = list(accumulate(mom * mom for mom in moments))
+
+        def qmid(u):
+            j = bisect.bisect_right(fmid, u)
+            if j in (0, len(x)):
+                return x[min(j, len(x) - 1)]
+            return x[j - 1] + ((x[j] - x[j - 1]) * (u - fmid[j - 1])
+                               / (fmid[j] - fmid[j - 1]))
+
+        q1, q2, q3 = (qmid(Decimal(k) / 4) for k in (1, 2, 3))
+        mq, dq = (q1 + q3) / 2, 2 * (q3 - q1)
+        us = [float(Decimal(2 * i + 1) / (2 * grid)) for i in range(grid)]
+        qmids = [qmid(Decimal(u)) for u in us]
+        w = [Decimal(v) for v in ndtri(np.array([float(f) for f in fmid]))]
+        wbar = sum(pi * wi for pi, wi in zip(p, w))
+        w_sd = (sum(pi * wi * wi for pi, wi in zip(p, w)) - wbar ** 2).sqrt()
+        statistic = sum(pi * zi * wi for pi, zi, wi in zip(p, z, w)) / w_sd
+        return {"fmid": [float(f) for f in fmid], "mean": float(mean),
+                "sd": float(sd), "moments": [float(v) for v in moments],
+                "cumulative": cumulative,
+                "lp_square_sum": float(cumulative[-1]),
+                "quartiles": {"q1": float(q1), "q2": float(q2),
+                              "q3": float(q3), "mq": float(mq),
+                              "dq": float(dq)},
+                "u": us, "qmid": [float(v) for v in qmids],
+                "qiq": [float((v - mq) / dq) for v in qmids],
+                "statistic": float(statistic),
+                "margin": -statistic.ln() - Decimal(1) / n}
+
+
+@st.composite
+def small_columns(draw):
+    """A column of 2 to 12 atoms of 1 to 25 rows each, so n <= 300.
+
+    The atoms are on an integer or cent grid. Returns the atoms,
+    ascending, their counts and a seed for the row order.
+    """
+    r = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(1, 25), min_size=r, max_size=r))
+    atoms = draw(st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=r,
+                          max_size=r, unique=True))
+    return (np.sort(atoms) / draw(st.sampled_from([1, 100])),
+            np.array(counts), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def describe_payload(values, counts, seed, m, grid):
+    """`describe`'s payload and the Sample of the column, rows shuffled."""
+    col = np.random.default_rng(seed).permutation(np.repeat(values, counts))
+    args = argparse.Namespace(col="x", order=m, grid=grid)
+    with mock.patch.object(cli, "_load", return_value=((col,), [])):
+        payload, _, _ = cli.cmd_describe(args)
+    return payload, make_sample(col)
+
+
+class TestExactDescribe:
+    """What `describe` prints against `exact_describe` on small columns.
+
+    The quartiles, the mid-quantiles, the mean and the sd are bounded in
+    units of big = max |x|, the qiq values in units of
+    big (1 + |qiq|) / dq, and the LP moments, their square sum and the
+    `lhermite` statistic absolutely. Over 30000 numpy columns drawn as in
+    `small_columns`, 20000 more with 100 to 199 rows on one atom in three
+    columns of ten, and 20000 examples of the strategy itself (m <= 8,
+    grid <= 101), Fmid and the grid levels were each the correctly
+    rounded exact value, and the largest gaps were 3.6e-16 (mean),
+    2.1e-16 (sd), 1.2e-15 (moments and their square sum), 1.8e-15 (a
+    quartile or mq), 3.8e-15 (dq), 4.8e-15 (qmid and qiq) and 6.3e-15
+    (statistic); each bound is three to five times that. The tail index
+    and the significance flag are checked where the exact values clear
+    their thresholds by more than the bounds: in every swept column, by
+    1.2e-7 or more.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_columns(), st.integers(1, 8), st.integers(1, 101))
+    def test_describe_is_near_the_exact_values(self, column, m, grid):
+        values, counts, seed = column
+        got, s = describe_payload(values, counts, seed, m, grid)
+        exact = exact_describe(values, counts, m, grid)
+        big = float(np.max(np.abs(values)))
+        assert (got["n"], got["distinct"]) == (counts.sum(), counts.size)
+        assert s.fmid.tolist() == exact["fmid"]
+        assert abs(got["mean"] - exact["mean"]) <= 1e-15 * big
+        assert abs(got["sd"] - exact["sd"]) <= 1e-15 * big
+        assert_allclose(got["lp_moments"], exact["moments"], rtol=0,
+                        atol=4e-15)
+        assert abs(got["lp_square_sum"] - exact["lp_square_sum"]) <= 4e-15
+        cumulative, threshold = exact["cumulative"], lp.TAIL_THRESHOLD
+        if min(abs(c - Decimal(threshold)) for c in cumulative) > 4e-15:
+            reached = [j for j, c in enumerate(cumulative, 1)
+                       if c >= threshold]
+            assert got["tail_index"] == (reached[0] if reached else None)
+        for name, want in exact["quartiles"].items():
+            bound = (1.5e-14 if name == "dq" else 6e-15) * big
+            assert abs(got["quartiles"][name] - want) <= bound, name
+        qiq = got["qiq_grid"]
+        assert qiq["u"].tolist() == exact["u"]
+        assert_allclose(qiq["qmid"], exact["qmid"], rtol=0, atol=2e-14 * big)
+        want = np.array(exact["qiq"])
+        scale = big * (1.0 + np.abs(want)) / exact["quartiles"]["dq"]
+        assert np.all(np.abs(qiq["qiq"] - want) <= 2e-14 * scale)
+        lh = got["lhermite"]
+        assert abs(lh["statistic"] - exact["statistic"]) <= 2e-14
+        if abs(exact["margin"]) > 1e-13:
+            assert lh["significant"] == (exact["margin"] > 0)

@@ -77,4 +77,17 @@ def test_no_record_restates_its_fit():
     # the order is c.size, and n and the rule are the caller's own
     names = [f.name for f in fields(compdensity.CompDensityModel)]
     assert not {"order", "n", "rule"} & set(names)
-    assert "n" not in [f.name for f in fields(lp.LPComomentMatrix)]
+    assert not {"n", "rule"} & {f.name for f in fields(lp.LPComomentMatrix)}
+    # a sample is its basis's source; u, the requested order and the
+    # small-sample scale are the caller's own; a density is `_pdf`'s
+    restated = {copula.CopulaModel: {"sx", "sy"},
+                twosample.TwoSampleDensity: {"sy"},
+                copula.ConditionalSlice: {"u"},
+                scores.ScoreBasis: {"requested_order"},
+                twosample.WilcoxonResult: {"scale"},
+                compdensity.ReferenceDistribution: {"has_density"}}
+    for record, gone in restated.items():
+        # fields, slots and properties alike
+        held = set(dir(record)) | set(getattr(record, "__dataclass_fields__",
+                                              ()))
+        assert not gone & held, record

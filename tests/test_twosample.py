@@ -327,7 +327,8 @@ class TestWilcoxonCells:
                 two_sample_comp_density(x01, y, 1, "none"), small)
         assert count.called
         w, w_direct = row_wilcoxon(x01, sy)
-        assert_allclose([got.w, got.w_direct, got.z_stat / got.scale],
+        scale = math.sqrt(n - 1.0 if small else n)
+        assert_allclose([got.w, got.w_direct, got.z_stat / scale],
                         [w, w_direct, w], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
@@ -390,7 +391,7 @@ class TestTwoSampleDensity:
         x = (rng.random(120) < 0.5).astype(float)
         if 0 < x.sum() < 120:
             dens = two_sample_comp_density(x, y)
-            assert_allclose(dens.sy.masses @ dens.atom_density, 1.0,
+            assert_allclose(dens.by.source.masses @ dens.atom_density, 1.0,
                             rtol=1e-12)
 
     @settings(deadline=None, max_examples=60)
@@ -406,7 +407,7 @@ class TestTwoSampleDensity:
         x = (rng.random(n) < share).astype(float)
         assume(0 < x.sum() < n and np.unique(y).size > 1)
         dens = two_sample_comp_density(x, y)
-        gather = dens.by.table[:, dens.sy.atom_index[x == 1.0]]
+        gather = dens.by.table[:, dens.by.source.atom_index[x == 1.0]]
         scale = np.max(np.abs(gather).mean(axis=1))
         assert np.max(np.abs(dens.c - gather.mean(axis=1))) <= 1e-13 * scale
 
@@ -533,8 +534,8 @@ class TestAnalyze:
         x = (rng.random(150) < 1.0 / (1.0 + np.exp(4.0 - y))).astype(float)
         got = analyze(x, y, m=3, rule="bic").density
         want = two_sample_comp_density(x, y, m=3, rule="bic")
-        assert_array_equal(got.sy.atom_index, want.sy.atom_index)
-        assert_array_equal(got.sy.values, want.sy.values)
+        assert_array_equal(got.by.source.atom_index, want.by.source.atom_index)
+        assert_array_equal(got.by.source.values, want.by.source.values)
         assert_array_equal(got.by.table, want.by.table)
         assert (got.tau, got.labels, got.mass) == (want.tau, want.labels,
                                                    want.mass)
@@ -891,5 +892,5 @@ class TestExactReference:
         y = np.repeat(np.tile(values, 2), cells.T.ravel())
         x = np.repeat([0.0, 1.0], cells.sum(axis=0))
         dens = two_sample_comp_density(x, y, m=values.size - 1, rule="none")
-        assert_allclose(classify(dens, dens.sy.values),
+        assert_allclose(classify(dens, dens.by.source.values),
                         cells[:, 1] / cells.sum(axis=1), rtol=0, atol=2e-15)
