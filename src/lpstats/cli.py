@@ -49,8 +49,6 @@ MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
 # a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
 # to np.loadtxt given a path and to csv.reader alike.
 _FIELD_BYTES = b"0123456789.,+-eE \t\r"
-# Those of a body that `_int_rows` may parse: digits and ','.
-_INT_BYTES = b"0123456789,"
 # Bytes read from a body at a time: each block is scanned, and parsed while
 # the body is integral, as it is read, so that only a few blocks of memory
 # are held at once.
@@ -134,22 +132,22 @@ def _line_blocks(fb, start):
         yield block
 
 
-def _int_rows(block, rows, fields, idx):
+def _int_rows(b, seps, rows, fields, idx):
     """The (len(idx), rows) int64 requested fields of a block, or None.
 
-    `block` holds `rows` whole lines after the LF that ends the line
-    before them (`_line_blocks`), in digits, ',' and LFs alone
-    (`_body_lines`). They are integral when each holds `fields` fields,
+    `b` is the `uint8` view of a block of `rows` whole lines after the LF
+    that ends the line before them (`_line_blocks`), in digits, ',' and
+    LFs alone, and `seps` the mask of its ',' and LF bytes, both built by
+    `_body_lines`. The lines are integral when each holds `fields` fields,
     split by ',' and ended by LF, and each requested field `idx` has 1 to
     18 digits. So value < 10**18 < 2**63, and int64 to float64 rounds to
     nearest even, as a correctly rounded float() of the same decimal
     integer does. Anything else, a blank line, an empty requested field or
     a piece of a line longer than `_LINE_CAP` included, gives None.
     """
-    if block[-1] != 10:  # a piece of a line longer than `_LINE_CAP`
+    if b[-1] != 10:  # a piece of a line longer than `_LINE_CAP`
         return None
-    b = np.frombuffer(block, np.uint8)
-    seps = np.flatnonzero((b == 44) | (b == 10))
+    seps = np.flatnonzero(seps)
     # an LF at every `fields`-th end, and no other: each line holds
     # `fields` - 1 commas
     if (seps.size != rows * fields + 1
@@ -179,35 +177,42 @@ def _int_rows(block, rows, fields, idx):
 def _body_lines(blocks, idx):
     """The lines of a body in `blocks` and its integral table, or None.
 
-    Each block of `_line_blocks` is read once. One translate deletes
-    `_INT_BYTES`; while this leaves only LFs, their count, less the LF the
-    block starts with if it does, is its count of lines, and `_int_rows`
-    parses the requested columns `idx`, each line holding the first
-    line's count of fields. The first block that it leaves more in, a '-'
-    or CR included, ends the integral parse, and a second translate of the
-    rest, and one translate of every later block, delete `_FIELD_BYTES`.
-    What is left must be LFs. The table is None for a body `_int_rows`
-    refuses. The whole result is None for a byte no field may hold, and
-    for a body made only of line ends, which np.loadtxt would warn holds
-    no data. No block outlives its iteration.
+    Each block of `_line_blocks` is read once. While the body is integral,
+    masks of the block's `uint8` view check that it holds only digits
+    (`b - 48 < 10`, which wraps below '0'), ',' and LF; its count of LFs,
+    less the LF the block starts with if it does, is its count of lines,
+    and `_int_rows` parses the requested columns `idx` from the ',' and LF
+    mask, each line holding the first line's count of fields. From the
+    first block that holds any other byte, a '-' or CR included, the
+    parse ends: one translate of that block and of each after it deletes
+    `_FIELD_BYTES`, and what is left must be LFs, whose count gives the
+    lines. The table is None for a body `_int_rows` refuses. The whole
+    result is None for a byte no field may hold, and for a body made only
+    of line ends, which np.loadtxt would warn holds no data. No block
+    outlives its iteration.
     """
-    lines, data, deleted, parts, fields = 0, False, _INT_BYTES, [], None
+    lines, data, parts, fields = 0, False, [], None
     for block in blocks:
-        rest = block.translate(None, deleted)
-        if rest != b"\n" * len(rest):  # a '-', '.', CR or space, or worse
-            deleted, parts = _FIELD_BYTES, None
-            rest = rest.translate(None, deleted)
-            if rest != b"\n" * len(rest):  # a byte no field may hold
-                return None
-        rows = len(rest) - (block[0] == 10)
+        if parts is not None:
+            b = np.frombuffer(block, np.uint8)
+            seps = b == 10
+            rows = np.count_nonzero(seps) - (block[0] == 10)
+            seps |= b == 44
+            if not (seps | (b - 48 < 10)).all():  # a '-', '.', CR or worse
+                parts = None
         if parts is not None:
             if fields is None:  # the first line's; a piece has no LF
                 fields = block.count(b",", 0, block.find(b"\n", 1)) + 1
-            part = _int_rows(block, rows, fields, idx)
+            part = _int_rows(b, seps, rows, fields, idx)
             parts = None if part is None else parts + [part]
+        else:
+            rest = block.translate(None, _FIELD_BYTES)
+            if rest != b"\n" * len(rest):  # a byte no field may hold
+                return None
+            rows = len(rest) - (block[0] == 10)
         lines += rows
         data = data or bool(block.strip(b"\r\n"))
-        del block, rest  # not held while the next block is read
+        block = b = seps = rest = None  # not held while the next is read
     if not data:
         return None
     return lines, np.concatenate(parts, axis=1) if parts else None
@@ -229,9 +234,9 @@ def _loadtxt_body(p, idx):
     the header line ends in LF within `_LINE_CAP` with no CR before its
     line end, and the body after it holds only `_FIELD_BYTES` and LFs
     (`_body_lines`; so a quoted header spanning lines is refused). An
-    integral body (`_int_rows`) is parsed as it is scanned and returned as
-    int64, whose rows `ingest_csv` returns as they are; it makes no
-    np.loadtxt call.
+    integral body (`_int_rows`) is parsed as its byte masks are checked and
+    returned as int64, whose rows `ingest_csv` returns as they are; it
+    makes no np.loadtxt call.
 
     Any other body is read by one float np.loadtxt over path `p`, which
     reads a path in blocks in C (given lines or a file object it iterates
@@ -287,15 +292,17 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
     included, is read whole, with no Python string per line (see
     `_loadtxt_body`); deciding to try takes one pass over each block of
-    whole lines (`_line_blocks`). An integral body, unsigned digits and
-    ',' in LF-ended lines of equal field counts, is parsed in numpy in
-    that same pass (`_int_rows`); any other, one with a '-' or a CRLF
-    included, is read by one float np.loadtxt over the path. Where
-    neither read can vouch for every row, csv.reader, `_row_problem` and
-    float() walk the body, and one np.fromiter takes the kept values,
-    holding no Python list of rows. All paths give the same columns, bit
-    for bit, and the same drop counts; only the csv module refuses a field
-    longer than `csv.field_size_limit()`. Each path gives a
+    whole lines (`_line_blocks`), by numpy masks of its bytes while the
+    body is integral and by one translate after that (`_body_lines`). An
+    integral body, unsigned digits and ',' in LF-ended lines of equal
+    field counts, is parsed in numpy in that same pass (`_int_rows`); any
+    other, one with a '-' or a CRLF included, is read by one float
+    np.loadtxt over the path. Where neither read can vouch for every row,
+    csv.reader, `_row_problem` and float() walk the body, and one
+    np.fromiter takes the kept values, holding no Python list of rows.
+    All paths give the same columns, bit for bit, and the same drop
+    counts; only the csv module refuses a field longer than
+    `csv.field_size_limit()`. Each path gives a
     (len(columns), rows) table. An integral body's columns are its int64
     rows, so that `make_sample` counts them with no float round trip;
     their float64 casts are the float paths' columns, bit for bit. Any

@@ -1178,6 +1178,79 @@ class TestIngest:
                     body.count(b"\n") + (not body.endswith(b"\n")),
                     integral and b"\r" not in body)
 
+    @pytest.mark.parametrize("place", ["requested", "unrequested", "later"])
+    def test_body_lines_byte_table(self, place):
+        # Every byte value, inside a field of columns 0 and 1 (requested)
+        # or 2 (unrequested) of every line, or of every line after the
+        # first block only. The kinds come from the two byte sets by
+        # translate: digits and ',' keep the table, the other field bytes
+        # (CR included) give the line count alone, and any other byte
+        # refuses the body.
+        int_bytes = b"0123456789,"
+        line = b"12,34,56\n"
+        head = line * (cli._BLOCK // len(line) + 1)
+        assert len(head) >= cli._BLOCK  # the first block holds no `v`
+        for v in range(256):
+            byte = bytes([v])
+            if place == "later":
+                body = head + line.replace(b"34", b"3" + byte + b"4") * 9
+            else:
+                field = b"34" if place == "requested" else b"56"
+                body = line.replace(field, field[:1] + byte + field[1:]) * 9
+            if not byte.translate(None, int_bytes):
+                kind = "table"
+            elif not byte.translate(None, cli._FIELD_BYTES):
+                kind = "lines"
+            else:
+                kind = None
+            if byte in b",\n":
+                # a separator or a line end: the table stands while every
+                # line holds the first line's count of fields
+                counts = {r.count(b",") for r in body.splitlines()}
+                kind = "table" if len(counts) == 1 else "lines"
+            got = cli._body_lines(
+                cli._line_blocks(io.BytesIO(b"\n" + body), 0), [0, 1])
+            if kind is None:
+                assert got is None, v
+                continue
+            lines, table = got
+            assert lines == body.count(b"\n"), v
+            if kind == "lines":
+                assert table is None, v
+                continue
+            rows = [r.split(b",") for r in body.splitlines()]
+            want = [[int(r[0]) for r in rows], [int(r[1]) for r in rows]]
+            assert table.dtype == np.int64, v
+            assert table.tolist() == want, v
+
+    def test_an_integral_read_peaks_below_the_translate_scan(self,
+                                                             tmp_path):
+        # 1e5 unsigned rows of x, y and a 0/1 group, shaped like the
+        # bulk-tied benchmark table, `x` and `y` requested. The peak is the
+        # block parts and their concatenation, twice the kept values, plus
+        # file buffers: 3.07 MiB when a translate checked each block.
+        rng = np.random.default_rng(5)
+        n = 100_000
+        x = np.clip(np.rint(18 + 5 * rng.standard_normal(n)), 3, 33)
+        y = rng.integers(4, 37, n)
+        group = rng.integers(0, 2, n)
+        f = tmp_path / "tied.csv"
+        with open(f, "w", encoding="ascii", newline="") as fh:
+            fh.write("x,y,group\n")
+            fh.writelines(f"{a:.0f},{b},{c}\n" for a, b, c in
+                          zip(x.tolist(), y.tolist(), group.tolist()))
+        ingest_csv(f, ["x", "y"])  # first-call allocations not counted
+        tracemalloc.start()
+        try:
+            values, reasons = ingest_csv(f, ["x", "y"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [col.dtype for col in values] == [np.int64] * 2
+        assert (values[1].tolist(), reasons) == (y.tolist(), {})
+        assert sum(col.nbytes for col in values) == 1_600_000
+        assert peak <= 3.08 * 2 ** 20
+
     def test_a_cr_in_the_header_is_not_read_whole(self, tmp_path,
                                                    monkeypatch):
         f = tmp_path / "cr.csv"
