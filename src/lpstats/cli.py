@@ -45,10 +45,6 @@ __all__ = ["ingest_csv", "main"]
 
 SCHEMA_VERSION = "2"
 MAX_GRID = 1000  # bound on --grid (depend: grid**2 cells) and on --p's count
-# The bytes a body read whole by np.loadtxt may hold besides LFs: those of
-# a field, with no quote, NUL, letter or non-ASCII byte, and CR, a line end
-# to np.loadtxt given a path and to csv.reader alike.
-_FIELD_BYTES = b"0123456789.,+-eE \t\r"
 # Bytes read from a body at a time: each block is scanned, and parsed while
 # the body is integral, as it is read, so that only a few blocks of memory
 # are held at once.
@@ -183,13 +179,12 @@ def _body_lines(blocks, idx):
     less the LF the block starts with if it does, is its count of lines,
     and `_int_rows` parses the requested columns `idx` from the ',' and LF
     mask, each line holding the first line's count of fields. From the
-    first block that holds any other byte, a '-' or CR included, the
-    parse ends: one translate of that block and of each after it deletes
-    `_FIELD_BYTES`, and what is left must be LFs, whose count gives the
-    lines. The table is None for a body `_int_rows` refuses. The whole
-    result is None for a byte no field may hold, and for a body made only
-    of line ends, which np.loadtxt would warn holds no data. No block
-    outlives its iteration.
+    first block that holds any other byte, a '-', '.', CR or letter
+    included, the parse ends, and each block's lines are its LFs, counted
+    the same way. The table is None for a body `_int_rows` refuses. The
+    whole result is None for a body with a '"', since a quoted field may
+    hide a ',' or a line end, and for one made only of line ends, which
+    np.loadtxt would warn holds no data. No block outlives its iteration.
     """
     lines, data, parts, fields = 0, False, [], None
     for block in blocks:
@@ -205,14 +200,13 @@ def _body_lines(blocks, idx):
                 fields = block.count(b",", 0, block.find(b"\n", 1)) + 1
             part = _int_rows(b, seps, rows, fields, idx)
             parts = None if part is None else parts + [part]
+        elif b'"' in block:  # a quoted field may hide a ',' or a line end
+            return None
         else:
-            rest = block.translate(None, _FIELD_BYTES)
-            if rest != b"\n" * len(rest):  # a byte no field may hold
-                return None
-            rows = len(rest) - (block[0] == 10)
+            rows = block.count(b"\n") - (block[0] == 10)
         lines += rows
         data = data or bool(block.strip(b"\r\n"))
-        block = b = seps = rest = None  # not held while the next is read
+        block = b = seps = None  # not held while the next is read
     if not data:
         return None
     return lines, np.concatenate(parts, axis=1) if parts else None
@@ -232,21 +226,23 @@ def _loadtxt_body(p, idx):
 
     The body is read only when `p` has no suffix np.loadtxt decompresses,
     the header line ends in LF within `_LINE_CAP` with no CR before its
-    line end, and the body after it holds only `_FIELD_BYTES` and LFs
-    (`_body_lines`; so a quoted header spanning lines is refused). An
-    integral body (`_int_rows`) is parsed as its byte masks are checked and
-    returned as int64, whose rows `ingest_csv` returns as they are; it
-    makes no np.loadtxt call.
+    line end, and the body after it holds no '"' (`_body_lines`; so a
+    quoted header spanning lines is refused). An integral body
+    (`_int_rows`) is parsed as its byte masks are checked and returned as
+    int64, whose rows `ingest_csv` returns as they are; it makes no
+    np.loadtxt call.
 
-    Any other body is read by one float np.loadtxt over path `p`, which
-    reads a path in blocks in C (given lines or a file object it iterates
-    in Python). np.loadtxt on a path and csv.reader on a `newline=""`
-    handle both end a line at CR, LF and CRLF. np.loadtxt skips empty
-    lines and raises on whitespace-only ones. So the result is kept when
-    every value is finite and it has one row per LF, or, counting the
-    empty lines only in that case, one per LF that ends a nonempty line; a
-    loadtxt that skipped any other line, or split one at a bare CR, fails
-    that count. None wherever loadtxt rejects a field.
+    Any other body is read by one float np.loadtxt over path `p` and the
+    requested columns `idx`, which reads a path in blocks in C (given lines
+    or a file object it iterates in Python) and converts no other field,
+    so a text column that is not requested costs no walk. np.loadtxt on a
+    path and csv.reader on a `newline=""` handle both end a line at CR, LF
+    and CRLF. np.loadtxt skips empty lines and raises on whitespace-only
+    ones. So the result is kept when every value is finite and it has one
+    row per LF, or, counting the empty lines only in that case, one per LF
+    that ends a nonempty line; a loadtxt that skipped any other line, or
+    split one at a bare CR, fails that count. None wherever loadtxt
+    rejects a requested field or the file's UTF-8.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -288,21 +284,21 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     fields, or non-numeric entries (NaN and infinities included) in the
     requested columns are dropped; blank lines are skipped uncounted.
 
-    The header goes through csv.reader. A body made only of digits,
-    `.,+-eE`, spaces, tabs and LF, CRLF or CR line ends, blank lines
+    The header goes through csv.reader. A body with no '"', in LF, CRLF
+    or CR line ends, blank lines and text in columns not requested
     included, is read whole, with no Python string per line (see
     `_loadtxt_body`); deciding to try takes one pass over each block of
     whole lines (`_line_blocks`), by numpy masks of its bytes while the
-    body is integral and by one translate after that (`_body_lines`). An
-    integral body, unsigned digits and ',' in LF-ended lines of equal
+    body is integral and by a count of its LFs after that (`_body_lines`).
+    An integral body, unsigned digits and ',' in LF-ended lines of equal
     field counts, is parsed in numpy in that same pass (`_int_rows`); any
-    other, one with a '-' or a CRLF included, is read by one float
-    np.loadtxt over the path. Where neither read can vouch for every row,
-    csv.reader, `_row_problem` and float() walk the body, and one
-    np.fromiter takes the kept values, holding no Python list of rows.
-    All paths give the same columns, bit for bit, and the same drop
-    counts; only the csv module refuses a field longer than
-    `csv.field_size_limit()`. Each path gives a
+    other, one with a '-', a CRLF or a letter included, is read by one
+    float np.loadtxt over the path and the requested columns. Where
+    neither read can vouch for every row, csv.reader, `_row_problem` and
+    float() walk the body, and one np.fromiter takes the kept values,
+    holding no Python list of rows. All paths give the same columns, bit
+    for bit, and the same drop counts; only the csv module refuses a field
+    longer than `csv.field_size_limit()`. Each path gives a
     (len(columns), rows) table. An integral body's columns are its int64
     rows, so that `make_sample` counts them with no float round trip;
     their float64 casts are the float paths' columns, bit for bit. Any

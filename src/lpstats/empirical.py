@@ -29,7 +29,6 @@ __all__ = [
     "QuartileSummary",
     "make_sample",
     "mid_distribution",
-    "mid_ranks",
     "quantile",
     "mid_quantile",
     "quartile_summary",
@@ -286,16 +285,6 @@ def mid_distribution(s: Sample, x):
     idx = s.atom_at(x)
     return np.where(s.values[idx] == x, s.fmid[idx],
                     np.where(x < s.values[0], 0.0, s.cdf[idx]))
-
-
-def mid_ranks(s: Sample) -> np.ndarray:
-    """Per-observation mid-rank transforms (midrank - 0.5) / n.
-
-    Returned in the original observation order; tied observations share a
-    value. The mean of the result is exactly 0.5 and its variance is
-    s.mid_rank_variance.
-    """
-    return s.fmid[s.atom_index]
 
 
 @_scalar_or_array(1)

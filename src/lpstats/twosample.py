@@ -42,17 +42,14 @@ __all__ = [
     "CorrelationStats",
     "WilcoxonResult",
     "TwoSampleDensity",
-    "ScoreFeatures",
     "TwoSampleReport",
     "group_summary",
     "combine",
     "recursive_update",
     "student_t",
-    "correlation_stats",
     "wilcoxon",
     "two_sample_comp_density",
     "classify",
-    "logistic_score_features",
     "bayes_normal_update",
     "analyze",
 ]
@@ -209,20 +206,6 @@ def _group_summaries(sy: Sample, cells):
         yield GroupSummary(n=n, m=m, v=float(v))
 
 
-def correlation_stats(x_obs, y_obs) -> CorrelationStats:
-    """Point-biserial correlation of a binary label with the response.
-
-    The `correlation` of `analyze` at order 1: r is the fit's
-    `TwoSampleDensity.r`, and the group summaries are summed over the same
-    (response atom, group) count table. Verifies
-    r = (M1 - M0) sqrt(tau (1 - tau) / V) and t_core = r / sqrt(1 - r^2),
-    each to 1e-12 relative; the flag reports whether both held. A constant
-    response, zero pooled or response variance or r = +-1 raises
-    DegenerateScale.
-    """
-    return analyze(x_obs, y_obs, 1, "none").correlation
-
-
 def wilcoxon(x_obs, y_obs, small_sample: bool = False) -> WilcoxonResult:
     """Wilcoxon statistic as the (1, 1) LP comoment of (label, response).
 
@@ -307,28 +290,6 @@ def classify(model: TwoSampleDensity, y):
     """
     d = model.atom_density[model.by.source.atom_at(y)]
     return np.clip(model.tau * d, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ScoreFeatures:
-    """Selected score orders and their per-observation feature columns."""
-
-    orders: list
-    columns: np.ndarray
-
-
-def logistic_score_features(x_obs, y_obs, m: int = 4,
-                            rule: str = "aic") -> ScoreFeatures:
-    """Export the selected T_k(y) columns for an external logit fit.
-
-    Selection is by the high-order Wilcoxon comoments LP(1, k); the
-    returned columns are orthonormal under the pooled empirical measure.
-    No regression is fitted here.
-    """
-    model = two_sample_comp_density(x_obs, y_obs, m, rule=rule)
-    ks, b = np.flatnonzero(model.selected), model.by
-    return ScoreFeatures(orders=(ks + 1).tolist(),
-                         columns=b.table[ks][:, b.source.atom_index].T)
 
 
 def bayes_normal_update(prior: GroupSummary,

@@ -81,7 +81,9 @@ python3 -c 'import json, sys
 assert len(json.load(sys.stdin)["payload"]["lp_moments"]) == 4' \
     < "$tmp/zeros.json"
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
-# copy with blank lines and its CRLF copy. All must give the same bytes.
+# copy with blank lines, its CRLF copy and its copy with a column g of
+# A/B labels, which np.loadtxt skips as no command here reads it. All
+# must give the same bytes.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and
 # describe, depend and regress must give for it the bytes of the copy
 # without that row, and write its dropped row to stderr as a warning.
@@ -128,10 +130,12 @@ dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
 neg = [",".join("-" + f for f in row.split(",")) for row in ints]
 negdot = neg[:10000] + ["-7.0," + neg[10000].split(",", 1)[1]] + neg[10001:]
 grp = [f"{row},{i % 3 == 0:d}" for i, row in enumerate(rows)]
+text = [f"{row},{'AB'[i % 2]}" for i, row in enumerate(rows)]
 lab = [row[:-1] + ("98765432109" if row[-1] == "1" else "12345678901")
        for row in ints]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
+                         ("text.csv", text, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
                          ("intcrlf.csv", ints, "\r\n"),
@@ -149,7 +153,7 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
 PY
 for cmd in "describe --col x" "depend --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/lf.out"
-    for copy in crlf blank; do
+    for copy in crlf blank text; do
         lpstats $cmd --format csv --data "$tmp/$copy.csv" | cmp - "$tmp/lf.out"
     done
 done

@@ -20,12 +20,12 @@ from scipy.stats import kstest, ttest_ind
 
 from lpstats import (
     GroupSummary,
+    analyze,
     bayes_normal_update,
     build_score_basis,
     combine,
     conditional_mean,
     conditional_slice,
-    correlation_stats,
     eval_copula,
     eval_density,
     fit_copula,
@@ -226,7 +226,7 @@ def test_c05_student_correlation_unification():
         x = np.concatenate([np.zeros(y1.size), np.ones(y2.size)])
         y = np.concatenate([y1, y2])
         st = student_t(group_summary(y1), group_summary(y2))
-        cs = correlation_stats(x, y)
+        cs = analyze(x, y, 1, "none").correlation
         comb = combine(group_summary(y1), group_summary(y2))
         ref = ttest_ind(y2, y1, equal_var=True).statistic
         worst_t = max(worst_t, abs(st.t_scaled - ref) / max(1.0, abs(ref)))

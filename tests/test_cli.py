@@ -834,6 +834,52 @@ def numeric_csvs(draw):
     return end.join(["a,b,c"] + rows) + draw(st.sampled_from([end, ""]))
 
 
+# csv.reader reads a NUL from Python 3.11 on; before, it raises csv.Error
+CSV_READS_NUL = sys.version_info >= (3, 11)
+
+# what a label or id column may hold, and requested fields that the float
+# read must refuse as the walk does: letters, non-ASCII digits and spaces,
+# a CR inside a field (a line end to both readers), NUL, underscores,
+# quotes (split at its commas, "x,5,y" would put a number under the next
+# column), and names numpy and float() spell alike or not
+TEXT_FIELDS = ["A", "B", "site 2", "NA", "n/a", "1_000", "0x10", "\u00e9",
+               "\u00a0", "\u0661", "\uff11", "\U0001f600", "x\ry", "1\r",
+               "#", "\x0b", "\x0c", "\x1c", "\x85", "2\x7f", "1e5x", "inf",
+               "nan", '"q"', '"1,2"', '"x,5,y"', '"3\n4"', "", " "]
+if CSV_READS_NUL:
+    TEXT_FIELDS += ["\x00", "a\x00"]
+
+
+@st.composite
+def text_csvs(draw):
+    """CSV text under an a,b,c header, with a text column among numbers,
+    and the columns to request.
+
+    One drawn column holds up to three TEXT_FIELDS values, the others
+    kept numbers, and now and then up to two other fields hold text too.
+    Every line ends in the same drawn LF, CRLF or bare CR, and the last
+    one may have none. Half the time the text column is not requested.
+    """
+    labels = draw(st.lists(st.sampled_from(TEXT_FIELDS), min_size=1,
+                           max_size=3))
+    column = draw(st.integers(0, 2))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(KEPT_FIELDS), min_size=3, max_size=3),
+        min_size=1, max_size=14))
+    for row in rows:
+        row[column] = draw(st.sampled_from(labels))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from(TEXT_FIELDS))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    lines = [",".join(row) for row in rows]
+    text = end.join(["a,b,c"] + lines) + draw(st.sampled_from([end, ""]))
+    names = draw(st.sampled_from(["abc", "abc".replace("abc"[column], "")]))
+    columns = draw(st.lists(st.sampled_from(names), min_size=1,
+                            max_size=len(names), unique=True))
+    return text, columns
+
+
 def ingest_and_walk(text, columns):
     """ingest_csv's and the row walk's (values, reasons) of CSV text, or
     None where the walk keeps no row and ingest_csv raises."""
@@ -1001,6 +1047,13 @@ class TestIngest:
         # or bare-CR ends, makes the row walk read it instead.
         assert_ingest_matches_rowwise(text, columns)
 
+    @settings(deadline=None, max_examples=300)
+    @given(table=text_csvs())
+    def test_text_column_ingest_matches_the_rowwise_loop(self, table):
+        # A text column that is not requested leaves the body to the float
+        # read; text in a requested field, or a '"' anywhere, walks it.
+        assert_ingest_matches_rowwise(*table)
+
     @settings(deadline=None, max_examples=200)
     @example(text="a,b,c\n1,2,9223372036854775808\n", columns=["a"])
     @example(text="a,b,c\n-1,-0,-9223372036854775809\n", columns=["b"])
@@ -1159,8 +1212,12 @@ class TestIngest:
         # float read
         assert scan(b"1,2\n3,4\n") == (2, True)
         assert scan(b"1,2\r\n3,4\r\n") == (2, False)
-        for bad in (b"1,2\n3,a\n", b'1,"2"\r\n', b"1.5,2\n3,a\n"):
+        # a '"' refuses the body, also one after the integral parse ends;
+        # a letter only ends the parse
+        for bad in (b'1,"2"\n', b'1,"2"\r\n', b'1.5,2\n3,"a"\n'):
             assert cli._body_lines(blocks(bad), [0, 1]) is None
+        for text in (b"1,2\n3,a\n", b"1.5,2\n3,a\n", b"1,2,\xc3\xa9\0\n"):
+            assert scan(text) == (text.count(b"\n"), False)
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
             assert cli._body_lines(blocks(ends), [0, 1]) is None
@@ -1182,11 +1239,9 @@ class TestIngest:
     def test_body_lines_byte_table(self, place):
         # Every byte value, inside a field of columns 0 and 1 (requested)
         # or 2 (unrequested) of every line, or of every line after the
-        # first block only. The kinds come from the two byte sets by
-        # translate: digits and ',' keep the table, the other field bytes
-        # (CR included) give the line count alone, and any other byte
-        # refuses the body.
-        int_bytes = b"0123456789,"
+        # first block only. Digits and ',' keep the table, '"' refuses the
+        # body, and any other byte (CR, letters, NUL and non-ASCII
+        # included) gives the line count alone.
         line = b"12,34,56\n"
         head = line * (cli._BLOCK // len(line) + 1)
         assert len(head) >= cli._BLOCK  # the first block holds no `v`
@@ -1197,12 +1252,12 @@ class TestIngest:
             else:
                 field = b"34" if place == "requested" else b"56"
                 body = line.replace(field, field[:1] + byte + field[1:]) * 9
-            if not byte.translate(None, int_bytes):
+            if byte.isdigit() or byte == b",":
                 kind = "table"
-            elif not byte.translate(None, cli._FIELD_BYTES):
-                kind = "lines"
-            else:
+            elif byte == b'"':
                 kind = None
+            else:
+                kind = "lines"
             if byte in b",\n":
                 # a separator or a line end: the table stands while every
                 # line holds the first line's count of fields
@@ -1222,6 +1277,56 @@ class TestIngest:
             want = [[int(r[0]) for r in rows], [int(r[1]) for r in rows]]
             assert table.dtype == np.int64, v
             assert table.tolist() == want, v
+
+    @pytest.mark.parametrize("place", ["requested", "unrequested"])
+    def test_every_code_point_below_256_ingests_as_the_walk(self, place):
+        # each of U+0000 to U+00FF, written as UTF-8 inside a field of
+        # column a (requested) or c (not)
+        for v in range(0 if CSV_READS_NUL else 1, 256):
+            cell = f"1{chr(v)}2"
+            row = f"{cell},3,4" if place == "requested" else f"5,6,{cell}"
+            assert_ingest_matches_rowwise(f"a,b,c\n1,2,3\n{row}\n7,8,9\n",
+                                          ["a", "b"])
+
+    def test_a_text_column_is_read_whole(self, tmp_path, monkeypatch):
+        # 1e5 rows of bulk-tied's x and y and a `site` column of A/B
+        # labels, x and y requested: one float np.loadtxt call, no walk
+        rng = np.random.default_rng(5)
+        n = 100_000
+        x = rng.integers(3, 34, n)
+        y = rng.integers(4, 37, n)
+        site = rng.choice(["A", "B"], n)
+        f = tmp_path / "site.csv"
+        with open(f, "w", encoding="ascii", newline="") as fh:
+            fh.write("x,y,site\n")
+            fh.writelines(f"{a},{b},{c}\n" for a, b, c in
+                          zip(x.tolist(), y.tolist(), site.tolist()))
+
+        def walk(*args):
+            raise AssertionError("the row walk was taken")
+
+        monkeypatch.setattr(cli, "_row_problem", walk)
+        calls = record_loadtxt(monkeypatch)
+        values, reasons = ingest_csv(f, ["x", "y"])
+        assert calls == [(str(f), float)]
+        assert [col.dtype for col in values] == [np.float64] * 2
+        assert values[0].tolist() == x.tolist()
+        assert (values[1].tolist(), reasons) == (y.tolist(), {})
+
+    def test_a_quote_in_a_column_not_requested_walks(self, tmp_path,
+                                                     monkeypatch):
+        # split at the quoted commas, np.loadtxt would read the number 5
+        # under column "b"; only the '"' keeps the body from it
+        f = tmp_path / "quoted.csv"
+        f.write_text('a,c,b\n1,2,3\n4,"x,5,y",7\n8,9,10\n',
+                     encoding="utf-8")
+        calls = record_loadtxt(monkeypatch)
+        walked = self.walked_rows(monkeypatch)
+        values, reasons = ingest_csv(f, ["a", "b"])
+        assert calls == [] and len(walked) == 3
+        assert [col.tolist() for col in values] == [[1.0, 4.0, 8.0],
+                                                    [3.0, 7.0, 10.0]]
+        assert_same_ingest((values, reasons), ingest_rowwise(f, ["a", "b"]))
 
     def test_an_integral_read_peaks_below_the_translate_scan(self,
                                                              tmp_path):

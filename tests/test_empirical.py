@@ -17,7 +17,6 @@ from lpstats import (
     analyze,
     build_score_basis,
     classify,
-    correlation_stats,
     fit_copula,
     informative_quantile,
     lp_comoments,
@@ -25,7 +24,6 @@ from lpstats import (
     mid_clt_approx,
     mid_distribution,
     mid_quantile,
-    mid_ranks,
     quantile,
     quartile_summary,
     series_regression,
@@ -193,7 +191,8 @@ PAIRED_ENTRIES = {
             build_score_basis(make_sample(x), 1), y), 0),
     "two_sample_comp_density": (two_sample_comp_density, None),
     "analyze": (analyze, None),
-    "correlation_stats": (correlation_stats, None),
+    "correlation_stats": (
+        lambda x, y: analyze(x, y, 1, "none").correlation, None),
     "wilcoxon": (wilcoxon, None),
 }
 
@@ -467,14 +466,15 @@ class TestMidDistribution:
         rng = np.random.default_rng(4)
         for _ in range(30):
             s = make_sample(random_sample_values(rng, int(rng.integers(1, 90))))
-            assert_allclose(mid_ranks(s).mean(), 0.5, rtol=0, atol=1e-15)
+            mid_ranks = s.fmid[s.atom_index]
+            assert_allclose(mid_ranks.mean(), 0.5, rtol=0, atol=1e-15)
 
     def test_mid_rank_variance_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             s = make_sample(random_sample_values(rng, 150))
             expected = (1.0 - np.sum(s.masses ** 3)) / 12.0
-            assert_allclose(np.var(mid_ranks(s)), expected, rtol=1e-12)
+            assert_allclose(np.var(s.fmid[s.atom_index]), expected, rtol=1e-12)
             assert_allclose(s.mid_rank_variance, expected, rtol=1e-12)
 
     def test_tie_free_variance_approaches_one_twelfth(self):

@@ -16,7 +16,8 @@ LIBRARY = (empirical, scores, lp, compdensity, copula, twosample, datasets)
 
 # Removed names, each a re-spelling of another public path (see README).
 REMOVED = ("standardize", "lpinfor", "eval_score", "score_quantile",
-           "simulate_conditional")
+           "simulate_conditional", "correlation_stats", "mid_ranks",
+           "logistic_score_features", "ScoreFeatures")
 
 # The parameters of each function whose order is its basis's, and whose
 # other settings are module constants or read off the fit (`classify`'s

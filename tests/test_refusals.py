@@ -6,8 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from lpstats import (GroupSummary, build_score_basis, combine,
-                     correlation_stats, correlations, empirical_reference,
+from lpstats import (GroupSummary, analyze, build_score_basis, combine,
+                     correlations, empirical_reference,
                      exponential_reference, fit_reference, l2_fit,
                      lhermite_normality, lp_comoments,
                      make_sample, mid_clt_approx, normal_reference,
@@ -85,7 +85,8 @@ CASES = {
             build_score_basis(make_sample(np.arange(5.0) * 1e-300), 1))),
         DegenerateScale, "zero variance in correlation input"),
     "pearson-constant-column": (
-        lambda: correlation_stats(np.arange(3.0) % 2, np.ones(3)),
+        lambda: analyze(np.arange(3.0) % 2, np.ones(3), 1,
+                        "none").correlation,
         DegenerateScale, "the response is constant"),
     "student-t-counts-below-two": (
         lambda: student_t(GroupSummary(0.5, 0.0, 1.0),

@@ -15,7 +15,6 @@ from lpstats import (
     legendre_eval,
     lp_moments,
     make_sample,
-    mid_ranks,
     normal_reference,
     series_regression,
     two_sample_comp_density,

@@ -22,9 +22,7 @@ from lpstats import (
     bayes_normal_update,
     classify,
     combine,
-    correlation_stats,
     group_summary,
-    logistic_score_features,
     recursive_update,
     student_t,
     two_sample_comp_density,
@@ -32,7 +30,7 @@ from lpstats import (
 )
 from lpstats import cli
 from lpstats import twosample as tsmod
-from lpstats.empirical import make_sample, mid_ranks
+from lpstats.empirical import make_sample
 from lpstats.errors import (
     DegenerateScale,
     DomainError,
@@ -155,7 +153,7 @@ class TestCorrelationStats:
         if x.min() == x.max():
             x[0] = 1.0 - x[0]
         y = rng.standard_normal(50) + x
-        cs = correlation_stats(x, y)
+        cs = analyze(x, y, 1, "none").correlation
         assert_allclose(cs.r, np.corrcoef(x, y)[0, 1], rtol=1e-12)
 
     def test_identities(self):
@@ -164,7 +162,7 @@ class TestCorrelationStats:
             y1, y2 = random_groups(rng)
             x = np.concatenate([np.zeros(y1.size), np.ones(y2.size)])
             y = np.concatenate([y1, y2])
-            cs = correlation_stats(x, y)
+            cs = analyze(x, y, 1, "none").correlation
             st = student_t(group_summary(y1), group_summary(y2))
             assert cs.vpool_identity_ok
             assert_allclose(cs.r2, st.t_core ** 2 / (1 + st.t_core ** 2),
@@ -178,7 +176,7 @@ class TestCorrelationStats:
         x = np.array([0.0, 0.0, 1.0, 1.0])
         y = np.array([0.0, 0.0, 5.0, 5.0])
         with pytest.raises(DegenerateScale):
-            correlation_stats(x, y)
+            analyze(x, y, 1, "none").correlation
 
     def test_r_of_one_in_rounding_degenerate(self):
         # one zero moved to 1e-9 gives group 0 a variance, but r rounds to
@@ -186,7 +184,8 @@ class TestCorrelationStats:
         x = np.repeat([0.0, 1.0], 50)
         y = x.copy()
         y[0] = 1e-9
-        for call in (analyze, correlation_stats):
+        for call in (analyze,
+                     lambda x, y: analyze(x, y, 1, "none").correlation):
             with pytest.raises(DegenerateScale, match=r"\|r\| = 1"):
                 call(x, y)
 
@@ -196,7 +195,8 @@ class TestCorrelationStats:
         x = np.repeat([0.0, 1.0], [17, 13])
         y = np.zeros(30)
         y[16] = 7e-162
-        for call in (analyze, correlation_stats):
+        for call in (analyze,
+                     lambda x, y: analyze(x, y, 1, "none").correlation):
             with pytest.raises(DegenerateScale, match="underflows to zero"):
                 call(x, y)
 
@@ -206,7 +206,7 @@ class TestCorrelationStats:
         x = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
         y = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
         with pytest.raises(DegenerateScale, match="pooled variance is zero"):
-            correlation_stats(x, y)
+            analyze(x, y, 1, "none").correlation
 
     @settings(deadline=None, max_examples=100)
     # 7 * a / 7 != a: the mean of the first group is not its atom
@@ -225,7 +225,8 @@ class TestCorrelationStats:
         y = np.repeat(levels, sizes)[perm]
         for g in (0.0, 1.0):
             assert group_summary(y[x == g]).v == 0.0
-        for call in (analyze, correlation_stats):
+        for call in (analyze,
+                     lambda x, y: analyze(x, y, 1, "none").correlation):
             with pytest.raises(DegenerateScale,
                                match="pooled variance is zero"):
                 call(x, y)
@@ -241,12 +242,11 @@ class TestCorrelationStats:
 
     def test_label_handling(self):
         with pytest.raises(SingleGroup):
-            correlation_stats(np.zeros(4), np.arange(4.0))
+            analyze(np.zeros(4), np.arange(4.0), 1, "none")
         with pytest.raises(SingleGroup):
-            correlation_stats(np.array([0.0, 1.0, 2.0, 2.0]),
-                              np.arange(4.0))
+            analyze(np.array([0.0, 1.0, 2.0, 2.0]), np.arange(4.0), 1, "none")
         with pytest.raises(LengthMismatch):
-            correlation_stats(np.array([0.0, 1.0]), np.arange(3.0))
+            analyze(np.array([0.0, 1.0]), np.arange(3.0), 1, "none")
 
 
 class TestWilcoxon:
@@ -298,7 +298,7 @@ class TestWilcoxon:
 def row_wilcoxon(x01, sy):
     """w and w_direct by the per-row formulas, from the mid-ranks."""
     tau = x01.mean()
-    ry = mid_ranks(sy)
+    ry = sy.fmid[sy.atom_index]
     v_mid = sy.mid_rank_variance
     w = np.mean((x01 - tau) * (ry - 0.5)) / math.sqrt(
         tau * (1.0 - tau) * v_mid)
@@ -429,12 +429,15 @@ class TestClassify:
         y1 = rng.standard_normal(200)
         y2 = rng.standard_normal(200) + 1.0
         x = np.repeat([0.0, 1.0], 200)
-        feats = logistic_score_features(x, np.concatenate([y1, y2]))
-        assert feats.columns.shape == (400, len(feats.orders))
-        if feats.orders:
-            assert_allclose(feats.columns.mean(axis=0), 0.0, atol=1e-12)
-            assert_allclose((feats.columns ** 2).mean(axis=0), 1.0,
-                            rtol=1e-12)
+        # the selected T_k(y) columns, one row per observation
+        model = two_sample_comp_density(x, np.concatenate([y1, y2]), 4,
+                                        "aic")
+        ks, b = np.flatnonzero(model.selected), model.by
+        columns = b.table[ks][:, b.source.atom_index].T
+        assert columns.shape == (400, ks.size)
+        if ks.size:
+            assert_allclose(columns.mean(axis=0), 0.0, atol=1e-12)
+            assert_allclose((columns ** 2).mean(axis=0), 1.0, rtol=1e-12)
 
 
 class TestBayesNormal:
@@ -588,8 +591,11 @@ class TestAnalyze:
 
 
 class TestNonFiniteResponse:
-    @pytest.mark.parametrize("entry", [analyze, correlation_stats, wilcoxon,
-                                       two_sample_comp_density])
+    @pytest.mark.parametrize("entry", [
+        analyze,
+        pytest.param(lambda x, y: analyze(x, y, 1, "none").correlation,
+                     id="correlation_stats"),
+        wilcoxon, two_sample_comp_density])
     def test_reports_the_index_in_the_response(self, entry):
         # the NaN is the third response of group 0, but the fifth overall
         with pytest.raises(NonFiniteValue, match="at index 4") as exc:
@@ -598,9 +604,13 @@ class TestNonFiniteResponse:
 
 
 class TestNonFiniteLabel:
-    @pytest.mark.parametrize("entry", [analyze, correlation_stats, wilcoxon,
-                                       two_sample_comp_density,
-                                       logistic_score_features])
+    @pytest.mark.parametrize("entry", [
+        analyze,
+        pytest.param(lambda x, y: analyze(x, y, 1, "none").correlation,
+                     id="correlation_stats"),
+        wilcoxon, two_sample_comp_density,
+        pytest.param(lambda x, y: two_sample_comp_density(x, y, 4, "aic"),
+                     id="logistic_score_features")])
     def test_reports_the_index_of_a_nan_label(self, entry):
         with pytest.raises(NonFiniteValue) as exc:
             entry([0, 0, np.nan, np.nan, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
@@ -641,7 +651,7 @@ class TestTwoSampleIdentities:
             assert_allclose([got.m, got.v], [want.m, want.v], rtol=1e-12)
         assert rep.combined == combine(rep.g1, rep.g2)
         assert rep.student == student_t(rep.g1, rep.g2)
-        assert rep.correlation == correlation_stats(x, y)
+        assert rep.correlation == analyze(x, y, 1, "none").correlation
         assert rep.wilcoxon == wilcoxon(x, y, small_sample=small)
 
     @settings(deadline=None, max_examples=100)
@@ -655,7 +665,7 @@ class TestTwoSampleIdentities:
             rep = analyze(x, y, m, small_sample=small)
         except DegenerateScale:  # |r| = 1 or a zero pooled variance
             assume(False)
-        assert rep.correlation == correlation_stats(x, y)
+        assert rep.correlation == analyze(x, y, 1, "none").correlation
         assert rep.wilcoxon == wilcoxon(x, y, small_sample=small)
 
     @settings(deadline=None)
