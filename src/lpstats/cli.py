@@ -171,54 +171,47 @@ def _int_rows(b, seps, rows, fields, idx):
 
 
 def _body_lines(blocks, idx):
-    """The lines of a body in `blocks` and its integral table, or None.
+    """The lines, empty lines and integral table of a body, or None.
 
-    Each block of `_line_blocks` is read once. While the body is integral,
-    masks of the block's `uint8` view check that it holds only digits
-    (`b - 48 < 10`, which wraps below '0'), ',' and LF; its count of LFs,
-    less the LF the block starts with if it does, is its count of lines,
-    and `_int_rows` parses the requested columns `idx` from the ',' and LF
-    mask, each line holding the first line's count of fields. From the
-    first block that holds any other byte, a '-', '.', CR or letter
-    included, the parse ends, and each block's lines are its LFs, counted
-    the same way. The table is None for a body `_int_rows` refuses. The
-    whole result is None for a body with a '"', since a quoted field may
-    hide a ',' or a line end, and for one made only of line ends, which
-    np.loadtxt would warn holds no data. No block outlives its iteration.
+    Each block of `_line_blocks` is read once, as a `uint8` view whose LF
+    mask counts its lines: its LFs, less the LF the block starts with if
+    it does. While the body is integral, masks of the view also check that
+    it holds only digits (`b - 48 < 10`, which wraps below '0'), ',' and
+    LF, and `_int_rows` parses the requested columns `idx` from the ','
+    and LF mask, each line holding the first line's count of fields; such
+    a block holds no empty line. From the block where the parse ends, a
+    '-', '.', CR or letter included, each block's empty lines (an LF right
+    after an LF) are counted from the same LF mask. The table is None for
+    a body `_int_rows` refuses. The whole result is None for a body with a
+    '"', since a quoted field may hide a ',' or a line end, and for one
+    made only of line ends, which np.loadtxt would warn holds no data. No
+    block outlives its iteration.
     """
-    lines, data, parts, fields = 0, False, [], None
+    lines, empty, data, parts, fields = 0, 0, False, [], None
     for block in blocks:
+        b = np.frombuffer(block, np.uint8)
+        ends = b == 10
+        rows = np.count_nonzero(ends) - (block[0] == 10)
         if parts is not None:
-            b = np.frombuffer(block, np.uint8)
-            seps = b == 10
-            rows = np.count_nonzero(seps) - (block[0] == 10)
-            seps |= b == 44
-            if not (seps | (b - 48 < 10)).all():  # a '-', '.', CR or worse
+            seps = b == 44
+            seps |= ends
+            if (seps | (b - 48 < 10)).all():
+                if fields is None:  # the first line's; a piece has no LF
+                    fields = block.count(b",", 0, block.find(b"\n", 1)) + 1
+                part = _int_rows(b, seps, rows, fields, idx)
+                parts = None if part is None else parts + [part]
+            else:  # a '-', '.', CR or worse
                 parts = None
-        if parts is not None:
-            if fields is None:  # the first line's; a piece has no LF
-                fields = block.count(b",", 0, block.find(b"\n", 1)) + 1
-            part = _int_rows(b, seps, rows, fields, idx)
-            parts = None if part is None else parts + [part]
-        elif b'"' in block:  # a quoted field may hide a ',' or a line end
-            return None
-        else:
-            rows = block.count(b"\n") - (block[0] == 10)
+        if parts is None:
+            if b'"' in block:  # a quoted field may hide a ',' or a line end
+                return None
+            empty += np.count_nonzero(ends[1:] & ends[:-1])
         lines += rows
         data = data or bool(block.strip(b"\r\n"))
-        block = b = seps = None  # not held while the next is read
+        block = b = ends = seps = None  # not held while the next is read
     if not data:
         return None
-    return lines, np.concatenate(parts, axis=1) if parts else None
-
-
-def _empty_lines(blocks):
-    """Empty lines in the blocks of `_line_blocks`."""
-    empty = 0
-    for block in blocks:
-        ends = np.frombuffer(block, np.uint8) == ord("\n")
-        empty += np.count_nonzero(ends[1:] & ends[:-1])
-    return empty
+    return lines, empty, np.concatenate(parts, axis=1) if parts else None
 
 
 def _loadtxt_body(p, idx):
@@ -239,9 +232,9 @@ def _loadtxt_body(p, idx):
     path and csv.reader on a `newline=""` handle both end a line at CR, LF
     and CRLF. np.loadtxt skips empty lines and raises on whitespace-only
     ones. So the result is kept when every value is finite and it has one
-    row per LF, or, counting the empty lines only in that case, one per LF
-    that ends a nonempty line; a loadtxt that skipped any other line, or
-    split one at a bare CR, fails that count. None wherever loadtxt
+    row per LF, or one per LF that ends a nonempty line, both counted in
+    the scan that decided to read; a loadtxt that skipped any other line,
+    or split one at a bare CR, fails that count. None wherever loadtxt
     rejects a requested field or the file's UTF-8.
     """
     if p.suffix in _COMPRESSED:
@@ -256,7 +249,7 @@ def _loadtxt_body(p, idx):
         scan = _body_lines(_line_blocks(fb, len(head) - 1), idx)
         if scan is None:
             return None
-        lines, table = scan
+        lines, empty, table = scan
         if table is not None:
             return table
         try:
@@ -265,10 +258,8 @@ def _loadtxt_body(p, idx):
                                encoding="utf-8-sig")
         except ValueError:  # UnicodeDecodeError included
             return None
-        if len(table) != lines:
-            empty = _empty_lines(_line_blocks(fb, len(head) - 1))
-            if len(table) + empty != lines:
-                return None
+        if len(table) not in (lines, lines - empty):
+            return None
     if not np.isfinite(table).all():
         return None
     return table.T
@@ -288,8 +279,8 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     or CR line ends, blank lines and text in columns not requested
     included, is read whole, with no Python string per line (see
     `_loadtxt_body`); deciding to try takes one pass over each block of
-    whole lines (`_line_blocks`), by numpy masks of its bytes while the
-    body is integral and by a count of its LFs after that (`_body_lines`).
+    whole lines (`_line_blocks`), whose LF mask counts its lines, and
+    after the body stops being integral its empty lines (`_body_lines`).
     An integral body, unsigned digits and ',' in LF-ended lines of equal
     field counts, is parsed in numpy in that same pass (`_int_rows`); any
     other, one with a '-', a CRLF or a letter included, is read by one

@@ -70,14 +70,13 @@ class CopulaModel:
 class ConditionalSlice:
     """The copula density at fixed u, as a step function in v.
 
-    u is the level given to `conditional_slice`. `weights[k-1]` multiplies
-    S_k(v; Y); `raw` holds the series values on Y's atom intervals,
-    `density` the clipped and renormalized version (integrates to exactly
-    1 by the step sum), `mass` the pre-normalization integral of the
-    clipped values, at least 1 (see `_step_density`).
+    u is the level given to `conditional_slice`. `raw` holds the series
+    values on Y's atom intervals, `density` the clipped and renormalized
+    version (integrates to exactly 1 by the step sum), `mass` the
+    pre-normalization integral of the clipped values, at least 1 (see
+    `_step_density`).
     """
 
-    weights: np.ndarray
     raw: np.ndarray
     density: np.ndarray
     mass: float
@@ -127,10 +126,9 @@ def conditional_slice(mod: CopulaModel, u: float) -> ConditionalSlice:
     """Normalized conditional density of Y at conditioning level u."""
     u = float(_unit_open(u, "conditioning level"))
     su = mod.bx.table[:, mod.bx.source.atom_at_level(u)]
-    weights = mod.coefficients.T @ su
-    raw, density, mass = _step_density(mod.by.source, mod.by.table, weights)
-    return ConditionalSlice(weights=weights, raw=raw, density=density,
-                            mass=mass)
+    raw, density, mass = _step_density(mod.by.source, mod.by.table,
+                                       mod.coefficients.T @ su)
+    return ConditionalSlice(raw=raw, density=density, mass=mass)
 
 
 @_scalar_or_array(2)

@@ -81,16 +81,20 @@ python3 -c 'import json, sys
 assert len(json.load(sys.stdin)["payload"]["lp_moments"]) == 4' \
     < "$tmp/zeros.json"
 # A clean 20000-row table is read whole by one np.loadtxt, and so are its
-# copy with blank lines, its CRLF copy and its copy with a column g of
-# A/B labels, which np.loadtxt skips as no command here reads it. All
-# must give the same bytes.
+# copy with one interior and two trailing blank lines, its copy with one
+# interior and one trailing blank line, its CRLF copy and its copy with a
+# column g of A/B labels, which np.loadtxt skips as no command here reads
+# it. All must give the same bytes: the empty lines are counted in the
+# scan that counts the lines.
 # Its copy with an NA cell in row 10000 is walked by csv.reader, and
 # describe, depend and regress must give for it the bytes of the copy
 # without that row, and write its dropped row to stderr as a warning.
 # A table of unsigned integers in LF-ended lines is parsed whole by the
 # integral reader, with no np.loadtxt call, into int64 columns; its CRLF
 # copy and its copy with one cell written as 7.0 are read whole by the
-# float np.loadtxt. All three must give the same bytes. The int64
+# float np.loadtxt, as is its copy with one interior and one trailing
+# blank line, whose blank line ends the integral parse. All four must
+# give the same bytes. The int64
 # columns are counted by make_sample with no float round trip; depend,
 # regress and cquantile sum over their atoms and cells, fit over its
 # atoms, and twosample over the (atom, group) cells of y and the 0/1
@@ -122,11 +126,13 @@ for sub in ("rev", "lab", "labdot"):
 rng = random.Random(16)
 rows = [f"{rng.gauss(0, 1)!r},{rng.randrange(33)}" for _ in range(20000)]
 blank = rows[:10000] + [""] + rows[10000:] + ["", ""]
+blank1 = rows[:10000] + [""] + rows[10000:] + [""]
 na = rows[:9999] + ["NA," + rows[9999].split(",")[1]] + rows[10000:]
 ints = [f"{rng.randrange(34)},{rng.randrange(37)},{rng.randrange(2)}"
         for _ in range(20000)]
 ints[10000] = "7," + ints[10000].split(",", 1)[1]
 dot = ints[:10000] + ["7.0," + ints[10000].split(",", 1)[1]] + ints[10001:]
+intblank = ints[:10000] + [""] + ints[10000:] + [""]
 neg = [",".join("-" + f for f in row.split(",")) for row in ints]
 negdot = neg[:10000] + ["-7.0," + neg[10000].split(",", 1)[1]] + neg[10001:]
 grp = [f"{row},{i % 3 == 0:d}" for i, row in enumerate(rows)]
@@ -134,10 +140,12 @@ text = [f"{row},{'AB'[i % 2]}" for i, row in enumerate(rows)]
 lab = [row[:-1] + ("98765432109" if row[-1] == "1" else "12345678901")
        for row in ints]
 for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
-                         ("blank.csv", blank, "\n"), ("na.csv", na, "\n"),
+                         ("blank.csv", blank, "\n"),
+                         ("blank1.csv", blank1, "\n"), ("na.csv", na, "\n"),
                          ("text.csv", text, "\n"),
                          ("drop.csv", rows[:9999] + rows[10000:], "\n"),
                          ("int.csv", ints, "\n"), ("dot.csv", dot, "\n"),
+                         ("intblank.csv", intblank, "\n"),
                          ("intcrlf.csv", ints, "\r\n"),
                          ("neg.csv", neg, "\n"),
                          ("negdot.csv", negdot, "\n"),
@@ -146,14 +154,14 @@ for name, lines, end in (("lf.csv", rows, "\n"), ("crlf.csv", rows, "\r\n"),
                          ("rev.csv", rows[::-1], "\n"),
                          ("lab/t.csv", lab, "\n"),
                          ("labdot/t.csv", [f"{row}.0" for row in lab], "\n")):
-    head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "na.csv",
-                             "drop.csv", "rev.csv") else "x,y,g"
+    head = "x,y" if name in ("lf.csv", "crlf.csv", "blank.csv", "blank1.csv",
+                             "na.csv", "drop.csv", "rev.csv") else "x,y,g"
     with open(f"{sys.argv[1]}/{name}", "w", newline="") as fh:
         fh.write(end.join([head, *lines]) + end)
 PY
 for cmd in "describe --col x" "depend --x x --y y"; do
     lpstats $cmd --format csv --data "$tmp/lf.csv" > "$tmp/lf.out"
-    for copy in crlf blank text; do
+    for copy in crlf blank blank1 text; do
         lpstats $cmd --format csv --data "$tmp/$copy.csv" | cmp - "$tmp/lf.out"
     done
 done
@@ -166,7 +174,7 @@ done
 for cmd in "describe --col x" "depend --x x --y y" "regress --x x --y y" \
     "cquantile --x x --y y" "fit --col x --g normal" \
     "twosample --y y --group g"; do
-    for pair in "int dot" "int intcrlf" "neg negdot"; do
+    for pair in "int dot" "int intcrlf" "int intblank" "neg negdot"; do
         set -- $pair
         lpstats $cmd --format csv --data "$tmp/$1.csv" > "$tmp/$1.out"
         lpstats $cmd --format csv --data "$tmp/$2.csv" | cmp - "$tmp/$1.out"

@@ -1144,8 +1144,6 @@ class TestIngest:
             raise AssertionError("the row walk was taken")
 
         monkeypatch.setattr(cli, "_row_problem", walk)
-        # with one row per line there are no empty lines to count
-        monkeypatch.setattr(cli, "_empty_lines", walk)
         calls = record_loadtxt(monkeypatch)
         # a '-', '+', space, tab or CRLF takes the float read, as a '.'
         # or 'e' does; unsigned digits in LF-ended lines take the integral
@@ -1173,22 +1171,33 @@ class TestIngest:
                         == np.array(b * 4).tobytes())
                 assert (got_b.size, reasons) == (8, {})
 
-    @pytest.mark.parametrize("body", [
-        "1,2\n\n-3.5e1, 4\n\n\n5,6\n7,8\n",
-        "1,2\n-3.5e1, 4\n5,6\n7,8\n\n\n",
-    ], ids=["interior", "trailing"])
-    def test_blank_lines_are_read_whole(self, tmp_path, monkeypatch, body):
+    @pytest.mark.parametrize("body, walked", [
+        ("1,2\n\n-3.5e1, 4\n\n\n5,6\n7,8\n", 0),
+        ("1,2\n-3.5e1, 4\n5,6\n7,8\n\n\n", 0),
+        # an empty CRLF line holds no LF after an LF, so the float read
+        # falls one row short of the LF count and the body is walked
+        ("1,2\r\n\r\n-3.5e1, 4\r\n5,6\r\n7,8\r\n", 4),
+    ], ids=["interior", "trailing", "crlf-walks"])
+    def test_blank_lines_are_read_whole(self, tmp_path, monkeypatch, body,
+                                        walked):
+        # The empty lines are counted in the one scan that counts the
+        # lines: the body's blocks are read once per ingest.
         f = tmp_path / "t.csv"
-        f.write_text("a,b\n" + body, encoding="utf-8")
+        f.write_text("a,b\n" + body, encoding="utf-8", newline="")
         want = ingest_rowwise(f, ["b", "a"])
-
-        def walk(*args):
-            raise AssertionError("the row walk was taken")
-
         calls = record_loadtxt(monkeypatch)
-        monkeypatch.setattr(cli, "_row_problem", walk)
+        rows = self.walked_rows(monkeypatch)
+        scans = []
+        line_blocks = cli._line_blocks
+
+        def scanned(*args):
+            scans.append(args)
+            return line_blocks(*args)
+
+        monkeypatch.setattr(cli, "_line_blocks", scanned)
         got = ingest_csv(f, ["b", "a"])
         assert calls == [(str(f), float)]
+        assert (len(scans), len(rows)) == (1, walked)
         assert_same_ingest(got, want)
         assert want[0][0].size == 4
 
@@ -1198,26 +1207,32 @@ class TestIngest:
 
         def scan(body):
             got = cli._body_lines(blocks(body), [0, 1])
-            return got and (got[0], got[1] is not None)
+            return got and (got[0], got[1], got[2] is not None)
 
-        # an empty line whose two LFs straddle a block edge
+        # an empty line whose two LFs straddle a block edge, in the block
+        # where the integral parse ends
         size, line = cli._BLOCK, b"1,2\n"
         pad = (size - 1 - line.index(b"\n")) % len(line)
         body = b"0" * pad + line * (size // len(line)) + b"\n" + line * 3
         assert body[size - 1:size + 1] == b"\n\n"
-        assert scan(body) == (body.count(b"\n"), False)
-        assert cli._empty_lines(blocks(body)) == 1
-        assert scan(b"1,2\n\n3,4") == (3, False)
+        assert scan(body) == (body.count(b"\n"), 1, False)
+        assert scan(b"1,2\n\n3,4") == (3, 1, False)
+        # empty lines are counted in the block where the parse ends and
+        # in every block after it; an empty CRLF line holds no LF pair
+        assert scan(b"1.5,2\n\n\n3,4\n\n") == (5, 3, False)
+        assert scan(b"1,2\n" + line * size + b"-3,4\n\n") == (
+            size + 3, 1, False)
+        assert scan(b"1,2\r\n\r\n3,4\r\n") == (3, 0, False)
         # an LF integer body is parsed, and a CRLF one is left to the
         # float read
-        assert scan(b"1,2\n3,4\n") == (2, True)
-        assert scan(b"1,2\r\n3,4\r\n") == (2, False)
+        assert scan(b"1,2\n3,4\n") == (2, 0, True)
+        assert scan(b"1,2\r\n3,4\r\n") == (2, 0, False)
         # a '"' refuses the body, also one after the integral parse ends;
         # a letter only ends the parse
         for bad in (b'1,"2"\n', b'1,"2"\r\n', b'1.5,2\n3,"a"\n'):
             assert cli._body_lines(blocks(bad), [0, 1]) is None
         for text in (b"1,2\n3,a\n", b"1.5,2\n3,a\n", b"1,2,\xc3\xa9\0\n"):
-            assert scan(text) == (text.count(b"\n"), False)
+            assert scan(text) == (text.count(b"\n"), 0, False)
         # a body of line ends alone would make np.loadtxt warn
         for ends in (b"\n\n\n", b"\r\n\r\n", b"\r\r", b"\r"):
             assert cli._body_lines(blocks(ends), [0, 1]) is None
@@ -1232,7 +1247,7 @@ class TestIngest:
             for body in (cell + b",2\n" + head, head + cell + b",2\n" + line,
                          b"1,2\r\n3," + cell):
                 assert scan(body) == (
-                    body.count(b"\n") + (not body.endswith(b"\n")),
+                    body.count(b"\n") + (not body.endswith(b"\n")), 0,
                     integral and b"\r" not in body)
 
     @pytest.mark.parametrize("place", ["requested", "unrequested", "later"])
@@ -1241,7 +1256,7 @@ class TestIngest:
         # or 2 (unrequested) of every line, or of every line after the
         # first block only. Digits and ',' keep the table, '"' refuses the
         # body, and any other byte (CR, letters, NUL and non-ASCII
-        # included) gives the line count alone.
+        # included) gives the line and empty-line counts alone.
         line = b"12,34,56\n"
         head = line * (cli._BLOCK // len(line) + 1)
         assert len(head) >= cli._BLOCK  # the first block holds no `v`
@@ -1268,8 +1283,10 @@ class TestIngest:
             if kind is None:
                 assert got is None, v
                 continue
-            lines, table = got
+            lines, empty, table = got
             assert lines == body.count(b"\n"), v
+            # an LF byte splits a field, so it makes no empty line
+            assert empty == 0, v
             if kind == "lines":
                 assert table is None, v
                 continue

@@ -80,10 +80,11 @@ def test_no_record_restates_its_fit():
     assert not {"order", "n", "rule"} & set(names)
     assert not {"n", "rule"} & {f.name for f in fields(lp.LPComomentMatrix)}
     # a sample is its basis's source; u, the requested order and the
-    # small-sample scale are the caller's own; a density is `_pdf`'s
+    # small-sample scale are the caller's own; a density is `_pdf`'s; a
+    # slice's weights are the coefficients against its own level's scores
     restated = {copula.CopulaModel: {"sx", "sy"},
                 twosample.TwoSampleDensity: {"sy"},
-                copula.ConditionalSlice: {"u"},
+                copula.ConditionalSlice: {"u", "weights"},
                 scores.ScoreBasis: {"requested_order"},
                 twosample.WilcoxonResult: {"scale"},
                 compdensity.ReferenceDistribution: {"has_density"}}
