@@ -45,9 +45,10 @@ class Sample:
     the mid-distribution values at the atoms (each the correctly rounded
     quotient of an exact integer prefix sum), and `atom_index`, the atom of
     each observation in row order, so that paired analyses can align rows.
-    A zero is stored as +0.0, so `values[atom_index]` is the observation
-    column with each zero unsigned. Mean and variance use the divide-by-n
-    convention throughout.
+    The multiplicities are not stored: they are
+    `np.bincount(atom_index, minlength=r)`. A zero is stored as +0.0, so
+    `values[atom_index]` is the observation column with each zero
+    unsigned. Mean and variance use the divide-by-n convention throughout.
 
     Instances are immutable; the underlying arrays are marked read-only.
     Use :func:`make_sample` to construct one.
@@ -55,7 +56,6 @@ class Sample:
 
     __slots__ = (
         "values",
-        "counts",
         "masses",
         "cdf",
         "fmid",
@@ -69,7 +69,6 @@ class Sample:
 
     def __init__(self, values, counts, atom_index):
         self.values = values
-        self.counts = counts
         self.n = int(atom_index.size)
         self.r = int(values.size)
         masses = counts / float(self.n)
@@ -83,8 +82,8 @@ class Sample:
         self.mean = float(masses @ values)
         self.var = float(masses @ (values - self.mean) ** 2)
         self.sd = math.sqrt(self.var)
-        for arr in (self.values, self.counts, self.masses,
-                    self.cdf, self.fmid, self.atom_index):
+        for arr in (self.values, self.masses, self.cdf, self.fmid,
+                    self.atom_index):
             arr.setflags(write=False)
 
     def atom_at(self, x):

@@ -855,7 +855,8 @@ class TestSeriesRegression:
         assume(s.r > 1)
         fit = series_regression(build_score_basis(s, MAX_ORDER), y,
                                 rule="none")
-        means = np.bincount(s.atom_index, weights=y) / s.counts
+        means = (np.bincount(s.atom_index, weights=y)
+                 / np.bincount(s.atom_index, minlength=s.r))
         gap = np.max(np.abs(fit.predict(s.values) - means))
         assert gap <= 1e-12 * np.max(np.abs(y))
 

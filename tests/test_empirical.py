@@ -57,9 +57,15 @@ def untied_samples(draw):
     return make_sample(rng.standard_normal(draw(st.integers(1, 5000))))
 
 
+def counts_of(s):
+    """Each atom's multiplicity, which a Sample does not store."""
+    return np.bincount(s.atom_index, minlength=s.r)
+
+
 def exact_levels(s):
     """Each atom's cdf sum_{i<=k} c_i / n, correctly rounded to a float."""
-    return [float(Fraction(c, s.n)) for c in accumulate(s.counts.tolist())]
+    return [float(Fraction(c, s.n))
+            for c in accumulate(counts_of(s).tolist())]
 
 
 def probe_values(s):
@@ -276,9 +282,10 @@ class TestMakeSample:
         # integer prefix sums, each divided once: no running float sum of
         # n-th parts, whose drift grows to about n ulps
         assert s.cdf.tolist() == exact_levels(s)
-        cum = accumulate(s.counts.tolist())
+        counts = counts_of(s).tolist()
+        cum = accumulate(counts)
         assert s.fmid.tolist() == [float(Fraction(2 * c - k, 2 * s.n))
-                                   for c, k in zip(cum, s.counts.tolist())]
+                                   for c, k in zip(cum, counts)]
 
     def test_moments_match_numpy(self):
         rng = np.random.default_rng(1)
@@ -370,11 +377,11 @@ class TestCountingSample:
 
     @staticmethod
     def assert_same(got, want):
-        for name in ("values", "counts", "atom_index", "cdf", "fmid",
-                     "masses"):
+        for name in ("values", "atom_index", "cdf", "fmid", "masses"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
+        assert counts_of(got).tobytes() == counts_of(want).tobytes()
         assert got.mean.hex() == want.mean.hex()
         assert got.var.hex() == want.var.hex()
 
@@ -412,8 +419,9 @@ class TestCountingSample:
         obs = values + [0.0, -0.0]
         a = make_sample(obs)
         b = make_sample(data.draw(st.permutations(obs)))
-        for name in ("values", "counts", "masses"):
+        for name in ("values", "masses"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert counts_of(a).tobytes() == counts_of(b).tobytes()
 
     @settings(max_examples=400, deadline=None)
     # int8's whole range, inside 4 n: an offset from lo past 127

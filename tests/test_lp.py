@@ -38,6 +38,48 @@ def basis_for(x, m=4):
     return s, build_score_basis(s, min(m, s.r - 1))
 
 
+def bincount_pair_mean(fa, a, fb, b):
+    """`lp._pair_mean`'s per-atom sums as one `np.bincount` per row of the
+    coarser margin."""
+    if fa.shape[1] < fb.shape[1]:
+        return bincount_pair_mean(fb, b, fa, a).T
+    sums = np.array([np.bincount(a, weights=row[b], minlength=fa.shape[1])
+                     for row in fb])
+    return fa @ sums.T / a.size
+
+
+@st.composite
+def atom_sum_tables(draw):
+    """(fa, a, fb, b) with r_a r_b > n, where `_pair_mean` sums per atom.
+
+    An untied margin a, a tied pair fine enough to pass n cells, or that
+    pair with the coarser margin first, which `_pair_mean` swaps. Rows are
+    normal draws scaled by powers of ten, so that the sums depend on their
+    order, and may hold -0.0 in place of any value.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 600))
+    kind = draw(st.sampled_from(["untied", "tied", "swap"]))
+    if kind == "untied":
+        ra, rb = n, draw(st.integers(2, n))
+    else:
+        ra = draw(st.integers(3, n - 1))
+        rb = draw(st.integers(2, ra - 1))
+        assume(ra * rb > n)
+    a = (rng.permutation(n) if kind == "untied"
+         else rng.integers(0, ra, n)).astype(np.intp)
+    b = rng.integers(0, rb, n).astype(np.intp)
+    rows = []
+    for r in (ra, rb):
+        f = rng.standard_normal((draw(st.integers(1, 6)), r))
+        f *= 10.0 ** rng.integers(-8, 9, f.shape)
+        if draw(st.booleans()):
+            f[rng.random(f.shape) < draw(st.floats(0.0, 1.0))] = -0.0
+        rows.append(f)
+    fa, fb = rows
+    return (fb, b, fa, a) if kind == "swap" else (fa, a, fb, b)
+
+
 def report_of(sx, sy):
     """The report of two Samples: the corner of their order-1 comoments."""
     return correlations(lp_comoments(build_score_basis(sx, 1),
@@ -290,9 +332,13 @@ class TestLPComoments:
         x[:rx], y[:ry] = np.arange(rx), np.arange(ry)  # every atom occurs
         _, bx = basis_for(x, m)
         _, by = basis_for(y, m)
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count, \
+                mock.patch.object(np, "add", wraps=np.add) as add:
             got = lp_comoments(bx, by).entries
-        assert count.called
+        # the pair table is counted where it holds at most n cells; past
+        # that the coarser margin's rows are added per atom of the finer
+        cells = rx * ry <= n
+        assert count.called == cells and add.at.called != cells
         assert_near_the_gather(got, x, y, bx, by, m)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
@@ -306,15 +352,16 @@ class TestLPComoments:
         sx, bx = basis_for(x)
         sy, by = basis_for(y)
         assert sx.r * sy.r > x.size
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+        with mock.patch.object(np, "add", wraps=np.add) as add:
             got = lp_comoments(bx, by).entries
-        assert any("weights" in c.kwargs for c in count.call_args_list)
+        assert add.at.called
         assert_near_the_gather(got, x, y, bx, by, 4)
 
     def test_atom_sums_hold_one_table(self):
         # an untied pair is summed per atom into one (k_b, r) table through
-        # one gathered row of n floats; its peak is 8 tables of r floats at
-        # order 4 (k_b = 5), where a list of sums and its copy held 10
+        # one gathered row of n floats; its peak is 7 tables of r floats at
+        # order 4 (k_b = 5), where a fresh `bincount` row per score made
+        # it 8 and a list of sums and its copy 10
         rng = np.random.default_rng(48)
         _, bx = basis_for(rng.standard_normal(20_000))
         _, by = basis_for(rng.standard_normal(20_000))
@@ -324,7 +371,35 @@ class TestLPComoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (len(by.rows) + 4) * by.source.r * 8
+        assert peak < (len(by.rows) + 2.5) * by.source.r * 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(atom_sum_tables())
+    def test_atom_sums_are_the_bincount_sums(self, table):
+        # each row is added per atom in place from 0.0, in row order, which
+        # is how `np.bincount` sums its weights: the same bytes, -0.0 and
+        # ties included
+        fa, a, fb, b = table
+        assert fa.shape[1] * fb.shape[1] > a.size
+        got = lp._pair_mean(fa, a, fb, b)
+        assert got.tobytes() == bincount_pair_mean(fa, a, fb, b).tobytes()
+
+    def test_a_fit_holds_each_n_length_array_once(self):
+        # an untied n-row pair peaks at 27 arrays of n floats in
+        # `fit_copula`; a stored count per atom in each Sample and a fresh
+        # `bincount` row per score held 30
+        n = 20_000
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal(n)
+        y = x + rng.standard_normal(n)
+        fit_copula(x, y)  # lazy set-up is not the fit's
+        tracemalloc.start()
+        try:
+            fit_copula(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28.5 * n * 8
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 400), st.booleans(), st.booleans(),
@@ -454,9 +529,11 @@ class TestCorrelations:
         x, y = atoms_x[ix], atoms_y[iy]
         sx, sy = make_sample(x), make_sample(y)
         assume(sx.r > 1 and sy.r > 1)
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as count, \
+                mock.patch.object(np, "add", wraps=np.add) as add:
             got = report_of(sx, sy)
-        assert count.called
+        cells = sx.r * sy.r <= n
+        assert count.called == cells and add.at.called != cells
         assert_near_the_row_formulas(got, x, y, sx, sy)
 
     @pytest.mark.parametrize("table", ["bundled", "continuous"])
@@ -469,9 +546,9 @@ class TestCorrelations:
             y = x + rng.standard_normal(2000)
         sx, sy = make_sample(x), make_sample(y)
         assert sx.r * sy.r > x.size
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as count:
+        with mock.patch.object(np, "add", wraps=np.add) as add:
             got = report_of(sx, sy)
-        assert any("weights" in c.kwargs for c in count.call_args_list)
+        assert add.at.called
         assert_near_the_row_formulas(got, x, y, sx, sy)
 
     def test_gini_pair_is_asymmetric_in_general(self):

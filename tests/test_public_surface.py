@@ -81,8 +81,10 @@ def test_no_record_restates_its_fit():
     assert not {"n", "rule"} & {f.name for f in fields(lp.LPComomentMatrix)}
     # a sample is its basis's source; u, the requested order and the
     # small-sample scale are the caller's own; a density is `_pdf`'s; a
-    # slice's weights are the coefficients against its own level's scores
-    restated = {copula.CopulaModel: {"sx", "sy"},
+    # slice's weights are the coefficients against its own level's scores;
+    # a sample's counts are `np.bincount(atom_index, minlength=r)`
+    restated = {empirical.Sample: {"counts"},
+                copula.CopulaModel: {"sx", "sy"},
                 twosample.TwoSampleDensity: {"sy"},
                 copula.ConditionalSlice: {"u", "weights"},
                 scores.ScoreBasis: {"requested_order"},
