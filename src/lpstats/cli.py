@@ -232,10 +232,11 @@ def _loadtxt_body(p, idx):
     path and csv.reader on a `newline=""` handle both end a line at CR, LF
     and CRLF. np.loadtxt skips empty lines and raises on whitespace-only
     ones. So the result is kept when every value is finite and it has one
-    row per LF, or one per LF that ends a nonempty line, both counted in
-    the scan that decided to read; a loadtxt that skipped any other line,
-    or split one at a bare CR, fails that count. None wherever loadtxt
-    rejects a requested field or the file's UTF-8.
+    row per LF that ends a nonempty line, `lines - empty` as counted in the
+    scan that decided to read; a loadtxt that skipped any other line, or
+    split one at a bare CR, fails that count, unless an empty line ended by
+    CRLF offsets the split, where csv.reader reads the same rows. None
+    wherever loadtxt rejects a requested field or the file's UTF-8.
     """
     if p.suffix in _COMPRESSED:
         return None
@@ -258,7 +259,7 @@ def _loadtxt_body(p, idx):
                                encoding="utf-8-sig")
         except ValueError:  # UnicodeDecodeError included
             return None
-        if len(table) not in (lines, lines - empty):
+        if len(table) != lines - empty:
             return None
     if not np.isfinite(table).all():
         return None
@@ -290,11 +291,11 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
     holding no Python list of rows. All paths give the same columns, bit
     for bit, and the same drop counts; only the csv module refuses a field
     longer than `csv.field_size_limit()`. Each path gives a
-    (len(columns), rows) table. An integral body's columns are its int64
-    rows, so that `make_sample` counts them with no float round trip;
-    their float64 casts are the float paths' columns, bit for bit. Any
-    other column is its float row plus 0.0, a contiguous copy in which a
-    zero of either sign reads as +0.0.
+    (len(columns), rows) table, and the columns are its rows, uncopied. An
+    integral body's are int64, so that `make_sample` counts them with no
+    float round trip; their float64 casts are the float paths' columns,
+    bit for bit. Any other body's are float64, each value float() of its
+    field, so a "-0" field reads as -0.0 until `make_sample` forms atoms.
     """
     p = Path(path)
     if not p.is_file():
@@ -319,9 +320,7 @@ def ingest_csv(path, columns) -> tuple[list[np.ndarray], dict[str, int]]:
                                 float).reshape(-1, len(idx)).T
     if table.shape[1] == 0:
         raise EmptyAfterFilter(unusable)
-    if table.dtype.kind == "i":
-        return list(table), reasons
-    return [row + 0.0 for row in table], reasons
+    return list(table), reasons
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +433,11 @@ def cmd_describe(args):
         "distinct": s.r,
         "mean": s.mean,
         "sd": s.sd,
-        "quartiles": {"q1": q.q1, "q2": q.q2, "q3": q.q3,
-                      "mq": q.mq, "dq": q.dq},
+        "quartiles": asdict(q),
         "lp_moments": mom.moments,
         "tail_index": mom.tail_index,
         "lp_square_sum": float(np.sum(mom.moments ** 2)),
-        "lhermite": {"statistic": lh.statistic,
-                     "significant": lh.significant},
+        "lhermite": asdict(lh),
         "qiq_grid": qiq,
     }
     if b.max_order < args.order:
@@ -571,8 +568,7 @@ def cmd_twosample(args):
             "tau2": rep.combined.tau2, "mean": rep.combined.m,
             "var": rep.combined.v, "vpool": rep.combined.vpool,
         },
-        "student": {"t_core": rep.student.t_core,
-                    "t_scaled": rep.student.t_scaled, "df": rep.student.df},
+        "student": asdict(rep.student),
         "correlation": {"r": rep.correlation.r, "r2": rep.correlation.r2,
                         "identities_ok": rep.identities_ok},
         "wilcoxon": {"w": rep.wilcoxon.w, "z": rep.wilcoxon.z_stat},

@@ -47,6 +47,10 @@ _LEAD_TOL = 1e-12
 # Row j holds the monomial coefficients of the Chebyshev polynomial T_j.
 _CHEB_TO_MONO = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 2, 0],
                           [0, -3, 0, 4]])
+# Points `eval_copula` takes at a time: it gathers an (m, block) score
+# table per margin, so its memory does not grow with the number of points.
+# The default depend grid, 51**2 cells, is one block.
+_EVAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,23 @@ def eval_copula(mod: CopulaModel, u, v):
     """Copula density series at (u, v), elementwise over broadcast inputs.
 
     The raw series, which may be negative; floored at CLIP_FLOOR it needs
-    no renormalization, as the full series already integrates to 1.
+    no renormalization, as the full series already integrates to 1. The
+    points are summed `_EVAL_BLOCK` at a time, each on its own, so the
+    blocks do not move a bit of the result.
     """
     ua = _unit_open(u, "copula arguments")
     va = _unit_open(v, "copula arguments")
     scalar = ua.ndim == 0 and va.ndim == 0
     uv, vv = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
-    su = mod.bx.table[:, mod.bx.source.atom_at_level(uv.ravel())]
-    sv = mod.by.table[:, mod.by.source.atom_at_level(vv.ravel())]
-    out = (1.0 + np.einsum("jn,jk,kn->n", su, mod.coefficients, sv)
-           ).reshape(uv.shape)
-    return float(out.ravel()[0]) if scalar else out
+    iu = mod.bx.source.atom_at_level(uv.ravel())
+    iv = mod.by.source.atom_at_level(vv.ravel())
+    out = np.empty(iu.size)
+    for at in range(0, iu.size, _EVAL_BLOCK):
+        cut = slice(at, at + _EVAL_BLOCK)
+        out[cut] = np.einsum("jn,jk,kn->n", mod.bx.table[:, iu[cut]],
+                             mod.coefficients, mod.by.table[:, iv[cut]])
+    out += 1.0
+    return float(out[0]) if scalar else out.reshape(uv.shape)
 
 
 def _step_density(sy: Sample, table, weights):

@@ -135,40 +135,32 @@ class QuartileSummary:
 
 
 def _finite(data) -> np.ndarray:
-    """`data` as a flat float array; NonFiniteValue names its first NaN/inf."""
-    a = np.asarray(data, dtype=float).ravel()
+    """`data` as a flat float array, a strided 1-D one uncopied (`ravel()`
+    would copy it); NonFiniteValue names its first NaN/inf."""
+    a = np.asarray(data, dtype=float).reshape(-1)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NonFiniteValue(bad[0])
     return a
 
 
-def _flat(data) -> np.ndarray:
-    """`data` as a flat array: an integer array keeps its dtype, any other
-    is cast to float."""
-    a = np.asarray(data)
-    return (a if a.dtype.kind in "iu" else a.astype(float, copy=False)).ravel()
-
-
 def _real(data) -> np.ndarray:
-    """`_flat(data)`, checked by `_finite` when it is float: an integer
-    array holds no NaN or infinity."""
-    a = _flat(data)
-    return a if a.dtype.kind in "iu" else _finite(a)
+    """`data` as a flat array: an integer array as it is, since it holds no
+    NaN or infinity, and any other through `_finite`."""
+    a = np.asarray(data)
+    return a.reshape(-1) if a.dtype.kind in "iu" else _finite(a)
 
 
-def _of_length(data, n: int) -> np.ndarray:
-    """`_flat(data)`; LengthMismatch unless it holds n values.
+def _of_length(data, n: int):
+    """`data` itself; LengthMismatch unless it holds n values.
 
-    No value is read, so a paired intake refuses unequal lengths before
-    `_finite` or `make_sample` names the first NaN or infinity. An integer
-    column stays integer, so `make_sample` counts it as it is; a caller
-    that needs floats passes it through `_finite`.
+    Only `np.size` is read, so a paired intake refuses unequal lengths
+    before `_finite`, `_real` or `make_sample` casts the column and names
+    its first NaN or infinity.
     """
-    a = _flat(data)
-    if a.size != n:
-        raise LengthMismatch(n, a.size)
-    return a
+    if (size := np.size(data)) != n:
+        raise LengthMismatch(n, size)
+    return data
 
 
 def _counted(obs: np.ndarray):

@@ -177,7 +177,7 @@ def _split_cells(x_obs, y_obs):
     1 the higher label. A zero label of either sign is read as +0.0. A
     constant response raises DegenerateScale: it has no scores to fit.
     """
-    x = np.asarray(x_obs).ravel()
+    x = np.asarray(x_obs).reshape(-1)
     y = _of_length(y_obs, x.size)
     x, y = (_finite(x) if x.dtype.kind == "f" else x), _real(y)
     labels = np.unique(x)

@@ -1,5 +1,6 @@
 """Copula density series, conditional slices, curves and regression."""
 
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from itertools import accumulate
@@ -113,6 +114,40 @@ class TestEvalCopula:
             sl = conditional_slice(mod, level)
             assert_array_equal(sl.density,
                                np.maximum(sl.raw, CLIP_FLOOR) / sl.mass)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(60, 160), st.integers(1, MAX_ORDER),
+           st.integers(0, 300), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_blocks_of_points_give_the_whole_call_bytes(self, n, order,
+                                                        points, block,
+                                                        seed):
+        # each point is summed on its own, so no block size moves a bit
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        mod = fit_copula(x, x + rng.standard_normal(n), order=order,
+                         rule="none")
+        u, v = rng.random((2, points))
+        whole = eval_copula(mod, u, v)
+        with mock.patch.object(cpmod, "_EVAL_BLOCK", block):
+            assert eval_copula(mod, u, v).tobytes() == whole.tobytes()
+
+    def test_a_fine_grid_is_evaluated_in_bounded_memory(self, age, gag):
+        # `depend --order 50 --grid 300` on the bundled table: the 90 000
+        # points gathered at once, an (m, N) score table per margin, took
+        # 69.5 MiB; blocks of `_EVAL_BLOCK` points keep it below 20 MiB
+        mod = fit_copula(age, gag, order=50)
+        assert mod.bx.max_order == mod.by.max_order == 50
+        grid = (np.arange(300) + 0.5) / 300
+        uu, vv = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        eval_copula(mod, uu[:10], vv[:10])  # lazy set-up is not the call's
+        tracemalloc.start()
+        try:
+            eval_copula(mod, uu, vv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     def test_domain(self):
         mod = fit_copula(np.arange(10.0), np.arange(10.0))

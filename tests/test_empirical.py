@@ -1,6 +1,7 @@
 """Mid-distribution, mid-quantile and quartile machinery."""
 
 import math
+import pickle
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
@@ -30,7 +31,7 @@ from lpstats import (
     two_sample_comp_density,
     wilcoxon,
 )
-from lpstats.empirical import Sample, _counted
+from lpstats.empirical import Sample, _counted, _finite, _real
 from lpstats.errors import (
     DegenerateScale,
     DomainError,
@@ -261,6 +262,20 @@ class TestPairedIntake:
         with pytest.raises(NonFiniteValue) as exc:
             series_regression(bx, [0.0, 1.0, np.nan, 3.0, np.nan, 5.0])
         assert exc.value.index == 2
+
+    def test_a_strided_column_is_read_uncopied(self):
+        # the columns `ingest_csv` returns are rows of the table it read,
+        # strided where two or more were asked for: the intake casts them
+        # with no copy, and a fit of them is the fit of contiguous copies
+        table = np.random.default_rng(54).standard_normal((400, 2))
+        x, y = table.T
+        assert np.shares_memory(_finite(y), table)
+        assert np.shares_memory(_real(y), table)
+        b = build_score_basis(make_sample(x), 4)
+        for fit in (lambda y: series_regression(b, y),
+                    lambda y: fit_copula(x, y).lpm,
+                    lambda y: analyze(x > 0, y)):
+            assert pickle.dumps(fit(y)) == pickle.dumps(fit(y.copy()))
 
 
 class TestMakeSample:
