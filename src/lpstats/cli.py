@@ -636,27 +636,59 @@ def _prob_list(text):
     return ps
 
 
-def _add_options(sub, *flags):
-    """Add the named shared options to `sub`, each from its one definition."""
-    options = {
-        "--col": dict(required=True),
-        "--x": dict(required=True),
-        "--y": dict(required=True),
-        "--data": dict(default=BUNDLED_DATA,
-                       help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
-                            "example table)"),
-        "--order": dict(type=_positive_int_to(MAX_ORDER), default=4,
-                        help=f"series order, 1..{MAX_ORDER} "
-                             "(default %(default)s)"),
-        "--grid": dict(type=_positive_int_to(MAX_GRID), default=101,
-                       help=f"grid size, 1..{MAX_GRID} (default %(default)s)"),
-        "--select": dict(choices=["aic", "bic", "none"], default="aic",
-                         help="coefficient selection rule"),
-        "--format": dict(choices=["json", "csv"], default="json"),
-        "--out": dict(default=None, help="write output to a file"),
-    }
-    for flag in flags:
-        sub.add_argument(flag, **options[flag])
+# Every option, defined once: its flag and its add_argument keywords.
+_OPTIONS = {
+    "--col": dict(required=True),
+    "--x": dict(required=True),
+    "--y": dict(required=True),
+    "--group": dict(required=True),
+    "--small-sample": dict(
+        action="store_true",
+        help="scale the Wilcoxon z by sqrt(n-1) instead of sqrt(n)"),
+    "--p": dict(type=_prob_list, default=(.05, .25, .5, .75, .95),
+                help="comma-separated probabilities"),
+    "--g": dict(choices=["normal", "exponential", "uniform"], required=True),
+    "--data": dict(default=BUNDLED_DATA,
+                   help=f"CSV file (default: {BUNDLED_DATA}, the bundled "
+                        "example table)"),
+    "--order": dict(type=_positive_int_to(MAX_ORDER), default=4,
+                    help=f"series order, 1..{MAX_ORDER} "
+                         "(default %(default)s)"),
+    "--grid": dict(type=_positive_int_to(MAX_GRID), default=101,
+                   help=f"grid size, 1..{MAX_GRID} (default %(default)s)"),
+    "--select": dict(choices=["aic", "bic", "none"], default="aic",
+                     help="coefficient selection rule"),
+    "--prior-n": dict(type=_finite_from(0.0, strict=True), required=True),
+    "--prior-mean": dict(type=_finite_from(-math.inf), required=True),
+    "--prior-var": dict(type=_finite_from(0.0), required=True),
+    "--n": dict(type=_finite_from(1.0), required=True),
+    "--mean": dict(type=_finite_from(-math.inf), required=True),
+    "--var": dict(type=_finite_from(0.0), required=True),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--out": dict(default=None, help="write output to a file"),
+}
+
+# One row per subcommand: its name, handler and help, its options in --help
+# order (each then takes the envelope's --format and --out), and the
+# defaults that differ from the options' own.
+_SUBCOMMANDS = (
+    ("describe", cmd_describe, "one-variable diagnostics",
+     ("--col", "--data", "--order", "--grid"), {"order": 5}),
+    ("depend", cmd_depend, "dependence diagnostics of a pair",
+     ("--x", "--y", "--data", "--order", "--grid", "--select"), {"grid": 51}),
+    ("regress", cmd_regress, "orthogonal series regression",
+     ("--x", "--y", "--data", "--order", "--select"), {}),
+    ("cquantile", cmd_cquantile, "conditional mean/quantile curves",
+     ("--x", "--y", "--p", "--data", "--order", "--select"), {}),
+    ("fit", cmd_fit, "comparison density against a reference",
+     ("--col", "--g", "--data", "--order", "--grid", "--select"), {}),
+    ("twosample", cmd_twosample, "two-group analysis of a response",
+     ("--y", "--group", "--small-sample", "--data", "--order", "--select"),
+     {}),
+    ("bayes-update", cmd_bayes_update, "conjugate-normal belief update",
+     ("--prior-n", "--prior-mean", "--prior-var", "--n", "--mean", "--var"),
+     {}),
+)
 
 
 @functools.cache
@@ -667,55 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank-based nonparametric statistics on CSV columns.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("describe", help="one-variable diagnostics")
-    _add_options(p, "--col", "--data", "--order", "--grid")
-    p.set_defaults(handler=cmd_describe, order=5)
-
-    p = subs.add_parser("depend", help="dependence diagnostics of a pair")
-    _add_options(p, "--x", "--y", "--data", "--order", "--grid", "--select")
-    p.set_defaults(handler=cmd_depend, grid=51)
-
-    p = subs.add_parser("regress", help="orthogonal series regression")
-    _add_options(p, "--x", "--y", "--data", "--order", "--select")
-    p.set_defaults(handler=cmd_regress)
-
-    p = subs.add_parser("cquantile", help="conditional mean/quantile curves")
-    _add_options(p, "--x", "--y")
-    p.add_argument("--p", type=_prob_list, default=(.05, .25, .5, .75, .95),
-                   help="comma-separated probabilities")
-    _add_options(p, "--data", "--order", "--select")
-    p.set_defaults(handler=cmd_cquantile)
-
-    p = subs.add_parser("fit", help="comparison density against a reference")
-    _add_options(p, "--col")
-    p.add_argument("--g", choices=["normal", "exponential", "uniform"],
-                   required=True)
-    _add_options(p, "--data", "--order", "--grid", "--select")
-    p.set_defaults(handler=cmd_fit)
-
-    p = subs.add_parser("twosample", help="two-group analysis of a response")
-    _add_options(p, "--y")
-    p.add_argument("--group", required=True)
-    p.add_argument("--small-sample", action="store_true",
-                   help="scale the Wilcoxon z by sqrt(n-1) instead of sqrt(n)")
-    _add_options(p, "--data", "--order", "--select")
-    p.set_defaults(handler=cmd_twosample)
-
-    p = subs.add_parser("bayes-update", help="conjugate-normal belief update")
-    p.add_argument("--prior-n", type=_finite_from(0.0, strict=True),
-                   required=True)
-    p.add_argument("--prior-mean", type=_finite_from(-math.inf),
-                   required=True)
-    p.add_argument("--prior-var", type=_finite_from(0.0), required=True)
-    p.add_argument("--n", type=_finite_from(1.0), required=True)
-    p.add_argument("--mean", type=_finite_from(-math.inf), required=True)
-    p.add_argument("--var", type=_finite_from(0.0), required=True)
-    p.set_defaults(handler=cmd_bayes_update)
-
-    for p in subs.choices.values():  # the envelope's options
-        _add_options(p, "--format", "--out")
-
+    for name, handler, text, flags, defaults in _SUBCOMMANDS:
+        p = subs.add_parser(name, help=text)
+        for flag in (*flags, "--format", "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 

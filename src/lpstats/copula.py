@@ -99,9 +99,10 @@ def eval_copula(mod: CopulaModel, u, v):
     """Copula density series at (u, v), elementwise over broadcast inputs.
 
     The raw series, which may be negative; floored at CLIP_FLOOR it needs
-    no renormalization, as the full series already integrates to 1. The
-    points are summed `_EVAL_BLOCK` at a time, each on its own, so the
-    blocks do not move a bit of the result.
+    no renormalization, as the full series already integrates to 1. Each
+    point adds its terms T_j(a) c_jk T_k(b) one by one, in (j, k) order,
+    so neither the blocks of `_EVAL_BLOCK` points nor the other points of
+    the call move a bit of its value.
     """
     ua = _unit_open(u, "copula arguments")
     va = _unit_open(v, "copula arguments")
@@ -109,11 +110,15 @@ def eval_copula(mod: CopulaModel, u, v):
     uv, vv = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     iu = mod.bx.source.atom_at_level(uv.ravel())
     iv = mod.by.source.atom_at_level(vv.ravel())
-    out = np.empty(iu.size)
+    out = np.zeros(iu.size)
     for at in range(0, iu.size, _EVAL_BLOCK):
         cut = slice(at, at + _EVAL_BLOCK)
-        out[cut] = np.einsum("jn,jk,kn->n", mod.bx.table[:, iu[cut]],
-                             mod.coefficients, mod.by.table[:, iv[cut]])
+        # np.take gives contiguous rows; table[:, idx] strides them
+        acc, tb = out[cut], np.take(mod.by.table, iv[cut], axis=1)
+        for row, coef in zip(mod.bx.table, mod.coefficients):
+            row_a = row[iu[cut]]
+            for row_b, c in zip(tb, coef):
+                acc += row_a * c * row_b
     out += 1.0
     return float(out[0]) if scalar else out.reshape(uv.shape)
 

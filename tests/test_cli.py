@@ -25,6 +25,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1757,3 +1758,11 @@ class TestFreedMemory:
             [sys.executable, "-c", REUSE], capture_output=True, text=True,
             timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
         assert int(done.stdout) < 100
+
+    def test_elsewhere_than_linux_nothing_is_called(self, monkeypatch):
+        # the cached call has already run; its body runs again unwrapped
+        monkeypatch.setattr(sys, "platform", "darwin")
+        cdll = mock.Mock()
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_memory.__wrapped__() is None
+        cdll.assert_not_called()

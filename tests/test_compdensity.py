@@ -3,6 +3,7 @@
 import functools
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from lpstats import (
     skew_g_density,
     uniform_reference,
 )
-from lpstats import compdensity
+from lpstats import cli, compdensity
 from lpstats.errors import (
     DomainError,
     FlavorNotFitted,
@@ -325,6 +326,103 @@ class TestEvalDensity:
             eval_density(mod, 0.5, "spline")
         with pytest.raises(DomainError):
             eval_density(mod, 1.2, "l2")
+
+
+def decimal_legendre(u, max_order):
+    """Leg_1..Leg_max_order at each of u, in the current decimal context.
+
+    Leg_j(u) = sqrt(2j + 1) P_j(2u - 1), P_j by the classical three-term
+    recurrence (j + 1) P_{j+1}(t) = (2j + 1) t P_j(t) - j P_{j-1}(t). u is
+    a list of Decimals; returns one row of Decimals per order.
+    """
+    t = [2 * ui - 1 for ui in u]
+    prev, cur = [Decimal(1)] * len(t), t
+    rows = []
+    for j in range(1, max_order + 1):
+        rows.append([Decimal(2 * j + 1).sqrt() * c for c in cur])
+        prev, cur = cur, [((2 * j + 1) * ti * c - j * q) / (j + 1)
+                          for ti, c, q in zip(t, cur, prev)]
+    return rows
+
+
+def exact_uniform_fit(values, counts, m, selected, levels, digits=60):
+    """What `fit --g uniform` prints of its L2 part, in `digits`-digit
+    decimals.
+
+    `values` are the atoms, ascending, each read exactly, and `counts`
+    their integer counts. G(x) = (x - min) / (max - min) at each atom,
+    c_j = sum_a p_a Leg_j(G(x_a)) over the exact masses p_a, the gof
+    distance the sum of c_j^2 over `selected`, and the l2 density at each
+    level u 1 + sum_j c_j Leg_j(u) over `selected`. Returns floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = [Decimal(float(v)) for v in values]
+        n = sum(int(k) for k in counts)
+        p = [Decimal(int(k)) / n for k in counts]
+        g = [(v - x[0]) / (x[-1] - x[0]) for v in x]
+        c = [sum(pa * t for pa, t in zip(p, row))
+             for row in decimal_legendre(g, m)]
+        on = [j for j in range(m) if selected[j]]
+        legs = decimal_legendre([Decimal(float(u)) for u in levels], m)
+        return {"c": [float(cj) for cj in c],
+                "gof": float(sum(c[j] * c[j] for j in on)),
+                "density": [float(1 + sum(c[j] * legs[j][i] for j in on))
+                            for i in range(len(levels))]}
+
+
+@st.composite
+def small_tied_columns(draw):
+    """Atoms of an integer or cent grid, 2 to 12, each holding 1 to 25
+    rows (n <= 300), and a seed for the row order."""
+    r = draw(st.integers(2, 12))
+    atoms = draw(st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=r,
+                          max_size=r, unique=True))
+    values = np.sort(atoms) / draw(st.sampled_from([1, 100]))
+    counts = np.array(draw(st.lists(st.integers(1, 25), min_size=r,
+                                    max_size=r)))
+    return values, counts, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestExactUniformFit:
+    """What `fit --g uniform` prints of its L2 part against
+    `exact_uniform_fit`.
+
+    Each bound is in units of a scale. For c_j it is
+    sqrt(2j + 1) (1 + j (j + 1)): |Leg_j| is at most sqrt(2j + 1) and its
+    slope sqrt(2j + 1) j (j + 1), which carries the rounding of G(x). For
+    the gof distance it is the sum of |c_j| times that over the selected
+    orders, and for the density at u 1 plus the sum of that times
+    |Leg_j(u)|. Over 40000 numpy tables (r <= 12; counts of 1 to 25, one
+    heavy atom, two heavy ends, or atoms bunched at one end; m <= 12) and
+    20000 examples of this strategy, the largest gaps were 2.1e-16 of the
+    scale for c_j, 3.5e-16 for the gof distance and 7.6e-16 for the
+    density, all on the numpy tables (1.3e-16, 2.4e-16 and 5.5e-16 on this
+    strategy's); each bound is about four times that.
+    """
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_tied_columns(), st.integers(1, 12),
+           st.sampled_from(["aic", "bic", "none"]), st.integers(1, 101))
+    def test_the_l2_part_is_near_the_exact_values(self, column, m, rule,
+                                                  g):
+        values, counts, seed = column
+        col = np.random.default_rng(seed).permutation(
+            np.repeat(values, counts))
+        # as `fit` builds them, at a --grid of g
+        s = make_sample(col)
+        mod = l2_fit(s, fit_reference("uniform", s), m, rule=rule)
+        grid = cli._grid_u(g)
+        exact = exact_uniform_fit(values, counts, m, mod.selected, grid)
+        j = np.arange(1, m + 1)
+        scale = np.sqrt(2.0 * j + 1.0) * (1.0 + j * (j + 1.0))
+        assert np.all(np.abs(mod.c - exact["c"]) <= 1e-15 * scale)
+        on = mod.selected
+        assert abs(gof_distance(mod) - exact["gof"]) <= (
+            1.5e-15 * np.sum(np.abs(exact["c"])[on] * scale[on]))
+        gap = np.abs(eval_density(mod, grid, "l2") - exact["density"])
+        assert np.all(gap <= 3e-15 * (
+            1.0 + scale[on] @ np.abs(legendre_eval(j[on], grid))))
 
 
 class TestSkewG:

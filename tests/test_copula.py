@@ -119,6 +119,8 @@ class TestEvalCopula:
     @given(st.integers(60, 160), st.integers(1, MAX_ORDER),
            st.integers(0, 300), st.integers(1, 40),
            st.integers(0, 2 ** 32 - 1))
+    # blocks of one point of an order-2 model, whose X table has two rows
+    @example(n=60, order=2, points=3, block=1, seed=0)
     def test_blocks_of_points_give_the_whole_call_bytes(self, n, order,
                                                         points, block,
                                                         seed):
@@ -131,6 +133,26 @@ class TestEvalCopula:
         whole = eval_copula(mod, u, v)
         with mock.patch.object(cpmod, "_EVAL_BLOCK", block):
             assert eval_copula(mod, u, v).tobytes() == whole.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(60, 160), st.integers(1, 12), st.integers(0, 20),
+           st.integers(0, 2 ** 32 - 1))
+    def test_each_point_adds_its_terms_in_order(self, n, order, points,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        mod = fit_copula(x, x + rng.standard_normal(n), order=order,
+                         rule="none")
+        u, v = rng.random((2, points))
+        want = []
+        for a, b in zip(mod.bx.source.atom_at_level(u),
+                        mod.by.source.atom_at_level(v)):
+            total = 0.0
+            for j, row in enumerate(mod.coefficients):
+                for k, c in enumerate(row):
+                    total += mod.bx.table[j, a] * c * mod.by.table[k, b]
+            want.append(total + 1.0)
+        assert eval_copula(mod, u, v).tobytes() == np.array(want).tobytes()
 
     def test_a_fine_grid_is_evaluated_in_bounded_memory(self, age, gag):
         # `depend --order 50 --grid 300` on the bundled table: the 90 000

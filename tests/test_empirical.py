@@ -285,6 +285,9 @@ class TestMakeSample:
         assert_allclose(s.masses, [0.2, 0.2, 0.6])
         assert s.n == 5 and s.r == 3
 
+    def test_repr_names_n_and_r(self):
+        assert repr(make_sample([3.0, 1.0, 3.0])) == "Sample(n=3, r=2)"
+
     def test_cdf_ends_at_one_exactly(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
