@@ -152,13 +152,12 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
     fa and fb hold one row per function over each margin's atoms; N is the
     r_a x r_b table of atom-pair counts, counted by `_pair_counts` when
     r_a * r_b <= n. Otherwise each row of fb, the coarser margin, is
-    gathered at b into one reused buffer of n floats and added per atom of
-    a, in row order, into its row of one zeroed (len(fb), r_a) table by
-    `np.add.at`: the sums `np.bincount(a, weights=...)` would give, bit
-    for bit, with no fresh row of r_a sums per row of fb. The mean is fa
-    times that table's transpose. On an untied finer margin the sums do
-    not depend on row order. Index arrays of different lengths raise
-    LengthMismatch.
+    gathered at b and added per atom of a, in row order, into one zeroed
+    buffer of r_a sums by `np.add.at`: the sums `np.bincount(a,
+    weights=...)` would give, bit for bit. fa times those sums is that
+    row's column of the mean, so one row of sums is held at a time. On an
+    untied finer margin the sums do not depend on row order. Index arrays
+    of different lengths raise LengthMismatch.
     """
     if a.size != b.size:
         raise LengthMismatch(a.size, b.size)
@@ -167,12 +166,14 @@ def _pair_mean(fa, a, fb, b) -> np.ndarray:
         return fa @ _pair_counts(a, b, ra, rb) @ fb.T / a.size
     if ra < rb:
         return _pair_mean(fb, b, fa, a).T
-    sums = np.zeros((len(fb), ra))
-    gathered = np.empty(a.size)
-    for row, out in zip(fb, sums):
-        np.take(row, b, 0, gathered, "clip")  # "raise" would buffer it
-        np.add.at(out, a, gathered)
-    return fa @ sums.T / a.size
+    mean = np.empty((len(fa), len(fb)))
+    sums = np.empty(ra)
+    for row, col in zip(fb, mean.T):
+        sums.fill(0.0)
+        np.add.at(sums, a, row[b])
+        col[:] = fa @ sums
+    mean /= a.size
+    return mean
 
 
 def correlations(c: LPComomentMatrix) -> CorrelationReport:

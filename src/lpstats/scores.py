@@ -106,6 +106,8 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
     A row depends only on the rows before it, so the table built at order
     m is bit for bit the first rows of one built higher on the same sample:
     the order of an analysis is set here, and its estimators use every row.
+    Z is written into row 0 in place and each projection into one product
+    buffer, so the build holds two rows of r floats besides its table.
     """
     if int(max_order) < 1:
         raise DomainError("max_order must be at least 1")
@@ -114,7 +116,11 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
     p = s.masses
     t1 = (s.fmid - 0.5) / np.sqrt(s.mid_rank_variance)
     rows = np.empty((1 + min(int(max_order), s.r - 1, MAX_ORDER), s.r))
-    rows[0] = (s.values - s.mean) / s.sd if s.sd > 0.0 else 0.0
+    if s.sd > 0.0:
+        np.subtract(s.values, s.mean, out=rows[0])
+        rows[0] /= s.sd
+    else:
+        rows[0] = 0.0
     table = rows[1:]
     pv = np.empty(s.r)
     for k in range(len(table)):
@@ -123,7 +129,8 @@ def build_score_basis(s: Sample, max_order: int) -> ScoreBasis:
         for lower in (table[max(k - 2, 0):k], table[:k]):
             np.multiply(p, v, out=pv)
             v -= pv.sum()
-            v -= (lower @ pv) @ lower
+            np.matmul(lower @ pv, lower, out=pv)
+            v -= pv
         np.multiply(p, v, out=pv)
         v /= np.sqrt(pv @ v)
     return ScoreBasis(s, rows)

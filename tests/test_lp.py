@@ -40,12 +40,12 @@ def basis_for(x, m=4):
 
 def bincount_pair_mean(fa, a, fb, b):
     """`lp._pair_mean`'s per-atom sums as one `np.bincount` per row of the
-    coarser margin."""
+    coarser margin, each times fa as that row's column of the mean."""
     if fa.shape[1] < fb.shape[1]:
         return bincount_pair_mean(fb, b, fa, a).T
-    sums = np.array([np.bincount(a, weights=row[b], minlength=fa.shape[1])
-                     for row in fb])
-    return fa @ sums.T / a.size
+    cols = [fa @ np.bincount(a, weights=row[b], minlength=fa.shape[1])
+            for row in fb]
+    return np.array(cols).T / a.size
 
 
 @st.composite
@@ -358,10 +358,10 @@ class TestLPComoments:
         assert_near_the_gather(got, x, y, bx, by, 4)
 
     def test_atom_sums_hold_one_table(self):
-        # an untied pair is summed per atom into one (k_b, r) table through
-        # one gathered row of n floats; its peak is 7 tables of r floats at
-        # order 4 (k_b = 5), where a fresh `bincount` row per score made
-        # it 8 and a list of sums and its copy 10
+        # an untied pair is summed per atom into one row of r sums from one
+        # gathered row of n floats; its peak is 2 rows of r floats, where a
+        # (k_b, r) table of sums made it 7 at order 4 (k_b = 5), a fresh
+        # `bincount` row per score 8 and a list of sums and its copy 10
         rng = np.random.default_rng(48)
         _, bx = basis_for(rng.standard_normal(20_000))
         _, by = basis_for(rng.standard_normal(20_000))
@@ -371,23 +371,24 @@ class TestLPComoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (len(by.rows) + 2.5) * by.source.r * 8
+        assert peak < 2.5 * by.source.r * 8
 
     @settings(max_examples=200, deadline=None)
     @given(atom_sum_tables())
     def test_atom_sums_are_the_bincount_sums(self, table):
         # each row is added per atom in place from 0.0, in row order, which
-        # is how `np.bincount` sums its weights: the same bytes, -0.0 and
-        # ties included
+        # is how `np.bincount` sums its weights, and fa times those sums is
+        # its column: the same bytes, -0.0 and ties included
         fa, a, fb, b = table
         assert fa.shape[1] * fb.shape[1] > a.size
         got = lp._pair_mean(fa, a, fb, b)
         assert got.tobytes() == bincount_pair_mean(fa, a, fb, b).tobytes()
 
     def test_a_fit_holds_each_n_length_array_once(self):
-        # an untied n-row pair peaks at 27 arrays of n floats in
-        # `fit_copula`; a stored count per atom in each Sample and a fresh
-        # `bincount` row per score held 30
+        # an untied n-row pair peaks at 22 arrays of n floats in
+        # `fit_copula`; a (k_b, n) table of sums and scratch rows in the
+        # bases held 27, and a stored count per atom in each Sample and a
+        # fresh `bincount` row per score 30
         n = 20_000
         rng = np.random.default_rng(53)
         x = rng.standard_normal(n)
@@ -399,7 +400,7 @@ class TestLPComoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 28.5 * n * 8
+        assert peak < 23 * n * 8
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 400), st.booleans(), st.booleans(),
@@ -581,6 +582,15 @@ class TestLHermiteNormality:
         res = lhermite_normality(s)
         assert res.significant
         assert res.statistic < 0.99
+
+    def test_constant_normal_scores_are_refused(self):
+        # w_sd is 0 only when every atom's normal score is the same, which
+        # no Fmid of two or more atoms gives; constant scores reach it
+        s = make_sample([1.0, 2.0, 3.0])
+        with mock.patch.object(lp, "ndtri", np.zeros_like):
+            with pytest.raises(DegenerateScale,
+                               match="^degenerate normal scores$"):
+                lhermite_normality(s)
 
     def test_statistic_is_a_correlation(self):
         rng = np.random.default_rng(35)

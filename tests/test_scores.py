@@ -1,5 +1,6 @@
 """Orthonormal score construction and the shifted Legendre limit."""
 
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -216,6 +217,21 @@ class TestBasisConstruction:
         assert b.max_order == MAX_ORDER < 10**6
         assert b.table.shape == (MAX_ORDER, s.r)
         assert b.gram_error < 1e-10
+
+    def test_a_basis_holds_two_scratch_rows(self):
+        # Z is written into its row in place and each projection into the
+        # one product buffer, so an untied build peaks at its rows and two
+        # rows of r floats (t1 and that buffer) at order 4; a fresh Z and
+        # a fresh projection row per pass made it three
+        s = make_sample(np.random.default_rng(56).standard_normal(20_000))
+        build_score_basis(s, 4)  # lazy set-up is not the build's
+        tracemalloc.start()
+        try:
+            b = build_score_basis(s, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(b.rows) + 2.5) * s.r * 8
 
     @settings(deadline=None, max_examples=100)
     @given(heavy_tie_counts())
